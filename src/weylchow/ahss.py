@@ -38,11 +38,13 @@ exactly: (Z/p)^t with t = dim Kbar(mu) - dim(Wbar(mu) + sum_j Kbar(mu/v_j)).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from . import linalg
 from .chart import Chart, integral_q_matrix, q_shift
+from .poly import compositions
 
 VMono = Tuple[int, ...]
 Subspace = List[List[int]]  # reduced echelon row basis
@@ -127,27 +129,6 @@ def v_label(mu: VMono) -> str:
         elif e > 1:
             parts.append("v_%d^%d" % (i + 1, e))
     return "*".join(parts) if parts else "1"
-
-
-def _v_monomials_of_degree(p: int, v_max: int, deg: int) -> List[VMono]:
-    sizes = [2 * (p ** (i + 1) - 1) for i in range(v_max)]
-    target = -deg
-    out: List[VMono] = []
-
-    def rec(idx, remaining, prefix):
-        if idx == v_max:
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        step = sizes[idx]
-        for e in range(remaining // step + 1):
-            prefix.append(e)
-            rec(idx + 1, remaining - e * step, prefix)
-            prefix.pop()
-
-    if target >= 0:
-        rec(0, target, [])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +273,13 @@ def run_ahss(chart: Chart, v_max: int, max_total: Optional[int] = None) -> AhssR
         )
     pages = _PageComputer(chart, v_max)
     keys = set()
-    for total in range(-v_max, chart.window + 1):
-        for s in range(max(total, 0), chart.window + 1):
-            if pages.rank(s) == 0:
-                continue
-            for mu in _v_monomials_of_degree(p, v_max, total - s):
-                keys.add((s, mu))
-    capped = _capped_monomials(p, v_max, _STABLE_EXPONENT)
+    # Every block with s in the window and total s - |mu| >= -v_max.
+    v_sizes = [2 * (p ** (i + 1) - 1) for i in range(v_max)]  # |v_i|, as in v_degree
+    v_monos = [mu for n in range(chart.window + v_max + 1) for mu in compositions(v_sizes, n)]
+    for s in range(chart.window + 1):
+        if pages.rank(s) > 0:
+            keys.update((s, mu) for mu in v_monos if -v_degree(p, mu) <= s + v_max)
+    capped = list(itertools.product(range(_STABLE_EXPONENT + 1), repeat=v_max))
     for total in range(0, max_total + 1):
         for mu in capped:
             s = total - v_degree(p, mu)
@@ -309,22 +290,6 @@ def run_ahss(chart: Chart, v_max: int, max_total: Optional[int] = None) -> AhssR
         blocks[(s, mu)] = Block(s, mu, pages.k(v_max, s, mu), pages.w(v_max, s, mu))
     _check_pages(blocks, p)
     return AhssResult(chart, v_max, max_total, blocks, pages, reliable_total)
-
-
-def _capped_monomials(p: int, v_max: int, cap: int) -> List[VMono]:
-    out: List[VMono] = []
-
-    def rec(idx, prefix):
-        if idx == v_max:
-            out.append(tuple(prefix))
-            return
-        for e in range(cap + 1):
-            prefix.append(e)
-            rec(idx + 1, prefix)
-            prefix.pop()
-
-    rec(0, [])
-    return out
 
 
 def _check_pages(blocks: Dict[Tuple[int, VMono], Block], p: int):

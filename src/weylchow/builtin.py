@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional
 from . import linalg
 from .chart import Chart, ChartError, build_chart
 from .dickson import build_dickson
-from .poly import F2, AlgebraSignature, Generator, Monomial, Polynomial, degree_slice
+from .poly import F2, AlgebraSignature, Generator, Polynomial, degree_slice
 from .steenrod import milnor_q_closed
 
 
@@ -145,31 +145,16 @@ _F4_GENS = (
     ("x_48", 48),
 )
 
-# indices into the exponent tuple
-_F4_IDX = {name: i for i, (name, *_rest) in enumerate(_F4_GENS)}
-
-
-def _f4_basis_ok(mono: Monomial) -> bool:
-    """Additive basis of H*(BF_4; Z/3).
-
-    The ring splits as (polynomial part on x_4, x_8 with x_20-height 2)
-    plus a module over Z/3[x_26] (x) Lambda(x_9) on {1, x_20, x_21, x_25},
-    the latter annihilated by x_4 and x_8; monomials violating these module
-    shapes are relations and drop out of the basis.
-    """
-    e4 = mono[_F4_IDX["x_4"]]
-    e8 = mono[_F4_IDX["x_8"]]
-    e20 = mono[_F4_IDX["x_20"]]
-    e21 = mono[_F4_IDX["x_21"]]
-    e25 = mono[_F4_IDX["x_25"]]
-    e26 = mono[_F4_IDX["x_26"]]
-    e9 = mono[_F4_IDX["x_9"]]
-    in_module_part = e9 or e21 or e25 or e26
-    if in_module_part:
-        if e4 or e8:
-            return False
-        return e20 + e21 + e25 <= 1
-    return e20 <= 2
+# The additive basis of H*(BF_4; Z/3): the ring splits as a polynomial part
+# on x_4, x_8 with x_20-height 2, plus a module over Z/3[x_26] (x) Lambda(x_9)
+# on {1, x_20, x_21, x_25} annihilated by x_4 and x_8.  The monomials that
+# violate these shapes form the ideal generated by:
+_F4_RELATIONS = (
+    "x_4*x_9", "x_4*x_21", "x_4*x_25", "x_4*x_26",
+    "x_8*x_9", "x_8*x_21", "x_8*x_25", "x_8*x_26",
+    "x_20*x_21", "x_20*x_25", "x_21*x_25",
+    "x_9*x_20^2", "x_26*x_20^2", "x_20^3",
+)
 
 
 # Products of the polynomial-part generators with the module-part classes.
@@ -204,7 +189,7 @@ def f4_chart(window: int = 56) -> BuiltinChart:
         window=window,
         gens=_F4_GENS,
         q_images=q_images,
-        basis_filter=_f4_basis_ok,
+        relations=_F4_RELATIONS,
         torsion_tags={
             "x_4": 0,
             "x_8": 0,

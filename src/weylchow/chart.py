@@ -1,41 +1,48 @@
-"""Charts: finite-window descriptions of H*(BX; Z_(p)) with Milnor actions.
+"""Charts: descriptions of H*(BX; Z_(p)) with Milnor actions.
 
-A chart carries the mod-p additive basis per degree (monomials in named
-classes), the Q_i actions for i = 0..m as matrices on those bases, and the
-prime and window.  The integral structure is derived from Q_0: since the
-torsion has exponent exactly p, the free part in each degree is a lift of
-ker(Q_0)/im(Q_0) and the p-torsion part bijects with im(Q_0).
+A chart presents the mod-p cohomology as the graded-commutative algebra on
+named classes modulo a monomial ideal.  Its additive basis in every degree
+is the set of standard monomials: those that no relation monomial divides.
+The Q_i actions for i = 0..m are given by generator images; Q_i on a basis
+monomial follows by the graded Leibniz rule and is projected to the basis.
+A Leibniz term that some relation divides is rewritten by the chart's
+product rules, or is zero when the chart has none.  The window scopes
+validation and the spectral-sequence enumeration; bases, Q_i matrices and
+integral slices are defined in every degree and are derived on first use.
+The integral structure is derived from Q_0: since the torsion has exponent
+exactly p, the free part in each degree is a lift of ker(Q_0)/im(Q_0) and
+the p-torsion part bijects with im(Q_0).
 
 Chart files are section-based text ("#" comments):
 
     [chart]            name/p/window key = value lines
-    [classes]          'name degree torsion_exponent' per generator; the
-                       exponent is 1 when the generator reduces an integral
-                       p-torsion class (it lies in im Q_0), else 0
-    [basis]            optional; 'degree: mono mono ...' lines for charts
-                       whose basis is not the free graded-commutative one
+    [classes]          'name degree torsion_exponent [exterior]' per
+                       generator; the exponent is 1 when the generator
+                       reduces an integral p-torsion class (it lies in
+                       im Q_0), else 0
+    [relations]        optional; one monomial per line, generating the ideal
+                       of monomials that are not basis classes (in every
+                       degree, inside the window and beyond it)
+    [products]         optional; 'monomial -> c*monomial' or 'monomial -> 0'
+                       rewrite rules for Leibniz terms outside the basis
     [q I]              'source -> polynomial' generator images of Q_I
     [aliases]          'short = monomial' naming shortcuts
-
-Q_i on a basis monomial is computed by the graded Leibniz rule from the
-generator images, then projected to the basis (monomials outside the basis
-list are relations of the presentation and project to zero).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .poly import (
     AlgebraSignature,
-    Generator,
     Monomial,
     Polynomial,
     degree_slice,
     fp,
     parse as parse_poly,
+    signature,
 )
 from .steenrod import DerivationSpec, SteenrodError, apply_derivation
 
@@ -48,72 +55,57 @@ def q_shift(p: int, i: int) -> int:
     return 2 * p**i - 1
 
 
+# (lhs, coefficient, rhs): lhs * m rewrites to coefficient * rhs * m; rhs is
+# None when the product vanishes.
+ProductRule = Tuple[Monomial, int, Optional[Monomial]]
+
+
 @dataclass
+class _ChartCache:
+    """Data a chart derives from its description, filled in on first use."""
+
+    # per degree: basis monomial -> position, in basis order
+    basis: Dict[int, Dict[Monomial, int]] = field(default_factory=dict)
+    q_mats: Dict[Tuple[int, int], List[List[int]]] = field(default_factory=dict)
+    integral: Dict[int, "IntegralSlice"] = field(default_factory=dict)
+    specs: Optional[Dict[int, DerivationSpec]] = None
+
+
+@dataclass(frozen=True)
 class Chart:
+    """A chart description; everything else is derived from it into cache."""
+
     name: str
     p: int
     window: int
     sig: AlgebraSignature
-    basis: Dict[int, List[Monomial]]
     q_images: Dict[int, Dict[str, Polynomial]]
-    torsion_tags: Dict[str, int] = field(default_factory=dict)
+    relations: Tuple[Monomial, ...] = ()
+    products: Tuple[ProductRule, ...] = ()
     aliases: Dict[str, str] = field(default_factory=dict)
-    free_basis: bool = True
-    q_mats: Dict[int, Dict[int, List[List[int]]]] = field(default_factory=dict, repr=False)
-    _integral: Dict[int, "IntegralSlice"] = field(default_factory=dict, repr=False)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Chart)
-            and (self.p, self.window, self.sig) == (other.p, other.window, other.sig)
-            and self.basis == other.basis
-            and self.q_mats == other.q_mats
-            and self.aliases == other.aliases
-        )
-
-    def basis_at(self, degree: int) -> List[Monomial]:
-        """Basis monomials in any degree; degrees beyond the declared window
-        are generated on demand into a side cache (the declared data stays
-        canonical for equality and serialization)."""
-        if degree < 0:
-            return []
-        if degree <= self.window:
-            return self.basis.get(degree, [])
-        ext = getattr(self, "_ext_basis", None)
-        if ext is None:
-            ext = {}
-            self._ext_basis = ext
-        if degree not in ext:
-            monos = degree_slice(self.sig, degree)
-            flt = getattr(self, "_basis_filter", None)
-            if flt is not None:
-                monos = [m for m in monos if flt(m)]
-            ext[degree] = monos
-        return ext[degree]
-
-    def dim(self, degree: int) -> int:
-        return len(self.basis_at(degree))
+    cache: _ChartCache = field(default_factory=_ChartCache, init=False, repr=False, compare=False)
 
     def mono_index(self, degree: int) -> Dict[Monomial, int]:
-        return {m: i for i, m in enumerate(self.basis_at(degree))}
+        """Basis monomials of a degree (any degree) mapped to their positions."""
+        index = self.cache.basis.get(degree)
+        if index is None:
+            monos = degree_slice(self.sig, degree) if degree >= 0 else []
+            standard = [m for m in monos if not any(_divides(r, m) for r in self.relations)]
+            index = self.cache.basis[degree] = {m: i for i, m in enumerate(standard)}
+        return index
+
+    def basis_at(self, degree: int) -> List[Monomial]:
+        return list(self.mono_index(degree))
+
+    def dim(self, degree: int) -> int:
+        return len(self.mono_index(degree))
 
     def q_matrix(self, i: int, degree: int) -> List[List[int]]:
-        """Matrix of Q_i from degree to degree + shift (any degree; degrees
-        beyond the declared window are built lazily)."""
-        stored = self.q_mats.get(i, {}).get(degree)
-        if stored is not None:
-            return stored
-        ext = getattr(self, "_ext_qmats", None)
-        if ext is None:
-            ext = {}
-            self._ext_qmats = ext
+        """Matrix of Q_i from degree to degree + 2p^i - 1 (any degree)."""
         key = (i, degree)
-        if key not in ext:
-            ext[key] = _q_matrix_at(self, i, degree)
-        return ext[key]
-
-    def q_indices(self) -> List[int]:
-        return sorted(self.q_mats)
+        if key not in self.cache.q_mats:
+            self.cache.q_mats[key] = _q_matrix_at(self, i, degree)
+        return self.cache.q_mats[key]
 
     def resolve_name(self, text: str) -> Monomial:
         """A class name, alias, or monomial expression -> basis monomial."""
@@ -142,9 +134,13 @@ class Chart:
         return "*".join(parts) if parts else "1"
 
     def integral_slice(self, degree: int) -> "IntegralSlice":
-        if degree not in self._integral:
-            self._integral[degree] = _build_integral_slice(self, degree)
-        return self._integral[degree]
+        if degree not in self.cache.integral:
+            self.cache.integral[degree] = _build_integral_slice(self, degree)
+        return self.cache.integral[degree]
+
+
+def _divides(a: Monomial, b: Monomial) -> bool:
+    return all(x <= y for x, y in zip(a, b))
 
 
 @dataclass
@@ -180,208 +176,144 @@ def build_chart(
     window: int,
     gens: Sequence[Tuple],
     q_images: Dict[int, Dict[str, object]],
-    basis_filter: Optional[Callable[[Monomial], bool]] = None,
+    relations: Sequence[str] = (),
     torsion_tags: Optional[Dict[str, int]] = None,
     aliases: Optional[Dict[str, str]] = None,
-    products: Optional[Sequence[Tuple[str, str]]] = None,
+    products: Sequence[Tuple[str, str]] = (),
 ) -> Chart:
     """Assemble and validate a chart.
 
     gens are (name, degree) or (name, degree, exterior); q_images maps each
-    Milnor index to generator-image expressions (strings or Polynomials);
-    basis_filter restricts the free monomial basis when the presentation
-    has relations; products lists monomial rewrite rules
+    Milnor index to generator-image expressions (strings or Polynomials),
+    of which the zero ones are dropped; relations lists the monomials that
+    generate the ideal of non-basis monomials; torsion_tags are checked
+    against the Q_0 structure; products lists monomial rewrite rules
     ('x*y' -> 'c*z*w' or '0') used to push Leibniz terms back into the
     basis when the relations are not merely monomial vanishing.
     """
-    domain = fp(p)
-    gen_objs = []
-    for spec in gens:
-        if len(spec) == 2:
-            gen_objs.append(Generator(spec[0], spec[1]))
-        else:
-            gen_objs.append(Generator(spec[0], spec[1], spec[2]))
-    sig = AlgebraSignature(gen_objs, domain)
-    basis: Dict[int, List[Monomial]] = {}
-    for d in range(window + 1):
-        monos = degree_slice(sig, d)
-        if basis_filter is not None:
-            monos = [m for m in monos if basis_filter(m)]
-        basis[d] = monos
+    sig = signature(gens, fp(p))
     parsed: Dict[int, Dict[str, Polynomial]] = {}
     for i, images in sorted(q_images.items()):
-        out: Dict[str, Polynomial] = {}
-        for gname, expr in images.items():
-            poly = expr if isinstance(expr, Polynomial) else parse_poly(str(expr), sig)
-            out[gname] = poly
-        parsed[i] = out
+        polys = {g: e if isinstance(e, Polynomial) else parse_poly(str(e), sig)
+                 for g, e in images.items()}
+        parsed[i] = {g: poly for g, poly in polys.items() if not poly.is_zero()}
     chart = Chart(
         name=name,
         p=p,
         window=window,
         sig=sig,
-        basis=basis,
         q_images=parsed,
-        torsion_tags=dict(torsion_tags or {}),
+        relations=tuple(sorted({_plain_monomial(sig, text, "relation") for text in relations},
+                               reverse=True)),
+        products=tuple(_parse_product_rule(sig, lhs, rhs) for lhs, rhs in products),
         aliases=dict(aliases or {}),
-        free_basis=basis_filter is None,
     )
-    chart._basis_filter = basis_filter
-    chart._product_rules = _parse_product_rules(sig, products or ())
-    chart._product_texts = [tuple(pr) for pr in (products or ())]
-    _build_q_matrices(chart)
-    validate_chart(chart)
+    validate_chart(chart, torsion_tags or {})
     return chart
 
 
-def _parse_product_rules(sig: AlgebraSignature, products: Sequence[Tuple[str, str]]):
-    """Rules (lhs monomial, rhs coefficient, rhs monomial or None)."""
-    rules = []
-    for lhs_text, rhs_text in products:
-        lhs_poly = parse_poly(lhs_text, sig)
-        if len(lhs_poly.terms) != 1 or set(lhs_poly.terms.values()) != {1}:
-            raise ChartError("product rule LHS %r must be a plain monomial" % lhs_text)
-        ((lhs, _c),) = tuple(lhs_poly.terms.items())
-        rhs_poly = parse_poly(rhs_text, sig)
-        if rhs_poly.is_zero():
-            rules.append((lhs, 0, None))
-        elif len(rhs_poly.terms) == 1:
-            ((rhs, coeff),) = tuple(rhs_poly.terms.items())
-            rules.append((lhs, int(coeff), rhs))
-        else:
-            raise ChartError("product rule RHS %r must be a monomial or 0" % rhs_text)
-    return rules
+def _plain_monomial(sig: AlgebraSignature, text: str, what: str) -> Monomial:
+    poly = parse_poly(text, sig)
+    if len(poly.terms) != 1 or set(poly.terms.values()) != {1}:
+        raise ChartError("%s %r must be a plain monomial" % (what, text))
+    (mono,) = poly.terms
+    return mono
 
 
-def _reduce_term(chart: Chart, mono: Monomial, coeff: int):
-    """Rewrite a monomial into the basis using the chart's product rules.
+def _parse_product_rule(sig: AlgebraSignature, lhs_text: str, rhs_text: str) -> ProductRule:
+    lhs = _plain_monomial(sig, lhs_text, "product rule LHS")
+    rhs_poly = parse_poly(rhs_text, sig)
+    if rhs_poly.is_zero():
+        return lhs, 0, None
+    if len(rhs_poly.terms) != 1:
+        raise ChartError("product rule RHS %r must be a monomial or 0" % rhs_text)
+    ((rhs, coeff),) = tuple(rhs_poly.terms.items())
+    return lhs, int(coeff), rhs
 
-    Returns (coefficient, basis monomial) or None when the term vanishes;
-    raises when an image term is neither in the basis nor reducible.
+
+def _reduce_term(chart: Chart, index: Dict[Monomial, int], mono: Monomial, coeff: int):
+    """Rewrite a monomial into the basis (the keys of index).
+
+    Returns (coefficient, basis monomial) or None when the term vanishes; a
+    term outside the basis vanishes when the chart has no product rules,
+    and raises when no rule reduces it.
     """
-    flt = getattr(chart, "_basis_filter", None)
-    rules = getattr(chart, "_product_rules", ())
-    guard = 0
-    while True:
-        if flt is None or flt(mono):
+    for _step in range(101):
+        if mono in index:
             return coeff % chart.p, mono
-        progressed = False
-        for lhs, rcoeff, rhs in rules:
-            if all(m >= l for m, l in zip(mono, lhs)):
-                if rcoeff == 0 or rhs is None:
-                    return None
-                reduced = tuple(
-                    m - l + rhs[i] for i, (m, l) in enumerate(zip(mono, lhs))
-                )
-                for i, g in enumerate(chart.sig.generators):
-                    if g.exterior and reduced[i] > 1:
-                        return None
-                coeff = (coeff * rcoeff) % chart.p
-                mono = reduced
-                progressed = True
-                break
-        if not progressed:
+        if not chart.products:
+            return None
+        rule = next((r for r in chart.products if _divides(r[0], mono)), None)
+        if rule is None:
             raise ChartError(
                 "image monomial %s is neither in the basis nor reducible"
                 % chart.mono_label(mono)
             )
-        guard += 1
-        if guard > 100:
-            raise ChartError("product rewriting did not terminate")
+        lhs, rcoeff, rhs = rule
+        if rhs is None:
+            return None
+        mono = tuple(m - l + r for m, l, r in zip(mono, lhs, rhs))
+        if any(g.exterior and e > 1 for g, e in zip(chart.sig.generators, mono)):
+            return None
+        coeff = (coeff * rcoeff) % chart.p
+    raise ChartError("product rewriting did not terminate")
 
 
 def _derivation_specs(chart: Chart) -> Dict[int, DerivationSpec]:
-    cached = getattr(chart, "_derivation_cache", None)
-    if cached is not None:
-        return cached
-    specs = {}
-    zero = Polynomial.zero(chart.sig)
-    for i, images in chart.q_images.items():
-        full = {g.name: images.get(g.name, zero) for g in chart.sig.generators}
-        try:
-            specs[i] = DerivationSpec(chart.sig, q_shift(chart.p, i), full)
-        except SteenrodError as exc:
-            raise ChartError("chart %s: %s" % (chart.name, exc)) from exc
-    chart._derivation_cache = specs
-    return specs
+    if chart.cache.specs is None:
+        specs = {}
+        zero = Polynomial.zero(chart.sig)
+        for i, images in chart.q_images.items():
+            full = {g.name: images.get(g.name, zero) for g in chart.sig.generators}
+            try:
+                specs[i] = DerivationSpec(chart.sig, q_shift(chart.p, i), full)
+            except SteenrodError as exc:
+                raise ChartError("chart %s: %s" % (chart.name, exc)) from exc
+        chart.cache.specs = specs
+    return chart.cache.specs
 
 
 def _q_matrix_at(chart: Chart, i: int, degree: int) -> List[List[int]]:
     spec = _derivation_specs(chart).get(i)
     src = chart.basis_at(degree)
     tgt_index = chart.mono_index(degree + q_shift(chart.p, i))
-    has_rules = bool(getattr(chart, "_product_rules", ()))
     cols = []
     for mono in src:
         col = [0] * len(tgt_index)
         if spec is not None:
             image = apply_derivation(spec, Polynomial.from_mono(chart.sig, mono))
             for m, c in image.terms.items():
-                if m in tgt_index:
-                    col[tgt_index[m]] = (col[tgt_index[m]] + int(c)) % chart.p
-                elif has_rules:
-                    reduced = _reduce_term(chart, m, int(c))
-                    if reduced is not None:
-                        rc, rm = reduced
-                        col[tgt_index[rm]] = (col[tgt_index[rm]] + rc) % chart.p
-                # without rules, monomials outside the basis are relations
+                reduced = _reduce_term(chart, tgt_index, m, int(c))
+                if reduced is not None:
+                    rc, rm = reduced
+                    col[tgt_index[rm]] = (col[tgt_index[rm]] + rc) % chart.p
         cols.append(col)
     return [[cols[j][r] for j in range(len(src))] for r in range(len(tgt_index))]
 
 
-def _build_q_matrices(chart: Chart):
-    specs = _derivation_specs(chart)
-    for i in sorted(specs):
-        shift = q_shift(chart.p, i)
-        per_degree: Dict[int, List[List[int]]] = {}
-        for d in range(chart.window - shift + 1):
-            if chart.basis.get(d):
-                per_degree[d] = _q_matrix_at(chart, i, d)
-        chart.q_mats[i] = per_degree
-
-
-def validate_chart(chart: Chart):
-    """Degree shifts, Q_i^2 = 0 in the window, torsion-tag consistency."""
+def validate_chart(chart: Chart, torsion_tags: Dict[str, int]):
+    """Degree shifts, Q_i^2 = 0 in the window, declared torsion tags."""
     p = chart.p
     for i, images in chart.q_images.items():
         shift = q_shift(p, i)
         for gname, img in images.items():
             gdeg = chart.sig.generators[chart.sig.index(gname)].degree
-            if img.is_zero():
-                continue
             if not img.is_homogeneous() or img.degree() != gdeg + shift:
                 raise ChartError(
                     "chart %s: Q_%d(%s) has degree %s, expected %d"
                     % (chart.name, i, gname, img.homogeneous_degrees(), gdeg + shift)
                 )
-    for i, per_degree in chart.q_mats.items():
+    for i in _derivation_specs(chart):
         shift = q_shift(p, i)
-        for d, mat in per_degree.items():
-            nxt = per_degree.get(d + shift)
-            if nxt is None:
-                continue
-            src_dim = chart.dim(d)
-            mid_dim = chart.dim(d + shift)
-            for j in range(src_dim):
-                for r in range(chart.dim(d + 2 * shift)):
-                    acc = sum(nxt[r][k] * mat[k][j] for k in range(mid_dim)) % p
-                    if acc:
-                        raise ChartError(
-                            "chart %s: Q_%d does not square to zero at degree %d"
-                            % (chart.name, i, d)
-                        )
-    for gname, tag in chart.torsion_tags.items():
-        gdeg = chart.sig.generators[chart.sig.index(gname)].degree
-        if gdeg > chart.window:
-            continue
-        vec = [0] * chart.dim(gdeg)
-        idx = chart.mono_index(gdeg).get(_gen_mono(chart.sig, gname))
-        if idx is None:
-            raise ChartError("generator %s missing from its basis slice" % gname)
-        vec[idx] = 1
-        sl = chart.integral_slice(gdeg)
-        in_torsion = linalg.solve_fp(sl.torsion, vec, p) is not None if sl.torsion else False
-        expected = 1 if in_torsion else 0
+        for d in range(chart.window - 2 * shift + 1):
+            cols = list(zip(*chart.q_matrix(i, d)))
+            second = chart.q_matrix(i, d + shift)
+            if any(sum(a * b for a, b in zip(row, col)) % p for row in second for col in cols):
+                raise ChartError(
+                    "chart %s: Q_%d does not square to zero at degree %d" % (chart.name, i, d)
+                )
+    for gname, tag in torsion_tags.items():
+        expected = _torsion_tag(chart, gname)
         if tag != expected:
             raise ChartError(
                 "generator %s tagged torsion_exponent %d but Q_0 structure says %d"
@@ -389,10 +321,19 @@ def validate_chart(chart: Chart):
             )
 
 
-def _gen_mono(sig: AlgebraSignature, name: str) -> Monomial:
-    mono = [0] * len(sig)
-    mono[sig.index(name)] = 1
-    return tuple(mono)
+def _torsion_tag(chart: Chart, gname: str) -> int:
+    """1 when the generator is a basis class inside im Q_0, else 0."""
+    mono = [0] * len(chart.sig)
+    mono[chart.sig.index(gname)] = 1
+    mono = tuple(mono)
+    degree = chart.sig.mono_degree(mono)
+    index = chart.mono_index(degree)
+    torsion = chart.integral_slice(degree).torsion
+    if mono not in index or not torsion:
+        return 0
+    vec = [0] * len(index)
+    vec[index[mono]] = 1
+    return int(linalg.solve_fp(torsion, vec, chart.p) is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -477,41 +418,24 @@ def serialize_chart(chart: Chart) -> str:
     lines = ["[chart]", "name = %s" % chart.name, "p = %d" % chart.p,
              "window = %d" % chart.window, "", "[classes]"]
     for g in chart.sig.generators:
-        tag = chart.torsion_tags.get(g.name)
-        if tag is None:
-            tag = 0
-            if g.degree <= chart.window:
-                sl = chart.integral_slice(g.degree)
-                vec = [0] * chart.dim(g.degree)
-                vec[chart.mono_index(g.degree)[_gen_mono(chart.sig, g.name)]] = 1
-                if sl.torsion and linalg.solve_fp(sl.torsion, vec, chart.p) is not None:
-                    tag = 1
         ext = " exterior" if g.exterior else ""
-        lines.append("%s %d %d%s" % (g.name, g.degree, tag, ext))
-    if not chart.free_basis:
-        lines.append("")
-        lines.append("[basis]")
-        for d in range(chart.window + 1):
-            monos = chart.basis.get(d, [])
-            if monos:
-                lines.append("%d: %s" % (d, " ".join(chart.mono_label(m) for m in monos)))
-    product_texts = getattr(chart, "_product_texts", ())
-    if product_texts:
-        lines.append("")
-        lines.append("[products]")
-        for lhs, rhs in product_texts:
-            lines.append("%s -> %s" % (lhs, rhs))
+        lines.append("%s %d %d%s" % (g.name, g.degree, _torsion_tag(chart, g.name), ext))
+
+    def section(head: str, body: List[str]):
+        lines.extend(["", "[%s]" % head] + body)
+
+    if chart.relations:
+        section("relations", [chart.mono_label(m) for m in chart.relations])
+    if chart.products:
+        section("products", [
+            "%s -> %s" % (chart.mono_label(lhs), "0" if rhs is None
+                          else Polynomial.from_mono(chart.sig, rhs, coeff))
+            for lhs, coeff, rhs in chart.products
+        ])
     for i in sorted(chart.q_images):
-        entries = [(g, img) for g, img in chart.q_images[i].items() if not img.is_zero()]
-        lines.append("")
-        lines.append("[q %d]" % i)
-        for gname, img in sorted(entries):
-            lines.append("%s -> %s" % (gname, img))
+        section("q %d" % i, ["%s -> %s" % entry for entry in sorted(chart.q_images[i].items())])
     if chart.aliases:
-        lines.append("")
-        lines.append("[aliases]")
-        for short, full in sorted(chart.aliases.items()):
-            lines.append("%s = %s" % (short, full))
+        section("aliases", ["%s = %s" % entry for entry in sorted(chart.aliases.items())])
     return "\n".join(lines) + "\n"
 
 
@@ -520,7 +444,7 @@ def parse_chart(text: str) -> Chart:
     q_index: Optional[int] = None
     header: Dict[str, str] = {}
     classes: List[Tuple[str, int, int, bool]] = []
-    basis_lines: Dict[int, List[str]] = {}
+    relations: List[str] = []
     q_raw: Dict[int, Dict[str, str]] = {}
     aliases: Dict[str, str] = {}
     products: List[Tuple[str, str]] = []
@@ -532,16 +456,8 @@ def parse_chart(text: str) -> Chart:
             if not line.endswith("]"):
                 raise ChartError("line %d: malformed section header" % lineno)
             head = line[1:-1].strip().lower()
-            if head == "chart":
-                section = "chart"
-            elif head == "classes":
-                section = "classes"
-            elif head == "basis":
-                section = "basis"
-            elif head == "aliases":
-                section = "aliases"
-            elif head == "products":
-                section = "products"
+            if head in ("chart", "classes", "relations", "products", "aliases"):
+                section = head
             elif head.startswith("q"):
                 section = "q"
                 try:
@@ -566,11 +482,8 @@ def parse_chart(text: str) -> Chart:
                 classes.append((parts[0], int(parts[1]), int(parts[2]), ext))
             except ValueError:
                 raise ChartError("line %d: malformed class line" % lineno) from None
-        elif section == "basis":
-            if ":" not in line:
-                raise ChartError("line %d: expected 'degree: monomials'" % lineno)
-            dtxt, monos = line.split(":", 1)
-            basis_lines[int(dtxt.strip())] = monos.split()
+        elif section == "relations":
+            relations.append(line)
         elif section == "q":
             if "->" not in line:
                 raise ChartError("line %d: expected 'source -> polynomial'" % lineno)
@@ -591,29 +504,11 @@ def parse_chart(text: str) -> Chart:
     for key in ("p", "window"):
         if key not in header:
             raise ChartError("[chart] section missing %r" % key)
-    p = int(header["p"])
-    window = int(header["window"])
-    name = header.get("name", "chart")
-    gens = [(nm, deg, ext) for nm, deg, _tag, ext in classes]
-    tags = {nm: tag for nm, deg, tag, _ext in classes}
-    basis_filter = None
-    if basis_lines:
-        sig = AlgebraSignature(
-            [Generator(nm, deg, ext) for nm, deg, ext in gens], fp(p)
-        )
-        allowed = set()
-        for d, labels in basis_lines.items():
-            for label in labels:
-                poly = parse_poly(label, sig) if label != "1" else Polynomial.one(sig)
-                ((mono, _c),) = tuple(poly.terms.items())
-                allowed.add(mono)
-
-        def basis_filter(mono, _allowed=frozenset(allowed)):
-            return mono in _allowed
-
     return build_chart(
-        name, p, window, gens, q_raw, basis_filter=basis_filter, torsion_tags=tags,
-        aliases=aliases, products=products,
+        header.get("name", "chart"), int(header["p"]), int(header["window"]),
+        [(nm, deg, ext) for nm, deg, _tag, ext in classes], q_raw, relations=relations,
+        torsion_tags={nm: tag for nm, _deg, tag, _ext in classes}, aliases=aliases,
+        products=products,
     )
 
 

@@ -7,7 +7,7 @@ Commands:
                 --domain f2|f3|q|zlocal:P --max-degree N [--series EXPR]
     ahss        --chart spin7|f4|toy-*|PATH [--window W] --vmax M
                 [--max-total N] [--collapse]
-    audit       --chart spin7 [--all] [--max-degree N]
+    audit       --chart spin7 [--max-degree N]
     series      --expr EXPR --order N
 
 Global flags: --out PATH (default stdout), --format table|records.  The
@@ -322,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="restriction-map audits for a builtin chart")
     p.add_argument("--chart", default="spin7")
-    p.add_argument("--all", action="store_true", help="run every audit (default)")
     p.add_argument("--max-degree", type=int, default=28)
     p.set_defaults(func=cmd_audit)
 

@@ -17,13 +17,15 @@ Two computation paths:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .groups import GroupAction, GroupError, MatrixRows
 from .linalg import SubmoduleBasis
-from .poly import AlgebraSignature, Domain, Monomial, Polynomial, degree_slice
+from .poly import AlgebraSignature, Domain, Monomial, Polynomial, compositions, degree_slice
 
 
 class InvariantError(Exception):
@@ -387,23 +389,6 @@ def poincare_series(action: GroupAction, max_degree: int, domain: Domain) -> Dic
 # ---------------------------------------------------------------------------
 
 
-def _exponent_tuples(degrees: Sequence[int], total: int) -> List[Tuple[int, ...]]:
-    results: List[Tuple[int, ...]] = []
-
-    def rec(idx, remaining, prefix):
-        if idx == len(degrees):
-            if remaining == 0:
-                results.append(tuple(prefix))
-            return
-        for e in range(remaining // degrees[idx] + 1):
-            prefix.append(e)
-            rec(idx + 1, remaining - e * degrees[idx], prefix)
-            prefix.pop()
-
-    rec(0, total, [])
-    return results
-
-
 def subring_membership(
     f: Polynomial, generators: Sequence[Polynomial]
 ) -> Tuple[bool, Optional[Dict[Tuple[int, ...], object]]]:
@@ -424,7 +409,7 @@ def subring_membership(
         return True, {}
     deg = f.degree()
     gen_degrees = [g.degree() for g in generators]
-    tuples = _exponent_tuples(gen_degrees, deg)
+    tuples = compositions(gen_degrees, deg)
     if not tuples:
         return False, None
     power_cache: Dict[Tuple[int, int], Polynomial] = {}
@@ -451,11 +436,8 @@ def subring_membership(
         )
     else:
         sol = linalg.solve_q(cols, target)
-        if sol is not None and domain.kind == "int" and any(x.denominator != 1 for x in sol):
+        if sol is not None and domain.kind != "rat" and linalg.local_scale_power(sol, domain.p) != 0:
             sol = None
-        if sol is not None and domain.kind == "plocal":
-            if any(x.denominator % domain.p == 0 for x in sol):
-                sol = None
     if sol is None:
         return False, None
     return True, {t: c for t, c in zip(tuples, sol) if c != 0}
@@ -484,7 +466,7 @@ def algebra_generators(
         index = {m: i for i, m in enumerate(monos)}
         gen_degrees = [dd for dd, _ in gens]
         span_vectors: List[List] = []
-        for t in _exponent_tuples(gen_degrees, d):
+        for t in compositions(gen_degrees, d):
             if sum(t) == 0:
                 continue
             poly = Polynomial.one(sig)
@@ -515,23 +497,26 @@ def _lattice_complement(inv: SubmoduleBasis, span_vectors, domain: Domain):
 
     Works in coordinates over the invariant lattice basis: Smith-reduce the
     decomposable columns; unit divisors are covered directions, zero rows
-    give the free complement, and a p-power divisor would mean the quotient
-    has torsion (no valid generator choice), which raises.
+    give the free complement, and a divisor that is not a unit (over Z_(p):
+    one divisible by p) would mean the quotient has torsion (no valid
+    generator choice), which raises.
     """
     n = inv.rank
     coord_cols = []
     for vec in span_vectors:
         coords = linalg.solve_q(inv.vectors, [int(x) for x in vec])
-        if coords is None or any(c.denominator != 1 for c in coords):
+        if coords is None or linalg.local_scale_power(coords, domain.p) != 0:
             raise InvariantError("decomposable outside the invariant lattice")
-        coord_cols.append([int(c) for c in coords])
+        # Clearing unit denominators scales the column by a unit: same span.
+        den = math.lcm(*(c.denominator for c in coords))
+        coord_cols.append([int(c * den) for c in coords])
     if not coord_cols:
         rows = [[0] for _ in range(n)]
     else:
         rows = [[col[i] for col in coord_cols] for i in range(n)]
     divisors, u_cols = linalg.snf_with_basis(rows)
     for dv in divisors:
-        if abs(dv) != 1:
+        if linalg.local_scale_power([Fraction(1, dv)], domain.p) != 0:  # dv is not a unit
             raise InvariantError(
                 "decomposable span has torsion quotient (divisor %d)" % dv
             )
@@ -555,10 +540,6 @@ def _in_span(span_vectors, vec, domain: Domain) -> bool:
         )
         return sol is not None
     sol = linalg.solve_q(span_vectors, vec)
-    if sol is None:
-        return False
-    if domain.kind == "rat":
-        return True
-    if domain.kind == "plocal":
-        return all(x.denominator % domain.p != 0 for x in sol)
-    return all(x.denominator == 1 for x in sol)
+    return sol is not None and (
+        domain.kind == "rat" or linalg.local_scale_power(sol, domain.p) == 0
+    )

@@ -38,18 +38,8 @@ def is_zero_vec(v: Sequence) -> bool:
     return all(x == 0 for x in v)
 
 
-def mat_vec(m: Sequence[Sequence[int]], v: Sequence[int]) -> Vector:
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in m]
-
-
 def identity(n: int) -> List[Vector]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def transpose(m: Sequence[Sequence]) -> List[List]:
-    if not m:
-        return []
-    return [list(col) for col in zip(*m)]
 
 
 # ---------------------------------------------------------------------------
@@ -354,18 +344,9 @@ def hnf_basis(cols: List[Vector]) -> List[Vector]:
     return basis
 
 
-def lattice_solve(cols: List[Vector], target: Vector) -> Optional[List[Fraction]]:
-    """Rational coordinates of target in the given columns, if any."""
-    return solve_q(cols, target)
-
-
 def lattice_contains(cols: List[Vector], target: Vector) -> bool:
     x = solve_q(cols, target)
     return x is not None and all(c.denominator == 1 for c in x)
-
-
-def lattice_sum(a: List[Vector], b: List[Vector]) -> List[Vector]:
-    return hnf_basis([list(v) for v in a] + [list(v) for v in b])
 
 
 def lattice_eq(a: List[Vector], b: List[Vector]) -> bool:
@@ -393,61 +374,13 @@ def preimage_kernel(mat_cols: List[Vector], target_lattice: List[Vector]) -> Lis
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form (divisors only)
+# Smith normal form
 # ---------------------------------------------------------------------------
 
 
 def smith_divisors(rows: List[List[int]]) -> List[int]:
     """Nonzero elementary divisors of an integer matrix, in divisibility order."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    divisors: List[int] = []
-    top = 0
-    while True:
-        # Find a nonzero entry at or below/right of (top, top).
-        pivot = None
-        for i in range(top, nrows):
-            for j in range(top, ncols):
-                if m[i][j] != 0:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        while True:
-            # Move the smallest-magnitude nonzero entry to (top, top).
-            best = None
-            for i in range(top, nrows):
-                for j in range(top, ncols):
-                    if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                        best = (i, j)
-            bi, bj = best
-            m[top], m[bi] = m[bi], m[top]
-            for row in m:
-                row[top], row[bj] = row[bj], row[top]
-            p = m[top][top]
-            done = True
-            for i in range(top + 1, nrows):
-                q = m[i][top] // p
-                if q:
-                    m[i] = [x - q * y for x, y in zip(m[i], m[top])]
-                if m[i][top] != 0:
-                    done = False
-            for j in range(top + 1, ncols):
-                q = m[top][j] // p
-                if q:
-                    for i in range(nrows):
-                        m[i][j] -= q * m[i][top]
-                if m[top][j] != 0:
-                    done = False
-            if done:
-                break
-        divisors.append(abs(m[top][top]))
-        top += 1
-        if top >= nrows or top >= ncols:
-            break
+    divisors = [abs(d) for d in snf_with_basis(rows)[0]]
     # Enforce the divisibility chain d1 | d2 | ...
     changed = True
     while changed:
@@ -637,25 +570,25 @@ def membership(v: Vector, s: SubmoduleBasis) -> Membership:
         return Membership(False, None)
     if s.domain.kind in ("rat", "fp"):
         return Membership(True, 0)
-    p = s.domain.p if s.domain.kind == "plocal" else None
+    k = local_scale_power(x, s.domain.p)
+    return Membership(k == 0, k)
+
+
+def local_scale_power(values: Sequence, p: Optional[int]) -> Optional[int]:
+    """The Z_(p) rule: the least k >= 0 with p^k * x in Z_(p) for every value.
+
+    A denominator prime to p is a unit, and p^k in a denominator means
+    "inside after scaling by p^k".  Over Z (p None) a denominator other
+    than 1 means outside: the result is 0 or None.
+    """
     k = 0
-    for c in x:
-        den = c.denominator
-        if den == 1:
-            continue
-        if p is None:
-            return Membership(False, None)
-        other = den
-        v_p = 0
-        while other % p == 0:
-            other //= p
-            v_p += 1
-        if other != 1:
-            return Membership(False, None)
-        k = max(k, v_p)
-    if k == 0:
-        return Membership(True, 0)
-    return Membership(False, k)
+    for x in values:
+        den = Fraction(x).denominator
+        if den != 1:
+            if p is None:
+                return None
+            k = max(k, p_valuation(den, p))
+    return k
 
 
 @dataclass

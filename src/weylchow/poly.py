@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 Monomial = Tuple[int, ...]
 
@@ -248,30 +248,43 @@ def grlex_key(sig: AlgebraSignature, mono: Monomial):
     return (sig.mono_degree(mono), mono)
 
 
+def compositions(
+    weights: Sequence[int], total: int, caps: Optional[Sequence[Optional[int]]] = None
+) -> List[Tuple[int, ...]]:
+    """Exponent tuples e with sum(e_i * weights[i]) == total, in lex order.
+
+    Weights are positive; caps[i], when given and not None, bounds e_i.
+    """
+    if total < 0:
+        return []
+    bounds = [total // w if caps is None or caps[i] is None else min(total // w, caps[i])
+              for i, w in enumerate(weights)]
+    # Bit t of reach[i] is set when the weights from index i on can sum to
+    # exactly t; it prunes every prefix that cannot be completed.
+    reach = [1]
+    for w, bound in zip(reversed(weights), reversed(bounds)):
+        bits = 0
+        for e in range(bound + 1):
+            bits |= reach[-1] << (e * w)
+        reach.append(bits)
+    reach.reverse()
+    prefixes: List[Tuple[Tuple[int, ...], int]] = [((), total)]
+    for i, w in enumerate(weights):
+        nxt = reach[i + 1]
+        prefixes = [
+            (prefix + (e,), rest - e * w)
+            for prefix, rest in prefixes
+            for e in range(min(rest // w, bounds[i]) + 1)
+            if nxt >> (rest - e * w) & 1
+        ]
+    return [prefix for prefix, rest in prefixes if rest == 0]
+
+
 def degree_slice(sig: AlgebraSignature, n: int) -> List[Monomial]:
     """All monomials of total degree exactly n, in graded-lex order."""
     if n < 0:
         raise PolyError("degree must be non-negative")
-    gens = sig.generators
-    results: List[Monomial] = []
-
-    def rec(idx: int, remaining: int, prefix: List[int]):
-        if idx == len(gens):
-            if remaining == 0:
-                results.append(tuple(prefix))
-            return
-        g = gens[idx]
-        max_e = remaining // g.degree
-        if g.exterior:
-            max_e = min(max_e, 1)
-        for e in range(max_e + 1):
-            prefix.append(e)
-            rec(idx + 1, remaining - e * g.degree, prefix)
-            prefix.pop()
-
-    rec(0, n, [])
-    results.sort()
-    return results
+    return compositions(sig._degrees, n, [1 if g.exterior else None for g in sig.generators])
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,16 @@ from .invariants import (
     InvariantReport,
 )
 from .linalg import Membership, SubmoduleBasis, membership
-from .poly import AlgebraSignature, Domain, F2, Polynomial, signature, z_local
+from .poly import (
+    AlgebraSignature,
+    Domain,
+    F2,
+    Polynomial,
+    compositions,
+    degree_slice,
+    signature,
+    z_local,
+)
 
 
 class RestrictionError(Exception):
@@ -61,7 +70,7 @@ class RingPresentation:
                 continue
             if remaining < 0:
                 continue
-            for expo in _exponents(sub_degrees, remaining):
+            for expo in compositions(sub_degrees, remaining):
                 poly = gen_m
                 label_parts = []
                 for (lbl, g), e in zip(self.subring_gens, expo):
@@ -71,23 +80,6 @@ class RingPresentation:
                 label_parts.append(label_m)
                 out.append(("*".join(label_parts), poly))
         return out
-
-
-def _exponents(degrees: Sequence[int], total: int) -> List[Tuple[int, ...]]:
-    results: List[Tuple[int, ...]] = []
-
-    def rec(idx, remaining, prefix):
-        if idx == len(degrees):
-            if remaining == 0:
-                results.append(tuple(prefix))
-            return
-        for e in range(remaining // degrees[idx] + 1):
-            prefix.append(e)
-            rec(idx + 1, remaining - e * degrees[idx], prefix)
-            prefix.pop()
-
-    rec(0, total, [])
-    return results
 
 
 def _coords(poly: Polynomial, monos, domain: Domain) -> List:
@@ -349,8 +341,6 @@ def surjectivity_criterion(
         cols = []
         for _, poly in basis_elements:
             if monos is None:
-                from .poly import degree_slice
-
                 monos = degree_slice(model.sig, degree)
             cols.append([int(x) % p for x in _coords(poly, monos, model.domain)])
         rank = linalg.rank_fp(
@@ -425,7 +415,7 @@ def build_spin7_restriction(model: Spin7Model) -> RestrictionData:
     sub_degrees = [8, 12, 16]
     for label_g, deg_g, torsion, t_img, a_img, omega in base_classes:
         for total in range(deg_g, max_degree + 1, 2):
-            for expo in _exponents(sub_degrees, total - deg_g):
+            for expo in compositions(sub_degrees, total - deg_g):
                 t_poly = t_img
                 a_poly = a_img
                 label_parts = []
@@ -450,10 +440,8 @@ def build_spin7_restriction(model: Spin7Model) -> RestrictionData:
                 classes.setdefault(total, []).append(entry)
     # torsion ideal Z/2[c_4,c_6,c_7,c_8]{c_7}: classes c_7^j * monomials
     c7 = a_gen("c_7")
-    from .poly import degree_slice as dslice
-
     for total in range(14, max_degree + 1, 2):
-        for mono in dslice(a_sig, total):
+        for mono in degree_slice(a_sig, total):
             if mono[a_sig.index("c_7")] >= 1:
                 a_poly = Polynomial.from_mono(a_sig, mono)
                 label = "tor[%s]" % a_poly
@@ -507,9 +495,7 @@ def res_kernel(
         if not tors_entries:
             out.append(KernelRow(degree, 0, []))
             continue
-        from .poly import degree_slice as dslice
-
-        a_monos = dslice(data.a_sig, degree)
+        a_monos = degree_slice(data.a_sig, degree)
         rows = []
         for m in a_monos:
             rows.append([int(c.a_image.terms.get(m, 0)) % 2 for c in tors_entries])
@@ -582,7 +568,7 @@ def omega_detection_audit(model: Spin7Model, ahss_result) -> DetectionReport:
         target = degree - 8  # |w_8| = 8
         if target < 0:
             continue
-        expos = _exponents(sub_degrees, target)
+        expos = compositions(sub_degrees, target)
         if not expos:
             continue
         checked.append(degree)

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
+from weylchow.ahss import collapse_to_chow, run_ahss
 from weylchow.builtin import f4_chart, f4_expected_mod_p_dims, spin7_chart, toy_killing_chart
 from weylchow.chart import ChartError, build_chart, parse_chart, serialize_chart
 from weylchow.poly import parse
@@ -106,3 +109,65 @@ def test_chart_file_error_reports_line():
     with pytest.raises(ChartError) as err:
         parse_chart(bad)
     assert "line 5" in str(err.value)
+
+
+def test_parsed_f4_chart_is_the_builtin_beyond_its_window(f4_builtin, f4_ahss):
+    chart = f4_builtin.chart
+    parsed = parse_chart(serialize_chart(chart))
+    assert [parsed.dim(n) for n in range(111)] == [chart.dim(n) for n in range(111)]
+    assert (parsed.dim(70), parsed.dim(80)) == (1, 45)
+    assert collapse_to_chow(run_ahss(parsed, 2, 48)).per_degree == (
+        collapse_to_chow(f4_ahss).per_degree
+    )
+
+
+def test_basis_section_rejected_with_line():
+    text = "[chart]\np = 2\nwindow = 8\n[classes]\na 4 0\n[basis]\n4: a\n"
+    with pytest.raises(ChartError) as err:
+        parse_chart(text)
+    assert "line 6" in str(err.value) and "basis" in str(err.value)
+
+
+@pytest.mark.parametrize("relation", ["2*a", "a + b", "0"])
+def test_relation_must_be_plain_monomial(relation):
+    with pytest.raises(ChartError):
+        build_chart("bad", 3, 12, (("a", 4), ("b", 8)), {}, relations=[relation])
+    text = "[chart]\np = 3\nwindow = 12\n[classes]\na 4 0\nb 8 0\n[relations]\n%s\n" % relation
+    with pytest.raises(ChartError):
+        parse_chart(text)
+
+
+@st.composite
+def _small_charts(draw):
+    """Pairs (a_k, b_k) of degrees (d, d + 1) with Q_0 a_k = b_k or 0, plus
+    random relation monomials."""
+    p = draw(st.sampled_from([2, 3]))
+    gens, images = [], {}
+    for k in range(draw(st.integers(1, 2))):
+        d = draw(st.integers(1, 6))
+        for name, deg in (("a%d" % k, d), ("b%d" % k, d + 1)):
+            exterior = deg % 2 == 1 if p == 3 else draw(st.booleans())
+            gens.append((name, deg, exterior))
+        if draw(st.booleans()):
+            images["a%d" % k] = "b%d" % k
+    relations = []
+    for _ in range(draw(st.integers(0, 3))):
+        exps = [draw(st.integers(0, 1 if ext else 2)) for _name, _deg, ext in gens]
+        factors = ["%s^%d" % (g[0], e) for g, e in zip(gens, exps) if e]
+        if factors:
+            relations.append("*".join(factors))
+    window = max(deg for _name, deg, _ext in gens) + draw(st.integers(1, 6))
+    try:
+        return build_chart("random", p, window, gens, {0: images}, relations=relations)
+    except ChartError:  # Q_0 does not square to zero modulo these relations
+        reject()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_small_charts())
+def test_random_chart_round_trip(chart):
+    parsed = parse_chart(serialize_chart(chart))
+    assert parsed == chart
+    for n in range(2 * chart.window + 1):
+        assert parsed.dim(n) == chart.dim(n)
+        assert parsed.q_matrix(0, n) == chart.q_matrix(0, n)

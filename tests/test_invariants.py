@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from weylchow import invariants as inv_mod
@@ -9,6 +11,7 @@ from weylchow.invariants import (
     poincare_series,
     subring_membership,
 )
+from weylchow.linalg import SubmoduleBasis
 from weylchow.poly import F2, F3, QQ, ZZ, Polynomial, signature, z_local
 from weylchow.series import expand_series
 
@@ -114,3 +117,24 @@ def test_algebra_generators_spin3():
 def test_algebra_generators_so2():
     gens = algebra_generators(build_weyl_so(2), 12, ZZ)
     assert [d for d, _ in gens] == [4, 8]  # p_1 and p_2
+
+
+@pytest.mark.parametrize("domain, divisor", [(z_local(2), 3), (z_local(3), 2), (ZZ, 1)])
+def test_lattice_complement_accepts_unit_divisors(domain, divisor):
+    # divisor * e_1 spans the e_1 direction over the domain: only e_2 is new
+    inv = SubmoduleBasis(domain, ["a", "b"], [[1, 0], [0, 1]])
+    assert inv_mod._lattice_complement(inv, [[divisor, 0]], domain) == [[0, 1]]
+
+
+@pytest.mark.parametrize("domain, divisor", [(z_local(2), 2), (z_local(3), 6), (ZZ, 3)])
+def test_lattice_complement_rejects_torsion_quotient(domain, divisor):
+    inv = SubmoduleBasis(domain, ["a"], [[1]])
+    with pytest.raises(inv_mod.InvariantError):
+        inv_mod._lattice_complement(inv, [[divisor]], domain)
+
+
+def test_subring_membership_unit_coefficient_over_z_local():
+    sig = signature([("t", 2)], z_local(2))
+    t = Polynomial.gen(sig, "t")
+    assert subring_membership(t, [t.scale(3)]) == (True, {(1,): Fraction(1, 3)})
+    assert subring_membership(t, [t.scale(2)]) == (False, None)

@@ -62,6 +62,20 @@ def test_membership_with_scaling():
     assert not really_outside.inside and really_outside.scale_power is None
 
 
+@pytest.mark.parametrize(
+    "p, generator, verdict",
+    [
+        (2, 3, "inside"),  # 1/3 is a unit of Z_(2)
+        (2, 6, "inside-after-scaling p^1"),
+        (3, 2, "inside"),
+        (2, 4, "inside-after-scaling p^2"),
+    ],
+)
+def test_membership_unit_denominators_over_z_local(p, generator, verdict):
+    span = SubmoduleBasis(z_local(p), ["a"], [[generator]])
+    assert membership([1], span).verdict == verdict
+
+
 def test_membership_over_z_rejects_fractions():
     span = SubmoduleBasis(ZZ, ["a"], [[2]])
     res = membership([1], span)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from weylchow.poly import (
     ZZ,
     Polynomial,
     PolyError,
+    compositions,
     degree_slice,
     parse,
     signature,
@@ -135,6 +137,20 @@ def test_degree_slice_counts():
     assert len(degree_slice(sig, 4)) == 3
     sig1 = signature([("x1", 1)], F2)
     assert degree_slice(sig1, 3) == [(3,)]
+
+
+def test_compositions_match_brute_force():
+    rng = random.Random(5)
+    for _ in range(300):
+        weights = [rng.randint(1, 5) for _ in range(rng.randint(0, 4))]
+        caps = rng.choice([None, [rng.choice([None, 0, 1, 2]) for _ in weights]])
+        total = rng.randint(-1, 16)
+        brute = [
+            e for e in itertools.product(*[range(max(total, 0) // w + 1) for w in weights])
+            if sum(x * w for x, w in zip(e, weights)) == total
+            and (caps is None or all(c is None or x <= c for x, c in zip(e, caps)))
+        ]
+        assert compositions(weights, total, caps) == brute
 
 
 def test_degree_slice_exterior_bound():
