@@ -477,9 +477,16 @@ def _new_generator_reps(chart: Chart, blk: Block, denom: Subspace, p: int) -> Li
 
 @dataclass
 class CycleVerdict:
+    """The verdict on one class in block (s, mu).  stage is where a class
+    that is not permanent fails: d = v_stage Q_stage, or v_max when it is a
+    boundary on the final page; None for a permanent cycle."""
+
     expression: str
     permanent: bool
     reason: str
+    s: int
+    mu: Tuple[int, ...]
+    stage: Optional[int] = None
 
 
 def _parse_cycle_expression(chart: Chart, v_max: int, text: str):
@@ -529,13 +536,13 @@ def permanent_cycle_check(result: AhssResult, expression: str) -> CycleVerdict:
     for stage in range(1, result.v_max + 1):
         k_bar = result.pages.k(stage, s, mu)
         if not _sub_contains(k_bar, vec, p):
-            return CycleVerdict(
-                expression, False, "fails to be a cycle under d = v_%d Q_%d" % (stage, stage)
-            )
+            reason = "fails to be a cycle under d = v_%d Q_%d" % (stage, stage)
+            return CycleVerdict(expression, False, reason, s, mu, stage)
     nfree = len(sl.free)
     if any(vec[:nfree]):
-        return CycleVerdict(expression, True, "survives with nonzero free component")
+        return CycleVerdict(expression, True, "survives with nonzero free component", s, mu)
     w_bar = result.pages.w(result.v_max, s, mu)
     if _sub_contains(w_bar, vec, p):
-        return CycleVerdict(expression, False, "dies on the final page (boundary)")
-    return CycleVerdict(expression, True, "survives all differentials with nonzero image")
+        reason = "dies on the final page (boundary)"
+        return CycleVerdict(expression, False, reason, s, mu, result.v_max)
+    return CycleVerdict(expression, True, "survives all differentials with nonzero image", s, mu)

@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional
 from . import linalg
 from .chart import Chart, ChartError, build_chart
 from .dickson import build_dickson
-from .poly import F2, AlgebraSignature, Generator, Polynomial, degree_slice
+from .poly import F2, AlgebraSignature, Generator, Polynomial, degree_slice, power_products
 from .steenrod import milnor_q_closed
 
 
@@ -74,13 +74,8 @@ def _express_in_classes(
     if not candidates:
         raise ChartError("no class monomials in degree %d" % deg)
     inner_sig = next(iter(model.values())).sig
-    expansions = []
-    for mono in candidates:
-        poly = Polynomial.one(inner_sig)
-        for e, gen in zip(mono, out_sig.generators):
-            if e:
-                poly = poly * (model[gen.name] ** e)
-        expansions.append(poly)
+    expansions = power_products([model[g.name] for g in out_sig.generators],
+                                [(Polynomial.one(inner_sig), mono) for mono in candidates])
     support = sorted(set().union(*[set(p.terms) for p in expansions], set(target.terms)))
     cols = [[int(p.terms.get(m, 0)) for m in support] for p in expansions]
     rank = linalg.rank_fp([[cols[j][i] for j in range(len(cols))] for i in range(len(support))], 2)

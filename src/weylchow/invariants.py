@@ -25,7 +25,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .groups import GroupAction, GroupError, MatrixRows
 from .linalg import SubmoduleBasis
-from .poly import AlgebraSignature, Domain, Monomial, Polynomial, compositions, degree_slice
+from .poly import (AlgebraSignature, Domain, Monomial, Polynomial, compositions, degree_slice,
+                   power_products)
 
 
 class InvariantError(Exception):
@@ -412,21 +413,7 @@ def subring_membership(
     tuples = compositions(gen_degrees, deg)
     if not tuples:
         return False, None
-    power_cache: Dict[Tuple[int, int], Polynomial] = {}
-
-    def power(i, e):
-        key = (i, e)
-        if key not in power_cache:
-            power_cache[key] = generators[i] ** e
-        return power_cache[key]
-
-    products = []
-    for t in tuples:
-        poly = Polynomial.one(sig)
-        for i, e in enumerate(t):
-            if e:
-                poly = poly * power(i, e)
-        products.append(poly)
+    products = power_products(generators, [(Polynomial.one(sig), t) for t in tuples])
     support = sorted(set().union(*[set(p.terms) for p in products], set(f.terms)))
     cols = [[poly.terms.get(m, domain.coerce(0)) for m in support] for poly in products]
     target = [f.terms.get(m, domain.coerce(0)) for m in support]
@@ -466,13 +453,8 @@ def algebra_generators(
         index = {m: i for i, m in enumerate(monos)}
         gen_degrees = [dd for dd, _ in gens]
         span_vectors: List[List] = []
-        for t in compositions(gen_degrees, d):
-            if sum(t) == 0:
-                continue
-            poly = Polynomial.one(sig)
-            for i, e in enumerate(t):
-                if e:
-                    poly = poly * (gens[i][1] ** e)
+        decomposables = [(Polynomial.one(sig), t) for t in compositions(gen_degrees, d) if sum(t)]
+        for poly in power_products([g for _, g in gens], decomposables):
             vec = [domain.coerce(0)] * len(monos)
             for m, c in poly.terms.items():
                 vec[index[m]] = c

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from .poly import Domain
@@ -165,31 +166,47 @@ def solve_fp(cols: List[Vector], target: Vector, p: int) -> Optional[Vector]:
 
 
 def rref_q(rows: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
-    m = [[Fraction(x) for x in row] for row in rows]
+    """Reduced row echelon form over Q; returns (rref rows, pivot columns).
+
+    Integer-preserving elimination (after Bareiss, Math. Comp. 1968): each row's
+    denominators are cleared once, rows are combined as a*row_i - b*row_r and
+    divided by their content, and pivots are divided out only in the returned
+    rows.  The reduced row echelon form is unique, so it equals Gauss-Jordan's.
+    """
+    m = [_integer_row(row) for row in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     pivots: List[int] = []
     r = 0
     for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                pivot = i
-                break
+        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        row_r = m[r]
+        b = row_r[c]
         for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            a = m[i][c]
+            if a and i != r:
+                g = gcd(a, b)
+                s, t = b // g, a // g
+                new = [s * x - t * y for x, y in zip(m[i], row_r)]
+                g = gcd(*new)
+                m[i] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return m, pivots
+    out = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
+    return out + [[Fraction(0)] * ncols for _ in range(nrows - r)], pivots
+
+
+def _integer_row(row: Sequence) -> List[int]:
+    """The primitive integer multiple of a row of ints/Fractions (zero stays zero)."""
+    den = lcm(*[x.denominator for x in row])
+    ints = [x.numerator * (den // x.denominator) for x in row]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
 
 
 def rank_q(rows: List[List]) -> int:
@@ -217,21 +234,26 @@ def kernel_q(rows: List[List], ncols: int) -> List[List[Fraction]]:
 
 
 def solve_q(cols: List[Sequence], target: Sequence) -> Optional[List[Fraction]]:
-    """Solve the rational system sum_j x_j cols[j] = target; None if none."""
+    """Solve the rational system sum_j x_j cols[j] = target; None if none.
+
+    The solution is checked in integers: x scaled by the lcm of its
+    denominators against every equation with its denominators cleared.
+    """
     n = len(target)
     k = len(cols)
     if k == 0:
         return [] if all(t == 0 for t in target) else None
-    rows = [[Fraction(cols[j][i]) for j in range(k)] + [Fraction(target[i])] for i in range(n)]
-    red, pivots = rref_q(rows)
+    system = [_integer_row([col[i] for col in cols] + [target[i]]) for i in range(n)]
+    red, pivots = rref_q(system)
     x = [Fraction(0)] * k
     for r, c in enumerate(pivots):
         if c == k:
             return None
         x[c] = red[r][k]
-    for i in range(n):
-        if sum(Fraction(cols[j][i]) * x[j] for j in range(k)) != Fraction(target[i]):
-            return None
+    scale = lcm(*[v.denominator for v in x])
+    scaled = [v.numerator * (scale // v.denominator) for v in x]
+    if any(sum(map(mul, row, scaled)) != row[k] * scale for row in system):
+        return None
     return x
 
 
@@ -535,14 +557,8 @@ def kernel(m: ExactMatrix, ambient: Optional[List] = None) -> SubmoduleBasis:
 
 def _integerize_rows(rows: List[List]) -> List[List[int]]:
     """Clear denominators row by row (row scaling preserves the kernel)."""
-    out = []
-    for row in rows:
-        lcm = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-        out.append([int(x * lcm) if isinstance(x, Fraction) else int(x) * lcm for x in row])
-    return out
+    dens = [lcm(*[x.denominator for x in row]) for row in rows]
+    return [[x.numerator * (den // x.denominator) for x in row] for row, den in zip(rows, dens)]
 
 
 @dataclass

@@ -13,13 +13,18 @@ coefficients.  All arithmetic is exact; zero coefficients are never
 stored, so equality is structural.
 
 Multiplication carries the Koszul sign: generators of odd topological
-degree anticommute.  Exterior generators square to zero.
+degree anticommute.  Exterior generators square to zero.  The product loop
+runs these two checks only for signatures with exterior generators (outside
+characteristic 2 every odd-degree generator is one).  Coefficients add up
+raw, an integral Fraction as its numerator, and are normalized once per
+monomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 Monomial = Tuple[int, ...]
@@ -145,7 +150,7 @@ class AlgebraSignature:
     to vanish).
     """
 
-    __slots__ = ("generators", "domain", "_index", "_degrees")
+    __slots__ = ("generators", "domain", "_index", "_degrees", "_exterior")
 
     def __init__(self, generators: Iterable[Generator], domain: Domain):
         gens = tuple(generators)
@@ -165,6 +170,10 @@ class AlgebraSignature:
         self.domain = domain
         self._index = {g.name: i for i, g in enumerate(gens)}
         self._degrees = tuple(g.degree for g in gens)
+        # (index, bit, signed) of the exterior generators, last index first;
+        # signed: odd degree outside characteristic 2, where signs matter.
+        self._exterior = tuple((i, 1 << i, g.degree % 2 == 1 and domain.characteristic != 2)
+                               for i, g in reversed(tuple(enumerate(gens))) if g.exterior)
 
     def index(self, name: str) -> int:
         try:
@@ -178,6 +187,21 @@ class AlgebraSignature:
 
     def mono_degree(self, mono: Monomial) -> int:
         return sum(e * d for e, d in zip(mono, self._degrees))
+
+    def _term_masks(self, mono: Monomial) -> Tuple[int, int, int]:
+        """Masks for the product loop: the exterior generators mono holds; as
+        left factor, the signed generators j with an odd number of signed
+        factors after j; as right factor, the signed generators it holds."""
+        held = left = right = parity = 0
+        for i, bit, signed in self._exterior:
+            if signed and parity:
+                left |= bit
+            if mono[i]:
+                held |= bit
+                if signed:
+                    right |= bit
+                    parity ^= 1
+        return held, left, right
 
     def __len__(self):
         return len(self.generators)
@@ -213,35 +237,6 @@ def signature(gens: Iterable[Tuple], domain: Domain) -> AlgebraSignature:
 # ---------------------------------------------------------------------------
 # Monomial helpers
 # ---------------------------------------------------------------------------
-
-
-def mono_mul(sig: AlgebraSignature, m1: Monomial, m2: Monomial):
-    """Product of two monomials: (sign, monomial), or None when it vanishes.
-
-    Vanishing happens when an exterior generator would reach exponent >= 2.
-    The sign counts transpositions of odd-degree factors of m2 moving left
-    past higher-indexed odd-degree factors of m1.
-    """
-    out = []
-    sign = 1
-    gens = sig.generators
-    if sig.domain.characteristic != 2:
-        odd1 = [e if g.degree % 2 else 0 for e, g in zip(m1, gens)]
-        suffix = [0] * (len(gens) + 1)
-        for i in range(len(gens) - 1, -1, -1):
-            suffix[i] = suffix[i + 1] + odd1[i]
-        swaps = 0
-        for j, g in enumerate(gens):
-            if g.degree % 2 and m2[j]:
-                swaps += m2[j] * suffix[j + 1]
-        if swaps % 2:
-            sign = -1
-    for e1, e2, g in zip(m1, m2, gens):
-        e = e1 + e2
-        if g.exterior and e > 1:
-            return None
-        out.append(e)
-    return sign, tuple(out)
 
 
 def grlex_key(sig: AlgebraSignature, mono: Monomial):
@@ -413,23 +408,35 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_sig(other)
         sig = self.sig
-        dom = sig.domain
+        a, b = self.terms.items(), other.terms.items()
+        if sig.domain.kind in ("rat", "plocal"):  # integral Fractions enter as ints
+            a = [(m, c.numerator if c.denominator == 1 else c) for m, c in a]
+            b = [(m, c.numerator if c.denominator == 1 else c) for m, c in b]
         out: Dict[Monomial, object] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                prod = mono_mul(sig, m1, m2)
-                if prod is None:
-                    continue
-                sign, mono = prod
-                c = dom.mul(c1, c2)
-                if sign < 0:
-                    c = dom.neg(c)
-                s = dom.add(out.get(mono, 0), c)
-                if s == 0:
-                    out.pop(mono, None)
-                else:
-                    out[mono] = s
-        return Polynomial(sig, out, _clean=True)
+        get = out.get
+        if sig._exterior:
+            # A pair vanishes when both hold an exterior generator; its sign is the
+            # parity of odd factors of m2 moving left past later odd factors of m1.
+            a = [(m, c, *sig._term_masks(m)) for m, c in a]
+            b = [(m, c, *sig._term_masks(m)) for m, c in b]
+            for m1, c1, ext1, left1, _ in a:
+                for m2, c2, ext2, _, right2 in b:
+                    if not ext1 & ext2:
+                        mono = tuple(map(add, m1, m2))
+                        c = -c1 * c2 if (left1 & right2).bit_count() & 1 else c1 * c2
+                        out[mono] = get(mono, 0) + c
+        else:
+            for m1, c1 in a:
+                for m2, c2 in b:
+                    mono = tuple(map(add, m1, m2))
+                    out[mono] = get(mono, 0) + c1 * c2
+        coerce = sig.domain.coerce
+        terms = {}
+        for mono, c in out.items():
+            c = coerce(c)
+            if c != 0:
+                terms[mono] = c
+        return Polynomial(sig, terms, _clean=True)
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -494,20 +501,10 @@ class Polynomial:
                     % (name, img.degree(), sig.generators[i].degree)
                 )
         assert target_sig is not None
-        power_cache: Dict[Tuple[int, int], Polynomial] = {}
-
-        def gen_power(i: int, e: int) -> Polynomial:
-            key = (i, e)
-            if key not in power_cache:
-                power_cache[key] = images[sig.generators[i].name] ** e
-            return power_cache[key]
-
+        gens = [images.get(g.name) for g in sig.generators]
         result = Polynomial.zero(target_sig)
-        for mono, c in self.terms.items():
-            term = Polynomial.constant(target_sig, c)
-            for i, e in enumerate(mono):
-                if e:
-                    term = term * gen_power(i, e)
+        for term in power_products(gens, [(Polynomial.constant(target_sig, c), mono)
+                                          for mono, c in self.terms.items()]):
             result = result + term
         return result
 
@@ -544,6 +541,23 @@ class Polynomial:
 
     def __repr__(self):
         return "Polynomial(%s)" % self
+
+
+def power_products(
+    gens: Sequence[Optional[Polynomial]], terms: Iterable[Tuple[Polynomial, Sequence[int]]]
+) -> List[Polynomial]:
+    """base * gens[0]**e[0] * gens[1]**e[1] * ... for each (base, e) in terms,
+    building each power once per call (gens[i] may be None if every e[i] is 0)."""
+    powers: Dict[Tuple[int, int], Polynomial] = {}
+    out = []
+    for poly, expo in terms:
+        for i, e in enumerate(expo):
+            if e:
+                if (i, e) not in powers:
+                    powers[i, e] = gens[i] ** e
+                poly = poly * powers[i, e]
+        out.append(poly)
+    return out
 
 
 # ---------------------------------------------------------------------------

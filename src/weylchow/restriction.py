@@ -15,7 +15,6 @@ v_1-detection of the Griffiths ideal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -34,6 +33,7 @@ from .poly import (
     Polynomial,
     compositions,
     degree_slice,
+    power_products,
     signature,
     z_local,
 )
@@ -62,24 +62,21 @@ class RingPresentation:
     module_gens: List[Tuple[str, Polynomial]]
 
     def basis_in_degree(self, degree: int) -> List[Tuple[str, Polynomial]]:
-        out = []
-        sub_degrees = [g.degree() for _, g in self.subring_gens]
+        names = [lbl for lbl, _ in self.subring_gens]
+        gens = [g for _, g in self.subring_gens]
+        labels, terms = [], []
         for label_m, gen_m in self.module_gens:
-            remaining = degree - (gen_m.degree() if not gen_m.is_zero() else 0)
             if gen_m.is_zero():
                 continue
-            if remaining < 0:
-                continue
-            for expo in compositions(sub_degrees, remaining):
-                poly = gen_m
-                label_parts = []
-                for (lbl, g), e in zip(self.subring_gens, expo):
-                    if e:
-                        poly = poly * (g**e)
-                        label_parts.append(lbl if e == 1 else "%s^%d" % (lbl, e))
-                label_parts.append(label_m)
-                out.append(("*".join(label_parts), poly))
-        return out
+            for expo in compositions([g.degree() for g in gens], degree - gen_m.degree()):
+                labels.append(_product_label(names, expo, label_m))
+                terms.append((gen_m, expo))
+        return list(zip(labels, power_products(gens, terms)))
+
+
+def _product_label(names: Sequence[str], expo: Sequence[int], last: str) -> str:
+    """'c_4^2*c_6*<last>' for the subring monomial with exponents expo."""
+    return "*".join([n if e == 1 else "%s^%d" % (n, e) for n, e in zip(names, expo) if e] + [last])
 
 
 def _coords(poly: Polynomial, monos, domain: Domain) -> List:
@@ -293,10 +290,8 @@ def _present_coords(pres: RingPresentation, poly: Polynomial):
     support = sorted(
         set().union(*[set(p2.terms) for _, p2 in basis_elements], set(poly.terms))
     )
-    cols = [
-        [Fraction(p2.terms.get(m, 0)) for m in support] for _, p2 in basis_elements
-    ]
-    target = [Fraction(poly.terms.get(m, 0)) for m in support]
+    cols = [[p2.terms.get(m, 0) for m in support] for _, p2 in basis_elements]
+    target = [poly.terms.get(m, 0) for m in support]
     sol = linalg.solve_q(cols, target)
     if sol is None:
         return None
@@ -413,24 +408,17 @@ def build_spin7_restriction(model: Spin7Model) -> RestrictionData:
     max_degree = model.window
 
     sub_degrees = [8, 12, 16]
+    names, t_gens, a_gens = zip(*subring)
     for label_g, deg_g, torsion, t_img, a_img, omega in base_classes:
         for total in range(deg_g, max_degree + 1, 2):
-            for expo in compositions(sub_degrees, total - deg_g):
-                t_poly = t_img
-                a_poly = a_img
-                label_parts = []
-                omega_poly = omega[1] if omega else None
-                for (lbl, t_gen, a_gen_poly), e in zip(subring, expo):
-                    if e:
-                        t_poly = t_poly * (t_gen**e)
-                        a_poly = a_poly * (a_gen_poly**e)
-                        if omega_poly is not None:
-                            omega_poly = omega_poly * (t_gen**e)
-                        label_parts.append(lbl if e == 1 else "%s^%d" % (lbl, e))
-                label_parts.append(label_g)
-                label = "*".join(label_parts)
+            expos = compositions(sub_degrees, total - deg_g)
+            t_polys = power_products(t_gens, [(t_img, e) for e in expos])
+            a_polys = power_products(a_gens, [(a_img, e) for e in expos])
+            omegas = (power_products(t_gens, [(omega[1], e) for e in expos]) if omega
+                      else [None] * len(expos))
+            for expo, t_poly, a_poly, omega_poly in zip(expos, t_polys, a_polys, omegas):
                 entry = SourceClass(
-                    label,
+                    _product_label(names, expo, label_g),
                     total,
                     torsion,
                     t_poly if not torsion else zero,
@@ -485,7 +473,7 @@ def res_kernel(
                 [int(x) for x in _coords(c.t_image, inv.ambient, model.domain)]
                 for c in free_entries
             ]
-            rank = linalg.rank_q([[Fraction(cols[j][i]) for j in range(len(cols))]
+            rank = linalg.rank_q([[cols[j][i] for j in range(len(cols))]
                                   for i in range(len(cols[0]))]) if cols else 0
             if rank != len(free_entries):
                 raise RestrictionError(
@@ -574,11 +562,7 @@ def omega_detection_audit(model: Spin7Model, ahss_result) -> DetectionReport:
         checked.append(degree)
         vectors = []
         inv = model.invariants.by_degree.get(degree)
-        for expo in expos:
-            poly = model.w8
-            for d_gen, e in zip(sub_degrees, expo):
-                if e:
-                    poly = poly * (gens[d_gen] ** e)
+        for poly in power_products([gens[d] for d in sub_degrees], [(model.w8, e) for e in expos]):
             vec = [int(x) for x in _coords(poly, inv.ambient, model.domain)]
             if not any(vec):
                 towers = False

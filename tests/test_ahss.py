@@ -52,6 +52,12 @@ def test_toy_permanent_cycles():
     assert permanent_cycle_check(res, "2*a").permanent
     assert not permanent_cycle_check(res, "a").permanent
     assert not permanent_cycle_check(res, "v_1*a").permanent
+    # the witness names the failing page and the block (s, mu) of the class
+    a, v1a = permanent_cycle_check(res, "a"), permanent_cycle_check(res, "v_1*a")
+    assert (a.stage, a.s, a.mu) == (1, 6, (0,))
+    assert (v1a.stage, v1a.s, v1a.mu) == (1, 6, (1,))
+    assert a.reason == v1a.reason == "fails to be a cycle under d = v_1 Q_1"
+    assert permanent_cycle_check(res, "2*a").stage is None
     assert permanent_cycle_check(res, "b").permanent
     with pytest.raises(AhssError):
         permanent_cycle_check(res, "u")  # shadow class, not integral

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylchow import linalg
 from weylchow.linalg import (
@@ -142,3 +144,103 @@ def test_fp_solve_and_kernel():
 def test_rank_fp_f2_bitset_path():
     rows = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
     assert linalg.rank_fp(rows, 2) == 2
+
+
+# ---------------------------------------------------------------------------
+# Oracle: Fraction Gauss-Jordan against the integer-preserving rref_q
+# ---------------------------------------------------------------------------
+
+
+def _reference_rref(rows):
+    """Plain Gauss-Jordan over Fractions, one Fraction operation per entry."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def _reference_kernel(rows, ncols):
+    red, pivots = _reference_rref(rows)
+    basis = []
+    for fcol in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fcol] = Fraction(1)
+        for r, pcol in enumerate(pivots):
+            v[pcol] = -red[r][fcol]
+        basis.append(v)
+    return basis
+
+
+def _reference_solve(cols, target):
+    k = len(cols)
+    rows = [[cols[j][i] for j in range(k)] + [target[i]] for i in range(len(target))]
+    red, pivots = _reference_rref(rows)
+    if k in pivots:
+        return None
+    x = [Fraction(0)] * k
+    for r, c in enumerate(pivots):
+        x[c] = red[r][k]
+    return x
+
+
+_entries = st.one_of(
+    st.just(0),
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5, 6, 10])),
+)
+
+
+@st.composite
+def _rational_systems(draw):
+    """A matrix with zero rows and columns and dependent rows mixed in,
+    and a target that is in its column span or (when possible) not."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows = [[draw(_entries) for _ in range(ncols)] for _ in range(nrows)]
+    for zero_col in draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
+        for row in rows:
+            row[zero_col] = 0
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, nrows)), [0] * ncols)
+    if draw(st.booleans()):
+        weights = [draw(st.integers(-2, 2)) for _ in rows]
+        rows.append([sum(w * row[j] for w, row in zip(weights, rows)) for j in range(ncols)])
+    cols = [[row[j] for row in rows] for j in range(ncols)]
+    coeffs = [draw(_entries) for _ in cols]
+    target = [sum(c * col[i] for c, col in zip(coeffs, cols)) for i in range(len(rows))]
+    if draw(st.booleans()):
+        target[draw(st.integers(0, len(rows) - 1))] += draw(st.sampled_from([1, Fraction(1, 3)]))
+    return rows, cols, target
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_rational_systems())
+def test_rational_elimination_matches_fraction_gauss_jordan(system):
+    rows, cols, target = system
+    ncols = len(rows[0])
+    expected = _reference_rref(rows)
+    assert linalg.rref_q(rows) == expected
+    assert all(type(x) is Fraction for row in linalg.rref_q(rows)[0] for x in row)
+    assert linalg.rank_q(rows) == len(expected[1])
+    assert linalg.kernel_q(rows, ncols) == _reference_kernel(rows, ncols)
+    solution = linalg.solve_q(cols, target)
+    assert solution == _reference_solve(cols, target)
+    if solution is not None:
+        assert all(sum(x * col[i] for x, col in zip(solution, cols)) == target[i]
+                   for i in range(len(target)))

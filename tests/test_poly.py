@@ -1,7 +1,11 @@
 import itertools
 import random
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylchow.poly import (
     F2,
@@ -220,3 +224,71 @@ def test_odd_degree_needs_exterior_at_odd_p():
         signature([("a", 9)], F3)
     # fine over F_2
     signature([("a", 9)], F2)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: term-by-term product against the one-pass Polynomial.__mul__
+# ---------------------------------------------------------------------------
+
+
+def _reference_mul(p, q):
+    """One Koszul sign, exterior test and domain operation per term pair."""
+    sig = p.sig
+    dom = sig.domain
+    out = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            if any(g.exterior and e1 + e2 > 1 for e1, e2, g in zip(m1, m2, sig.generators)):
+                continue
+            swaps = 0
+            if dom.characteristic != 2:
+                for j, g in enumerate(sig.generators):
+                    if g.degree % 2:
+                        later = sum(e for e, h in zip(m1[j + 1:], sig.generators[j + 1:])
+                                    if h.degree % 2)
+                        swaps += m2[j] * later
+            c = dom.mul(c1, c2)
+            if swaps % 2:
+                c = dom.neg(c)
+            mono = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+            s = dom.add(out.get(mono, 0), c)
+            if s == 0:
+                out.pop(mono, None)
+            else:
+                out[mono] = s
+    return out
+
+
+_MUL_SIGNATURES = [
+    ([("a", 1), ("b", 1, True), ("c", 2), ("d", 3), ("e", 5, True)], F2),
+    ([("a", 3, True), ("b", 5, True), ("c", 2), ("d", 7, True)], F3),
+    ([("a", 2), ("b", 4), ("c", 6)], ZZ),
+    ([("a", 2), ("b", 4)], QQ),
+    ([("a", 2), ("b", 4), ("c", 8)], z_local(2)),
+]
+
+
+@st.composite
+def _polynomial_pairs(draw):
+    gens, dom = draw(st.sampled_from(_MUL_SIGNATURES))
+    sig = signature(gens, dom)
+    if dom in (QQ, z_local(2)):
+        dens = [1, 3, 5] + ([2] if dom == QQ else [])
+        coeffs = st.builds(Fraction, st.integers(-4, 4), st.sampled_from(dens))
+    else:
+        coeffs = st.integers(-4, 4)
+    monos = st.tuples(*[st.integers(0, 1) if g.exterior else st.integers(0, 3)
+                        for g in sig.generators])
+    polys = st.dictionaries(monos, coeffs, max_size=6).map(lambda t: Polynomial(sig, t))
+    return draw(polys), draw(polys)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_polynomial_pairs())
+def test_mul_matches_term_by_term_reference(pair):
+    p, q = pair
+    product = p * q
+    assert product.terms == _reference_mul(p, q)
+    kind = p.sig.domain.kind
+    expected_type = Fraction if kind in ("rat", "plocal") else int
+    assert all(type(c) is expected_type for c in product.terms.values())
