@@ -34,6 +34,15 @@ p-torsion of rank dim(Kbar ^ torsion span) - dim Wbar.  The collapse to
 Z_(p)-coefficients kills all v-multiples; at mu = 1 a block contributes its
 full structure, at mu != 1 only the classes that became cycles at mu
 exactly: (Z/p)^t with t = dim Kbar(mu) - dim(Wbar(mu) + sum_j Kbar(mu/v_j)).
+
+Every subspace here -- Kbar, Wbar, their sums and intersections -- is one
+linalg.FpSubspace: a reduced echelon basis with its pivots.  A vector of a
+block's F_p^g is a Python int at p = 2 (bit j = integral coordinate j, free
+coordinates first) and a list at odd p.  Q_i acts through
+integral_q_matrix's columns, so M_i x at p = 2 is an XOR of the columns at
+the set bits of x.  Kbar_i is prev.preimage(M_i images, Wbar_{i-1}), Wbar_i
+an echelon insert of images, and the torsion part of Kbar is the echelon
+rows with a pivot among the torsion coordinates.
 """
 
 from __future__ import annotations
@@ -44,72 +53,14 @@ from typing import Dict, List, Optional, Tuple
 
 from . import linalg
 from .chart import Chart, integral_q_matrix, q_shift
+from .linalg import FpSubspace
 from .poly import compositions
 
 VMono = Tuple[int, ...]
-Subspace = List[List[int]]  # reduced echelon row basis
 
 
 class AhssError(Exception):
     pass
-
-
-# ---------------------------------------------------------------------------
-# F_p subspace helpers
-# ---------------------------------------------------------------------------
-
-
-def _reduce(vectors: List[List[int]], p: int) -> Subspace:
-    vecs = [v for v in vectors if any(x % p for x in v)]
-    if not vecs:
-        return []
-    red, pivots = linalg.rref_fp(vecs, p)
-    return [red[r] for r in range(len(pivots))]
-
-
-def _sub_contains(sub: Subspace, vec: List[int], p: int) -> bool:
-    if not any(x % p for x in vec):
-        return True
-    if not sub:
-        return False
-    return linalg.solve_fp(list(sub), [x % p for x in vec], p) is not None
-
-
-def _sub_sum(a: Subspace, b: Subspace, p: int) -> Subspace:
-    return _reduce([list(v) for v in a] + [list(v) for v in b], p)
-
-
-def _mat_apply(mat: List[List[int]], vec: List[int], p: int) -> List[int]:
-    return [sum(row[j] * vec[j] for j in range(len(vec))) % p for row in mat]
-
-
-def _conditioned_kernel(
-    basis: Subspace, images: List[List[int]], allowed: Subspace, p: int
-) -> Subspace:
-    """{x in span(basis) : image(x) in span(allowed)}, reduced.
-
-    images[j] is the image of basis[j] in the target coordinates.
-    """
-    if not basis:
-        return []
-    if all(not any(img) for img in images):
-        return [list(v) for v in basis]
-    k = len(basis)
-    t = len(allowed)
-    m = len(images[0])
-    rows = []
-    for i in range(m):
-        rows.append([images[j][i] for j in range(k)] + [allowed[j][i] for j in range(t)])
-    coeff_vecs = linalg.kernel_fp(rows, k + t, p)
-    out = []
-    for cv in coeff_vecs:
-        vec = [0] * len(basis[0])
-        for j in range(k):
-            if cv[j]:
-                for idx in range(len(vec)):
-                    vec[idx] = (vec[idx] + cv[j] * basis[j][idx]) % p
-        out.append(vec)
-    return _reduce(out, p)
 
 
 # ---------------------------------------------------------------------------
@@ -148,58 +99,55 @@ class _PageComputer:
         self.chart = chart
         self.p = chart.p
         self.v_max = v_max
-        self._k: Dict[Tuple[int, int, VMono], Subspace] = {}
-        self._w: Dict[Tuple[int, int, VMono], Subspace] = {}
+        self._k: Dict[Tuple[int, int, VMono], FpSubspace] = {}
+        self._w: Dict[Tuple[int, int, VMono], FpSubspace] = {}
 
     def rank(self, s: int) -> int:
         if s < 0:
             return 0
         return self.chart.integral_slice(s).rank
 
-    def k(self, stage: int, s: int, mu: VMono) -> Subspace:
+    def k(self, stage: int, s: int, mu: VMono) -> FpSubspace:
+        p = self.p
         rank = self.rank(s)
-        if rank == 0:
-            return []
-        if stage == 0:
-            return linalg.identity(rank)
+        if rank == 0 or stage == 0:
+            return FpSubspace.full(p, rank)
         key = (stage, s, mu)
         if key in self._k:
             return self._k[key]
         prev = self.k(stage - 1, s, mu)
-        shift = q_shift(self.p, stage)
-        qmat = integral_q_matrix(self.chart, stage, s)
-        images = [_mat_apply(qmat, v, self.p) for v in prev]
-        if all(not any(img) for img in images):
+        t = s + q_shift(p, stage)
+        width = self.rank(t)
+        cols = integral_q_matrix(self.chart, stage, s)
+        images = [FpSubspace.image(p, cols, v, width) for v in prev]
+        zero = FpSubspace.zero(p, width)
+        if all(img == zero for img in images):
             result = prev
         else:
-            allowed = self.w(stage - 1, s + shift, _v_mult(mu, stage))
-            result = _conditioned_kernel(prev, images, allowed, self.p)
+            allowed = self.w(stage - 1, t, _v_mult(mu, stage))
+            result = prev.preimage(images, allowed, width)
         self._k[key] = result
         return result
 
-    def w(self, stage: int, t: int, nu: VMono) -> Subspace:
+    def w(self, stage: int, t: int, nu: VMono) -> FpSubspace:
+        p = self.p
         rank = self.rank(t)
         if rank == 0 or stage == 0:
-            return []
+            return FpSubspace(p)
         key = (stage, t, nu)
         if key in self._w:
             return self._w[key]
-        parts: List[List[int]] = []
+        result = FpSubspace(p)
         for j in range(1, stage + 1):
             if nu[j - 1] == 0:
                 continue
-            shift = q_shift(self.p, j)
-            src_s = t - shift
-            src_mu = _v_div(nu, j)
-            src_k = self.k(j - 1, src_s, src_mu)
+            src_s = t - q_shift(p, j)
+            src_k = self.k(j - 1, src_s, _v_div(nu, j))
             if not src_k:
                 continue
-            qmat = integral_q_matrix(self.chart, j, src_s)
+            cols = integral_q_matrix(self.chart, j, src_s)
             for v in src_k:
-                img = _mat_apply(qmat, v, self.p)
-                if any(img):
-                    parts.append(img)
-        result = _reduce(parts, self.p)
+                result.insert(FpSubspace.image(p, cols, v, rank))
         self._w[key] = result
         return result
 
@@ -216,8 +164,8 @@ def _v_div(mu: VMono, i: int) -> VMono:
 class Block:
     s: int
     mu: VMono
-    k_bar: Subspace
-    w_bar: Subspace
+    k_bar: FpSubspace
+    w_bar: FpSubspace
 
 
 @dataclass
@@ -235,10 +183,6 @@ class AhssResult:
     max_total: int
     blocks: Dict[Tuple[int, VMono], Block]
     pages: "_PageComputer"
-    reliable_total: int
-
-    def block(self, s: int, mu: VMono) -> Optional[Block]:
-        return self.blocks.get((s, mu))
 
 
 _STABLE_EXPONENT = 2  # v-columns stabilize at exponent 2 (see collapse_to_chow)
@@ -262,10 +206,8 @@ def run_ahss(chart: Chart, v_max: int, max_total: Optional[int] = None) -> AhssR
     p = chart.p
     if v_max < 1:
         raise AhssError("v_max must be >= 1")
-    slack = q_shift(p, v_max)
-    reliable_total = chart.window - slack
     if max_total is None:
-        max_total = reliable_total
+        max_total = chart.window - q_shift(p, v_max)
     if max_total > chart.window:
         raise AhssError(
             "requested total degree %d exceeds the declared window %d"
@@ -288,44 +230,20 @@ def run_ahss(chart: Chart, v_max: int, max_total: Optional[int] = None) -> AhssR
     blocks: Dict[Tuple[int, VMono], Block] = {}
     for s, mu in sorted(keys):
         blocks[(s, mu)] = Block(s, mu, pages.k(v_max, s, mu), pages.w(v_max, s, mu))
-    _check_pages(blocks, p)
-    return AhssResult(chart, v_max, max_total, blocks, pages, reliable_total)
+    _check_pages(blocks)
+    return AhssResult(chart, v_max, max_total, blocks, pages)
 
 
-def _check_pages(blocks: Dict[Tuple[int, VMono], Block], p: int):
+def _check_pages(blocks: Dict[Tuple[int, VMono], Block]):
     for (s, mu), blk in blocks.items():
-        for w in blk.w_bar:
-            if not _sub_contains(blk.k_bar, w, p):
-                raise AhssError(
-                    "page inconsistency at (s=%d, %s): boundary outside cycles"
-                    % (s, v_label(mu))
-                )
+        if not all(map(blk.k_bar.contains, blk.w_bar)):
+            raise AhssError("page inconsistency at (s=%d, %s): boundary outside cycles"
+                            % (s, v_label(mu)))
 
 
 # ---------------------------------------------------------------------------
 # Structure extraction
 # ---------------------------------------------------------------------------
-
-
-def _torsion_intersection(chart: Chart, s: int, sub: Subspace, p: int) -> Subspace:
-    """Intersection of the subspace with the torsion-coordinate span."""
-    sl = chart.integral_slice(s)
-    nfree = len(sl.free)
-    if not sub:
-        return []
-    if nfree == 0:
-        return [list(v) for v in sub]
-    rows = [[v[coord] for v in sub] for coord in range(nfree)]
-    coeffs = linalg.kernel_fp(rows, len(sub), p)
-    out = []
-    for cv in coeffs:
-        vec = [0] * len(sub[0])
-        for j, c in enumerate(cv):
-            if c:
-                for idx in range(len(vec)):
-                    vec[idx] = (vec[idx] + c * sub[j][idx]) % p
-        out.append(vec)
-    return _reduce(out, p)
 
 
 def block_structure(result: AhssResult, blk: Block) -> BlockStructure:
@@ -334,30 +252,18 @@ def block_structure(result: AhssResult, blk: Block) -> BlockStructure:
     p = chart.p
     sl = chart.integral_slice(blk.s)
     nfree = len(sl.free)
-    k_t = _torsion_intersection(chart, blk.s, blk.k_bar, p)
-    torsion_rank = len(k_t) - len(blk.w_bar)
-    free_reps = []
-    proj = _reduce([v[:nfree] for v in blk.k_bar], p) if nfree else []
-    covered = set()
-    for row in proj:
-        vec = [0] * sl.rank
-        pivot = next(i for i, x in enumerate(row) if x)
-        covered.add(pivot)
-        for i, x in enumerate(row):
-            vec[i] = x
-        free_reps.append(_vector_label(chart, sl, vec))
-    for i in range(nfree):
-        if i not in covered:
-            vec = [0] * sl.rank
-            vec[i] = p
-            free_reps.append(_vector_label(chart, sl, vec))
-    torsion_reps = []
-    w = [list(r) for r in blk.w_bar]
-    for vec in k_t:
-        if not _sub_contains(w, vec, p):
-            torsion_reps.append(_vector_label(chart, sl, vec))
-            w = _sub_sum(w, [vec], p)
-    return BlockStructure(nfree, torsion_rank, free_reps, torsion_reps)
+    k_bar = blk.k_bar
+    k_t = k_bar.tail(nfree)  # Kbar ^ torsion span
+    # The rows with a free pivot, cut to the free coordinates, are the
+    # echelon basis of Kbar's projection to the free part; a free
+    # coordinate that is no pivot there survives only as p times itself.
+    nproj = len(k_bar) - len(k_t)
+    free_reps = [_vector_label(chart, sl, FpSubspace.unpack(p, row, sl.rank)[:nfree])
+                 for row in k_bar.rows[:nproj]]
+    free_reps += [_vector_label(chart, sl, [p * (j == i) for j in range(nfree)])
+                  for i in range(nfree) if i not in k_bar.pivots[:nproj]]
+    return BlockStructure(nfree, len(k_t) - len(blk.w_bar), free_reps,
+                          _new_reps(chart, sl, k_t, blk.w_bar))
 
 
 def _vector_label(chart: Chart, sl, vec: List[int]) -> str:
@@ -398,12 +304,6 @@ class CollapseReport:
     per_degree: Dict[int, Tuple[int, int]]
     details: Dict[int, List[str]] = field(default_factory=dict)
 
-    def free_rank(self, n: int) -> int:
-        return self.per_degree.get(n, (0, 0))[0]
-
-    def torsion_rank(self, n: int) -> int:
-        return self.per_degree.get(n, (0, 0))[1]
-
     def chow_table(self) -> Dict[int, Tuple[int, int]]:
         return {n // 2: v for n, v in sorted(self.per_degree.items()) if n % 2 == 0}
 
@@ -441,7 +341,7 @@ def collapse_to_chow(result: AhssResult) -> CollapseReport:
                 for rep in st.torsion_reps:
                     labels.append("Z/%d: %s" % (p, rep))
             continue
-        denom = [list(r) for r in blk.w_bar]
+        denom = blk.w_bar
         for idx in range(result.v_max):
             if mu[idx] > 0:
                 prev_mu = _v_div(mu, idx + 1)
@@ -449,25 +349,21 @@ def collapse_to_chow(result: AhssResult) -> CollapseReport:
                 prev_k = prev.k_bar if prev is not None else result.pages.k(
                     result.v_max, s, prev_mu
                 )
-                denom = _sub_sum(denom, prev_k, p)
+                denom = denom + prev_k
         t = len(blk.k_bar) - len(denom)
         if t:
             add(total, 0, t)
             labels = details.setdefault(total, [])
-            for rep in _new_generator_reps(chart, blk, denom, p):
+            for rep in _new_reps(chart, chart.integral_slice(s), blk.k_bar, denom):
                 labels.append("Z/%d: %s (v-part %s)" % (p, rep, v_label(mu)))
     return CollapseReport(per_degree, details)
 
 
-def _new_generator_reps(chart: Chart, blk: Block, denom: Subspace, p: int) -> List[str]:
-    sl = chart.integral_slice(blk.s)
-    reps = []
-    span = [list(r) for r in denom]
-    for vec in blk.k_bar:
-        if not _sub_contains(span, vec, p):
-            reps.append(_vector_label(chart, sl, vec))
-            span = _sub_sum(span, [vec], p)
-    return reps
+def _new_reps(chart: Chart, sl, vectors: FpSubspace, span: FpSubspace) -> List[str]:
+    """Labels of the rows of vectors that are new modulo span, in order."""
+    span = span.copy()
+    return [_vector_label(chart, sl, FpSubspace.unpack(chart.p, vec, sl.rank))
+            for vec in vectors if span.insert(vec)]
 
 
 # ---------------------------------------------------------------------------
@@ -533,16 +429,15 @@ def permanent_cycle_check(result: AhssResult, expression: str) -> CycleVerdict:
     if coords is None:
         raise AhssError("class in %r is not an integral class of the chart" % expression)
     vec = [coeff * c for c in coords]
+    packed = FpSubspace.pack(p, vec)
     for stage in range(1, result.v_max + 1):
-        k_bar = result.pages.k(stage, s, mu)
-        if not _sub_contains(k_bar, vec, p):
+        if not result.pages.k(stage, s, mu).contains(packed):
             reason = "fails to be a cycle under d = v_%d Q_%d" % (stage, stage)
             return CycleVerdict(expression, False, reason, s, mu, stage)
     nfree = len(sl.free)
     if any(vec[:nfree]):
         return CycleVerdict(expression, True, "survives with nonzero free component", s, mu)
-    w_bar = result.pages.w(result.v_max, s, mu)
-    if _sub_contains(w_bar, vec, p):
+    if result.pages.w(result.v_max, s, mu).contains(packed):
         reason = "dies on the final page (boundary)"
         return CycleVerdict(expression, False, reason, s, mu, result.v_max)
     return CycleVerdict(expression, True, "survives all differentials with nonzero image", s, mu)

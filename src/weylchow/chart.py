@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
+from .linalg import FpSubspace
 from .poly import (
     AlgebraSignature,
     Monomial,
@@ -148,17 +149,23 @@ class IntegralSlice:
     """Integral basis of H^n(X; Z_(p)) in chart coordinates.
 
     free holds lifted mod-p vectors spanning a complement of im(Q_0) in
-    ker(Q_0); torsion holds a lifted basis of im(Q_0).  The ambient lattice
-    of the spectral-sequence blocks is Z^(len(free) + len(torsion)), with
-    torsion coordinates carrying the relation p * t = 0.  q_to_torsion[i]
-    is the matrix of Q_i from this integral basis to the torsion
-    coordinates of the target slice.
+    ker(Q_0); torsion holds a lifted basis of im(Q_0), the reduced echelon
+    basis of that image.  The ambient lattice of the spectral-sequence
+    blocks is Z^(len(free) + len(torsion)), with torsion coordinates
+    carrying the relation p * t = 0.  torsion_span is the tracking()
+    echelon of the torsion basis, which solves for torsion coordinates.
+    q_to_torsion[i] is Q_i from this integral basis to the target slice's
+    integral coordinates, one column per basis vector: column j is the
+    FpSubspace vector of the image of basis vector j (a bitmask at p = 2),
+    zero outside the torsion coordinates, so Q_i x is the sum of the
+    columns at the nonzero coordinates of x (an XOR over set bits at p = 2).
     """
 
     degree: int
     free: List[List[int]]
     torsion: List[List[int]]
-    q_to_torsion: Dict[int, List[List[int]]] = field(default_factory=dict)
+    torsion_span: FpSubspace
+    q_to_torsion: Dict[int, list] = field(default_factory=dict)
 
     @property
     def rank(self) -> int:
@@ -328,12 +335,10 @@ def _torsion_tag(chart: Chart, gname: str) -> int:
     mono = tuple(mono)
     degree = chart.sig.mono_degree(mono)
     index = chart.mono_index(degree)
-    torsion = chart.integral_slice(degree).torsion
-    if mono not in index or not torsion:
+    if mono not in index:
         return 0
-    vec = [0] * len(index)
-    vec[index[mono]] = 1
-    return int(linalg.solve_fp(torsion, vec, chart.p) is not None)
+    vec = FpSubspace.pack(chart.p, [int(m == mono) for m in index])
+    return int(chart.integral_slice(degree).torsion_span.coordinates(vec, len(index)) is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -341,72 +346,56 @@ def _torsion_tag(chart: Chart, gname: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _column_space_basis(mat: List[List[int]], p: int) -> List[List[int]]:
-    """Echelon basis of the column space of a mod-p matrix."""
-    if not mat or not mat[0]:
-        return []
-    rows = [[mat[i][j] for i in range(len(mat))] for j in range(len(mat[0]))]
-    red, pivots = linalg.rref_fp(rows, p)
-    return [list(red[r]) for r in range(len(pivots))]
-
-
 def _build_integral_slice(chart: Chart, degree: int) -> IntegralSlice:
     p = chart.p
     dim = chart.dim(degree)
     if dim == 0:
-        return IntegralSlice(degree, [], [])
-    q0_out = chart.q_matrix(0, degree)
+        return IntegralSlice(degree, [], [], FpSubspace(p))
     q0_in = chart.q_matrix(0, degree - 1) if degree >= 1 else []
-    kernel_vecs = linalg.kernel_fp(q0_out, dim, p) if q0_out else linalg.identity(dim)
-    image_vecs = _column_space_basis(q0_in, p) if q0_in else []
+    image = FpSubspace(p, [FpSubspace.pack(p, col) for col in zip(*q0_in)])
+    torsion = [FpSubspace.unpack(p, v, dim) for v in image]
     # Extend the image basis to a basis of the kernel; the added vectors
-    # lift the free classes.
-    span = [list(v) for v in image_vecs]
-    free = []
-    for v in kernel_vecs:
-        if linalg.solve_fp(span, v, p) is None:
-            free.append(list(v))
-            span.append(list(v))
-    for v in image_vecs:
-        if linalg.solve_fp(kernel_vecs, v, p) is None:
-            raise ChartError("Q_0 image is not contained in ker Q_0 at degree %d" % degree)
-    sl = IntegralSlice(degree, free, [list(v) for v in image_vecs])
-    return sl
+    # lift the free classes.  The image lies in the kernel exactly when the
+    # extended span is no larger than the kernel.
+    kernel_vecs = linalg.kernel_fp(chart.q_matrix(0, degree), dim, p)
+    span = image.copy()
+    free = [v for v in kernel_vecs if span.insert(FpSubspace.pack(p, v))]
+    if len(span) != len(kernel_vecs):
+        raise ChartError("Q_0 image is not contained in ker Q_0 at degree %d" % degree)
+    return IntegralSlice(degree, free, torsion, FpSubspace.tracking(p, image.rows, dim))
 
 
-def integral_q_matrix(chart: Chart, i: int, degree: int) -> List[List[int]]:
-    """Q_i on the integral basis, expressed over the target torsion basis.
+def integral_q_matrix(chart: Chart, i: int, degree: int) -> list:
+    """Q_i on the integral basis, as IntegralSlice.q_to_torsion stores it:
+    column j holds the target integral coordinates of the image of basis
+    vector j (zero at the free coordinates: Milnor images of integral
+    classes are p-torsion).
 
-    Rows are indexed by the target slice's ambient coordinates (free part
-    rows are zero: Milnor images of integral classes are p-torsion), with
-    entries lifted to [0, p).
+    Each image is reduced against the target's torsion echelon, which is
+    built once per slice.
     """
     sl = chart.integral_slice(degree)
     if i in sl.q_to_torsion:
         return sl.q_to_torsion[i]
     p = chart.p
-    shift = q_shift(p, i)
+    tgt_degree = degree + q_shift(p, i)
+    tgt = chart.integral_slice(tgt_degree)
+    width = chart.dim(tgt_degree)
     qmat = chart.q_matrix(i, degree)
-    tgt = chart.integral_slice(degree + shift)
+    q_cols = [FpSubspace.pack(p, [row[j] for row in qmat]) for j in range(chart.dim(degree))]
+    nfree = len(tgt.free)
+    free_zero = FpSubspace.zero(p, nfree)
     cols = []
     for vec in sl.free + sl.torsion:
-        image = [sum(qmat[r][k] * vec[k] for k in range(len(vec))) % p for r in range(len(qmat))]
-        if not any(image):
-            coords = [0] * len(tgt.torsion)
-        else:
-            coords = linalg.solve_fp(tgt.torsion, image, p)
-            if coords is None:
-                raise ChartError(
-                    "Q_%d image at degree %d is not an integral p-torsion class" % (i, degree)
-                )
-        cols.append(coords)
-    rows = len(tgt.free) + len(tgt.torsion)
-    mat = [[0] * len(cols) for _ in range(rows)]
-    for j, coords in enumerate(cols):
-        for t_idx, c in enumerate(coords):
-            mat[len(tgt.free) + t_idx][j] = c % p
-    sl.q_to_torsion[i] = mat
-    return mat
+        image = FpSubspace.image(p, q_cols, FpSubspace.pack(p, vec), width)
+        coords = tgt.torsion_span.coordinates(image, width)
+        if coords is None:
+            raise ChartError(
+                "Q_%d image at degree %d is not an integral p-torsion class" % (i, degree)
+            )
+        cols.append(FpSubspace.join(p, free_zero, coords, nfree))
+    sl.q_to_torsion[i] = cols
+    return cols
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ vectors spanning a subspace or lattice of the ambient coordinate space.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -44,98 +45,210 @@ def identity(n: int) -> List[Vector]:
 
 
 # ---------------------------------------------------------------------------
-# F_p elimination
+# F_p subspaces and elimination
 # ---------------------------------------------------------------------------
+
+
+class FpSubspace:
+    """A subspace of F_p^n held as its reduced row echelon basis.
+
+    rows[k] has its lowest nonzero coordinate, equal to 1, at pivots[k]; the
+    pivots increase and every other row is zero at them, so the rows are the
+    unique reduced echelon form of the span.  At p = 2 a vector is a Python
+    int with bit j = coordinate j, and a row operation is one XOR; at odd p
+    it is a list of ints in [0, p).  pack/unpack convert from and to lists.
+    Subspaces grow only through insert(); the other operations return new
+    ones.
+    """
+
+    __slots__ = ("p", "rows", "pivots")
+
+    def __init__(self, p: int, vectors=()):
+        self.p = p
+        self.rows: list = []
+        self.pivots: List[int] = []
+        for v in vectors:
+            self.insert(v)
+
+    @classmethod
+    def _echelon(cls, p: int, rows: list, pivots: List[int]) -> "FpSubspace":
+        """A subspace from rows and pivots already in reduced echelon form."""
+        sub = cls(p)
+        sub.rows, sub.pivots = rows, pivots
+        return sub
+
+    @classmethod
+    def full(cls, p: int, n: int) -> "FpSubspace":
+        return cls._echelon(p, [1 << j for j in range(n)] if p == 2 else identity(n),
+                            list(range(n)))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def copy(self) -> "FpSubspace":
+        return self._echelon(self.p, list(self.rows), list(self.pivots))
+
+    def __add__(self, other: "FpSubspace") -> "FpSubspace":
+        sub = self.copy()
+        for v in other.rows:
+            sub.insert(v)
+        return sub
+
+    def reduce(self, v):
+        """The remainder of v modulo the span: v minus the span element that
+        agrees with v at every pivot."""
+        p = self.p
+        if p == 2:
+            for row, c in zip(self.rows, self.pivots):
+                if v >> c & 1:
+                    v ^= row
+            return v
+        for row, c in zip(self.rows, self.pivots):
+            f = v[c]
+            if f:
+                v = [(x - f * y) % p for x, y in zip(v, row)]
+        return v
+
+    def contains(self, v) -> bool:
+        rem = self.reduce(v)
+        return not rem if self.p == 2 else not any(rem)
+
+    def insert(self, v) -> bool:
+        """Add v to the span; True when the span grew."""
+        p = self.p
+        v = self.reduce(v)
+        rows = self.rows
+        if p == 2:
+            if not v:
+                return False
+            c = (v & -v).bit_length() - 1
+            k = bisect_left(self.pivots, c)
+            for i in range(k):  # only rows with a smaller pivot can be nonzero at c
+                if rows[i] >> c & 1:
+                    rows[i] ^= v
+        else:
+            c = next((j for j, x in enumerate(v) if x), None)
+            if c is None:
+                return False
+            inv = pow(v[c], p - 2, p)
+            v = [x * inv % p for x in v]
+            k = bisect_left(self.pivots, c)
+            for i in range(k):
+                f = rows[i][c]
+                if f:
+                    rows[i] = [(x - f * y) % p for x, y in zip(rows[i], v)]
+        rows.insert(k, v)
+        self.pivots.insert(k, c)
+        return True
+
+    def tail(self, start: int) -> "FpSubspace":
+        """The intersection with the span of the coordinates >= start: the
+        rows whose pivot is at least start."""
+        k = bisect_left(self.pivots, start)
+        return self._echelon(self.p, self.rows[k:], self.pivots[k:])
+
+    def preimage(self, images: list, allowed: "FpSubspace", width: int) -> "FpSubspace":
+        """{x in self : M x in allowed}, where images[k] = M rows[k] lies in
+        F_p^width.
+
+        Each image is reduced modulo allowed and tracked with its row: the
+        pairs (remainder | row) are eliminated in F_p^(width + n), and the
+        echelon rows whose remainder part vanished are the answer's rows.
+        """
+        p = self.p
+        pairs = FpSubspace(p, [self.join(p, allowed.reduce(img), row, width)
+                               for row, img in zip(self.rows, images)]).tail(width)
+        return self._echelon(p, [self.split(p, row, width)[1] for row in pairs.rows],
+                             [c - width for c in pairs.pivots])
+
+    @classmethod
+    def tracking(cls, p: int, basis: list, width: int) -> "FpSubspace":
+        """The span of the pairs (basis[j] | e_j) for independent vectors
+        basis[j] of F_p^width, to solve in that basis with coordinates()."""
+        units = cls.full(p, len(basis)).rows
+        return cls(p, [cls.join(p, v, e, width) for v, e in zip(basis, units)])
+
+    def coordinates(self, v, width: int):
+        """For a tracking() span: c with sum_j c_j basis[j] = v, or None
+        when v lies outside the span of the basis.  Reducing (v | 0) leaves
+        (0 | -c) exactly when v = sum_j c_j basis[j]."""
+        p = self.p
+        padded = self.join(p, v, self.zero(p, len(self)), width)
+        low, high = self.split(p, self.reduce(padded), width)
+        if low != self.zero(p, width):
+            return None
+        return high if p == 2 else [-x % p for x in high]
+
+    @staticmethod
+    def zero(p: int, n: int):
+        return 0 if p == 2 else [0] * n
+
+    @staticmethod
+    def pack(p: int, values: Sequence[int]):
+        """A vector from a sequence of integers, reduced mod p."""
+        if p == 2:
+            return sum(1 << j for j, x in enumerate(values) if x & 1)
+        return [x % p for x in values]
+
+    @staticmethod
+    def unpack(p: int, v, n: int) -> List[int]:
+        """The coordinates of a vector of F_p^n as a list."""
+        return [v >> j & 1 for j in range(n)] if p == 2 else list(v)
+
+    @staticmethod
+    def image(p: int, cols: list, v, width: int):
+        """M v, for the matrix M with columns cols (vectors of F_p^width)."""
+        if p == 2:
+            out = 0
+            while v:
+                low = v & -v
+                out ^= cols[low.bit_length() - 1]
+                v ^= low
+            return out
+        out = [0] * width
+        for c, col in zip(v, cols):
+            if c:
+                out = [x + c * y for x, y in zip(out, col)]
+        return [x % p for x in out]
+
+    @staticmethod
+    def join(p: int, low, high, width: int):
+        """The vector of F_p^(width + m) with low in the first width
+        coordinates and high in the rest."""
+        return low | high << width if p == 2 else low + high
+
+    @staticmethod
+    def split(p: int, v, width: int):
+        """The inverse of join: (first width coordinates, the rest)."""
+        if p == 2:
+            return v & ((1 << width) - 1), v >> width
+        return v[:width], v[width:]
 
 
 def rref_fp(rows: List[List[int]], p: int) -> Tuple[List[List[int]], List[int]]:
     """Reduced row echelon form mod p; returns (rref rows, pivot columns)."""
-    if p == 2:
-        return _rref_f2(rows)
-    m = [[x % p for x in row] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if m[i][c] % p:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                row_r = m[r]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], row_r)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m[:r] + [[0] * ncols for _ in range(nrows - r)], pivots
-
-
-def _rref_f2(rows: List[List[int]]) -> Tuple[List[List[int]], List[int]]:
-    """F_2 elimination on rows packed as Python ints (bit j = column j)."""
     ncols = len(rows[0]) if rows else 0
-    packed = []
-    for row in rows:
-        acc = 0
-        for j, x in enumerate(row):
-            if x & 1:
-                acc |= 1 << j
-        packed.append(acc)
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        bit = 1 << c
-        pivot = None
-        for i in range(r, len(packed)):
-            if packed[i] & bit:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        packed[r], packed[pivot] = packed[pivot], packed[r]
-        for i in range(len(packed)):
-            if i != r and packed[i] & bit:
-                packed[i] ^= packed[r]
-        pivots.append(c)
-        r += 1
-        if r == len(packed):
-            break
-    out = []
-    for acc in packed:
-        out.append([(acc >> j) & 1 for j in range(ncols)])
-    return out, pivots
+    sub = FpSubspace(p, [FpSubspace.pack(p, row) for row in rows])
+    red = [FpSubspace.unpack(p, v, ncols) for v in sub.rows]
+    return red + [[0] * ncols for _ in range(len(rows) - len(red))], sub.pivots
 
 
 def rank_fp(rows: List[List[int]], p: int) -> int:
-    if not rows or not rows[0]:
-        return 0
     return len(rref_fp(rows, p)[1])
 
 
 def kernel_fp(rows: List[List[int]], ncols: int, p: int) -> List[Vector]:
     """Basis of the right null space mod p (columns as vectors of length ncols)."""
-    if ncols == 0:
-        return []
-    if not rows:
-        return identity(ncols)
     red, pivots = rref_fp(rows, p)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for fcol in free:
+    for fcol in sorted(set(range(ncols)) - set(pivots)):
         v = zeros(ncols)
         v[fcol] = 1
-        for r, pcol in enumerate(pivots):
-            v[pcol] = (-red[r][fcol]) % p
+        for row, pcol in zip(red, pivots):
+            v[pcol] = -row[fcol] % p
         basis.append(v)
     return basis
 
@@ -144,8 +257,6 @@ def solve_fp(cols: List[Vector], target: Vector, p: int) -> Optional[Vector]:
     """Solve sum_j x_j cols[j] = target mod p; None if inconsistent."""
     n = len(target)
     k = len(cols)
-    if k == 0:
-        return [] if all(t % p == 0 for t in target) else None
     rows = [[cols[j][i] for j in range(k)] + [target[i]] for i in range(n)]
     red, pivots = rref_fp(rows, p)
     x = zeros(k)

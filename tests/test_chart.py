@@ -1,11 +1,21 @@
+import itertools
+
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from weylchow.ahss import collapse_to_chow, run_ahss
+from weylchow.ahss import _v_div, _v_mult, collapse_to_chow, run_ahss
 from weylchow.builtin import f4_chart, f4_expected_mod_p_dims, spin7_chart, toy_killing_chart
-from weylchow.chart import ChartError, build_chart, parse_chart, serialize_chart
-from weylchow.poly import parse
+from weylchow.chart import (
+    ChartError,
+    build_chart,
+    integral_q_matrix,
+    parse_chart,
+    q_shift,
+    serialize_chart,
+)
+from weylchow.linalg import FpSubspace
+from weylchow.poly import Polynomial, parse
 
 
 def test_spin7_q_data_matches_stated_facts(spin7_builtin):
@@ -139,12 +149,16 @@ def test_relation_must_be_plain_monomial(relation):
 
 @st.composite
 def _small_charts(draw):
-    """Pairs (a_k, b_k) of degrees (d, d + 1) with Q_0 a_k = b_k or 0, plus
-    random relation monomials."""
+    """Pairs (a_k, b_k) of degrees (d, d + 1) with Q_0 a_k = b_k or 0, random
+    relation monomials, and random Q_1 images: up to two terms of the
+    right degree per generator, with random coefficients.  A second pair
+    may sit |Q_1| - 1 above an earlier one, so that Q_1 a_j can be b_k."""
     p = draw(st.sampled_from([2, 3]))
     gens, images = [], {}
-    for k in range(draw(st.integers(1, 2))):
+    for k in range(draw(st.integers(1, 3))):
         d = draw(st.integers(1, 6))
+        if k and draw(st.booleans()):
+            d = gens[2 * draw(st.integers(0, k - 1))][1] + q_shift(p, 1) - 1
         for name, deg in (("a%d" % k, d), ("b%d" % k, d + 1)):
             exterior = deg % 2 == 1 if p == 3 else draw(st.booleans())
             gens.append((name, deg, exterior))
@@ -158,9 +172,37 @@ def _small_charts(draw):
             relations.append("*".join(factors))
     window = max(deg for _name, deg, _ext in gens) + draw(st.integers(1, 6))
     try:
-        return build_chart("random", p, window, gens, {0: images}, relations=relations)
+        plain = build_chart("random", p, window, gens, {0: images}, relations=relations)
     except ChartError:  # Q_0 does not square to zero modulo these relations
         reject()
+    q1 = {}
+    for name, deg, _ext in gens:
+        target = deg + q_shift(p, 1)
+        monos = plain.basis_at(target)
+        if draw(st.booleans()):  # a combination of integral torsion classes
+            try:
+                torsion = plain.integral_slice(target).torsion
+            except ChartError:  # Q_0 squares to zero in the window only
+                reject()
+            vec = [0] * len(monos)
+            for tv in torsion:
+                c = draw(st.integers(0, p - 1))
+                vec = [(x + c * y) % p for x, y in zip(vec, tv)]
+            terms = [(m, c) for m, c in zip(monos, vec) if c]
+        else:
+            chosen = draw(st.lists(st.sampled_from(monos), max_size=2, unique=True)) if monos else []
+            terms = [(m, draw(st.integers(1, p - 1))) for m in chosen]
+        if terms:
+            q1[name] = " + ".join(str(Polynomial.from_mono(plain.sig, m, c)) for m, c in terms)
+    try:
+        chart = build_chart("random", p, window, gens, {0: images, 1: q1}, relations=relations)
+    except ChartError:  # Q_1 does not square to zero modulo these relations
+        reject()
+    return chart
+
+
+def _mat_mul(a, b, p):
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -171,3 +213,157 @@ def test_random_chart_round_trip(chart):
     for n in range(2 * chart.window + 1):
         assert parsed.dim(n) == chart.dim(n)
         assert parsed.q_matrix(0, n) == chart.q_matrix(0, n)
+        assert parsed.q_matrix(1, n) == chart.q_matrix(1, n)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the page recursion of the ahss module docstring, on sets
+# ---------------------------------------------------------------------------
+
+
+class _TooLarge(Exception):
+    pass
+
+
+class _EnumeratedPages:
+    """K_i(s, mu) and W_i(t, nu) as sets of coordinate tuples, following
+
+        K_i = {x in K_{i-1}(s, mu) : M_i x in W_{i-1}(s + |d_i|, v_i mu)}
+        W_i = W_{i-1}(t, nu) + M_i K_{i-1}(t - |d_i|, nu / v_i)
+
+    from K_0 = F_p^g and W_0 = 0.  M_i x is Q_i (chart.q_matrix) of the lift
+    sum_j x_j basis_j, written in the target's integral coordinates by
+    looking it up among all combinations of the target's torsion basis.
+    Any set larger than p^limit raises _TooLarge.
+    """
+
+    def __init__(self, chart, limit=6):
+        self.chart, self.p, self.limit = chart, chart.p, limit
+        self.memo = {}
+
+    def rank(self, s):
+        return self.chart.integral_slice(s).rank if s >= 0 else 0
+
+    def _guard(self, size):
+        if size > self.p ** self.limit:
+            raise _TooLarge()
+
+    def _cached(self, key, compute):
+        if key not in self.memo:
+            self.memo[key] = compute()
+        return self.memo[key]
+
+    def lookup(self, t):
+        """Chart vector -> integral coordinates, over the torsion span at t."""
+        def compute():
+            sl = self.chart.integral_slice(t)
+            self._guard(self.p ** len(sl.torsion))
+            table = {}
+            for y in itertools.product(range(self.p), repeat=len(sl.torsion)):
+                vec = [0] * self.chart.dim(t)
+                for c, tv in zip(y, sl.torsion):
+                    vec = [(a + c * b) % self.p for a, b in zip(vec, tv)]
+                table[tuple(vec)] = (0,) * len(sl.free) + y
+            return table
+        return self._cached(("lookup", t), compute)
+
+    def apply(self, i, s, x):
+        """M_i x, or None when Q_i of the lift is no integral torsion class."""
+        def compute():
+            sl = self.chart.integral_slice(s)
+            lift = [sum(c * v[k] for c, v in zip(x, sl.free + sl.torsion)) % self.p
+                    for k in range(self.chart.dim(s))]
+            image = tuple(sum(a * b for a, b in zip(row, lift)) % self.p
+                          for row in self.chart.q_matrix(i, s))
+            return self.lookup(s + q_shift(self.p, i)).get(image)
+        return self._cached(("apply", i, s, x), compute)
+
+    def k(self, i, s, mu):
+        def compute():
+            if i == 0:
+                self._guard(self.p ** self.rank(s))
+                return set(itertools.product(range(self.p), repeat=self.rank(s)))
+            allowed = self.w(i - 1, s + q_shift(self.p, i), _v_mult(mu, i))
+            return {x for x in self.k(i - 1, s, mu) if self.apply(i, s, x) in allowed}
+        return self._cached(("k", i, s, mu), compute)
+
+    def w(self, i, t, nu):
+        def compute():
+            if i == 0:
+                return {(0,) * self.rank(t)}
+            prev = self.w(i - 1, t, nu)
+            if nu[i - 1] == 0:
+                return prev
+            src = t - q_shift(self.p, i)
+            images = {self.apply(i, src, x) for x in self.k(i - 1, src, _v_div(nu, i))}
+            self._guard(len(prev) * len(images))
+            return {tuple((a + b) % self.p for a, b in zip(u, v)) for u in prev for v in images}
+        return self._cached(("w", i, t, nu), compute)
+
+
+def _span_of(sub, n):
+    p, out = sub.p, {(0,) * n}
+    for row in sub:
+        v = FpSubspace.unpack(p, row, n)
+        out = {tuple((x + c * y) % p for x, y in zip(u, v)) for u in out for c in range(p)}
+    return out
+
+
+def _check_against_enumeration(chart, v_max, max_total=None):
+    """Compare integral_q_matrix and the page states of every block of rank
+    <= 6 with _EnumeratedPages; returns the number of blocks compared."""
+    pages = _EnumeratedPages(chart)
+    for s in range(chart.window + 1):
+        rank = pages.rank(s)
+        if not 0 < rank <= pages.limit:
+            continue
+        units = [tuple(int(j == k) for k in range(rank)) for j in range(rank)]
+        for i in range(1, v_max + 1):
+            try:
+                expected = [pages.apply(i, s, e) for e in units]
+            except _TooLarge:
+                continue
+            if None in expected:  # an image outside the torsion span is refused
+                with pytest.raises(ChartError):
+                    integral_q_matrix(chart, i, s)
+                continue
+            width = pages.rank(s + q_shift(chart.p, i))
+            cols = integral_q_matrix(chart, i, s)
+            assert [tuple(FpSubspace.unpack(chart.p, c, width)) for c in cols] == expected
+    result = run_ahss(chart, v_max, max_total)
+    compared = 0
+    for s, mu in sorted(result.blocks):
+        if pages.rank(s) > pages.limit:
+            continue
+        try:
+            states = [(pages.k(i, s, mu), pages.w(i, s, mu)) for i in range(v_max + 1)]
+        except _TooLarge:
+            continue
+        for i, (k_set, w_set) in enumerate(states):
+            assert _span_of(result.pages.k(i, s, mu), pages.rank(s)) == k_set, (i, s, mu)
+            assert _span_of(result.pages.w(i, s, mu), pages.rank(s)) == w_set, (i, s, mu)
+        compared += 1
+    return compared
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_small_charts())
+def test_page_engine_matches_enumerated_recursion(chart):
+    # build_chart checks Q_1^2 = 0 only where source and target lie in the
+    # window, but the blocks up to the window need it from every degree d
+    # with d + |Q_1| in the window.
+    shift = q_shift(chart.p, 1)
+    for d in range(chart.window + 1):
+        if any(map(any, _mat_mul(chart.q_matrix(1, d + shift), chart.q_matrix(1, d), chart.p))):
+            reject()
+    try:
+        compared = _check_against_enumeration(chart, 1)
+    except ChartError:  # some Q_1 image of an integral class is not torsion
+        reject()
+    assert compared > 0
+
+
+def test_page_engine_matches_enumeration_on_builtin_charts(spin7_builtin, f4_builtin):
+    assert _check_against_enumeration(toy_killing_chart(window=12).chart, 1) > 0
+    assert _check_against_enumeration(spin7_builtin.chart, 3, max_total=28) > 100
+    assert _check_against_enumeration(f4_builtin.chart, 2, max_total=48) > 100

@@ -244,3 +244,96 @@ def test_rational_elimination_matches_fraction_gauss_jordan(system):
     if solution is not None:
         assert all(sum(x * col[i] for x, col in zip(solution, cols)) == target[i]
                    for i in range(len(target)))
+
+
+# ---------------------------------------------------------------------------
+# Oracle: FpSubspace against spans enumerated as sets of vectors
+# ---------------------------------------------------------------------------
+
+
+def _span_set(vectors, p, n):
+    """Every F_p-combination of the vectors (lists of length n), as tuples."""
+    out = {(0,) * n}
+    for v in vectors:
+        out = {tuple((x + c * y) % p for x, y in zip(u, v)) for u in out for c in range(p)}
+    return out
+
+
+def _as_set(sub, n):
+    return _span_set([linalg.FpSubspace.unpack(sub.p, v, n) for v in sub], sub.p, n)
+
+
+@st.composite
+def _subspace_cases(draw):
+    """Spans A, B in F_p^n, the columns of a matrix M: F_p^n -> F_p^m, a span
+    C in F_p^m, a test vector and a split coordinate, for p in {2, 3, 5}.
+    Entries lie in [-p, 2p), so packing must reduce them."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+
+    def vec(size):
+        return draw(st.lists(st.integers(-p, 2 * p - 1), min_size=size, max_size=size))
+
+    def vectors(size, max_size):
+        return [vec(size) for _ in range(draw(st.integers(0, max_size)))]
+
+    a = vectors(n, 4)
+    if a and draw(st.booleans()):  # a dependent vector
+        a.append([sum(row[j] for row in a) for j in range(n)])
+    return p, n, m, a, vectors(n, 3), vectors(m, 3), [vec(m) for _ in range(n)], vec(n), \
+        draw(st.integers(0, n))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_subspace_cases())
+def test_fp_subspace_matches_enumerated_spans(case):
+    p, n, m, a, b, c, m_cols, v, start = case
+    Sub = linalg.FpSubspace
+
+    def pack(vec):
+        return Sub.pack(p, vec)
+
+    def span(vectors, size):
+        return _span_set([[x % p for x in row] for row in vectors], p, size)
+
+    sub_a, span_a = Sub(p, [pack(x) for x in a]), span(a, n)
+    # The rows are the nonzero rows of rref_fp, with its pivots, and they are
+    # in reduced echelon form: the unique such basis of the enumerated span.
+    red, pivots = linalg.rref_fp(a, p)
+    rows = [Sub.unpack(p, r, n) for r in sub_a]
+    assert rows == red[: len(pivots)] and sub_a.pivots == pivots
+    assert pivots == sorted(set(pivots))
+    for row, col in zip(rows, pivots):
+        assert not any(row[:col]) and row[col] == 1
+        assert [other[col] for other in rows] == [int(other is row) for other in rows]
+    assert _as_set(sub_a, n) == span_a
+    # reduce: the one vector of v + A that is zero at every pivot
+    vv = tuple(x % p for x in v)
+    rem = tuple(Sub.unpack(p, sub_a.reduce(pack(v)), n))
+    coset = {tuple((x + y) % p for x, y in zip(vv, w)) for w in span_a}
+    assert [w for w in coset if not any(w[j] for j in pivots)] == [rem]
+    assert sub_a.contains(pack(v)) == (vv in span_a)
+    # sum
+    span_b = span(b, n)
+    assert _as_set(sub_a + Sub(p, [pack(x) for x in b]), n) == {
+        tuple((x + y) % p for x, y in zip(u, w)) for u in span_a for w in span_b}
+    # torsion intersection: the vectors of A that vanish below start
+    assert _as_set(sub_a.tail(start), n) == {w for w in span_a if not any(w[:start])}
+    # conditioned kernel {x in A : M x in C}
+    cols = [pack(col) for col in m_cols]
+    images = [Sub.image(p, cols, row, m) for row in sub_a]
+    span_c = span(c, m)
+
+    def apply(x):
+        return tuple(sum(xj * col[i] for xj, col in zip(x, m_cols)) % p for i in range(m))
+
+    kernel = sub_a.preimage(images, Sub(p, [pack(x) for x in c]), m)
+    assert _as_set(kernel, n) == {x for x in span_a if apply(x) in span_c}
+    # coordinates in the echelon basis of A
+    coords = Sub.tracking(p, sub_a.rows, n).coordinates(pack(v), n)
+    if vv not in span_a:
+        assert coords is None
+    else:
+        basis = [Sub.unpack(p, r, n) for r in sub_a]
+        cl = Sub.unpack(p, coords, len(basis))
+        assert tuple(sum(cj * r[i] for cj, r in zip(cl, basis)) % p for i in range(n)) == vv
