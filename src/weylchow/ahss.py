@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from . import linalg
-from .chart import Chart, integral_q_matrix, q_shift
+from .chart import Chart, check_q_squares, integral_q_matrix, q_shift
 from .linalg import FpSubspace
 from .poly import compositions
 
@@ -230,13 +230,16 @@ def run_ahss(chart: Chart, v_max: int, max_total: Optional[int] = None) -> AhssR
     blocks: Dict[Tuple[int, VMono], Block] = {}
     for s, mu in sorted(keys):
         blocks[(s, mu)] = Block(s, mu, pages.k(v_max, s, mu), pages.w(v_max, s, mu))
-    _check_pages(blocks)
+    _check_pages(chart, v_max, blocks)
     return AhssResult(chart, v_max, max_total, blocks, pages)
 
 
-def _check_pages(blocks: Dict[Tuple[int, VMono], Block]):
+def _check_pages(chart: Chart, v_max: int, blocks: Dict[Tuple[int, VMono], Block]):
     for (s, mu), blk in blocks.items():
         if not all(map(blk.k_bar.contains, blk.w_bar)):
+            # build_chart checks Q_i^2 = 0 inside the window only; a failure
+            # below it shows here first, so name it if it is the cause.
+            check_q_squares(chart, s + 2 * q_shift(chart.p, v_max))
             raise AhssError("page inconsistency at (s=%d, %s): boundary outside cycles"
                             % (s, v_label(mu)))
 

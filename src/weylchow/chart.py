@@ -310,15 +310,7 @@ def validate_chart(chart: Chart, torsion_tags: Dict[str, int]):
                     "chart %s: Q_%d(%s) has degree %s, expected %d"
                     % (chart.name, i, gname, img.homogeneous_degrees(), gdeg + shift)
                 )
-    for i in _derivation_specs(chart):
-        shift = q_shift(p, i)
-        for d in range(chart.window - 2 * shift + 1):
-            cols = list(zip(*chart.q_matrix(i, d)))
-            second = chart.q_matrix(i, d + shift)
-            if any(sum(a * b for a, b in zip(row, col)) % p for row in second for col in cols):
-                raise ChartError(
-                    "chart %s: Q_%d does not square to zero at degree %d" % (chart.name, i, d)
-                )
+    check_q_squares(chart, chart.window)
     for gname, tag in torsion_tags.items():
         expected = _torsion_tag(chart, gname)
         if tag != expected:
@@ -326,6 +318,21 @@ def validate_chart(chart: Chart, torsion_tags: Dict[str, int]):
                 "generator %s tagged torsion_exponent %d but Q_0 structure says %d"
                 % (gname, tag, expected)
             )
+
+
+def check_q_squares(chart: Chart, top: int):
+    """Raise ChartError at the lowest degree d with Q_i Q_i != 0 on degree d,
+    for each Q_i of the chart, among the d with d + 2|Q_i| <= top."""
+    p = chart.p
+    for i in _derivation_specs(chart):
+        shift = q_shift(p, i)
+        for d in range(top - 2 * shift + 1):
+            cols = list(zip(*chart.q_matrix(i, d)))
+            second = chart.q_matrix(i, d + shift)
+            if any(sum(a * b for a, b in zip(row, col)) % p for row in second for col in cols):
+                raise ChartError(
+                    "chart %s: Q_%d does not square to zero at degree %d" % (chart.name, i, d)
+                )
 
 
 def _torsion_tag(chart: Chart, gname: str) -> int:

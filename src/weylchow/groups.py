@@ -10,16 +10,25 @@ weight lattice.
 Matrix entries are exact ints or Fractions.  The F_4 reflections need the
 half-sum vector, so their matrices are half-integral in the e-basis; they
 act integrally on any domain where 2 is a unit (Q, F_3, Z_(3)).
+
+The group closure runs on integers: an element is an integer matrix N over
+a denominator d (the element is N/d), reduced mod the action's prime when
+it has one and otherwise to lowest terms.  Each generator multiplies a
+given integer row once; the elements become Fraction rows once, in the
+order of their values.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import rank_q, solve_q
-from .poly import AlgebraSignature, Domain, Generator, Polynomial
+from .poly import AlgebraSignature, Domain, Generator
 
 MatrixRows = Tuple[Tuple[Fraction, ...], ...]
 
@@ -60,10 +69,15 @@ class GroupAction:
     mod: Optional[int] = None
     element_bound: int = 10**6
     _elements: Optional[Tuple[MatrixRows, ...]] = field(default=None, repr=False)
+    # (matrix, domain) -> the matrix acting on one degree slice at a time;
+    # owned by weylchow.invariants.
+    _slices: Dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.gen_names)
-        mats = tuple(self.reduce(_freeze(m)) for m in self.matrices)
+        mats = tuple(_freeze(m) for m in self.matrices)
+        if self.mod is not None:
+            mats = tuple(_freeze([[int(x) % self.mod for x in row] for row in m]) for m in mats)
         for m in mats:
             if len(m) != n or any(len(row) != n for row in m):
                 raise GroupError("matrix size does not match generator count")
@@ -76,14 +90,6 @@ class GroupAction:
                 raise GroupError("generating matrix is singular")
         self.matrices = mats
 
-    def reduce(self, m: MatrixRows) -> MatrixRows:
-        if self.mod is None:
-            return m
-        return tuple(tuple(Fraction(int(x) % self.mod) for x in row) for row in m)
-
-    def compose(self, a: MatrixRows, b: MatrixRows) -> MatrixRows:
-        return self.reduce(mat_mul(a, b))
-
     def signature(self, domain: Domain) -> AlgebraSignature:
         if self.mod is not None and domain.characteristic != self.mod:
             raise GroupError(
@@ -92,19 +98,6 @@ class GroupAction:
         return AlgebraSignature(
             [Generator(nm, self.gen_degree) for nm in self.gen_names], domain
         )
-
-    def substitution(self, matrix: MatrixRows, domain: Domain) -> Dict[str, Polynomial]:
-        """Images of the generators under one matrix, as polynomials."""
-        sig = self.signature(domain)
-        images: Dict[str, Polynomial] = {}
-        for j, nm in enumerate(self.gen_names):
-            poly = Polynomial.zero(sig)
-            for i in range(len(self.gen_names)):
-                c = matrix[i][j]
-                if c != 0:
-                    poly = poly + Polynomial.gen(sig, self.gen_names[i]).scale(c)
-            images[nm] = poly
-        return images
 
     def elements(self, bound: Optional[int] = None) -> Tuple[MatrixRows, ...]:
         if self._elements is None:
@@ -116,8 +109,21 @@ class GroupAction:
         return len(self.elements())
 
 
+class _RowProducts(dict):
+    """Integer row -> the row times one integer matrix, mod p when p is set."""
+
+    def __init__(self, matrix: Sequence[Sequence[int]], p: Optional[int]):
+        super().__init__()
+        self.cols, self.p = tuple(zip(*matrix)), p
+
+    def __missing__(self, row):
+        prod = tuple(sum(map(mul, row, col)) for col in self.cols)
+        self[row] = prod = prod if self.p is None else tuple(x % self.p for x in prod)
+        return prod
+
+
 def enumerate_group(action: GroupAction, bound: int) -> List[MatrixRows]:
-    """Closure of the generating matrices under multiplication.
+    """Closure of the generating matrices under multiplication, sorted.
 
     Raises if the closure exceeds the bound (guards against non-finite or
     wrongly entered generator sets).
@@ -125,21 +131,36 @@ def enumerate_group(action: GroupAction, bound: int) -> List[MatrixRows]:
     if bound < 1:
         raise GroupError("bound must be >= 1")
     n = len(action.gen_names)
-    ident = mat_identity(n)
+    gens = []
+    for m in action.matrices:
+        den = math.lcm(*(x.denominator for row in m for x in row))
+        gens.append((den, _RowProducts([[int(x * den) for x in row] for row in m], action.mod)))
+    ident = (1, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
     seen = {ident}
     frontier = [ident]
     while frontier:
         new_frontier = []
-        for m in frontier:
-            for g in action.matrices:
-                prod = action.compose(m, g)
+        for den, rows in frontier:
+            for gen_den, products in gens:
+                prod = (den * gen_den, tuple(map(products.__getitem__, rows)))
+                div = math.gcd(prod[0], *chain.from_iterable(prod[1]))
+                if div > 1:
+                    prod = (prod[0] // div, tuple(tuple(x // div for x in r) for r in prod[1]))
                 if prod not in seen:
                     seen.add(prod)
                     new_frontier.append(prod)
                     if len(seen) > bound:
                         raise GroupError("group closure exceeds bound %d" % bound)
         frontier = new_frontier
-    return sorted(seen)
+    # Over their common denominator the integer rows sort as the values do.
+    common_den = math.lcm(*(den for den, _ in seen))
+
+    def value_key(element):
+        return tuple(tuple(x * (common_den // element[0]) for x in r) for r in element[1])
+
+    fraction_rows = {(den, r): tuple(Fraction(x, den) for x in r)
+                     for den, r in {(den, r) for den, rows in seen for r in rows}}
+    return [tuple(fraction_rows[den, r] for r in rows) for den, rows in sorted(seen, key=value_key)]
 
 
 # ---------------------------------------------------------------------------

@@ -13,17 +13,23 @@ Two computation paths:
     sums, valid in any characteristic), then impose the remaining
     generators by linear algebra on that much smaller space.  This is what
     makes the rank-4 Weyl computations feasible in high degrees.
+
+Each (matrix, domain) pair acts through one slice object cached on the
+GroupAction.  It holds the monomial images of the current degree only and
+builds the next degree's from them, one linear form times one image per
+monomial, in integers (the matrix times its denominator) or mod p.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .groups import GroupAction, GroupError, MatrixRows
+from .groups import GroupAction, MatrixRows
 from .linalg import SubmoduleBasis
 from .poly import (AlgebraSignature, Domain, Monomial, Polynomial, compositions, degree_slice,
                    power_products)
@@ -38,93 +44,101 @@ class InvariantError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _raw_gen_images(action: GroupAction, matrix: MatrixRows, domain: Domain):
-    """Generator images as raw {exponent-tuple: coefficient} dicts.
-
-    Raw dicts carry plain commutative multiplication, so this path requires
-    no exterior generators and no Koszul signs (even degrees, or char 2).
-    """
-    n = len(action.gen_names)
-    images = []
-    for j in range(n):
-        img: Dict[Monomial, object] = {}
-        for i in range(n):
-            c = matrix[i][j]
-            if c != 0:
-                mono = [0] * n
-                mono[i] = 1
-                img[tuple(mono)] = domain.coerce(c)
-        images.append(img)
-    return images
-
-
-def _raw_mul(a, b, domain: Domain):
-    out: Dict[Monomial, object] = {}
-    if domain.kind == "fp":
-        p = domain.p
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                mono = tuple(x + y for x, y in zip(m1, m2))
-                out[mono] = (out.get(mono, 0) + c1 * c2) % p
-        return {m: c for m, c in out.items() if c}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            mono = tuple(x + y for x, y in zip(m1, m2))
-            s = out.get(mono, 0) + c1 * c2
-            if s == 0:
-                out.pop(mono, None)
-            else:
-                out[mono] = s
-    return out
-
-
 class _SliceAction:
-    """Applies one group element to vectors on a fixed degree slice."""
+    """One matrix acting on the monomials of one exponent sum k at a time.
 
-    def __init__(self, action: GroupAction, matrix: MatrixRows, degree: int, domain: Domain,
-                 monos: List[Monomial]):
-        self.action = action
+    The generators share one degree, so the slice of exponent sum k is
+    `compositions((1,) * n, k)`, the order of `degree_slice`.  The images of
+    its monomials are CSR arrays: image(monos[j]) is the sum of
+    coef[e] * monos[idx[e]] over starts[j] <= e < starts[j + 1].  They are
+    images under the integer matrix den * M, so the true image is that over
+    den^k; over F_p the matrix is reduced mod p and den is 1.  Moving from k
+    to k + 1 builds image(x_i * m) = L_i * image(m), i the first variable of
+    x_i * m and L_i the image of x_i; moving down starts again at k = 0.
+    """
+
+    __slots__ = ("domain", "p", "den", "cols", "k", "monos", "starts", "idx", "coef")
+
+    def __init__(self, matrix: MatrixRows, domain: Domain):
         self.domain = domain
-        self.monos = monos
-        self.index = {m: i for i, m in enumerate(monos)}
-        self.images = _raw_gen_images(action, matrix, domain)
-        self._power_cache: Dict[Tuple[int, int], Dict] = {}
-        self._mono_cache: Dict[Monomial, Dict] = {}
+        self.p = domain.p if domain.kind == "fp" else 0
+        # coerce raises, as for any coefficient, on an entry outside the domain
+        entries = [[domain.coerce(x) for x in row] for row in matrix]
+        self.den = 1 if self.p else math.lcm(*(x.denominator for row in entries for x in row))
+        self.cols = [[(r, int(row[i] * self.den)) for r, row in enumerate(entries) if row[i]]
+                     for i in range(len(matrix))]
+        self._reset()
 
-    def _power(self, i: int, e: int):
-        key = (i, e)
-        cached = self._power_cache.get(key)
-        if cached is None:
-            if e == 1:
-                cached = self.images[i]
-            else:
-                half = self._power(i, e // 2)
-                cached = _raw_mul(half, half, self.domain)
-                if e % 2:
-                    cached = _raw_mul(cached, self.images[i], self.domain)
-            self._power_cache[key] = cached
-        return cached
+    def _reset(self):
+        self.k = 0
+        self.monos = [(0,) * len(self.cols)]
+        self.starts = array("I", [0, 1])
+        self.idx = array("H", [0])
+        self.coef = array("b", [1]) if self.p else [1]
 
-    def mono_image(self, mono: Monomial):
-        cached = self._mono_cache.get(mono)
-        if cached is None:
-            cached = {(0,) * len(mono): self.domain.coerce(1)}
-            for i, e in enumerate(mono):
-                if e:
-                    cached = _raw_mul(cached, self._power(i, e), self.domain)
-            self._mono_cache[mono] = cached
-        return cached
+    def move_to(self, k: int):
+        if k < self.k:
+            self._reset()
+        while self.k < k:
+            self._step()
 
-    def apply(self, vec):
-        dom = self.domain
-        out = [dom.coerce(0)] * len(self.monos)
+    def _step(self):
+        n, p = len(self.cols), self.p
+        starts, idx, coef = self.starts, self.idx, self.coef
+        monos = compositions((1,) * n, self.k + 1)
+        index = {m: j for j, m in enumerate(monos)}
+        up = [[index[m[:r] + (m[r] + 1,) + m[r + 1:]] for m in self.monos] for r in range(n)]
+        parent = [(0, 0)] * len(monos)
+        for r in reversed(range(n)):  # the first variable's entry is written last
+            for t, j in enumerate(up[r]):
+                parent[j] = (r, t)
+        new_starts = array("I", [0])
+        new_idx = array("H" if len(monos) <= 1 << 16 else "I")
+        new_coef = array("b") if p else []
+        acc = [0] * len(monos)
+        for i, t in parent:
+            seg_idx = idx[starts[t]:starts[t + 1]]
+            seg = tuple(zip(seg_idx, coef[starts[t]:starts[t + 1]]))
+            touched = set()
+            for r, a in self.cols[i]:
+                up_r = up[r]
+                for u, c in seg:
+                    acc[up_r[u]] += a * c
+                touched.update(map(up_r.__getitem__, seg_idx))
+            for v in touched:
+                c = acc[v] % p if p else acc[v]
+                acc[v] = 0
+                if c:
+                    new_idx.append(v)
+                    new_coef.append(c)
+            new_starts.append(len(new_idx))
+        self.k += 1
+        self.monos, self.starts, self.idx, self.coef = monos, new_starts, new_idx, new_coef
+
+    def apply(self, vec: Sequence) -> List:
+        """Image of a vector of domain values on the current slice."""
+        den = 1 if self.p else math.lcm(*(c.denominator for c in vec))
+        starts, idx, coef = self.starts, self.idx, self.coef
+        out = [0] * len(self.monos)
         for j, c in enumerate(vec):
-            if c == 0:
-                continue
-            for mono, a in self.mono_image(self.monos[j]).items():
-                i = self.index[mono]
-                out[i] = dom.add(out[i], dom.mul(c, a))
-        return out
+            if c:
+                c = c.numerator * (den // c.denominator)
+                for u, a in zip(idx[starts[j]:starts[j + 1]], coef[starts[j]:starts[j + 1]]):
+                    out[u] += c * a
+        if self.p:
+            return [x % self.p for x in out]
+        scale = den * self.den ** self.k
+        return [self.domain.coerce(x if scale == 1 else Fraction(x, scale)) for x in out]
+
+
+def _slice_action(action: GroupAction, matrix: MatrixRows, domain: Domain,
+                  degree: int) -> _SliceAction:
+    """The action's slice object for (matrix, domain), moved to the degree."""
+    sa = action._slices.get((matrix, domain))
+    if sa is None:
+        sa = action._slices[matrix, domain] = _SliceAction(matrix, domain)
+    sa.move_to(degree // action.gen_degree)
+    return sa
 
 
 def action_matrix(
@@ -134,18 +148,19 @@ def action_matrix(
     domain: Domain,
     slice_monos: Optional[List[Monomial]] = None,
 ) -> List[List]:
-    """Matrix of one group element on the degree slice (columns = images)."""
+    """Matrix of one group element on the degree slice (columns = images).
+
+    slice_monos, when given, must be the slice in `degree_slice` order.
+    """
     sig = action.signature(domain)
-    monos = slice_monos if slice_monos is not None else degree_slice(sig, degree)
-    sa = _SliceAction(action, matrix, degree, domain, monos)
-    cols = []
-    for j, mono in enumerate(monos):
-        img = sa.mono_image(mono)
-        col = [domain.coerce(0)] * len(monos)
-        for m, c in img.items():
-            col[sa.index[m]] = c
-        cols.append(col)
-    return [[cols[j][i] for j in range(len(monos))] for i in range(len(monos))]
+    monos = degree_slice(sig, degree) if slice_monos is None else list(slice_monos)
+    if not monos:
+        return []
+    sa = _slice_action(action, matrix, domain, degree)
+    if monos != sa.monos:
+        raise InvariantError("slice monomials are not the degree-%d slice" % degree)
+    cols = [sa.apply([int(i == j) for i in range(len(monos))]) for j in range(len(monos))]
+    return [list(row) for row in zip(*cols)]
 
 
 # ---------------------------------------------------------------------------
@@ -217,36 +232,8 @@ def _signed_subgroup(action: GroupAction):
     generators of the action they generate the whole group.
     """
     general = [m for m in action.matrices if signed_permutation(m) is None]
-    if not general:
-        n = len(action.gen_names)
-        gens = [signed_permutation(m) for m in action.matrices]
-        return _close_signed(gens, n, action.element_bound), []
-    signed = []
-    for m in action.elements():
-        sp = signed_permutation(m)
-        if sp is not None:
-            signed.append(sp)
-    return sorted(set(signed)), general
-
-
-def _close_signed(gens, n, bound):
-    ident = (tuple(range(n)), (1,) * n)
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for perm, signs in frontier:
-            for gperm, gsigns in gens:
-                nperm = tuple(gperm[perm[j]] for j in range(n))
-                nsigns = tuple(signs[j] * gsigns[perm[j]] for j in range(n))
-                cand = (nperm, nsigns)
-                if cand not in seen:
-                    seen.add(cand)
-                    nxt.append(cand)
-                    if len(seen) > bound:
-                        raise GroupError("signed subgroup closure exceeds bound")
-        frontier = nxt
-    return sorted(seen)
+    signed = set(map(signed_permutation, action.elements())) - {None}
+    return sorted(signed), general
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +241,6 @@ def _close_signed(gens, n, bound):
 # ---------------------------------------------------------------------------
 
 _ORBIT_PATH_THRESHOLD = 150
-
-
-def _raw_path_ok(action: GroupAction, domain: Domain) -> bool:
-    sig = action.signature(domain)
-    if any(g.exterior for g in sig.generators):
-        return False
-    return domain.characteristic == 2 or all(g.degree % 2 == 0 for g in sig.generators)
 
 
 def invariant_basis(
@@ -273,27 +253,14 @@ def invariant_basis(
         return SubmoduleBasis(domain, [], [])
     if degree == 0:
         return SubmoduleBasis(domain, monos, [[domain.coerce(1)]])
-    if not _raw_path_ok(action, domain):
-        raise InvariantError("action/domain combination outside supported slice arithmetic")
-
     all_signed = all(signed_permutation(m) is not None for m in action.matrices)
-    use_orbit = all_signed or len(monos) >= _ORBIT_PATH_THRESHOLD
-    if use_orbit:
-        signed_elements, general = _signed_subgroup(action)
+    if all_signed or len(monos) >= _ORBIT_PATH_THRESHOLD:
+        signed_elements, gens = _signed_subgroup(action)
         candidates = _signed_orbit_sums(monos, signed_elements, domain)
-        if not general:
-            vectors = candidates
-        else:
-            vectors = _restrict_by_generators(action, general, degree, domain, monos, candidates)
     else:
-        rows: List[List] = []
-        for m in action.matrices:
-            am = action_matrix(action, m, degree, domain, monos)
-            for i in range(len(monos)):
-                row = list(am[i])
-                row[i] = row[i] - 1
-                rows.append(row)
-        vectors = _kernel_over(rows, len(monos), domain)
+        gens, units = action.matrices, (domain.coerce(0), domain.coerce(1))
+        candidates = [[units[i == j] for i in range(len(monos))] for j in range(len(monos))]
+    vectors = _restrict_by_generators(action, gens, degree, domain, monos, candidates)
     if domain.kind in ("int", "plocal"):
         vectors = linalg.hnf_basis([[int(x) for x in v] for v in vectors])
     basis = SubmoduleBasis(domain, monos, vectors)
@@ -304,11 +271,11 @@ def invariant_basis(
 
 def _restrict_by_generators(action, gens, degree, domain, monos, candidates):
     """Kernel of (g - 1) over the listed generators, inside the candidate span."""
-    if not candidates:
-        return []
+    if not candidates or not gens:
+        return candidates
     rows: List[List] = []
     for g in gens:
-        sa = _SliceAction(action, g, degree, domain, monos)
+        sa = _slice_action(action, g, domain, degree)
         diff_cols = []
         for vec in candidates:
             moved = sa.apply(vec)
@@ -318,11 +285,12 @@ def _restrict_by_generators(action, gens, degree, domain, monos, candidates):
     coeff_vecs = _kernel_over(rows, len(candidates), domain)
     out = []
     for cv in coeff_vecs:
-        vec = [domain.coerce(0) for _ in monos]
-        for j, c in enumerate(cv):
+        vec = [domain.coerce(0)] * len(monos)
+        for c, cand in zip(cv, candidates):
             if c != 0:
-                for i in range(len(monos)):
-                    vec[i] = domain.add(vec[i], domain.mul(c, candidates[j][i]))
+                for i, x in enumerate(cand):
+                    if x != 0:
+                        vec[i] = domain.add(vec[i], domain.mul(c, x))
         out.append(vec)
     return out
 
@@ -338,7 +306,7 @@ def _kernel_over(rows, ncols, domain: Domain):
 
 def _verify_invariance(action, basis: SubmoduleBasis, degree: int, domain: Domain):
     for g in action.matrices:
-        sa = _SliceAction(action, g, degree, domain, basis.ambient)
+        sa = _slice_action(action, g, domain, degree)
         for vec in basis.vectors:
             moved = sa.apply([domain.coerce(x) for x in vec])
             if any(a != domain.coerce(b) for a, b in zip(moved, vec)):

@@ -12,7 +12,7 @@ from weylchow.ahss import (
     v_degree,
 )
 from weylchow.builtin import toy_free_chart, toy_killing_chart
-from weylchow.chart import build_chart
+from weylchow.chart import ChartError, build_chart
 from weylchow.series import expand_series
 
 
@@ -192,3 +192,14 @@ def test_v_multiplication_monotone(spin7_ahss):
         if checked > 150:
             break
     assert checked > 0
+
+
+def test_q_square_below_window_named():
+    # build_chart checks Q_1^2 = 0 where source and target lie in the window;
+    # Q_1^2 a0 = a1*b0 + a0*b1 lies in degree 8, just above it
+    chart = build_chart(
+        "q1-square", 2, 7, (("a0", 2), ("b0", 3, True), ("a1", 5), ("b1", 6)),
+        {0: {"a0": "b0", "a1": "b1"}, 1: {"a0": "a0*b0 + a1", "b0": "b1"}},
+    )
+    with pytest.raises(ChartError, match="Q_1 does not square to zero at degree 2"):
+        run_ahss(chart, 1)

@@ -93,3 +93,58 @@ def test_action_file_round_trip(tmp_path):
 def test_singular_matrix_rejected():
     with pytest.raises(GroupError):
         GroupAction("bad", ("a", "b"), 2, (((1, 1), (1, 1)),))
+
+
+def _reference_closure(action, bound):
+    """Closure over Fraction matrices, reduced mod action.mod when it is set."""
+
+    def reduce(m):
+        if action.mod is None:
+            return m
+        return tuple(tuple(Fraction(int(x) % action.mod) for x in row) for row in m)
+
+    from weylchow.groups import mat_mul
+
+    ident = mat_identity(len(action.gen_names))
+    seen, frontier = {ident}, [ident]
+    while frontier:
+        new_frontier = []
+        for m in frontier:
+            for g in action.matrices:
+                prod = reduce(mat_mul(m, g))
+                if prod not in seen:
+                    seen.add(prod)
+                    new_frontier.append(prod)
+                    if len(seen) > bound:
+                        raise GroupError("group closure exceeds bound %d" % bound)
+        frontier = new_frontier
+    return sorted(seen)
+
+
+def _conjugated_so7():
+    # S^-1 g S for the signed permutations g of so(7): denominators 2, 3, 6
+    from weylchow.groups import _freeze, _invert, mat_mul
+
+    s = _freeze([[1, 1, 0], [0, 2, 1], [0, 0, 3]])
+    s_inv = _invert(s)
+    mats = tuple(mat_mul(s_inv, mat_mul(m, s)) for m in build_weyl_so(3).matrices)
+    return GroupAction("so(7)^S", ("t1", "t2", "t3"), 2, mats)
+
+
+@pytest.mark.parametrize("build, order", [
+    (lambda: build_weyl_so(2), 8),
+    (lambda: build_weyl_spin(3), 48),
+    (lambda: build_gl(3), 168),
+    (build_weyl_f4, 1152),
+    (_conjugated_so7, 48),
+    (lambda: GroupAction("gl2(f3)", ("x1", "x2"), 2, (((1, 1), (0, 1)), ((0, 1), (1, 0))), mod=3),
+     48),
+])
+def test_integer_closure_matches_fraction_closure(build, order):
+    action = build()
+    got = enumerate_group(action, order)
+    assert got == _reference_closure(action, order)
+    assert len(got) == order
+    assert all(type(x) is Fraction for m in got for row in m for x in row)
+    with pytest.raises(GroupError, match="exceeds bound %d" % (order - 1)):
+        enumerate_group(action, order - 1)

@@ -1,3 +1,5 @@
+import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -5,6 +7,7 @@ import pytest
 from weylchow import invariants as inv_mod
 from weylchow.groups import GroupAction, build_gl, build_weyl_f4, build_weyl_so, build_weyl_spin, mat_identity
 from weylchow.invariants import (
+    action_matrix,
     algebra_generators,
     basis_polynomials,
     invariant_basis,
@@ -12,7 +15,7 @@ from weylchow.invariants import (
     subring_membership,
 )
 from weylchow.linalg import SubmoduleBasis
-from weylchow.poly import F2, F3, QQ, ZZ, Polynomial, signature, z_local
+from weylchow.poly import F2, F3, QQ, ZZ, PolyError, Polynomial, degree_slice, signature, z_local
 from weylchow.series import expand_series
 
 
@@ -138,3 +141,91 @@ def test_subring_membership_unit_coefficient_over_z_local():
     t = Polynomial.gen(sig, "t")
     assert subring_membership(t, [t.scale(3)]) == (True, {(1,): Fraction(1, 3)})
     assert subring_membership(t, [t.scale(2)]) == (False, None)
+
+
+def _substituted_matrix(action, matrix, degree, domain):
+    """Matrix of one element on the degree slice, column j the image of the
+    j-th monomial under Polynomial.substitute of the generator images."""
+    sig = action.signature(domain)
+    n = len(action.gen_names)
+    images = {name: Polynomial(sig, {tuple(int(r == i) for r in range(n)): matrix[i][j]
+                                     for i in range(n) if matrix[i][j]})
+              for j, name in enumerate(action.gen_names)}
+    monos = degree_slice(sig, degree)
+    cols = [Polynomial.from_mono(sig, m).substitute(images).terms for m in monos]
+    return [[col.get(w, domain.coerce(0)) for col in cols] for w in monos]
+
+
+@pytest.mark.parametrize("action, domain", [
+    (build_gl(3), F2),
+    (build_weyl_f4(), F3),
+    (build_weyl_f4(), QQ),
+    (build_weyl_f4(), z_local(3)),
+    (build_weyl_spin(3), ZZ),
+])
+def test_action_matrix_matches_substitution(action, domain):
+    # up, down (the slice objects start again), then skipping a degree
+    for k in (1, 2, 3, 2, 4):
+        degree = k * action.gen_degree
+        for m in action.matrices:
+            got = action_matrix(action, m, degree, domain)
+            want = _substituted_matrix(action, m, degree, domain)
+            assert got == want, (degree, m)
+            assert [list(map(type, row)) for row in got] == [list(map(type, row)) for row in want]
+
+
+@pytest.mark.parametrize("domain, message", [
+    (ZZ, "non-integer coefficient 1/2 over Z"),
+    (F2, "denominator divisible by 2 in F_2"),
+    (z_local(2), "denominator of 1/2 divisible by 2 is not 2-local"),
+])
+def test_half_integral_action_refused(domain, message):
+    f4 = build_weyl_f4()
+    with pytest.raises(PolyError, match=message):
+        invariant_basis(f4, 2, domain)
+    with pytest.raises(PolyError, match=message):
+        action_matrix(f4, f4.matrices[3], 4, domain)
+
+
+def _char_coefficients(g):
+    """Coefficients of det(I - t g): (-1)^i times the sum of the principal
+    i-minors of g, each minor by the Leibniz formula."""
+    n = len(g)
+    coeffs = [Fraction(1)]
+    for i in range(1, n + 1):
+        total = Fraction(0)
+        for rows in itertools.combinations(range(n), i):
+            for perm in itertools.permutations(range(i)):
+                sign = (-1) ** sum(perm[a] > perm[b] for a in range(i) for b in range(a + 1, i))
+                term = Fraction(sign)
+                for a in range(i):
+                    term *= g[rows[a]][rows[perm[a]]]
+                total += term
+        coeffs.append((-1) ** i * total)
+    return tuple(coeffs)
+
+
+def _molien(action, order):
+    """1/|G| sum_g 1/det(I - t g) up to t^order, t counting one generator."""
+    total = [Fraction(0)] * (order + 1)
+    for coeffs, count in Counter(map(_char_coefficients, action.elements())).items():
+        inverse = [Fraction(1)]
+        for m in range(1, order + 1):
+            terms = range(1, min(m, len(coeffs) - 1) + 1)
+            inverse.append(-sum(coeffs[i] * inverse[m - i] for i in terms))
+        total = [a + count * b for a, b in zip(total, inverse)]
+    return [x / action.order for x in total]
+
+
+@pytest.mark.parametrize("action, other_domains", [
+    (build_weyl_so(3), (ZZ, z_local(3))),
+    (build_weyl_spin(3), (ZZ, z_local(3))),
+    (build_weyl_f4(), (z_local(3),)),  # half-integral: not over Z
+])
+def test_rational_ranks_match_molien_series(action, other_domains):
+    molien = _molien(action, 12)
+    ranks = poincare_series(action, 24, QQ)
+    assert all(x.denominator == 1 for x in molien)
+    assert ranks == {2 * k: int(x) for k, x in enumerate(molien)}
+    for domain in other_domains:
+        assert poincare_series(action, 24, domain) == ranks, domain
