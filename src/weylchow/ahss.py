@@ -25,8 +25,16 @@ Because the stage-0 state is the full space, this recursion is total: the
 state of any block, however far outside the enumerated range, can be
 computed on demand (stages strictly decrease along dependencies).  The
 chart supplies bases and Milnor matrices in arbitrary degrees, so no
-approximation ever enters; the window only scopes enumeration, validation,
-and the reporting range.
+approximation ever enters; the window only scopes enumeration and the
+reporting range.
+
+One object, AhssResult, is a chart's spectral sequence, computed on
+demand: k and w are the memoized recursion, block(s, mu) is the final page
+of one block, checked (every boundary a cycle) the first time it is read,
+and keys() lists the blocks of the reporting range.  Readers go only
+through these, so they are correct on an object that was never swept.
+run_ahss reads every key, which validates the whole window; the
+restriction audit reads only the blocks it asks about.
 
 Structure extraction: a block's E_infinity group K/B has free rank equal to
 the number of free generators (free classes lose index, never rank) and
@@ -83,29 +91,85 @@ def v_label(mu: VMono) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Page state with total on-demand recursion
+# The spectral sequence of a chart, computed on demand
 # ---------------------------------------------------------------------------
 
 
-class _PageComputer:
-    """Memoized stage-state computer for arbitrary blocks.
+_STABLE_EXPONENT = 2  # v-columns stabilize at exponent 2 (see keys)
 
-    k(stage, s, mu) and w(stage, s, mu) implement the update recursion
-    directly; stages strictly decrease along every dependency, with the
-    full space at stage 0, so the recursion is total.
+
+class AhssResult:
+    """A chart's spectral sequence, computed on demand (module docstring).
+
+    blocks holds the final-page blocks read so far.  max_total defaults to
+    window - (2 p^v_max - 1) and may be raised up to the declared window.
     """
 
-    def __init__(self, chart: Chart, v_max: int):
+    def __init__(self, chart: Chart, v_max: int, max_total: Optional[int] = None):
+        if v_max < 1:
+            raise AhssError("v_max must be >= 1")
+        if max_total is None:
+            max_total = chart.window - q_shift(chart.p, v_max)
+        if max_total > chart.window:
+            raise AhssError(
+                "requested total degree %d exceeds the declared window %d"
+                % (max_total, chart.window)
+            )
         self.chart = chart
         self.p = chart.p
         self.v_max = v_max
+        self.max_total = max_total
+        self.blocks: Dict[Tuple[int, VMono], Tuple[FpSubspace, FpSubspace]] = {}
+        self._keys: Optional[List[Tuple[int, VMono]]] = None
         self._k: Dict[Tuple[int, int, VMono], FpSubspace] = {}
         self._w: Dict[Tuple[int, int, VMono], FpSubspace] = {}
 
     def rank(self, s: int) -> int:
-        if s < 0:
-            return 0
-        return self.chart.integral_slice(s).rank
+        return self.chart.integral_slice(s).rank if s >= 0 else 0
+
+    def keys(self) -> List[Tuple[int, VMono]]:
+        """The blocks of the reporting range, sorted, in two families: every
+        (s, mu) with s inside the declared window (the towers reported by
+        the summary), plus all collapse candidates at totals up to max_total
+        with v-exponents at most 2.  The state recursion computes blocks
+        beyond the window exactly, so exponent 2 suffices: along every
+        dependency chain each v-index is divided at most once, hence the
+        page state at a column with an exponent >= 3 coincides with the
+        state one v-step shallower and contributes nothing new to the
+        collapse.
+        """
+        if self._keys is None:
+            p, v_max, window = self.p, self.v_max, self.chart.window
+            keys = set()
+            # Every block with s in the window and total s - |mu| >= -v_max.
+            v_sizes = [2 * (p ** (i + 1) - 1) for i in range(v_max)]  # |v_i|, as in v_degree
+            v_monos = [mu for n in range(window + v_max + 1) for mu in compositions(v_sizes, n)]
+            for s in range(window + 1):
+                if self.rank(s) > 0:
+                    keys.update((s, mu) for mu in v_monos if -v_degree(p, mu) <= s + v_max)
+            capped = list(itertools.product(range(_STABLE_EXPONENT + 1), repeat=v_max))
+            for total in range(0, self.max_total + 1):
+                for mu in capped:
+                    s = total - v_degree(p, mu)
+                    if self.rank(s) > 0:
+                        keys.add((s, mu))
+            self._keys = sorted(keys)
+        return self._keys
+
+    def block(self, s: int, mu: VMono) -> Tuple[FpSubspace, FpSubspace]:
+        """(Kbar, Wbar) of the final page at (s, mu)."""
+        blk = self.blocks.get((s, mu))
+        if blk is None:
+            k_bar, w_bar = self.k(self.v_max, s, mu), self.w(self.v_max, s, mu)
+            if not all(map(k_bar.contains, w_bar)):
+                # build_chart checks Q_i^2 = 0 inside the window only; a
+                # failure below it shows here first, so name it if it is
+                # the cause.
+                check_q_squares(self.chart, s + 2 * q_shift(self.p, self.v_max))
+                raise AhssError("page inconsistency at (s=%d, %s): boundary outside cycles"
+                                % (s, v_label(mu)))
+            blk = self.blocks[(s, mu)] = (k_bar, w_bar)
+        return blk
 
     def k(self, stage: int, s: int, mu: VMono) -> FpSubspace:
         p = self.p
@@ -161,14 +225,6 @@ def _v_div(mu: VMono, i: int) -> VMono:
 
 
 @dataclass
-class Block:
-    s: int
-    mu: VMono
-    k_bar: FpSubspace
-    w_bar: FpSubspace
-
-
-@dataclass
 class BlockStructure:
     free_rank: int
     torsion_rank: int
@@ -176,72 +232,12 @@ class BlockStructure:
     torsion_reps: List[str] = field(default_factory=list)
 
 
-@dataclass
-class AhssResult:
-    chart: Chart
-    v_max: int
-    max_total: int
-    blocks: Dict[Tuple[int, VMono], Block]
-    pages: "_PageComputer"
-
-
-_STABLE_EXPONENT = 2  # v-columns stabilize at exponent 2 (see collapse_to_chow)
-
-
 def run_ahss(chart: Chart, v_max: int, max_total: Optional[int] = None) -> AhssResult:
-    """Run the stage-wise spectral sequence and materialize the final page.
-
-    Blocks are enumerated in two families: every (s, mu) with s inside the
-    declared window (the towers reported by the summary), plus all collapse
-    candidates at totals up to max_total with v-exponents at most 2.  The
-    state recursion computes blocks beyond the window exactly, so exponent
-    2 suffices: along every dependency chain each v-index is divided at
-    most once, hence the page state at a column with an exponent >= 3
-    coincides with the state one v-step shallower and contributes nothing
-    new to the collapse.
-
-    max_total defaults to window - (2 p^v_max - 1) and may be raised up to
-    the declared window.
-    """
-    p = chart.p
-    if v_max < 1:
-        raise AhssError("v_max must be >= 1")
-    if max_total is None:
-        max_total = chart.window - q_shift(p, v_max)
-    if max_total > chart.window:
-        raise AhssError(
-            "requested total degree %d exceeds the declared window %d"
-            % (max_total, chart.window)
-        )
-    pages = _PageComputer(chart, v_max)
-    keys = set()
-    # Every block with s in the window and total s - |mu| >= -v_max.
-    v_sizes = [2 * (p ** (i + 1) - 1) for i in range(v_max)]  # |v_i|, as in v_degree
-    v_monos = [mu for n in range(chart.window + v_max + 1) for mu in compositions(v_sizes, n)]
-    for s in range(chart.window + 1):
-        if pages.rank(s) > 0:
-            keys.update((s, mu) for mu in v_monos if -v_degree(p, mu) <= s + v_max)
-    capped = list(itertools.product(range(_STABLE_EXPONENT + 1), repeat=v_max))
-    for total in range(0, max_total + 1):
-        for mu in capped:
-            s = total - v_degree(p, mu)
-            if pages.rank(s) > 0:
-                keys.add((s, mu))
-    blocks: Dict[Tuple[int, VMono], Block] = {}
-    for s, mu in sorted(keys):
-        blocks[(s, mu)] = Block(s, mu, pages.k(v_max, s, mu), pages.w(v_max, s, mu))
-    _check_pages(chart, v_max, blocks)
-    return AhssResult(chart, v_max, max_total, blocks, pages)
-
-
-def _check_pages(chart: Chart, v_max: int, blocks: Dict[Tuple[int, VMono], Block]):
-    for (s, mu), blk in blocks.items():
-        if not all(map(blk.k_bar.contains, blk.w_bar)):
-            # build_chart checks Q_i^2 = 0 inside the window only; a failure
-            # below it shows here first, so name it if it is the cause.
-            check_q_squares(chart, s + 2 * q_shift(chart.p, v_max))
-            raise AhssError("page inconsistency at (s=%d, %s): boundary outside cycles"
-                            % (s, v_label(mu)))
+    """The spectral sequence with every block of keys() read, so checked."""
+    result = AhssResult(chart, v_max, max_total)
+    for s, mu in result.keys():
+        result.block(s, mu)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +245,13 @@ def _check_pages(chart: Chart, v_max: int, blocks: Dict[Tuple[int, VMono], Block
 # ---------------------------------------------------------------------------
 
 
-def block_structure(result: AhssResult, blk: Block) -> BlockStructure:
+def block_structure(result: AhssResult, s: int, mu: VMono) -> BlockStructure:
     """E_infinity structure of one block: K/B with readable labels."""
     chart = result.chart
     p = chart.p
-    sl = chart.integral_slice(blk.s)
+    sl = chart.integral_slice(s)
     nfree = len(sl.free)
-    k_bar = blk.k_bar
+    k_bar, w_bar = result.block(s, mu)
     k_t = k_bar.tail(nfree)  # Kbar ^ torsion span
     # The rows with a free pivot, cut to the free coordinates, are the
     # echelon basis of Kbar's projection to the free part; a free
@@ -265,8 +261,8 @@ def block_structure(result: AhssResult, blk: Block) -> BlockStructure:
                  for row in k_bar.rows[:nproj]]
     free_reps += [_vector_label(chart, sl, [p * (j == i) for j in range(nfree)])
                   for i in range(nfree) if i not in k_bar.pivots[:nproj]]
-    return BlockStructure(nfree, len(k_t) - len(blk.w_bar), free_reps,
-                          _new_reps(chart, sl, k_t, blk.w_bar))
+    return BlockStructure(nfree, len(k_t) - len(w_bar), free_reps,
+                          _new_reps(chart, sl, k_t, w_bar))
 
 
 def _vector_label(chart: Chart, sl, vec: List[int]) -> str:
@@ -290,11 +286,11 @@ def _vector_label(chart: Chart, sl, vec: List[int]) -> str:
 def einfinity_summary(result: AhssResult) -> Dict[int, List[Tuple[str, BlockStructure]]]:
     """Nonzero blocks per total degree within the reporting range."""
     out: Dict[int, List[Tuple[str, BlockStructure]]] = {}
-    for (s, mu), blk in sorted(result.blocks.items()):
+    for s, mu in result.keys():
         total = s + v_degree(result.chart.p, mu)
         if total < 0 or total > result.max_total:
             continue
-        st = block_structure(result, blk)
+        st = block_structure(result, s, mu)
         if st.free_rank or st.torsion_rank:
             out.setdefault(total, []).append((v_label(mu), st))
     return out
@@ -306,9 +302,6 @@ class CollapseReport:
 
     per_degree: Dict[int, Tuple[int, int]]
     details: Dict[int, List[str]] = field(default_factory=dict)
-
-    def chow_table(self) -> Dict[int, Tuple[int, int]]:
-        return {n // 2: v for n, v in sorted(self.per_degree.items()) if n % 2 == 0}
 
     def odd_leftovers(self) -> Dict[int, Tuple[int, int]]:
         return {n: v for n, v in sorted(self.per_degree.items()) if n % 2 == 1}
@@ -330,12 +323,12 @@ def collapse_to_chow(result: AhssResult) -> CollapseReport:
         f0, t0 = per_degree.get(total, (0, 0))
         per_degree[total] = (f0 + free, t0 + tors)
 
-    for (s, mu), blk in sorted(result.blocks.items()):
+    for s, mu in result.keys():
         total = s + v_degree(p, mu)
         if total < 0 or total > result.max_total:
             continue
         if mu == (0,) * result.v_max:
-            st = block_structure(result, blk)
+            st = block_structure(result, s, mu)
             if st.free_rank or st.torsion_rank:
                 add(total, st.free_rank, st.torsion_rank)
                 labels = details.setdefault(total, [])
@@ -344,20 +337,15 @@ def collapse_to_chow(result: AhssResult) -> CollapseReport:
                 for rep in st.torsion_reps:
                     labels.append("Z/%d: %s" % (p, rep))
             continue
-        denom = blk.w_bar
+        k_bar, denom = result.block(s, mu)
         for idx in range(result.v_max):
             if mu[idx] > 0:
-                prev_mu = _v_div(mu, idx + 1)
-                prev = result.blocks.get((s, prev_mu))
-                prev_k = prev.k_bar if prev is not None else result.pages.k(
-                    result.v_max, s, prev_mu
-                )
-                denom = denom + prev_k
-        t = len(blk.k_bar) - len(denom)
+                denom = denom + result.block(s, _v_div(mu, idx + 1))[0]
+        t = len(k_bar) - len(denom)
         if t:
             add(total, 0, t)
             labels = details.setdefault(total, [])
-            for rep in _new_reps(chart, chart.integral_slice(s), blk.k_bar, denom):
+            for rep in _new_reps(chart, chart.integral_slice(s), k_bar, denom):
                 labels.append("Z/%d: %s (v-part %s)" % (p, rep, v_label(mu)))
     return CollapseReport(per_degree, details)
 
@@ -433,14 +421,15 @@ def permanent_cycle_check(result: AhssResult, expression: str) -> CycleVerdict:
         raise AhssError("class in %r is not an integral class of the chart" % expression)
     vec = [coeff * c for c in coords]
     packed = FpSubspace.pack(p, vec)
+    w_bar = result.block(s, mu)[1]
     for stage in range(1, result.v_max + 1):
-        if not result.pages.k(stage, s, mu).contains(packed):
+        if not result.k(stage, s, mu).contains(packed):
             reason = "fails to be a cycle under d = v_%d Q_%d" % (stage, stage)
             return CycleVerdict(expression, False, reason, s, mu, stage)
     nfree = len(sl.free)
     if any(vec[:nfree]):
         return CycleVerdict(expression, True, "survives with nonzero free component", s, mu)
-    if result.pages.w(result.v_max, s, mu).contains(packed):
+    if w_bar.contains(packed):
         reason = "dies on the final page (boundary)"
         return CycleVerdict(expression, False, reason, s, mu, result.v_max)
     return CycleVerdict(expression, True, "survives all differentials with nonzero image", s, mu)

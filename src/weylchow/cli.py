@@ -26,11 +26,21 @@ from . import ahss as ahss_mod
 from . import builtin as builtin_mod
 from . import dickson as dickson_mod
 from . import restriction as restriction_mod
-from .chart import load_chart
+from .chart import ChartError, load_chart
 from .groups import GroupError, build_gl, build_weyl_f4, build_weyl_so, build_weyl_spin, load_action
-from .invariants import poincare_series
-from .poly import F2, F3, QQ, Domain, z_local
-from .series import expand_series
+from .invariants import InvariantError, poincare_series
+from .linalg import LinalgError
+from .poly import F2, F3, QQ, Domain, PolyError, z_local
+from .series import SeriesError, expand_series
+from .steenrod import SteenrodError
+
+# Refusals of an input: a one-line message and exit status 2.  Any other
+# exception is a defect and propagates with its traceback.
+INPUT_ERRORS = (
+    ahss_mod.AhssError, ChartError, dickson_mod.DicksonError, GroupError, InvariantError,
+    LinalgError, PolyError, restriction_mod.RestrictionError, SeriesError, SteenrodError,
+    ValueError, OSError,
+)
 
 
 class Report:
@@ -208,7 +218,7 @@ def cmd_audit(args) -> Report:
     model = restriction_mod.build_spin7_model(window=max_degree)
     chart_window = max_degree + 16
     bc = builtin_mod.get_builtin("spin7", chart_window)
-    ahss_result = ahss_mod.run_ahss(bc.chart, 3, max_degree)
+    ahss_result = ahss_mod.AhssResult(bc.chart, 3, max_degree)
 
     rep.line("Restriction audit for Spin(7), p = 2, degrees <= %d" % max_degree)
 
@@ -338,7 +348,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         report: Report = args.func(args)
-    except Exception as exc:  # surface one-line errors with a nonzero status
+    except INPUT_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     text = report.render(args.format)

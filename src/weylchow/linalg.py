@@ -477,35 +477,6 @@ def hnf_basis(cols: List[Vector]) -> List[Vector]:
     return basis
 
 
-def lattice_contains(cols: List[Vector], target: Vector) -> bool:
-    x = solve_q(cols, target)
-    return x is not None and all(c.denominator == 1 for c in x)
-
-
-def lattice_eq(a: List[Vector], b: List[Vector]) -> bool:
-    return hnf_basis([list(v) for v in a]) == hnf_basis([list(v) for v in b])
-
-
-def preimage_kernel(mat_cols: List[Vector], target_lattice: List[Vector]) -> List[Vector]:
-    """{c in Z^k : sum_j c_j mat_cols[j] lies in the target lattice}.
-
-    mat_cols are the images of the k source generators; the result is a
-    Hermite basis of the solution lattice in source coordinates.
-    """
-    k = len(mat_cols)
-    if k == 0:
-        return []
-    n = len(mat_cols[0])
-    t = len(target_lattice)
-    if all(is_zero_vec(c) for c in mat_cols):
-        return identity(k)
-    rows = []
-    for i in range(n):
-        rows.append([mat_cols[j][i] for j in range(k)] + [-target_lattice[j][i] for j in range(t)])
-    ker = kernel_z(rows, k + t)
-    return hnf_basis([v[:k] for v in ker])
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------
@@ -617,24 +588,8 @@ def p_valuation(n: int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Public wrappers
+# Submodules and membership
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class ExactMatrix:
-    """Dense exact matrix with a domain tag."""
-
-    domain: Domain
-    rows: List[List]
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
 
 
 @dataclass
@@ -642,7 +597,7 @@ class SubmoduleBasis:
     """Spanning vectors for a submodule of a based ambient slice.
 
     Over F_p and Q the vectors are linearly independent; over Z they form a
-    Hermite-reduced lattice basis (saturated when produced by kernel()).
+    Hermite-reduced lattice basis (saturated when produced by kernel_z()).
     """
 
     domain: Domain
@@ -652,18 +607,6 @@ class SubmoduleBasis:
     @property
     def rank(self) -> int:
         return len(self.vectors)
-
-
-def kernel(m: ExactMatrix, ambient: Optional[List] = None) -> SubmoduleBasis:
-    """Right null space of m, saturated over Z."""
-    amb = ambient if ambient is not None else list(range(m.ncols))
-    if m.domain.kind == "fp":
-        vecs = kernel_fp(m.rows, m.ncols, m.domain.p)
-    elif m.domain.kind == "rat":
-        vecs = kernel_q(m.rows, m.ncols)
-    else:
-        vecs = kernel_z(_integerize_rows(m.rows), m.ncols)
-    return SubmoduleBasis(m.domain, amb, vecs)
 
 
 def _integerize_rows(rows: List[List]) -> List[List[int]]:
@@ -717,20 +660,3 @@ def local_scale_power(values: Sequence, p: Optional[int]) -> Optional[int]:
             k = max(k, p_valuation(den, p))
     return k
 
-
-@dataclass
-class RankProfile:
-    rank_q: int
-    rank_fp: int
-    p: int
-    valuations: List[int]
-
-
-def rank_per_domain(m: ExactMatrix, p: int) -> RankProfile:
-    """Rational rank, mod-p rank, and p-valuations of the elementary divisors."""
-    rows = _integerize_rows(m.rows)
-    divisors = smith_divisors(rows)
-    rq = len(divisors)
-    vals = [p_valuation(d, p) for d in divisors]
-    rp = sum(1 for v in vals if v == 0)
-    return RankProfile(rq, rp, p, vals)

@@ -31,7 +31,6 @@ def test_toy_killing_frozen_values():
     # at the odd total degree 9 (outside the Chow table)
     assert col.per_degree == {0: (1, 0), 6: (1, 0), 9: (0, 1)}
     assert col.details[6] == ["free: 2*a"]
-    assert col.chow_table() == {0: (1, 0), 3: (1, 0)}
     assert col.odd_leftovers() == {9: (0, 1)}
 
 
@@ -156,9 +155,9 @@ def test_spin7_collapse_matches_display(spin7_ahss):
 def test_boundaries_inside_cycles(spin7_ahss):
     # spot-check the page invariant B <= K on nonempty blocks
     count = 0
-    for (s, mu), blk in spin7_ahss.blocks.items():
-        for w in blk.w_bar:
-            assert blk.k_bar.contains(w)
+    for k_bar, w_bar in spin7_ahss.blocks.values():
+        for w in w_bar:
+            assert k_bar.contains(w)
             count += 1
         if count > 500:
             break
@@ -166,12 +165,10 @@ def test_boundaries_inside_cycles(spin7_ahss):
 
 def test_page_monotonicity(spin7_ahss):
     """Cycles shrink and boundaries grow along the stages, per block."""
-    pages = spin7_ahss.pages
-    sample = [key for key in sorted(spin7_ahss.blocks)][:80]
-    for (s, mu) in sample:
-        dims_k = [len(pages.k(stage, s, mu)) for stage in range(4)]
+    for (s, mu) in spin7_ahss.keys()[:80]:
+        dims_k = [len(spin7_ahss.k(stage, s, mu)) for stage in range(4)]
         assert dims_k == sorted(dims_k, reverse=True)
-        dims_w = [len(pages.w(stage, s, mu)) for stage in range(4)]
+        dims_w = [len(spin7_ahss.w(stage, s, mu)) for stage in range(4)]
         assert dims_w == sorted(dims_w)
 
 
@@ -179,15 +176,14 @@ def test_v_multiplication_monotone(spin7_ahss):
     """K grows along multiplication by v_i (cycles stay cycles)."""
     from weylchow.ahss import _v_mult
 
-    pages = spin7_ahss.pages
     checked = 0
-    for (s, mu), blk in sorted(spin7_ahss.blocks.items()):
+    for (s, mu), (k_bar, _w_bar) in sorted(spin7_ahss.blocks.items()):
         for i in (1, 2, 3):
             deeper = spin7_ahss.blocks.get((s, _v_mult(mu, i)))
             if deeper is None:
                 continue
-            for vec in blk.k_bar:
-                assert deeper.k_bar.contains(vec)
+            for vec in k_bar:
+                assert deeper[0].contains(vec)
             checked += 1
         if checked > 150:
             break

@@ -1,10 +1,19 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from weylchow.ahss import _v_div, _v_mult, collapse_to_chow, run_ahss
+from lattices import lattice_eq, preimage_kernel
+from weylchow.ahss import (
+    AhssResult,
+    _v_div,
+    _v_mult,
+    collapse_to_chow,
+    einfinity_summary,
+    run_ahss,
+)
 from weylchow.builtin import f4_chart, f4_expected_mod_p_dims, spin7_chart, toy_killing_chart
 from weylchow.chart import (
     ChartError,
@@ -14,7 +23,7 @@ from weylchow.chart import (
     q_shift,
     serialize_chart,
 )
-from weylchow.linalg import FpSubspace
+from weylchow.linalg import FpSubspace, hnf_basis, identity
 from weylchow.poly import Polynomial, parse
 
 
@@ -340,8 +349,8 @@ def _check_against_enumeration(chart, v_max, max_total=None):
         except _TooLarge:
             continue
         for i, (k_set, w_set) in enumerate(states):
-            assert _span_of(result.pages.k(i, s, mu), pages.rank(s)) == k_set, (i, s, mu)
-            assert _span_of(result.pages.w(i, s, mu), pages.rank(s)) == w_set, (i, s, mu)
+            assert _span_of(result.k(i, s, mu), pages.rank(s)) == k_set, (i, s, mu)
+            assert _span_of(result.w(i, s, mu), pages.rank(s)) == w_set, (i, s, mu)
         compared += 1
     return compared
 
@@ -367,3 +376,112 @@ def test_page_engine_matches_enumeration_on_builtin_charts(spin7_builtin, f4_bui
     assert _check_against_enumeration(toy_killing_chart(window=12).chart, 1) > 0
     assert _check_against_enumeration(spin7_builtin.chart, 3, max_total=28) > 100
     assert _check_against_enumeration(f4_builtin.chart, 2, max_total=48) > 100
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the spectral sequence over Z, as lattices
+# ---------------------------------------------------------------------------
+
+
+class _LatticePages:
+    """K_i(s, mu) inside Z^g and B_i(t, nu) inside the torsion coordinates
+    Z^T of Z^g, computed over Z with no reduction mod p:
+
+        K_0 = Z^g,  B_0 = p Z^T,
+        K_i = {x in K_{i-1}(s, mu) : M_i x in B_{i-1}(s + |d_i|, v_i mu)},
+        B_i = B_{i-1}(t, nu) + M_i K_{i-1}(t - |d_i|, nu / v_i),
+
+    with M_i the integral_q_matrix columns read as integer vectors with
+    entries in [0, p).  Each lattice is a Hermite basis.
+    """
+
+    def __init__(self, chart):
+        self.chart, self.p = chart, chart.p
+        self.memo = {}
+
+    def rank(self, s):
+        return self.chart.integral_slice(s).rank if s >= 0 else 0
+
+    def apply(self, i, s, x):
+        width = self.rank(s + q_shift(self.p, i))
+        cols = [FpSubspace.unpack(self.p, c, width) for c in integral_q_matrix(self.chart, i, s)]
+        return [sum(c * col[r] for c, col in zip(x, cols)) for r in range(width)]
+
+    def k(self, i, s, mu):
+        key = ("k", i, s, mu)
+        if key not in self.memo:
+            rank = self.rank(s)
+            if i == 0:
+                self.memo[key] = identity(rank)
+            else:
+                prev = self.k(i - 1, s, mu)
+                allowed = self.w(i - 1, s + q_shift(self.p, i), _v_mult(mu, i))
+                coeffs = preimage_kernel([self.apply(i, s, x) for x in prev], allowed)
+                self.memo[key] = hnf_basis(
+                    [[sum(c * x[r] for c, x in zip(cv, prev)) for r in range(rank)]
+                     for cv in coeffs])
+        return self.memo[key]
+
+    def w(self, i, t, nu):
+        key = ("w", i, t, nu)
+        if key not in self.memo:
+            if i == 0:
+                self.memo[key] = _scaled_units(self.p, self.rank(t), self.nfree(t))
+            elif nu[i - 1] == 0:
+                self.memo[key] = self.w(i - 1, t, nu)
+            else:
+                src = t - q_shift(self.p, i)
+                images = [self.apply(i, src, x) for x in self.k(i - 1, src, _v_div(nu, i))]
+                self.memo[key] = hnf_basis(self.w(i - 1, t, nu) + images)
+        return self.memo[key]
+
+    def nfree(self, s):
+        return len(self.chart.integral_slice(s).free) if s >= 0 else 0
+
+
+def _scaled_units(p, g, start):
+    """p e_j for the coordinates j >= start of Z^g."""
+    return [[p * (r == j) for r in range(g)] for j in range(start, g)]
+
+
+def _preimage_lattice(sub, g, start):
+    """The preimage in Z^g of a subspace of F_p^g whose vectors vanish below
+    start: the lifts of its rows and p e_j for j >= start."""
+    lifts = [FpSubspace.unpack(sub.p, row, g) for row in sub]
+    return lifts + _scaled_units(sub.p, g, start)
+
+
+def _check_against_lattices(chart, v_max, rnd):
+    """Compare k and w of a fresh AhssResult, read in random order, with
+    _LatticePages at every key and stage; then compare the collapse and the
+    E_infinity summary of unswept objects with those of run_ahss."""
+    fresh = AhssResult(chart, v_max)
+    lattices = _LatticePages(chart)
+    reads = [(i, s, mu) for s, mu in fresh.keys() for i in range(v_max + 1)]
+    rnd.shuffle(reads)
+    for i, s, mu in reads:
+        g, nfree = lattices.rank(s), lattices.nfree(s)
+        assert lattice_eq(_preimage_lattice(fresh.k(i, s, mu), g, 0), lattices.k(i, s, mu))
+        assert lattice_eq(_preimage_lattice(fresh.w(i, s, mu), g, nfree), lattices.w(i, s, mu))
+    swept = run_ahss(chart, v_max)
+    assert collapse_to_chow(fresh) == collapse_to_chow(swept)
+    assert einfinity_summary(AhssResult(chart, v_max)) == einfinity_summary(swept)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_small_charts(), st.integers(1, 2), st.randoms(use_true_random=False))
+def test_page_engine_matches_z_lattice_recursion(chart, v_max, rnd):
+    """Every page of the engine is the preimage lattice of its mod-p state
+    (the module docstring of weylchow.ahss), also when it is read out of
+    order from an object that was never swept."""
+    try:
+        _check_against_lattices(chart, v_max, rnd)
+    except ChartError:  # a slice or a Q_1 image is refused, or Q_1^2 != 0 past the window
+        reject()
+
+
+def test_page_engine_matches_z_lattice_recursion_on_builtin_charts():
+    rnd = random.Random(7)
+    _check_against_lattices(toy_killing_chart(window=12).chart, 1, rnd)
+    _check_against_lattices(spin7_chart(window=20).chart, 3, rnd)
+    _check_against_lattices(f4_chart(window=40).chart, 2, rnd)

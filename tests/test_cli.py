@@ -96,3 +96,20 @@ def test_invariants_action_file(tmp_path, capsys):
     )
     assert code == 0
     assert "rank" in out
+
+
+def test_unknown_builtin_chart_errors(capsys):
+    code, _, err = run_cli(capsys, "ahss", "--chart", "nope", "--vmax", "1")
+    assert code == 2
+    assert err.startswith("error: unknown builtin chart 'nope'")
+
+
+def test_internal_error_propagates(monkeypatch):
+    import weylchow.cli as cli
+
+    def broken(args):
+        raise RuntimeError("a defect, not a refused input")
+
+    monkeypatch.setattr(cli, "cmd_series", broken)
+    with pytest.raises(RuntimeError, match="a defect"):
+        main(["series", "--expr", "1/(1-t)", "--order", "2"])
