@@ -110,6 +110,9 @@ class AhssResult:
             raise AhssError("v_max must be >= 1")
         if max_total is None:
             max_total = chart.window - q_shift(chart.p, v_max)
+            if max_total < 0:  # no total degree would be reported
+                raise AhssError("window %d cannot hold the pages up to v_max = %d; the smallest "
+                                "that can is %d" % (chart.window, v_max, chart.window - max_total))
         if max_total > chart.window:
             raise AhssError(
                 "requested total degree %d exceeds the declared window %d"

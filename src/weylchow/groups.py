@@ -69,9 +69,11 @@ class GroupAction:
     mod: Optional[int] = None
     element_bound: int = 10**6
     _elements: Optional[Tuple[MatrixRows, ...]] = field(default=None, repr=False)
-    # (matrix, domain) -> the matrix acting on one degree slice at a time;
-    # owned by weylchow.invariants.
+    # Owned by weylchow.invariants: the slice objects by (matrix, domain), the
+    # monomial tables by exponent sum, and the signed-permutation subgroup.
     _slices: Dict = field(default_factory=dict, repr=False, compare=False)
+    _monomials: Dict = field(default_factory=dict, repr=False, compare=False)
+    _signed: Optional[Tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.gen_names)

@@ -1,23 +1,22 @@
 """Per-degree invariant rings of finite group actions.
 
-The invariant subspace in each degree is the simultaneous kernel of
-(g - id) over a generating set; the invariants of the generated group
-coincide with those of its generators.  Over Z the result is a saturated
-lattice, so Z_(p)-invariants are the Z-invariants localized.
-
-Two computation paths:
-  * plain: stack the (g - id) matrices on the degree slice and take an
-    exact kernel;
-  * signed-orbit: restrict first to the invariants of the subgroup of
-    signed-permutation elements (computed combinatorially as signed orbit
-    sums, valid in any characteristic), then impose the remaining
-    generators by linear algebra on that much smaller space.  This is what
-    makes the rank-4 Weyl computations feasible in high degrees.
+The invariants in each degree are the vectors that every generator fixes.
+Over Z they form a saturated lattice, so Z_(p)-invariants are the
+Z-invariants localized.  They are sought in the span of candidates: the
+unit vectors of the degree slice (plain path), or, on large slices and for
+signed-permutation groups, the signed orbit sums of the subgroup of
+signed-permutation elements (orbit path; found once per action, valid in
+any characteristic).  Each remaining generator is imposed on the span the
+previous ones left, through the integer rows (den M - den^k) v: over F_p as
+an `FpSubspace.preimage`, over Q and Z as an exact kernel.  Values become
+domain elements only in the returned basis.
 
 Each (matrix, domain) pair acts through one slice object cached on the
-GroupAction.  It holds the monomial images of the current degree only and
-builds the next degree's from them, one linear form times one image per
-monomial, in integers (the matrix times its denominator) or mod p.
+GroupAction.  It computes image(m) = L_i * image(m / x_i), with i the first
+variable of m and L_i the image of x_i, in integers (den M) or mod p, only
+when the support of a vector it is applied to needs it: the plain path
+reads every monomial, the orbit path the support of the orbit sums and
+their parents, and a degree without candidates nothing.
 """
 
 from __future__ import annotations
@@ -26,11 +25,12 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .groups import GroupAction, MatrixRows
-from .linalg import SubmoduleBasis
+from .linalg import FpSubspace, SubmoduleBasis
 from .poly import (AlgebraSignature, Domain, Monomial, Polynomial, compositions, degree_slice,
                    power_products)
 
@@ -44,100 +44,85 @@ class InvariantError(Exception):
 # ---------------------------------------------------------------------------
 
 
-class _SliceAction:
-    """One matrix acting on the monomials of one exponent sum k at a time.
+def _level(levels: Dict, n: int, k: int):
+    """(monos, index, up) of exponent sum k, kept in levels (the action's
+    `_monomials`): monos in `degree_slice` order, index its inverse, and
+    up[r][t] the index of x_r times monomial t of exponent sum k - 1."""
+    if k not in levels:
+        monos = compositions((1,) * n, k)
+        index = {m: j for j, m in enumerate(monos)}
+        below = _level(levels, n, k - 1)[0] if k else []
+        up = [[index[m[:r] + (m[r] + 1,) + m[r + 1:]] for m in below] for r in range(n)]
+        levels[k] = (monos, index, up)
+    return levels[k]
 
-    The generators share one degree, so the slice of exponent sum k is
-    `compositions((1,) * n, k)`, the order of `degree_slice`.  The images of
-    its monomials are CSR arrays: image(monos[j]) is the sum of
-    coef[e] * monos[idx[e]] over starts[j] <= e < starts[j + 1].  They are
-    images under the integer matrix den * M, so the true image is that over
-    den^k; over F_p the matrix is reduced mod p and den is 1.  Moving from k
-    to k + 1 builds image(x_i * m) = L_i * image(m), i the first variable of
-    x_i * m and L_i the image of x_i; moving down starts again at k = 0.
+
+class _SliceAction:
+    """One matrix acting on monomials, each image computed when first read.
+
+    image(k, j) is the image of monomial j of exponent sum k under the
+    integer matrix den * M, as (indices, coefficients); the true image is
+    that over den^k.  Over F_p the matrix is reduced mod p and den is 1.
     """
 
-    __slots__ = ("domain", "p", "den", "cols", "k", "monos", "starts", "idx", "coef")
+    __slots__ = ("levels", "p", "den", "cols", "memo")
 
-    def __init__(self, matrix: MatrixRows, domain: Domain):
-        self.domain = domain
-        self.p = domain.p if domain.kind == "fp" else 0
+    def __init__(self, levels: Dict, matrix: MatrixRows, domain: Domain):
+        self.levels, self.p = levels, domain.characteristic
         # coerce raises, as for any coefficient, on an entry outside the domain
         entries = [[domain.coerce(x) for x in row] for row in matrix]
         self.den = 1 if self.p else math.lcm(*(x.denominator for row in entries for x in row))
         self.cols = [[(r, int(row[i] * self.den)) for r, row in enumerate(entries) if row[i]]
                      for i in range(len(matrix))]
-        self._reset()
+        self.memo: Dict[int, Dict[int, Tuple]] = {}  # exponent sum -> {index: image}
 
-    def _reset(self):
-        self.k = 0
-        self.monos = [(0,) * len(self.cols)]
-        self.starts = array("I", [0, 1])
-        self.idx = array("H", [0])
-        self.coef = array("b", [1]) if self.p else [1]
+    def keep(self, k: int):
+        """Keep the levels a degree-k recursion reads: the orbit path reads
+        parents at k - 1 and, through them, the orbit-sum support of k - 2."""
+        for level in [lv for lv in self.memo if not k - 2 <= lv <= k]:
+            del self.memo[level]
 
-    def move_to(self, k: int):
-        if k < self.k:
-            self._reset()
-        while self.k < k:
-            self._step()
-
-    def _step(self):
-        n, p = len(self.cols), self.p
-        starts, idx, coef = self.starts, self.idx, self.coef
-        monos = compositions((1,) * n, self.k + 1)
-        index = {m: j for j, m in enumerate(monos)}
-        up = [[index[m[:r] + (m[r] + 1,) + m[r + 1:]] for m in self.monos] for r in range(n)]
-        parent = [(0, 0)] * len(monos)
-        for r in reversed(range(n)):  # the first variable's entry is written last
-            for t, j in enumerate(up[r]):
-                parent[j] = (r, t)
-        new_starts = array("I", [0])
-        new_idx = array("H" if len(monos) <= 1 << 16 else "I")
-        new_coef = array("b") if p else []
-        acc = [0] * len(monos)
-        for i, t in parent:
-            seg_idx = idx[starts[t]:starts[t + 1]]
-            seg = tuple(zip(seg_idx, coef[starts[t]:starts[t + 1]]))
-            touched = set()
-            for r, a in self.cols[i]:
-                up_r = up[r]
-                for u, c in seg:
-                    acc[up_r[u]] += a * c
-                touched.update(map(up_r.__getitem__, seg_idx))
-            for v in touched:
-                c = acc[v] % p if p else acc[v]
-                acc[v] = 0
-                if c:
-                    new_idx.append(v)
-                    new_coef.append(c)
-            new_starts.append(len(new_idx))
-        self.k += 1
-        self.monos, self.starts, self.idx, self.coef = monos, new_starts, new_idx, new_coef
-
-    def apply(self, vec: Sequence) -> List:
-        """Image of a vector of domain values on the current slice."""
-        den = 1 if self.p else math.lcm(*(c.denominator for c in vec))
-        starts, idx, coef = self.starts, self.idx, self.coef
-        out = [0] * len(self.monos)
-        for j, c in enumerate(vec):
-            if c:
-                c = c.numerator * (den // c.denominator)
-                for u, a in zip(idx[starts[j]:starts[j + 1]], coef[starts[j]:starts[j + 1]]):
-                    out[u] += c * a
+    def image(self, k: int, j: int):
+        images = self.memo.setdefault(k, {})
+        if j in images or k == 0:
+            return images.get(j, ((0,), (1,)))
+        monos, _, up = _level(self.levels, len(self.cols), k)
+        m = monos[j]
+        i = next(r for r, e in enumerate(m) if e)  # the first variable of m
+        t = _level(self.levels, len(self.cols), k - 1)[1][m[:i] + (m[i] - 1,) + m[i + 1:]]
+        seg = tuple(zip(*self.image(k - 1, t)))
+        acc: Dict[int, int] = {}
+        for r, a in self.cols[i]:
+            up_r = up[r]
+            for u, c in seg:
+                v = up_r[u]
+                acc[v] = acc.get(v, 0) + a * c
         if self.p:
-            return [x % self.p for x in out]
-        scale = den * self.den ** self.k
-        return [self.domain.coerce(x if scale == 1 else Fraction(x, scale)) for x in out]
+            acc = {v: c % self.p for v, c in acc.items()}
+        idx = array("H" if len(monos) <= 1 << 16 else "I", [v for v, c in acc.items() if c])
+        coef = [c for c in acc.values() if c]
+        images[j] = (idx, array("b", coef) if self.p else coef)
+        return images[j]
+
+    def defect(self, k: int, vec: Dict[int, int]) -> List[int]:
+        """(den M - den^k) vec, mod p over F_p, for an integer vector given as
+        {monomial index: value}: zero exactly when M fixes the vector."""
+        out = [0] * len(_level(self.levels, len(self.cols), k)[0])
+        scale = self.den ** k
+        for j, c in vec.items():
+            out[j] -= scale * c
+            idx, coef = self.image(k, j)
+            for u, a in zip(idx, coef):
+                out[u] += c * a
+        return [x % self.p for x in out] if self.p else out
 
 
-def _slice_action(action: GroupAction, matrix: MatrixRows, domain: Domain,
-                  degree: int) -> _SliceAction:
-    """The action's slice object for (matrix, domain), moved to the degree."""
+def _slice_action(action: GroupAction, matrix: MatrixRows, domain: Domain, k: int):
+    """The action's slice object for (matrix, domain), kept for level k."""
     sa = action._slices.get((matrix, domain))
     if sa is None:
-        sa = action._slices[matrix, domain] = _SliceAction(matrix, domain)
-    sa.move_to(degree // action.gen_degree)
+        sa = action._slices[matrix, domain] = _SliceAction(action._monomials, matrix, domain)
+    sa.keep(k)
     return sa
 
 
@@ -156,11 +141,16 @@ def action_matrix(
     monos = degree_slice(sig, degree) if slice_monos is None else list(slice_monos)
     if not monos:
         return []
-    sa = _slice_action(action, matrix, domain, degree)
-    if monos != sa.monos:
+    k = degree // action.gen_degree
+    sa = _slice_action(action, matrix, domain, k)
+    if monos != _level(action._monomials, len(matrix), k)[0]:
         raise InvariantError("slice monomials are not the degree-%d slice" % degree)
-    cols = [sa.apply([int(i == j) for i in range(len(monos))]) for j in range(len(monos))]
-    return [list(row) for row in zip(*cols)]
+    scale = sa.den ** k
+    rows = [[domain.coerce(0)] * len(monos) for _ in monos]
+    for j in range(len(monos)):
+        for u, c in zip(*sa.image(k, j)):
+            rows[u][j] = domain.coerce(c if scale == 1 else Fraction(c, scale))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -184,17 +174,16 @@ def signed_permutation(matrix: MatrixRows) -> Optional[Tuple[Tuple[int, ...], Tu
     return tuple(perm), tuple(signs)
 
 
-def _signed_orbit_sums(monos, group, domain: Domain):
+def _signed_orbit_sums(monos, group, p: int) -> List[Dict[int, int]]:
     """Invariant basis of a signed-permutation group acting on a slice.
 
-    Each monomial orbit contributes its signed orbit sum when the signs are
-    consistent along the orbit, and nothing otherwise; this holds in every
-    characteristic.
+    Each monomial orbit contributes its signed orbit sum, as {monomial index:
+    sign}, when the signs are consistent along the orbit (mod p when p is
+    set), and nothing otherwise; this holds in every characteristic.
     """
     index = {m: i for i, m in enumerate(monos)}
     visited = [False] * len(monos)
     basis = []
-    p = domain.p if domain.kind == "fp" else 0
     for start, mono in enumerate(monos):
         if visited[start]:
             continue
@@ -217,23 +206,19 @@ def _signed_orbit_sums(monos, group, domain: Domain):
         for key in coeffs:
             visited[key] = True
         if consistent:
-            vec = [domain.coerce(0)] * len(monos)
-            for key, sign in coeffs.items():
-                vec[key] = domain.coerce(sign)
-            basis.append(vec)
+            basis.append(coeffs)
     return basis
 
 
 def _signed_subgroup(action: GroupAction):
-    """All signed-permutation elements of the group, with general coset gens.
-
-    Returns (signed_elements, general_generators).  The signed elements of a
-    finite matrix group form a subgroup; together with the non-signed
-    generators of the action they generate the whole group.
-    """
-    general = [m for m in action.matrices if signed_permutation(m) is None]
-    signed = set(map(signed_permutation, action.elements())) - {None}
-    return sorted(signed), general
+    """(signed-permutation elements, other generators), found once per action.
+    The signed elements form a subgroup; with the other generators of the
+    action they generate the whole group."""
+    if action._signed is None:
+        general = [m for m in action.matrices if signed_permutation(m) is None]
+        signed = set(map(signed_permutation, action.elements())) - {None}
+        action._signed = (sorted(signed), general)
+    return action._signed
 
 
 # ---------------------------------------------------------------------------
@@ -253,64 +238,76 @@ def invariant_basis(
         return SubmoduleBasis(domain, [], [])
     if degree == 0:
         return SubmoduleBasis(domain, monos, [[domain.coerce(1)]])
-    all_signed = all(signed_permutation(m) is not None for m in action.matrices)
-    if all_signed or len(monos) >= _ORBIT_PATH_THRESHOLD:
+    k = degree // action.gen_degree
+    if len(monos) >= _ORBIT_PATH_THRESHOLD or all(
+            signed_permutation(m) is not None for m in action.matrices):
         signed_elements, gens = _signed_subgroup(action)
-        candidates = _signed_orbit_sums(monos, signed_elements, domain)
+        candidates = _signed_orbit_sums(monos, signed_elements, domain.characteristic)
     else:
-        gens, units = action.matrices, (domain.coerce(0), domain.coerce(1))
-        candidates = [[units[i == j] for i in range(len(monos))] for j in range(len(monos))]
-    vectors = _restrict_by_generators(action, gens, degree, domain, monos, candidates)
+        gens, candidates = action.matrices, [{j: 1} for j in range(len(monos))]
+    combos = [_combine(cv, candidates)
+              for cv in _restrict_by_generators(action, gens, k, domain, candidates)]
+    vectors = [[vec.get(j, 0) for j in range(len(monos))] for vec in combos]
     if domain.kind in ("int", "plocal"):
-        vectors = linalg.hnf_basis([[int(x) for x in v] for v in vectors])
+        vectors = linalg.hnf_basis(vectors)
+    else:
+        vectors = [[domain.coerce(x) for x in vec] for vec in vectors]
     basis = SubmoduleBasis(domain, monos, vectors)
     if verify:
-        _verify_invariance(action, basis, degree, domain)
+        _verify_invariance(action, basis, k, domain)
     return basis
 
 
-def _restrict_by_generators(action, gens, degree, domain, monos, candidates):
-    """Kernel of (g - 1) over the listed generators, inside the candidate span."""
-    if not candidates or not gens:
-        return candidates
-    rows: List[List] = []
+def _combine(coeffs: Sequence, candidates: List[Dict[int, int]]) -> Dict[int, object]:
+    """sum_j coeffs[j] * candidates[j], as {monomial index: value}."""
+    vec: Dict[int, object] = {}
+    for c, cand in zip(coeffs, candidates):
+        if c:
+            for j, s in cand.items():
+                vec[j] = vec.get(j, 0) + c * s
+    return vec
+
+
+def _restrict_by_generators(action, gens, k, domain, candidates):
+    """Coefficient vectors over the candidates spanning what every listed
+    generator fixes, imposed one generator at a time.  Over F_p and Q they
+    are the stacked-kernel basis (1 at one free candidate, 0 at the others:
+    the reduced echelon form with the columns reversed); over Z and Z_(p) a
+    basis of the saturated lattice, for the caller's hnf_basis."""
+    m, p = len(candidates), domain.characteristic
+    span = FpSubspace.full(p, m) if p else linalg.identity(m)
     for g in gens:
-        sa = _slice_action(action, g, domain, degree)
-        diff_cols = []
-        for vec in candidates:
-            moved = sa.apply(vec)
-            diff_cols.append([a - b for a, b in zip(moved, vec)])
-        for i in range(len(monos)):
-            rows.append([diff_cols[j][i] for j in range(len(candidates))])
-    coeff_vecs = _kernel_over(rows, len(candidates), domain)
-    out = []
-    for cv in coeff_vecs:
-        vec = [domain.coerce(0)] * len(monos)
-        for c, cand in zip(cv, candidates):
-            if c != 0:
-                for i, x in enumerate(cand):
-                    if x != 0:
-                        vec[i] = domain.add(vec[i], domain.mul(c, x))
-        out.append(vec)
-    return out
+        if not span:
+            break
+        sa = _slice_action(action, g, domain, k)
+        coeffs = [FpSubspace.unpack(p, row, m) for row in span] if p else span
+        defects = [sa.defect(k, _combine(cv, candidates)) for cv in coeffs]
+        if p:
+            images = [FpSubspace.pack(p, d) for d in defects]
+            span = span.preimage(images, FpSubspace(p), len(defects[0]))
+            continue
+        rows = [row for row in zip(*defects) if any(row)]
+        kernel = (linalg.kernel_q if domain.kind == "rat" else linalg.kernel_z)(rows, len(coeffs))
+        cols = list(zip(*coeffs))  # a saturated kernel's rows stay primitive below
+        span = [[sum(map(mul, kv, col)) for col in cols] for kv in map(linalg._integer_row, kernel)]
+    if p:
+        red, pivots = linalg.rref_fp([FpSubspace.unpack(p, row, m)[::-1] for row in span], p)
+    elif domain.kind == "rat":
+        red, pivots = linalg.rref_q([cv[::-1] for cv in span])
+    else:
+        return span
+    return [row[::-1] for row in reversed(red[:len(pivots)])]
 
 
-def _kernel_over(rows, ncols, domain: Domain):
-    if domain.kind == "fp":
-        int_rows = [[int(x) % domain.p for x in row] for row in rows]
-        return linalg.kernel_fp(int_rows, ncols, domain.p)
-    if domain.kind == "rat":
-        return linalg.kernel_q(rows, ncols)
-    return linalg.kernel_z(linalg._integerize_rows(rows), ncols)
-
-
-def _verify_invariance(action, basis: SubmoduleBasis, degree: int, domain: Domain):
+def _verify_invariance(action, basis: SubmoduleBasis, k: int, domain: Domain):
     for g in action.matrices:
-        sa = _slice_action(action, g, domain, degree)
+        sa = _slice_action(action, g, domain, k)
         for vec in basis.vectors:
-            moved = sa.apply([domain.coerce(x) for x in vec])
-            if any(a != domain.coerce(b) for a, b in zip(moved, vec)):
-                raise InvariantError("computed vector is not invariant in degree %d" % degree)
+            den = math.lcm(*(x.denominator for x in vec))
+            ints = {j: x.numerator * (den // x.denominator) for j, x in enumerate(vec) if x}
+            if any(sa.defect(k, ints)):
+                raise InvariantError("computed vector is not invariant in degree %d"
+                                     % (k * action.gen_degree))
 
 
 def basis_polynomials(basis: SubmoduleBasis, sig: AlgebraSignature) -> List[Polynomial]:

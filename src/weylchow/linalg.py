@@ -466,8 +466,9 @@ def hnf_basis(cols: List[Vector]) -> List[Vector]:
             basis.append(pivot)
             work = [c for c in work if c is not pivot and not is_zero_vec(c)]
         row += 1
-    # Reduce earlier basis vectors by later pivots for a canonical form.
-    for idx in range(len(basis) - 1, -1, -1):
+    # Reduce earlier basis vectors by later pivots, lowest pivot first: a step changes
+    # rows from its pivot on only, so earlier reductions stay and the form is canonical.
+    for idx in range(len(basis)):
         prow = next(i for i in range(n) if basis[idx][i] != 0)
         for jdx in range(idx):
             q = basis[jdx][prow] // basis[idx][prow]
@@ -607,12 +608,6 @@ class SubmoduleBasis:
     @property
     def rank(self) -> int:
         return len(self.vectors)
-
-
-def _integerize_rows(rows: List[List]) -> List[List[int]]:
-    """Clear denominators row by row (row scaling preserves the kernel)."""
-    dens = [lcm(*[x.denominator for x in row]) for row in rows]
-    return [[x.numerator * (den // x.denominator) for x in row] for row, den in zip(rows, dens)]
 
 
 @dataclass

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -57,7 +58,8 @@ class Domain:
             if self.p not in _FP_PRIMES:
                 raise PolyError("F_p supported only for p in %s" % (_FP_PRIMES,))
         elif self.kind == "plocal":
-            if self.p is None or self.p < 2:
+            p = self.p
+            if p is None or p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
                 raise PolyError("Z_(p) needs a prime p")
         elif self.kind in ("int", "rat"):
             if self.p is not None:

@@ -318,9 +318,18 @@ def _span_of(sub, n):
     return out
 
 
+def _reporting_total(chart, v_max):
+    """The default max_total, or 0 where the window is too small for the
+    pages up to v_max (AhssResult refuses the default there).  The blocks
+    with s in the window, which the page checks compare, do not depend on it."""
+    return max(0, chart.window - q_shift(chart.p, v_max))
+
+
 def _check_against_enumeration(chart, v_max, max_total=None):
     """Compare integral_q_matrix and the page states of every block of rank
     <= 6 with _EnumeratedPages; returns the number of blocks compared."""
+    if max_total is None:
+        max_total = _reporting_total(chart, v_max)
     pages = _EnumeratedPages(chart)
     for s in range(chart.window + 1):
         rank = pages.rank(s)
@@ -455,7 +464,8 @@ def _check_against_lattices(chart, v_max, rnd):
     """Compare k and w of a fresh AhssResult, read in random order, with
     _LatticePages at every key and stage; then compare the collapse and the
     E_infinity summary of unswept objects with those of run_ahss."""
-    fresh = AhssResult(chart, v_max)
+    max_total = _reporting_total(chart, v_max)
+    fresh = AhssResult(chart, v_max, max_total)
     lattices = _LatticePages(chart)
     reads = [(i, s, mu) for s, mu in fresh.keys() for i in range(v_max + 1)]
     rnd.shuffle(reads)
@@ -463,9 +473,9 @@ def _check_against_lattices(chart, v_max, rnd):
         g, nfree = lattices.rank(s), lattices.nfree(s)
         assert lattice_eq(_preimage_lattice(fresh.k(i, s, mu), g, 0), lattices.k(i, s, mu))
         assert lattice_eq(_preimage_lattice(fresh.w(i, s, mu), g, nfree), lattices.w(i, s, mu))
-    swept = run_ahss(chart, v_max)
+    swept = run_ahss(chart, v_max, max_total)
     assert collapse_to_chow(fresh) == collapse_to_chow(swept)
-    assert einfinity_summary(AhssResult(chart, v_max)) == einfinity_summary(swept)
+    assert einfinity_summary(AhssResult(chart, v_max, max_total)) == einfinity_summary(swept)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

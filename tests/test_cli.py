@@ -113,3 +113,27 @@ def test_internal_error_propagates(monkeypatch):
     monkeypatch.setattr(cli, "cmd_series", broken)
     with pytest.raises(RuntimeError, match="a defect"):
         main(["series", "--expr", "1/(1-t)", "--order", "2"])
+
+
+@pytest.mark.parametrize("domain, code", [
+    ("zlocal:4", 2), ("zlocal:9", 2), ("zlocal:2", 0), ("zlocal:3", 0), ("zlocal:5", 0),
+])
+def test_zlocal_needs_a_prime(capsys, domain, code):
+    got, out, err = run_cli(
+        capsys,
+        "invariants", "--group", "so:3", "--domain", domain, "--max-degree", "12",
+        "--series", "1/((1-t^4)(1-t^8)(1-t^12))",
+    )
+    assert got == code
+    if code:
+        assert err.startswith("error: Z_(p) needs a prime p") and not out
+    else:
+        assert "match" in out
+
+
+def test_ahss_window_too_small_for_the_pages(capsys):
+    code, out, err = run_cli(capsys, "ahss", "--chart", "spin7", "--window", "8", "--vmax", "5")
+    assert code == 2
+    assert "totals <=" not in out
+    assert err.startswith("error: window 8 cannot hold the pages up to v_max = 5; "
+                          "the smallest that can is 63")

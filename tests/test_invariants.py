@@ -1,20 +1,23 @@
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from weylchow import invariants as inv_mod
-from weylchow.groups import GroupAction, build_gl, build_weyl_f4, build_weyl_so, build_weyl_spin, mat_identity
+from weylchow.groups import (GroupAction, build_gl, build_weyl_f4, build_weyl_so, build_weyl_spin,
+                             mat_identity, mat_mul)
 from weylchow.invariants import (
     action_matrix,
     algebra_generators,
     basis_polynomials,
     invariant_basis,
     poincare_series,
+    signed_permutation,
     subring_membership,
 )
-from weylchow.linalg import SubmoduleBasis
+from weylchow.linalg import SubmoduleBasis, hnf_basis, kernel_fp, kernel_q, kernel_z
 from weylchow.poly import F2, F3, QQ, ZZ, PolyError, Polynomial, degree_slice, signature, z_local
 from weylchow.series import expand_series
 
@@ -229,3 +232,116 @@ def test_rational_ranks_match_molien_series(action, other_domains):
     assert ranks == {2 * k: int(x) for k, x in enumerate(molien)}
     for domain in other_domains:
         assert poincare_series(action, 24, domain) == ranks, domain
+
+
+def _generator_images(action, matrix, sig):
+    n = len(action.gen_names)
+    return {name: Polynomial(sig, {tuple(int(r == i) for r in range(n)): matrix[i][j]
+                                   for i in range(n) if matrix[i][j]})
+            for j, name in enumerate(action.gen_names)}
+
+
+@pytest.mark.parametrize("action, domain, top", [
+    (build_gl(3), F2, 9),
+    (build_weyl_f4(), F3, 7),
+    (build_weyl_f4(), QQ, 6),
+    (build_weyl_f4(), z_local(3), 6),
+])
+def test_slice_action_matches_substitution_on_sparse_vectors(action, domain, top):
+    """The on-demand images against Polynomial.substitute, on random vectors
+    with random sparse supports, visiting the levels up, down and skipping."""
+    rnd = random.Random(5)
+    sig = action.signature(domain)
+    images = {m: _generator_images(action, m, sig) for m in action.matrices}
+    levels = [rnd.randrange(top + 1) for _ in range(12)]
+    assert any(b < a for a, b in zip(levels, levels[1:]))
+    for k in levels:
+        monos = degree_slice(sig, k * action.gen_degree)
+        for m in action.matrices:
+            sa = inv_mod._slice_action(action, m, domain, k)
+            support = rnd.sample(range(len(monos)), min(len(monos), rnd.randint(1, 4)))
+            vec = {j: rnd.randint(-3, 3) or 1 for j in support}
+            poly = Polynomial(sig, {monos[j]: c for j, c in vec.items()})
+            moved = poly.substitute(images[m]).terms
+            scale = sa.den ** k
+            want = [scale * (moved.get(w, 0) - domain.coerce(vec.get(j, 0)))
+                    for j, w in enumerate(monos)]
+            want = [int(x) % domain.p if domain.kind == "fp" else int(x) for x in want]
+            assert sa.defect(k, vec) == want, (k, m, vec)
+
+
+def _stacked_kernel_reference(action, degree, domain):
+    """The invariant basis from one stacked kernel of the (g - 1) rows over
+    the candidates, each g - 1 from action_matrix, as the module docstring's
+    two paths define it."""
+    monos = degree_slice(action.signature(domain), degree)
+    zero, one = domain.coerce(0), domain.coerce(1)
+    signed = [inv_mod.signed_permutation(g) is not None for g in action.matrices]
+    if len(monos) >= inv_mod._ORBIT_PATH_THRESHOLD or all(signed):
+        group = sorted(set(map(inv_mod.signed_permutation, action.elements())) - {None})
+        cands = [[domain.coerce(c.get(j, 0)) for j in range(len(monos))]
+                 for c in inv_mod._signed_orbit_sums(monos, group, domain.characteristic)]
+        gens = [g for g, s in zip(action.matrices, signed) if not s]
+    else:
+        cands = [[one if i == j else zero for i in range(len(monos))] for j in range(len(monos))]
+        gens = action.matrices
+    supports = [[(t, x) for t, x in enumerate(c) if x] for c in cands]
+    rows = []
+    for g in gens:
+        mat = action_matrix(action, g, degree, domain)
+        rows += [[sum(mat[i][t] * x for t, x in sup) - c[i] for c, sup in zip(cands, supports)]
+                 for i in range(len(monos))]
+    if domain.kind == "fp":
+        coeffs = kernel_fp([[int(x) % domain.p for x in row] for row in rows], len(cands), domain.p)
+    elif domain.kind == "rat":
+        coeffs = kernel_q(rows, len(cands))
+    else:
+        coeffs = kernel_z([[int(x) for x in row] for row in rows], len(cands))
+    vectors = [[domain.coerce(sum(c * cand[i] for c, cand in zip(cv, cands)))
+                for i in range(len(monos))] for cv in coeffs]
+    if domain.kind in ("int", "plocal"):
+        vectors = hnf_basis([[int(x) for x in v] for v in vectors])
+    return vectors
+
+
+def _conjugated_gl3(seed):
+    """The GL_3(F_2) generators conjugated by a seeded random element."""
+    gl = build_gl(3)
+    rnd = random.Random(seed)
+    g = rnd.choice(gl.elements())
+    g_inv = next(h for h in gl.elements()
+                 if all((x - (i == j)) % 2 == 0 for i, row in enumerate(mat_mul(g, h))
+                        for j, x in enumerate(row)))
+    mats = [[[int(x) % 2 for x in row] for row in mat_mul(mat_mul(g, m), g_inv)]
+            for m in gl.matrices]
+    return GroupAction("conj", gl.gen_names, 1, tuple(mats), mod=2)
+
+
+@pytest.mark.parametrize("action, domain, degrees", [
+    (build_gl(3), F2, range(1, 17)),
+    (build_weyl_f4(), F3, range(2, 21, 2)),
+    (build_weyl_f4(), QQ, range(2, 19, 2)),
+    (build_weyl_spin(3), ZZ, range(2, 25, 2)),
+    (_conjugated_gl3(11), F2, range(1, 17)),
+])
+def test_invariant_basis_matches_stacked_kernel(action, domain, degrees):
+    for d in degrees:
+        got = invariant_basis(action, d, domain).vectors
+        want = _stacked_kernel_reference(action, d, domain)
+        assert got == want, d
+        assert [list(map(type, v)) for v in got] == [list(map(type, v)) for v in want], d
+
+
+def test_signed_subgroup_found_once(monkeypatch):
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix)
+        return signed_permutation(matrix)
+
+    monkeypatch.setattr(inv_mod, "signed_permutation", counting)
+    report = inv_mod.invariant_report(build_weyl_f4(), 40, F3)
+    assert report.rank(40) == 11
+    # one scan of the 1,152 elements, one check per generator in each of the
+    # 21 degrees, and the 4 generators once more
+    assert len(calls) <= 1152 + 21 * 4 + 4

@@ -109,6 +109,28 @@ def test_hnf_basis_prunes_and_reduces():
     assert basis == [[2, 0], [0, 3]]
 
 
+def test_hnf_basis_is_canonical():
+    """Every generating set of one lattice gives the same reduced basis: each
+    entry at a later basis vector's pivot row lies in [0, that pivot)."""
+    rng = random.Random(11)
+    for _ in range(200):
+        n, k = 5, rng.randint(1, 4)
+        base = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)]
+        mixed = [list(v) for v in base]
+        for _ in range(6):  # unimodular column operations and a redundant column
+            i, j = rng.sample(range(k), 2) if k > 1 else (0, 0)
+            c = rng.randint(-3, 3)
+            if i != j:
+                mixed[i] = [a + c * b for a, b in zip(mixed[i], mixed[j])]
+        coeffs = [rng.randint(-2, 2) for _ in base]
+        mixed.append([sum(c * v[r] for c, v in zip(coeffs, base)) for r in range(n)])
+        want = linalg.hnf_basis([list(v) for v in base])
+        assert linalg.hnf_basis(mixed) == want
+        pivots = [next(r for r in range(n) if v[r]) for v in want]
+        for a, v in enumerate(want):
+            assert all(0 <= v[pivots[b]] < want[b][pivots[b]] for b in range(a + 1, len(want)))
+
+
 def test_snf_with_basis_reconstructs_span():
     rng = random.Random(3)
     for _ in range(15):

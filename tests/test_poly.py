@@ -292,3 +292,13 @@ def test_mul_matches_term_by_term_reference(pair):
     kind = p.sig.domain.kind
     expected_type = Fraction if kind in ("rat", "plocal") else int
     assert all(type(c) is expected_type for c in product.terms.values())
+
+
+@pytest.mark.parametrize("p", [None, 0, 1, 4, 9, 15, 49, 221])
+def test_z_local_refuses_a_non_prime(p):
+    with pytest.raises(PolyError, match=r"Z_\(p\) needs a prime p"):
+        z_local(p)
+
+
+def test_z_local_accepts_primes():
+    assert [z_local(p).p for p in (2, 3, 5, 7, 13, 97)] == [2, 3, 5, 7, 13, 97]
