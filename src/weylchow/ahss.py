@@ -55,8 +55,10 @@ rows with a pivot among the torsion coordinates.
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import compress, product, repeat
+from operator import add, mul
 from typing import Dict, List, Optional, Tuple
 
 from . import linalg
@@ -113,6 +115,8 @@ class AhssResult:
             if max_total < 0:  # no total degree would be reported
                 raise AhssError("window %d cannot hold the pages up to v_max = %d; the smallest "
                                 "that can is %d" % (chart.window, v_max, chart.window - max_total))
+        elif max_total < 0:
+            raise AhssError("requested total degree %d is negative" % max_total)
         if max_total > chart.window:
             raise AhssError(
                 "requested total degree %d exceeds the declared window %d"
@@ -150,7 +154,7 @@ class AhssResult:
             for s in range(window + 1):
                 if self.rank(s) > 0:
                     keys.update((s, mu) for mu in v_monos if -v_degree(p, mu) <= s + v_max)
-            capped = list(itertools.product(range(_STABLE_EXPONENT + 1), repeat=v_max))
+            capped = list(product(range(_STABLE_EXPONENT + 1), repeat=v_max))
             for total in range(0, self.max_total + 1):
                 for mu in capped:
                     s = total - v_degree(p, mu)
@@ -248,41 +252,47 @@ def run_ahss(chart: Chart, v_max: int, max_total: Optional[int] = None) -> AhssR
 # ---------------------------------------------------------------------------
 
 
-def block_structure(result: AhssResult, s: int, mu: VMono) -> BlockStructure:
-    """E_infinity structure of one block: K/B with readable labels."""
+def free_classes(result: AhssResult, s: int, mu: VMono) -> List[List[int]]:
+    """The free classes of the final page at (s, mu), as integer vectors
+    over chart.basis_at(s)."""
     chart = result.chart
     p = chart.p
     sl = chart.integral_slice(s)
     nfree = len(sl.free)
-    k_bar, w_bar = result.block(s, mu)
-    k_t = k_bar.tail(nfree)  # Kbar ^ torsion span
+    k_bar = result.block(s, mu)[0]
     # The rows with a free pivot, cut to the free coordinates, are the
     # echelon basis of Kbar's projection to the free part; a free
     # coordinate that is no pivot there survives only as p times itself.
-    nproj = len(k_bar) - len(k_t)
-    free_reps = [_vector_label(chart, sl, FpSubspace.unpack(p, row, sl.rank)[:nfree])
-                 for row in k_bar.rows[:nproj]]
-    free_reps += [_vector_label(chart, sl, [p * (j == i) for j in range(nfree)])
-                  for i in range(nfree) if i not in k_bar.pivots[:nproj]]
-    return BlockStructure(nfree, len(k_t) - len(w_bar), free_reps,
+    nproj = bisect_left(k_bar.pivots, nfree)
+    free = [_lift(chart, sl, FpSubspace.unpack(p, row, sl.rank)[:nfree])
+            for row in k_bar.rows[:nproj]]
+    return free + [[p * c for c in sl.free[i]]
+                   for i in range(nfree) if i not in k_bar.pivots[:nproj]]
+
+
+def block_structure(result: AhssResult, s: int, mu: VMono) -> BlockStructure:
+    """E_infinity structure of one block: K/B, labelled by free_classes and
+    the new torsion classes."""
+    chart = result.chart
+    sl = chart.integral_slice(s)
+    k_bar, w_bar = result.block(s, mu)
+    k_t = k_bar.tail(len(sl.free))  # Kbar ^ torsion span
+    return BlockStructure(len(sl.free), len(k_t) - len(w_bar),
+                          [_class_label(chart, s, vec) for vec in free_classes(result, s, mu)],
                           _new_reps(chart, sl, k_t, w_bar))
 
 
-def _vector_label(chart: Chart, sl, vec: List[int]) -> str:
-    monos = chart.basis_at(sl.degree)
-    basis_vectors = sl.free + sl.torsion
-    terms: Dict[int, int] = {}
-    for coeff, bvec in zip(vec, basis_vectors):
-        if coeff:
-            for idx, c in enumerate(bvec):
-                if c:
-                    terms[idx] = terms.get(idx, 0) + coeff * c
-    parts = []
-    for idx, c in sorted(terms.items()):
-        if c == 0:
-            continue
-        label = chart.mono_label(monos[idx])
-        parts.append(label if c == 1 else "%d*%s" % (c, label))
+def _lift(chart: Chart, sl, coeffs: List[int]) -> List[int]:
+    """sum_j coeffs[j] * (integral basis vector j), over chart.basis_at(s)."""
+    out = [0] * chart.dim(sl.degree)
+    for coeff, bvec in zip(filter(None, coeffs), compress(sl.free + sl.torsion, coeffs)):
+        out = list(map(add, out, bvec if coeff == 1 else map(mul, repeat(coeff), bvec)))
+    return out
+
+
+def _class_label(chart: Chart, s: int, vec: List[int]) -> str:
+    parts = [chart.mono_label(m) if c == 1 else "%d*%s" % (c, chart.mono_label(m))
+             for m, c in zip(compress(chart.mono_index(s), vec), filter(None, vec))]
     return " + ".join(parts) if parts else "0"
 
 
@@ -356,7 +366,8 @@ def collapse_to_chow(result: AhssResult) -> CollapseReport:
 def _new_reps(chart: Chart, sl, vectors: FpSubspace, span: FpSubspace) -> List[str]:
     """Labels of the rows of vectors that are new modulo span, in order."""
     span = span.copy()
-    return [_vector_label(chart, sl, FpSubspace.unpack(chart.p, vec, sl.rank))
+    return [_class_label(chart, sl.degree,
+                         _lift(chart, sl, FpSubspace.unpack(chart.p, vec, sl.rank)))
             for vec in vectors if span.insert(vec)]
 
 

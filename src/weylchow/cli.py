@@ -216,9 +216,6 @@ def cmd_audit(args) -> Report:
         raise ValueError("audit currently covers the spin7 chart")
     max_degree = args.max_degree
     model = restriction_mod.build_spin7_model(window=max_degree)
-    chart_window = max_degree + 16
-    bc = builtin_mod.get_builtin("spin7", chart_window)
-    ahss_result = ahss_mod.AhssResult(bc.chart, 3, max_degree)
 
     rep.line("Restriction audit for Spin(7), p = 2, degrees <= %d" % max_degree)
 
@@ -275,7 +272,7 @@ def cmd_audit(args) -> Report:
     rep.fact("audit.kernel.combined", "all", "zero" if ok_combined else "nonzero",
              ok=ok_combined)
 
-    det = restriction_mod.omega_detection_audit(model, ahss_result)
+    det = restriction_mod.omega_detection_audit(model, model.ahss)
     rep.line("detection: 2e permanent %s, v_1 e permanent %s, e dies %s" % (
         det.permanent_2e, det.permanent_v1e, det.e_dies))
     rep.line("detection towers nonzero and injective mod 2: %s"

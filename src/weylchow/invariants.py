@@ -430,7 +430,7 @@ def algebra_generators(
             new_vecs = []
             current = [list(v) for v in span_vectors]
             for vec in inv.vectors:
-                if not _in_span(current, vec, domain):
+                if not linalg.membership(vec, SubmoduleBasis(domain, monos, current)).inside:
                     new_vecs.append(list(vec))
                     current.append(list(vec))
         for vec in new_vecs:
@@ -477,16 +477,3 @@ def _lattice_complement(inv: SubmoduleBasis, span_vectors, domain: Domain):
         new_vecs.append(combo)
     return new_vecs
 
-
-def _in_span(span_vectors, vec, domain: Domain) -> bool:
-    if not span_vectors:
-        return linalg.is_zero_vec(vec)
-    if domain.kind == "fp":
-        sol = linalg.solve_fp(
-            [[int(x) for x in c] for c in span_vectors], [int(x) for x in vec], domain.p
-        )
-        return sol is not None
-    sol = linalg.solve_q(span_vectors, vec)
-    return sol is not None and (
-        domain.kind == "rat" or linalg.local_scale_power(sol, domain.p) == 0
-    )

@@ -630,7 +630,10 @@ def membership(v: Vector, s: SubmoduleBasis) -> Membership:
         raise LinalgError("dimension mismatch")
     if is_zero_vec(v):
         return Membership(True, 0)
-    x = solve_q(s.vectors, v)
+    if s.domain.kind == "fp":
+        x = solve_fp([[int(c) for c in col] for col in s.vectors], [int(c) for c in v], s.domain.p)
+    else:
+        x = solve_q(s.vectors, v)
     if x is None:
         return Membership(False, None)
     if s.domain.kind in ("rat", "fp"):

@@ -3,33 +3,42 @@
 The ambient objects are computed, never assumed: the Weyl-invariant ring of
 the spin weight lattice is produced degree by degree by the invariants
 engine, and its ring generators (degrees 4, 8, 12) are extracted
-mechanically.  The trusted inputs are the published presentation of
-CH*(BSpin(7)) and the restriction formulas of its generators (images of
-the Chern classes, the 2-divided classes, the torsion ideal, and the
-cobordism lift of the degree-6 torsion class); the audits verify that this
-data is mutually consistent: image membership with minimal 2-powers,
-Feshbach nilpotence, injectivity criteria, restriction kernels, and the
+mechanically.  The source side is read from the Spin(7) chart's spectral
+sequence: in degree d the image of CH*(BSpin(7))/Tor is spanned by the
+final-page free classes of block (d, 1), the free part of the collapse to
+Z_(2) (Totaro's factorization CH*(BG) -> MU*(BG) (x)_MU* Z -> H*(BG)), and
+the image of H*(BSpin(7))/Tor by the Q_0-homology classes of the integral
+slice.  The trusted inputs are the identification of chart classes with
+invariant generators (w_4 -> w4, w_6^2 -> c6, w_8 -> w8), the torsion
+source classes with their elementary-abelian images, and the cobordism
+lift of the degree-6 torsion class.  The audits verify that this data is
+mutually consistent: image membership with minimal 2-powers, Feshbach
+nilpotence, injectivity criteria, restriction kernels, and the
 v_1-detection of the Griffiths ideal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
+from .ahss import AhssResult, free_classes, permanent_cycle_check
+from .builtin import spin7_chart
+from .chart import Chart
 from .groups import GroupAction, build_weyl_spin
 from .invariants import (
     algebra_generators,
-    invariant_basis,
     invariant_report,
     InvariantReport,
+    subring_membership,
 )
-from .linalg import Membership, SubmoduleBasis, membership
+from .linalg import SubmoduleBasis, membership
 from .poly import (
     AlgebraSignature,
     Domain,
     F2,
+    Monomial,
     Polynomial,
     compositions,
     degree_slice,
@@ -44,34 +53,61 @@ class RestrictionError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Presentations
+# Images read from a chart
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RingPresentation:
-    """A module over a polynomial subring, embedded in an ambient algebra.
+class ImageLattice:
+    """A graded lattice of the invariant ring, spanned by classes of a chart.
 
-    subring_gens and module_gens carry (label, embedding polynomial); the
-    presentation's additive basis in degree d is the set of products
-    (subring monomial) * (module generator) of that degree.
+    vectors(d) lists the classes of degree d as integer vectors over
+    chart.basis_at(d).  identification pairs invariant generators with chart
+    monomials, each a power of one chart generator, by chart name (as
+    "c_6" -> w_6^2); a class maps through it first to generator coordinates
+    (a polynomial over gsig, one variable per invariant generator), then
+    into the invariant ring by substitution.
     """
 
-    name: str
-    subring_gens: List[Tuple[str, Polynomial]]
-    module_gens: List[Tuple[str, Polynomial]]
+    def __init__(self, name: str, chart: Chart,
+                 identification: Sequence[Tuple[str, Polynomial]],
+                 vectors: Callable[[int], List[List[int]]]):
+        self.name, self.chart, self.vectors = name, chart, vectors
+        self.identification = list(identification)
+        self.generators = [g for _, g in self.identification]
+        self.gsig = signature([(text, g.degree()) for text, g in self.identification],
+                              self.generators[0].sig.domain)
+        # (chart generator, power) of each invariant generator
+        self._places = [next((j, e) for j, e in enumerate(chart.resolve_name(text)) if e)
+                        for text, _ in self.identification]
+        self._classes: Dict[int, List[Polynomial]] = {}
 
-    def basis_in_degree(self, degree: int) -> List[Tuple[str, Polynomial]]:
-        names = [lbl for lbl, _ in self.subring_gens]
-        gens = [g for _, g in self.subring_gens]
-        labels, terms = [], []
-        for label_m, gen_m in self.module_gens:
-            if gen_m.is_zero():
-                continue
-            for expo in compositions([g.degree() for g in gens], degree - gen_m.degree()):
-                labels.append(_product_label(names, expo, label_m))
-                terms.append((gen_m, expo))
-        return list(zip(labels, power_products(gens, terms)))
+    def exponents(self, mono: Monomial) -> Tuple[int, ...]:
+        """The generator exponents of a chart monomial; a monomial outside
+        the identified subring raises."""
+        rest = list(mono)
+        out = []
+        for j, power in self._places:
+            out.append(rest[j] // power)
+            rest[j] %= power
+        if any(rest):
+            raise RestrictionError("chart class %s is not a monomial in %s"
+                                   % (self.chart.mono_label(mono), ", ".join(self.gsig.names)))
+        return tuple(out)
+
+    def classes(self, degree: int) -> List[Polynomial]:
+        """The classes of a degree in generator coordinates."""
+        if degree not in self._classes:
+            monos = self.chart.basis_at(degree)
+            self._classes[degree] = [
+                Polynomial(self.gsig, {self.exponents(m): c for m, c in zip(monos, vec) if c})
+                for vec in self.vectors(degree)
+            ]
+        return self._classes[degree]
+
+    def polynomials(self, degree: int) -> List[Polynomial]:
+        """The classes of a degree in the invariant ring."""
+        images = dict(zip(self.gsig.names, self.generators))
+        return [c.substitute(images) for c in self.classes(degree)]
 
 
 def _product_label(names: Sequence[str], expo: Sequence[int], last: str) -> str:
@@ -94,7 +130,8 @@ def _coords(poly: Polynomial, monos, domain: Domain) -> List:
 
 @dataclass
 class Spin7Model:
-    """Computed invariants plus the trusted Chow-side presentations."""
+    """Computed invariants, the chart's spectral sequence (ahss, whose chart
+    has window + 16), and the Chow-side and H/Tor images read from it."""
 
     window: int
     action: GroupAction
@@ -103,20 +140,18 @@ class Spin7Model:
     w4: Polynomial
     w8: Polynomial
     c6: Polynomial
-    ch_presentation: RingPresentation
-    h_presentation: RingPresentation
+    ahss: AhssResult
+    ch_presentation: ImageLattice
+    h_presentation: ImageLattice
 
     @property
     def sig(self) -> AlgebraSignature:
         return self.action.signature(self.domain)
 
-    def subring_gens(self):
-        return self.ch_presentation.subring_gens
-
 
 def build_spin7_model(window: int = 28) -> Spin7Model:
-    """Compute the invariant ring of the spin rank-3 lattice and set up the
-    image-module presentations on top of its extracted generators."""
+    """Compute the invariant ring of the spin rank-3 lattice and read the
+    image lattices from the Spin(7) chart through its extracted generators."""
     action = build_weyl_spin(3)
     domain = z_local(2)
     inv = invariant_report(action, window, domain)
@@ -131,24 +166,14 @@ def build_spin7_model(window: int = 28) -> Spin7Model:
     w4 = by_degree[4][0]
     w8 = by_degree[8][0]
     c6 = by_degree[12][0]
-    one = Polynomial.one(action.signature(domain))
-    subring = [("c_4", w4 * w4), ("c_6", c6), ("c_8", w8 * w8)]
-    ch = RingPresentation(
-        "CH(BSpin7)/Tor",
-        subring,
-        [
-            ("1", one),
-            ("2w_4", w4.scale(2)),
-            ("2w_8", w8.scale(2)),
-            ("2w_4w_8", (w4 * w8).scale(2)),
-        ],
-    )
-    h = RingPresentation(
-        "H(BSpin7)/Tor",
-        subring,
-        [("1", one), ("w_4", w4), ("w_8", w8), ("w_4w_8", w4 * w8)],
-    )
-    return Spin7Model(window, action, domain, inv, w4, w8, c6, ch, h)
+    chart = spin7_chart(window + 16).chart
+    result = AhssResult(chart, 3, window)
+    identification = [("w_4", w4), ("c_6", c6), ("w_8", w8)]
+    ch = ImageLattice("CH(BSpin7)/Tor", chart, identification,
+                      lambda d: free_classes(result, d, (0, 0, 0)))
+    h = ImageLattice("H(BSpin7)/Tor", chart, identification,
+                     lambda d: chart.integral_slice(d).free)
+    return Spin7Model(window, action, domain, inv, w4, w8, c6, result, ch, h)
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +208,13 @@ class ImageAuditReport:
 
 
 def rho_image_audit(
-    model: Spin7Model, pres: RingPresentation, max_degree: Optional[int] = None
+    model: Spin7Model, pres: ImageLattice, max_degree: Optional[int] = None
 ) -> ImageAuditReport:
-    """Membership of every invariant basis vector in the presentation span.
+    """Membership of every invariant basis vector in the image lattice.
 
-    For each degree: the presentation's span is intersected with the
-    invariant lattice coordinatewise; each invariant basis vector gets
-    inside / outside / inside-after-scaling-2^k with the minimal k.
+    For each degree: the image's span is intersected with the invariant
+    lattice coordinatewise; each invariant basis vector gets inside /
+    outside / inside-after-scaling-2^k with the minimal k.
     """
     max_degree = max_degree if max_degree is not None else model.window
     rows: List[ImageAuditRow] = []
@@ -199,10 +224,9 @@ def rho_image_audit(
         inv = model.invariants.by_degree.get(degree)
         if inv is None or inv.rank == 0:
             continue
-        basis_elements = pres.basis_in_degree(degree)
         span_cols = [
             [int(x) for x in _coords(poly, inv.ambient, model.domain)]
-            for _, poly in basis_elements
+            for poly in pres.polynomials(degree)
         ]
         span = SubmoduleBasis(model.domain, inv.ambient, linalg.hnf_basis(span_cols))
         image_ranks[degree] = span.rank
@@ -244,64 +268,48 @@ class NilpotenceRow:
 
 
 def feshbach_nilpotence(
-    pres: RingPresentation,
+    pres: ImageLattice,
     candidates: Sequence[Tuple[str, Polynomial]],
     p: int = 2,
     exponent_bound: int = 8,
     degree_bound: int = 64,
 ) -> List[NilpotenceRow]:
-    """Bounded nilpotence search in (presentation) (x) Z/p.
+    """Bounded nilpotence search in (image) (x) Z/p, in generator coordinates.
 
-    Powers are computed in the ambient ring and re-expressed in the
-    presentation basis; a power is zero mod p exactly when all its
-    coordinates are divisible by p.  Candidates outside the presentation
-    span raise.
+    Each candidate is written once as a polynomial in the image's
+    generators (subring_membership); its powers are taken there and solved
+    over the classes of their degree.  A power is zero mod p exactly when
+    all its coordinates are divisible by p.  A candidate or a power outside
+    the image raises.
     """
     rows = []
     for label, y in candidates:
         if not y.is_homogeneous() or y.is_zero():
             raise RestrictionError("candidate %s must be homogeneous nonzero" % label)
+        inside, combination = subring_membership(y, pres.generators)
+        if not inside:
+            raise RestrictionError("%s is not a polynomial in the generators of %s"
+                                   % (label, pres.name))
+        y = Polynomial(pres.gsig, combination)
         exponent = None
         power = y
         for n in range(2, exponent_bound + 1):
             power = power * y
             if power.degree() > degree_bound:
                 break
-            coords = _present_coords(pres, power)
-            if coords is None:
+            classes = pres.classes(power.degree())
+            support = sorted(set(power.terms).union(*(c.terms for c in classes)))
+            coords = linalg.solve_q([[c.coefficient(m) for m in support] for c in classes],
+                                    [power.coefficient(m) for m in support])
+            if coords is None or linalg.local_scale_power(coords, p) != 0:
                 raise RestrictionError(
-                    "%s^%d is not expressible in presentation %s" % (label, n, pres.name)
+                    "%s^%d is not expressible in %s" % (label, n, pres.name)
                 )
-            if all(int(c) % p == 0 for c in coords.values()):
+            if all(c.numerator % p == 0 for c in coords):
                 exponent = n
                 break
         rows.append(NilpotenceRow(label, exponent))
     return rows
-
-
-def _present_coords(pres: RingPresentation, poly: Polynomial):
-    """Coordinates of an ambient polynomial over the presentation basis."""
-    if poly.is_zero():
-        return {}
-    degree = poly.degree()
-    basis_elements = pres.basis_in_degree(degree)
-    if not basis_elements:
-        return None
-    support = sorted(
-        set().union(*[set(p2.terms) for _, p2 in basis_elements], set(poly.terms))
-    )
-    cols = [[p2.terms.get(m, 0) for m in support] for _, p2 in basis_elements]
-    target = [poly.terms.get(m, 0) for m in support]
-    sol = linalg.solve_q(cols, target)
-    if sol is None:
-        return None
-    out = {}
-    for (label, _), c in zip(basis_elements, sol):
-        if c != 0:
-            if c.denominator != 1:
-                return None
-            out[label] = int(c)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +325,9 @@ class CriterionReport:
 
 
 def surjectivity_criterion(
-    model: Spin7Model, pres: RingPresentation, max_degree: Optional[int] = None
+    model: Spin7Model, pres: ImageLattice, max_degree: Optional[int] = None
 ) -> CriterionReport:
-    """Per-degree injectivity of (presentation) (x) Z/p -> invariants mod p.
+    """Per-degree injectivity of (image) (x) Z/p -> invariants mod p.
 
     An injective composite certifies surjectivity of the corresponding
     restriction map; the first failing degree witnesses the obstruction.
@@ -328,20 +336,16 @@ def surjectivity_criterion(
     p = 2
     checked = []
     for degree in range(0, max_degree + 1, 2):
-        basis_elements = pres.basis_in_degree(degree)
-        if not basis_elements:
+        polys = pres.polynomials(degree)
+        if not polys:
             continue
         checked.append(degree)
-        monos = None
-        cols = []
-        for _, poly in basis_elements:
-            if monos is None:
-                monos = degree_slice(model.sig, degree)
-            cols.append([int(x) % p for x in _coords(poly, monos, model.domain)])
+        monos = degree_slice(model.sig, degree)
+        cols = [[int(x) % p for x in _coords(poly, monos, model.domain)] for poly in polys]
         rank = linalg.rank_fp(
             [[cols[j][i] for j in range(len(cols))] for i in range(len(monos))], p
         )
-        if rank != len(basis_elements):
+        if rank != len(polys):
             return CriterionReport(False, degree, checked)
     return CriterionReport(True, None, checked)
 
@@ -357,7 +361,9 @@ class SourceClass:
     degree: int
     torsion: bool
     t_image: Polynomial  # image in the invariant ring (integral; 0 for torsion)
-    a_image: Polynomial  # image in the mod-2 elementary-abelian target
+    # image in the mod-2 elementary-abelian target; None for the free
+    # classes, which the torus target separates (res_kernel checks it)
+    a_image: Optional[Polynomial]
     omega_image: Optional[Tuple[int, Polynomial]] = None  # (v-index, invariant poly)
 
 
@@ -371,63 +377,35 @@ class RestrictionData:
 
 
 def build_spin7_restriction(model: Spin7Model) -> RestrictionData:
-    """Assemble the published CH*(BSpin(7)) classes and their images.
+    """Assemble the CH*(BSpin(7)) classes and their images.
 
-    Source additive basis: Z_(2)[c_4,c_6,c_8]{1, c_2', c_4', c_6'} plus the
-    2-torsion Z/2{xi_3} and Z/2[c_7]{c_7}, all multiplied by the polynomial
-    subring; images: the torus restriction sends c_i to the invariant
-    squares, the primed classes to the 2-divided invariants, torsion to 0;
-    the elementary-abelian restriction mod 2 keeps the c_i (including c_7)
-    and kills the primed classes and xi_3; the cobordism lift sends xi_3 to
-    v_1 * w_8.
+    The free classes are the model's Chow-side image, with their torus
+    images.  The 2-torsion is typed: Z/2[c_4,c_6,c_8]{xi_3} and the ideal
+    Z/2[c_4,c_6,c_7,c_8]{c_7}, with torus image 0; the elementary-abelian
+    restriction mod 2 keeps the c_i (including c_7) and kills xi_3; the
+    cobordism lift sends xi_3 to v_1 * w_8.
     """
-    sig = model.sig
+    zero = Polynomial.zero(model.sig)
     a_sig = signature(
         [("c_4", 8), ("c_6", 12), ("c_7", 14), ("c_8", 16)], F2
     )
-    one = Polynomial.one(sig)
-    zero = Polynomial.zero(sig)
-    a_one = Polynomial.one(a_sig)
     a_zero = Polynomial.zero(a_sig)
-    w4, w8, c6 = model.w4, model.w8, model.c6
-
-    def a_gen(name):
-        return Polynomial.gen(a_sig, name)
-
-    # generating classes: label, degree, torsion, T-image, A-image, omega
-    base_classes = [
-        ("1", 0, False, one, a_one, None),
-        ("c_2'", 4, False, w4.scale(2), a_zero, None),
-        ("c_4'", 8, False, w8.scale(2), a_zero, None),
-        ("c_6'", 12, False, (w4 * w8).scale(2), a_zero, None),
-        ("xi_3", 6, True, zero, a_zero, (1, w8)),
-    ]
-    subring = [("c_4", w4 * w4, a_gen("c_4")), ("c_6", c6, a_gen("c_6")),
-               ("c_8", w8 * w8, a_gen("c_8"))]
+    pres = model.ch_presentation
     classes: Dict[int, List[SourceClass]] = {}
     max_degree = model.window
-
-    sub_degrees = [8, 12, 16]
-    names, t_gens, a_gens = zip(*subring)
-    for label_g, deg_g, torsion, t_img, a_img, omega in base_classes:
-        for total in range(deg_g, max_degree + 1, 2):
-            expos = compositions(sub_degrees, total - deg_g)
-            t_polys = power_products(t_gens, [(t_img, e) for e in expos])
-            a_polys = power_products(a_gens, [(a_img, e) for e in expos])
-            omegas = (power_products(t_gens, [(omega[1], e) for e in expos]) if omega
-                      else [None] * len(expos))
-            for expo, t_poly, a_poly, omega_poly in zip(expos, t_polys, a_polys, omegas):
-                entry = SourceClass(
-                    _product_label(names, expo, label_g),
-                    total,
-                    torsion,
-                    t_poly if not torsion else zero,
-                    a_poly,
-                    (omega[0], omega_poly) if omega else None,
-                )
-                classes.setdefault(total, []).append(entry)
+    for total in range(0, max_degree + 1, 2):
+        for cls, t_poly in zip(pres.classes(total), pres.polynomials(total)):
+            classes.setdefault(total, []).append(SourceClass(str(cls), total, False, t_poly, None))
+    # the tower xi_3 * (monomials in c_4 = w_4^2, c_6, c_8 = w_8^2)
+    t_gens = [model.w4 * model.w4, model.c6, model.w8 * model.w8]
+    for total in range(6, max_degree + 1, 2):
+        expos = compositions([8, 12, 16], total - 6)
+        omegas = power_products(t_gens, [(model.w8, e) for e in expos])
+        for expo, omega_poly in zip(expos, omegas):
+            classes.setdefault(total, []).append(SourceClass(
+                _product_label(("c_4", "c_6", "c_8"), expo, "xi_3"), total, True, zero, a_zero,
+                (1, omega_poly)))
     # torsion ideal Z/2[c_4,c_6,c_7,c_8]{c_7}: classes c_7^j * monomials
-    c7 = a_gen("c_7")
     for total in range(14, max_degree + 1, 2):
         for mono in degree_slice(a_sig, total):
             if mono[a_sig.index("c_7")] >= 1:
@@ -542,8 +520,6 @@ def omega_detection_audit(model: Spin7Model, ahss_result) -> DetectionReport:
     every subring monomial is a nonzero invariant, so the v_1-towers are
     free; (c) the assignment xi_3 * m -> v_1 w_8 * m is injective mod 2.
     """
-    from .ahss import permanent_cycle_check
-
     p2e = permanent_cycle_check(ahss_result, "2*e").permanent
     pv1e = permanent_cycle_check(ahss_result, "v_1*e").permanent
     edies = not permanent_cycle_check(ahss_result, "e").permanent

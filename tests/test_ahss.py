@@ -5,8 +5,11 @@ import pytest
 from weylchow import linalg
 from weylchow.ahss import (
     AhssError,
+    AhssResult,
+    block_structure,
     collapse_to_chow,
     einfinity_summary,
+    free_classes,
     permanent_cycle_check,
     run_ahss,
     v_degree,
@@ -71,6 +74,8 @@ def test_max_total_guard():
     # totals up to the window itself are exactly computable
     res = run_ahss(bc.chart, v_max=1, max_total=12)
     assert collapse_to_chow(res).per_degree[12] == (1, 0)  # a^2
+    with pytest.raises(AhssError, match="requested total degree -1 is negative"):
+        AhssResult(bc.chart, 1, -1)
 
 
 def test_single_differential_oracle_random():
@@ -150,6 +155,27 @@ def test_spin7_collapse_matches_display(spin7_ahss):
     assert col.odd_leftovers() == {}
     assert col.details[4] == ["free: 2*w_4"]
     assert col.details[6] == ["Z/2: w_8 (v-part v_1)"]
+
+
+def test_free_classes_carry_their_coefficients():
+    # Q_1 x = Q_1 y = w, a torsion class at p = 3: only y - x = y + 2x and
+    # 3x stay free cycles.
+    chart = build_chart("two-free", 3, 14, [("x", 4), ("y", 4), ("u", 8), ("w", 9, True)],
+                        {0: {"u": "w"}, 1: {"x": "w", "y": "w"}})
+    res = AhssResult(chart, 1)
+    x, y = chart.resolve_name("x"), chart.resolve_name("y")
+    coeffs = [{x: 2, y: 1}, {x: 3}]
+    assert free_classes(res, 4, (0,)) == [[c.get(m, 0) for m in chart.basis_at(4)] for c in coeffs]
+    assert block_structure(res, 4, (0,)).free_reps == ["y + 2*x", "3*x"]
+
+
+def test_free_classes_are_vectors_under_the_labels(spin7_ahss):
+    chart = spin7_ahss.chart
+    monos = chart.basis_at(8)
+    w4sq, w8 = chart.resolve_name("w_4^2"), chart.resolve_name("w_8")
+    assert free_classes(spin7_ahss, 8, (0, 0, 0)) == [[int(m == w4sq) for m in monos],
+                                                     [2 * (m == w8) for m in monos]]
+    assert block_structure(spin7_ahss, 8, (0, 0, 0)).free_reps == ["w_4^2", "2*w_8"]
 
 
 def test_boundaries_inside_cycles(spin7_ahss):

@@ -12,6 +12,7 @@ from weylchow.ahss import (
     _v_mult,
     collapse_to_chow,
     einfinity_summary,
+    free_classes,
     run_ahss,
 )
 from weylchow.builtin import f4_chart, f4_expected_mod_p_dims, spin7_chart, toy_killing_chart
@@ -23,7 +24,7 @@ from weylchow.chart import (
     q_shift,
     serialize_chart,
 )
-from weylchow.linalg import FpSubspace, hnf_basis, identity
+from weylchow.linalg import FpSubspace, hnf_basis, identity, solve_fp
 from weylchow.poly import Polynomial, parse
 
 
@@ -360,6 +361,15 @@ def _check_against_enumeration(chart, v_max, max_total=None):
         for i, (k_set, w_set) in enumerate(states):
             assert _span_of(result.k(i, s, mu), pages.rank(s)) == k_set, (i, s, mu)
             assert _span_of(result.w(i, s, mu), pages.rank(s)) == w_set, (i, s, mu)
+        # The free classes, written over the free lifts, span mod p the
+        # projection of the final cycles to the free coordinates.
+        sl = chart.integral_slice(s)
+        nfree, p = len(sl.free), chart.p
+        classes = free_classes(result, s, mu)
+        coords = [solve_fp(sl.free, [x % p for x in vec], p) for vec in classes]
+        assert len(classes) == nfree and None not in coords, (s, mu)
+        assert (_span_of(FpSubspace(p, [FpSubspace.pack(p, a) for a in coords]), nfree)
+                == {v[:nfree] for v in states[-1][0]}), (s, mu)
         compared += 1
     return compared
 

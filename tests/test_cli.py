@@ -137,3 +137,11 @@ def test_ahss_window_too_small_for_the_pages(capsys):
     assert "totals <=" not in out
     assert err.startswith("error: window 8 cannot hold the pages up to v_max = 5; "
                           "the smallest that can is 63")
+
+
+def test_ahss_negative_max_total_refused(capsys):
+    code, out, err = run_cli(capsys, "ahss", "--chart", "spin7", "--window", "20", "--vmax", "1",
+                             "--max-total", "-3")
+    assert code == 2
+    assert "totals <=" not in out
+    assert err.startswith("error: requested total degree -3 is negative")

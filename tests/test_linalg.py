@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from lattices import lattice_contains, lattice_eq, preimage_kernel
 from weylchow import linalg
 from weylchow.linalg import SubmoduleBasis, membership
-from weylchow.poly import ZZ, z_local
+from weylchow.poly import F2, F3, ZZ, z_local
 
 
 def test_kernel_identity_empty():
@@ -68,6 +68,20 @@ def test_membership_with_scaling():
 def test_membership_unit_denominators_over_z_local(p, generator, verdict):
     span = SubmoduleBasis(z_local(p), ["a"], [[generator]])
     assert membership([1], span).verdict == verdict
+
+
+@pytest.mark.parametrize(
+    "domain, vector, generator, inside",
+    [
+        (F2, [1], [2], False),  # 2 = 0 in F_2: the span is zero
+        (F2, [1], [3], True),
+        (F3, [1, 0], [2, 0], True),
+    ],
+)
+def test_membership_over_fp_reduces_mod_p(domain, vector, generator, inside):
+    res = membership(vector, SubmoduleBasis(domain, ["a", "b"][:len(vector)], [generator]))
+    assert res.inside == inside
+    assert res.verdict == ("inside" if inside else "outside")
 
 
 def test_membership_over_z_rejects_fractions():

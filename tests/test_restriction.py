@@ -1,8 +1,14 @@
+import re
+
 import pytest
 
-from weylchow.poly import F2, Polynomial, signature
+from typed_spin7 import RingPresentation, reference_nilpotence, typed_presentations
+from weylchow import linalg
+from weylchow.linalg import SubmoduleBasis, membership
+from weylchow.poly import F2, Polynomial, parse, signature
 from weylchow.restriction import (
-    RingPresentation,
+    ImageLattice,
+    RestrictionError,
     build_spin7_restriction,
     feshbach_nilpotence,
     omega_detection_audit,
@@ -39,13 +45,13 @@ def test_image_audit_divisibility_pattern(spin7_model):
 
 
 def test_doctored_presentation_flagged(spin7_model):
-    # dropping the 2 w_8 module generator starves degree 8
+    # dropping the class 2 w_8 starves degree 8
     pres = spin7_model.ch_presentation
-    doctored = RingPresentation(
-        "doctored",
-        pres.subring_gens,
-        [g for g in pres.module_gens if g[0] != "2w_8"],
-    )
+    chart = pres.chart
+    w8 = chart.resolve_name("w_8")
+    two_w8 = [2 * (m == w8) for m in chart.basis_at(8)]
+    doctored = ImageLattice("doctored", chart, pres.identification,
+                            lambda d: [v for v in pres.vectors(d) if v != two_w8])
     audit = rho_image_audit(spin7_model, doctored, max_degree=12)
     assert audit.image_rank_by_degree[8] == 1
     assert audit.invariant_rank_by_degree[8] == 2
@@ -55,7 +61,7 @@ def test_feshbach_toy_exterior():
     sig = signature([("a", 1, True)], F2)
     a = Polynomial.gen(sig, "a")
     pres = RingPresentation("Z/2[a]/(a^2)", [], [("1", Polynomial.one(sig)), ("a", a)])
-    rows = feshbach_nilpotence(pres, [("a", a)])
+    rows = reference_nilpotence(pres, [("a", a)])
     assert rows[0].nilpotent and rows[0].exponent == 2
 
 
@@ -131,32 +137,83 @@ def test_omega_detection(spin7_model, spin7_ahss):
 
 
 def test_image_module_closed_under_subring(spin7_model):
-    """Multiplying module generators by subring generators stays inside."""
-    from weylchow import linalg
-    from weylchow.linalg import SubmoduleBasis, membership
-
-    pres = spin7_model.ch_presentation
+    """Multiplying typed module generators by subring generators stays
+    inside the derived image."""
+    pres, _ = typed_presentations(spin7_model)
     for _, gen_m in pres.module_gens:
         for _, gen_s in pres.subring_gens:
             product = gen_m * gen_s
             degree = product.degree()
             if degree > spin7_model.window:
                 continue
-            inv = spin7_model.invariants.by_degree[degree]
-            span_cols = [
-                [int(x) for x in _coords(poly, inv.ambient)]
-                for _, poly in pres.basis_in_degree(degree)
-            ]
-            span = SubmoduleBasis(
-                spin7_model.domain, inv.ambient, linalg.hnf_basis(span_cols)
-            )
-            vec = [int(x) for x in _coords(product, inv.ambient)]
+            span = _span(spin7_model, spin7_model.ch_presentation.polynomials(degree), degree)
+            vec = _coords(product, span.ambient)
             assert membership(vec, span).inside
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_derived_images_equal_typed_lattices(spin7_model, side):
+    """The images read from the chart equal the typed presentations as
+    Z_(2)-lattices, each inside the other, in every degree up to 28."""
+    derived = (spin7_model.ch_presentation, spin7_model.h_presentation)[side]
+    typed = typed_presentations(spin7_model)[side]
+    for degree in range(29):
+        got, want = derived.polynomials(degree), typed.polynomials(degree)
+        assert len(got) == len(want), degree
+        if not want:
+            continue
+        for a, b in ((got, want), (want, got)):
+            span = _span(spin7_model, b, degree)
+            assert all(membership(_coords(poly, span.ambient), span).inside for poly in a), degree
+
+
+def test_feshbach_matches_reference(spin7_model):
+    w4, w8 = spin7_model.w4, spin7_model.w8
+    cands = [
+        ("c_2'", w4.scale(2)),
+        ("c_4'", w8.scale(2)),
+        ("c_4", w4 * w4),
+        ("w_8", w8),
+        ("2w_4w_8", (w4 * w8).scale(2)),
+        ("w_4^2 + 2w_8", w4 * w4 + w8.scale(2)),
+    ]
+    typed, _ = typed_presentations(spin7_model)
+
+    def outcome(search, pres, cand):
+        try:
+            return search(pres, [cand], degree_bound=64)[0].exponent
+        except RestrictionError as exc:  # a power outside the image
+            return str(exc).split(" is not")[0]
+
+    got = [outcome(feshbach_nilpotence, spin7_model.ch_presentation, c) for c in cands]
+    want = [outcome(reference_nilpotence, typed, c) for c in cands]
+    assert got == want
+    # w_8 is no Chow class: w_8^2 = c_8 is, but w_8^3 = w_8 c_8 is not
+    assert got == [2, 2, None, "w_8^3", 2, None]
+
+
+@pytest.mark.parametrize("name", ["w_7^2", "w_4*w_7", "w_6", "w_4*w_6^3"])
+def test_generator_map_refuses_classes_outside_the_subring(spin7_model, name):
+    pres = spin7_model.ch_presentation
+    chart = pres.chart
+    (mono,) = parse(name, chart.sig).terms
+    with pytest.raises(RestrictionError, match=re.escape("chart class %s is not" % name)):
+        pres.exponents(mono)
+    bad = ImageLattice("bad", chart, pres.identification,
+                       lambda d: [[int(m == mono) for m in chart.basis_at(d)]])
+    with pytest.raises(RestrictionError, match=re.escape("chart class %s is not" % name)):
+        bad.classes(chart.sig.mono_degree(mono))
+
+
+def _span(model, polys, degree):
+    monos = model.invariants.by_degree[degree].ambient
+    cols = [_coords(poly, monos) for poly in polys]
+    return SubmoduleBasis(model.domain, monos, linalg.hnf_basis(cols))
 
 
 def _coords(poly, monos):
     index = {m: i for i, m in enumerate(monos)}
     vec = [0] * len(monos)
     for m, c in poly.terms.items():
-        vec[index[m]] = c
+        vec[index[m]] = int(c)
     return vec
