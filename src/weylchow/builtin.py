@@ -18,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from . import linalg
 from .chart import Chart, ChartError, build_chart
 from .dickson import build_dickson
-from .poly import F2, AlgebraSignature, Generator, Polynomial, degree_slice, power_products
+from .invariants import subring_membership
+from .poly import F2, AlgebraSignature, Generator, Polynomial
 from .steenrod import milnor_q_closed
 
 
@@ -42,49 +42,20 @@ _SPIN7_GENS = (("w_4", 4), ("w_6", 6), ("w_7", 7), ("w_8", 8))
 
 
 def _spin7_q_images() -> Dict[int, Dict[str, Polynomial]]:
-    """Q_i on w_4, w_6, w_7, w_8 computed in the Dickson model."""
+    """Q_i on w_4, w_6, w_7, w_8 computed in the Dickson model and rewritten
+    as polynomials in the model classes."""
     ctx = build_dickson(3)
-    model = {"w_4": ctx.d[2], "w_6": ctx.d[1], "w_7": ctx.d[0], "w_8": ctx.e}
+    model = [ctx.d[2], ctx.d[1], ctx.d[0], ctx.e]
     w_sig = AlgebraSignature([Generator(n, d) for n, d in _SPIN7_GENS], F2)
     images: Dict[int, Dict[str, Polynomial]] = {}
     for i in range(4):
-        per_gen: Dict[str, Polynomial] = {}
-        for name, poly in model.items():
-            q_img = milnor_q_closed(i, poly)
-            per_gen[name] = _express_in_classes(q_img, model, w_sig)
-        images[i] = per_gen
+        images[i] = {}
+        for (name, _), poly in zip(_SPIN7_GENS, model):
+            inside, combination = subring_membership(milnor_q_closed(i, poly), model)
+            if not inside:
+                raise ChartError("Q_%d %s is not in the class subring" % (i, name))
+            images[i][name] = Polynomial(w_sig, combination)
     return images
-
-
-def _express_in_classes(
-    target: Polynomial, model: Dict[str, Polynomial], out_sig: AlgebraSignature
-) -> Polynomial:
-    """Rewrite an F_2 polynomial as a polynomial in the model classes.
-
-    Solves a linear system over all class monomials of matching degree;
-    raises when the expansion matrix is not injective (the rewriting would
-    be ambiguous) or the target is not in the subring.
-    """
-    if target.is_zero():
-        return Polynomial.zero(out_sig)
-    if not target.is_homogeneous():
-        raise ChartError("inhomogeneous image cannot be rewritten")
-    deg = target.degree()
-    candidates = degree_slice(out_sig, deg)
-    if not candidates:
-        raise ChartError("no class monomials in degree %d" % deg)
-    inner_sig = next(iter(model.values())).sig
-    expansions = power_products([model[g.name] for g in out_sig.generators],
-                                [(Polynomial.one(inner_sig), mono) for mono in candidates])
-    support = sorted(set().union(*[set(p.terms) for p in expansions], set(target.terms)))
-    cols = [[int(p.terms.get(m, 0)) for m in support] for p in expansions]
-    rank = linalg.rank_fp([[cols[j][i] for j in range(len(cols))] for i in range(len(support))], 2)
-    if rank != len(candidates):
-        raise ChartError("class monomials of degree %d are linearly dependent" % deg)
-    sol = linalg.solve_fp(cols, [int(target.terms.get(m, 0)) for m in support], 2)
-    if sol is None:
-        raise ChartError("image of degree %d is not in the class subring" % deg)
-    return Polynomial(out_sig, {m: c for m, c in zip(candidates, sol) if c})
 
 
 def spin7_chart(window: int = 32) -> BuiltinChart:

@@ -34,10 +34,6 @@ class DicksonContext:
     e: Polynomial
     d: List[Polynomial]  # d[0] .. d[h-1]
 
-    @property
-    def z(self) -> Polynomial:
-        return Polynomial.gen(self.sig, "z")
-
 
 def build_dickson(h: int) -> DicksonContext:
     """Expand the product of linear forms and extract the Dickson classes.
@@ -85,7 +81,6 @@ def build_dickson(h: int) -> DicksonContext:
 class IdentityCheck:
     label: str
     holds: bool
-    detail: str = ""
 
 
 @dataclass
@@ -98,8 +93,8 @@ class DicksonReport:
     def passed(self) -> bool:
         return all(c.holds for c in self.checks)
 
-    def add(self, label: str, holds: bool, detail: str = ""):
-        self.checks.append(IdentityCheck(label, holds, detail))
+    def add(self, label: str, holds: bool):
+        self.checks.append(IdentityCheck(label, holds))
 
 
 def verify_milnor_on_d_classes(ctx: DicksonContext) -> DicksonReport:

@@ -32,6 +32,8 @@ from .poly import AlgebraSignature, Domain, Generator
 
 MatrixRows = Tuple[Tuple[Fraction, ...], ...]
 
+_ELEMENT_BOUND = 10**6  # closures larger than this are refused as entry errors
+
 
 class GroupError(Exception):
     pass
@@ -67,7 +69,6 @@ class GroupAction:
     gen_degree: int
     matrices: Tuple[MatrixRows, ...]
     mod: Optional[int] = None
-    element_bound: int = 10**6
     _elements: Optional[Tuple[MatrixRows, ...]] = field(default=None, repr=False)
     # Owned by weylchow.invariants: the slice objects by (matrix, domain), the
     # monomial tables by exponent sum, and the signed-permutation subgroup.
@@ -101,9 +102,9 @@ class GroupAction:
             [Generator(nm, self.gen_degree) for nm in self.gen_names], domain
         )
 
-    def elements(self, bound: Optional[int] = None) -> Tuple[MatrixRows, ...]:
+    def elements(self) -> Tuple[MatrixRows, ...]:
         if self._elements is None:
-            self._elements = tuple(enumerate_group(self, bound or self.element_bound))
+            self._elements = tuple(enumerate_group(self, _ELEMENT_BOUND))
         return self._elements
 
     @property

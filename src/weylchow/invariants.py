@@ -380,8 +380,9 @@ def subring_membership(
         return False, None
     products = power_products(generators, [(Polynomial.one(sig), t) for t in tuples])
     support = sorted(set().union(*[set(p.terms) for p in products], set(f.terms)))
-    cols = [[poly.terms.get(m, domain.coerce(0)) for m in support] for poly in products]
-    target = [f.terms.get(m, domain.coerce(0)) for m in support]
+    zero = domain.coerce(0)
+    cols = [[poly.terms.get(m, zero) for m in support] for poly in products]
+    target = [f.terms.get(m, zero) for m in support]
     if domain.kind == "fp":
         sol = linalg.solve_fp(
             [[int(x) for x in c] for c in cols], [int(x) for x in target], domain.p

@@ -473,18 +473,6 @@ class Polynomial:
         """
         sig = self.sig
         used = [i for i in range(len(sig)) if any(m[i] for m in self.terms)]
-        if not used:
-            # Constant: reinterpret in the target signature if one is implied.
-            target_sig = None
-            for img in images.values():
-                target_sig = img.sig
-                break
-            if target_sig is None:
-                target_sig = sig
-            out = Polynomial.zero(target_sig)
-            for mono, c in self.terms.items():
-                out = out + Polynomial.constant(target_sig, c)
-            return out
         target_sig = None
         for i in used:
             name = sig.generators[i].name
@@ -502,7 +490,8 @@ class Polynomial:
                     "image of %s has degree %d, expected %d"
                     % (name, img.degree(), sig.generators[i].degree)
                 )
-        assert target_sig is not None
+        if target_sig is None:  # a constant lands in the images' signature, if any
+            target_sig = next((img.sig for img in images.values()), sig)
         gens = [images.get(g.name) for g in sig.generators]
         result = Polynomial.zero(target_sig)
         for term in power_products(gens, [(Polynomial.constant(target_sig, c), mono)
@@ -613,7 +602,7 @@ class _Tokens:
 
 
 def parse(text: str, sig: AlgebraSignature) -> Polynomial:
-    """Parse the grammar: expr := term (('+'|'-') term)*;
+    """Parse the grammar: expr := ['-'] term (('+'|'-') term)*;
     term := coeff ('*' factor)* | factor ('*' factor)*;
     factor := name ('^' uint)? | '(' expr ')'; coeff := int ('/' uint)?.
     """
@@ -626,7 +615,11 @@ def parse(text: str, sig: AlgebraSignature) -> Polynomial:
 
 
 def _parse_expr(toks: _Tokens, sig: AlgebraSignature) -> Polynomial:
-    result = _parse_term(toks, sig)
+    if toks.peek() == "-":
+        toks.take()
+        result = -_parse_term(toks, sig)
+    else:
+        result = _parse_term(toks, sig)
     while True:
         ch = toks.peek()
         if ch == "+":

@@ -29,6 +29,7 @@ from .chart import Chart
 from .groups import GroupAction, build_weyl_spin
 from .invariants import (
     algebra_generators,
+    basis_polynomials,
     invariant_report,
     InvariantReport,
     subring_membership,
@@ -231,25 +232,18 @@ def rho_image_audit(
         span = SubmoduleBasis(model.domain, inv.ambient, linalg.hnf_basis(span_cols))
         image_ranks[degree] = span.rank
         inv_ranks[degree] = inv.rank
-        for idx, vec in enumerate(inv.vectors):
+        for idx, (vec, poly) in enumerate(zip(inv.vectors, basis_polynomials(inv, model.sig))):
             verdict = membership([int(x) for x in vec], span)
+            label = str(poly)
             rows.append(
                 ImageAuditRow(
                     degree,
-                    _label_vector(inv, idx, model.sig),
+                    label if len(label) <= 40 else "basis[%d]" % idx,
                     verdict.verdict,
                     None if verdict.inside else verdict.scale_power,
                 )
             )
     return ImageAuditReport(rows, image_ranks, inv_ranks)
-
-
-def _label_vector(basis: SubmoduleBasis, idx: int, sig: AlgebraSignature) -> str:
-    poly = Polynomial(
-        sig, {m: c for m, c in zip(basis.ambient, basis.vectors[idx]) if c != 0}
-    )
-    text = str(poly)
-    return text if len(text) <= 40 else "basis[%d]" % idx
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +272,9 @@ def feshbach_nilpotence(
 
     Each candidate is written once as a polynomial in the image's
     generators (subring_membership); its powers are taken there and solved
-    over the classes of their degree.  A power is zero mod p exactly when
-    all its coordinates are divisible by p.  A candidate or a power outside
-    the image raises.
+    over the classes of their degree, the candidate itself (n = 1) first.
+    A power is zero mod p exactly when all its coordinates are divisible by
+    p.  A candidate or a power outside the image raises.
     """
     rows = []
     for label, y in candidates:
@@ -292,8 +286,8 @@ def feshbach_nilpotence(
                                    % (label, pres.name))
         y = Polynomial(pres.gsig, combination)
         exponent = None
-        power = y
-        for n in range(2, exponent_bound + 1):
+        power = Polynomial.one(pres.gsig)
+        for n in range(1, exponent_bound + 1):
             power = power * y
             if power.degree() > degree_bound:
                 break
@@ -302,9 +296,8 @@ def feshbach_nilpotence(
             coords = linalg.solve_q([[c.coefficient(m) for m in support] for c in classes],
                                     [power.coefficient(m) for m in support])
             if coords is None or linalg.local_scale_power(coords, p) != 0:
-                raise RestrictionError(
-                    "%s^%d is not expressible in %s" % (label, n, pres.name)
-                )
+                raise RestrictionError("%s is not expressible in %s"
+                                       % (label if n == 1 else "%s^%d" % (label, n), pres.name))
             if all(c.numerator % p == 0 for c in coords):
                 exponent = n
                 break
@@ -342,10 +335,7 @@ def surjectivity_criterion(
         checked.append(degree)
         monos = degree_slice(model.sig, degree)
         cols = [[int(x) % p for x in _coords(poly, monos, model.domain)] for poly in polys]
-        rank = linalg.rank_fp(
-            [[cols[j][i] for j in range(len(cols))] for i in range(len(monos))], p
-        )
-        if rank != len(polys):
+        if linalg.rank_fp(cols, p) != len(polys):
             return CriterionReport(False, degree, checked)
     return CriterionReport(True, None, checked)
 
@@ -353,6 +343,14 @@ def surjectivity_criterion(
 # ---------------------------------------------------------------------------
 # Restriction kernels (Griffiths detection)
 # ---------------------------------------------------------------------------
+
+
+def _w8_tower(model: Spin7Model, degree: int) -> List[Tuple[Tuple[int, ...], Polynomial]]:
+    """The invariants w_8 * c_4^a c_6^b c_8^c of a degree (c_4 = w_4^2,
+    c_8 = w_8^2), with their exponents (a, b, c)."""
+    expos = compositions([8, 12, 16], degree - 8)
+    gens = [model.w4 * model.w4, model.c6, model.w8 * model.w8]
+    return list(zip(expos, power_products(gens, [(model.w8, e) for e in expos])))
 
 
 @dataclass
@@ -364,7 +362,7 @@ class SourceClass:
     # image in the mod-2 elementary-abelian target; None for the free
     # classes, which the torus target separates (res_kernel checks it)
     a_image: Optional[Polynomial]
-    omega_image: Optional[Tuple[int, Polynomial]] = None  # (v-index, invariant poly)
+    omega_image: Optional[Polynomial] = None  # the v_1 image in the invariant ring
 
 
 @dataclass
@@ -396,15 +394,12 @@ def build_spin7_restriction(model: Spin7Model) -> RestrictionData:
     for total in range(0, max_degree + 1, 2):
         for cls, t_poly in zip(pres.classes(total), pres.polynomials(total)):
             classes.setdefault(total, []).append(SourceClass(str(cls), total, False, t_poly, None))
-    # the tower xi_3 * (monomials in c_4 = w_4^2, c_6, c_8 = w_8^2)
-    t_gens = [model.w4 * model.w4, model.c6, model.w8 * model.w8]
+    # the tower xi_3 * c_4^a c_6^b c_8^c, lifted to v_1 * w_8 * c_4^a c_6^b c_8^c
     for total in range(6, max_degree + 1, 2):
-        expos = compositions([8, 12, 16], total - 6)
-        omegas = power_products(t_gens, [(model.w8, e) for e in expos])
-        for expo, omega_poly in zip(expos, omegas):
+        for expo, omega in _w8_tower(model, total + 2):
             classes.setdefault(total, []).append(SourceClass(
                 _product_label(("c_4", "c_6", "c_8"), expo, "xi_3"), total, True, zero, a_zero,
-                (1, omega_poly)))
+                omega))
     # torsion ideal Z/2[c_4,c_6,c_7,c_8]{c_7}: classes c_7^j * monomials
     for total in range(14, max_degree + 1, 2):
         for mono in degree_slice(a_sig, total):
@@ -451,9 +446,7 @@ def res_kernel(
                 [int(x) for x in _coords(c.t_image, inv.ambient, model.domain)]
                 for c in free_entries
             ]
-            rank = linalg.rank_q([[cols[j][i] for j in range(len(cols))]
-                                  for i in range(len(cols[0]))]) if cols else 0
-            if rank != len(free_entries):
+            if linalg.rank_q(cols) != len(free_entries):
                 raise RestrictionError(
                     "torus restriction fails to separate free classes in degree %d"
                     % degree
@@ -466,24 +459,11 @@ def res_kernel(
         for m in a_monos:
             rows.append([int(c.a_image.terms.get(m, 0)) % 2 for c in tors_entries])
         if include_omega:
-            # v_i-weighted images live in invariant degree d + 2(2^i - 1)
-            v_indices = sorted(
-                {c.omega_image[0] for c in tors_entries if c.omega_image is not None}
-            )
-            for v_idx in v_indices:
-                img_degree = degree + 2 * (2**v_idx - 1)
-                inv_v = model.invariants.by_degree.get(img_degree)
-                if inv_v is None:
-                    continue
-                for m in inv_v.ambient:
-                    rows.append(
-                        [
-                            int(c.omega_image[1].terms.get(m, 0)) % 2
-                            if c.omega_image is not None and c.omega_image[0] == v_idx
-                            else 0
-                            for c in tors_entries
-                        ]
-                    )
+            # the v_1 images, of invariant degree d + 2, over their support
+            omegas = [c.omega_image.terms if c.omega_image is not None else {}
+                      for c in tors_entries]
+            for m in sorted(set().union(*omegas)):
+                rows.append([int(w.get(m, 0)) % 2 for w in omegas])
         kernel = linalg.kernel_fp(rows, len(tors_entries), 2)
         labels = []
         for vec in kernel:
@@ -526,27 +506,14 @@ def omega_detection_audit(model: Spin7Model, ahss_result) -> DetectionReport:
     towers = True
     injective = True
     checked = []
-    sub_degrees = [8, 12, 16]
-    gens = {8: model.w4 * model.w4, 12: model.c6, 16: model.w8 * model.w8}
     for degree in range(8, model.window + 1, 2):
-        target = degree - 8  # |w_8| = 8
-        if target < 0:
-            continue
-        expos = compositions(sub_degrees, target)
-        if not expos:
+        tower = _w8_tower(model, degree)
+        if not tower:
             continue
         checked.append(degree)
-        vectors = []
         inv = model.invariants.by_degree.get(degree)
-        for poly in power_products([gens[d] for d in sub_degrees], [(model.w8, e) for e in expos]):
-            vec = [int(x) for x in _coords(poly, inv.ambient, model.domain)]
-            if not any(vec):
-                towers = False
-            vectors.append(vec)
-        rank2 = linalg.rank_fp(
-            [[vectors[j][i] % 2 for j in range(len(vectors))] for i in range(len(inv.ambient))],
-            2,
-        )
-        if rank2 != len(vectors):
+        vectors = [[int(x) for x in _coords(poly, inv.ambient, model.domain)] for _, poly in tower]
+        towers = towers and all(any(vec) for vec in vectors)
+        if linalg.rank_fp([[x % 2 for x in vec] for vec in vectors], 2) != len(vectors):
             injective = False
     return DetectionReport(p2e, pv1e, edies, towers, injective, checked)

@@ -1,14 +1,23 @@
 """Rational generating functions in one variable t, expanded exactly.
 
-Supported shape: polynomial numerator over a product of (1 - t^a) factors,
-e.g. "(1+t^4)(1+t^8)/((1-t^8)(1-t^12)(1-t^16))".  Coefficients come out as
-exact integers to any requested order.
+Grammar: EXPR := NUM ['/' DEN].  NUM is a polynomial in t with integer
+coefficients in the grammar of `poly.parse`, where adjacent parenthesized
+factors multiply: "1 + 2*t^3 - t^5", "-t^3", "(1+t^4)(1+t^8)".  DEN is a
+product of parenthesized factors (1 - t^a), a >= 1, in that grammar, as in
+"((1-t^8)(1-t^12))" or "(1-t^8)*(1-t^12)".  Coefficients come out as exact
+integers to any requested order.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
+
+from .poly import ZZ, PolyError, Polynomial, parse, signature
+
+_SIG = signature([("t", 2)], ZZ)
+_INNER_GROUP = re.compile(r"\(([^()]*)\)")
 
 
 class SeriesError(Exception):
@@ -38,136 +47,38 @@ class SeriesExpr:
         return self.expand(n)[n]
 
     def __str__(self):
-        num = " + ".join(
-            ("t^%d" % e if c == 1 and e else str(c) if e == 0 else "%d*t^%d" % (c, e))
-            for e, c in self.numerator
-        )
+        num = str(Polynomial(_SIG, {(e,): c for e, c in self.numerator}))
         den = "".join("(1-t^%d)" % a for a in self.denominator)
-        if not den:
-            return num
-        return "(%s)/(%s)" % (num, den)
+        return "(%s)/(%s)" % (num, den) if den else num
 
 
-def _parse_poly_part(text: str) -> Dict[int, int]:
-    """Parse '1 + t^4 - 2*t^8' into {exponent: coefficient}."""
-    out: Dict[int, int] = {}
-    text = text.replace(" ", "")
-    if not text:
-        raise SeriesError("empty polynomial")
-    idx = 0
-    sign = 1
-    while idx < len(text):
-        ch = text[idx]
-        if ch == "+":
-            sign = 1
-            idx += 1
-            continue
-        if ch == "-":
-            sign = -1
-            idx += 1
-            continue
-        coeff = 1
-        start = idx
-        while idx < len(text) and text[idx].isdigit():
-            idx += 1
-        if idx > start:
-            coeff = int(text[start:idx])
-        if idx < len(text) and text[idx] == "*":
-            idx += 1
-        exp = 0
-        if idx < len(text) and text[idx] == "t":
-            idx += 1
-            exp = 1
-            if idx < len(text) and text[idx] == "^":
-                idx += 1
-                start = idx
-                while idx < len(text) and text[idx].isdigit():
-                    idx += 1
-                if idx == start:
-                    raise SeriesError("missing exponent after '^'")
-                exp = int(text[start:idx])
-        out[exp] = out.get(exp, 0) + sign * coeff
-        sign = 1
-    return {e: c for e, c in out.items() if c}
-
-
-def _split_factors(text: str) -> List[str]:
-    """Split '(..)(..)(...)' into the inner strings."""
-    parts = []
-    depth = 0
-    current = []
-    for ch in text:
-        if ch == "(":
-            if depth == 0:
-                current = []
-            else:
-                current.append(ch)
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0:
-                parts.append("".join(current))
-            else:
-                current.append(ch)
-        elif depth > 0:
-            current.append(ch)
-        elif ch.strip():
-            raise SeriesError("unexpected character %r between factors" % ch)
-    if depth != 0:
-        raise SeriesError("unbalanced parentheses")
-    return parts
+def _parse(text: str) -> Polynomial:
+    try:
+        return parse(re.sub(r"\)\s*\(", ")*(", text), _SIG)
+    except PolyError as exc:
+        raise SeriesError("cannot read %r: %s" % (text.strip(), exc)) from None
 
 
 def parse_series(text: str) -> SeriesExpr:
-    """Parse 'numerator/denominator' with (1 - t^a) denominator factors.
-
-    The numerator may be a bare polynomial or a product of parenthesized
-    polynomial factors.
-    """
-    text = text.strip()
-    if "/" in text:
-        num_text, den_text = text.rsplit("/", 1)
-    else:
-        num_text, den_text = text, ""
-    num_text = num_text.strip()
-    den_text = den_text.strip()
-    if num_text.startswith("(") and num_text.endswith(")") and _is_factor_list(num_text):
-        factors = [_parse_poly_part(f) for f in _split_factors(num_text)]
-        num = {0: 1}
-        for f in factors:
-            num = _poly_mul(num, f)
-    else:
-        num = _parse_poly_part(num_text)
+    """Parse 'numerator' or 'numerator/denominator' (grammar above)."""
+    parts = text.rsplit("/", 1)
+    num = _parse(parts[0])
     dens: List[int] = []
-    if den_text:
-        inner = den_text
-        if inner.startswith("(") and inner.endswith(")") and len(_split_factors(inner)) == 1:
-            only = _split_factors(inner)[0]
-            if "(" in only:
-                inner = only
-        for factor in _split_factors(inner):
-            poly = _parse_poly_part(factor)
-            exps = sorted(poly)
-            if poly.get(0) != 1 or len(exps) != 2 or poly[exps[1]] != -1:
+    if len(parts) == 2:
+        # The factors are the innermost groups; the whole denominator must
+        # equal their product, which also rejects unbalanced parentheses.
+        product = Polynomial.one(_SIG)
+        for factor in _INNER_GROUP.findall(parts[1]):
+            poly = _parse(factor)
+            terms = sorted(poly.terms.items())
+            if len(terms) != 2 or terms[0] != ((0,), 1) or terms[1][1] != -1:
                 raise SeriesError("denominator factor %r is not of the form 1-t^a" % factor)
-            dens.append(exps[1])
-    return SeriesExpr(tuple(sorted(num.items())), tuple(sorted(dens)))
-
-
-def _is_factor_list(text: str) -> bool:
-    try:
-        parts = _split_factors(text)
-    except SeriesError:
-        return False
-    return len(parts) >= 1
-
-
-def _poly_mul(a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
-    out: Dict[int, int] = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
+            dens.append(terms[1][0][0])
+            product = product * poly
+        if not dens or _parse(parts[1]) != product:
+            raise SeriesError("denominator %r is not a product of factors (1-t^a)"
+                              % parts[1].strip())
+    return SeriesExpr(tuple(sorted((m[0], c) for m, c in num.terms.items())), tuple(sorted(dens)))
 
 
 def expand_series(text: str, order: int) -> List[int]:

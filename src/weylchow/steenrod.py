@@ -11,10 +11,10 @@ cross-check oracle for small i.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from . import linalg
-from .poly import AlgebraSignature, Polynomial
+from .poly import AlgebraSignature, Polynomial, power_products
 
 
 class SteenrodError(Exception):
@@ -127,29 +127,10 @@ def total_sq(f: Polynomial) -> Polynomial:
     """Total square: multiplicative extension of Sq(x) = x + x^2."""
     _require_f2_degree_one(f.sig)
     sig = f.sig
+    gens = [x + x * x for x in (Polynomial.gen(sig, g.name) for g in sig.generators)]
     result = Polynomial.zero(sig)
-    gen_sq: List[Polynomial] = []
-    for idx, g in enumerate(sig.generators):
-        mono1 = [0] * len(sig)
-        mono1[idx] = 1
-        mono2 = [0] * len(sig)
-        mono2[idx] = 2
-        gen_sq.append(
-            Polynomial.from_mono(sig, tuple(mono1)) + Polynomial.from_mono(sig, tuple(mono2))
-        )
-    power_cache: Dict[Tuple[int, int], Polynomial] = {}
-
-    def power(i, e):
-        key = (i, e)
-        if key not in power_cache:
-            power_cache[key] = gen_sq[i] ** e
-        return power_cache[key]
-
-    for mono, coeff in f.terms.items():
-        term = Polynomial.constant(sig, coeff)
-        for i, e in enumerate(mono):
-            if e:
-                term = term * power(i, e)
+    for term in power_products(gens, [(Polynomial.constant(sig, c), mono)
+                                      for mono, c in f.terms.items()]):
         result = result + term
     return result
 

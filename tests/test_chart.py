@@ -24,8 +24,9 @@ from weylchow.chart import (
     q_shift,
     serialize_chart,
 )
-from weylchow.linalg import FpSubspace, hnf_basis, identity, solve_fp
-from weylchow.poly import Polynomial, parse
+from weylchow.dickson import build_dickson
+from weylchow.linalg import FpSubspace, hnf_basis, identity, rank_fp, solve_fp
+from weylchow.poly import Polynomial, compositions, parse, power_products
 
 
 def test_spin7_q_data_matches_stated_facts(spin7_builtin):
@@ -42,6 +43,20 @@ def test_spin7_q_data_matches_stated_facts(spin7_builtin):
     spec3 = _derivation_specs(chart)[3]
     lhs = apply_derivation(spec3, parse("w_7*w_8", sig))
     assert lhs == parse("w_7^2*w_8^2", sig)
+
+
+def test_spin7_class_monomials_independent_in_dickson_model():
+    """The Q_i images are rewritten in w_4, w_6, w_7, w_8 uniquely: the class
+    monomials expand to linearly independent polynomials in the rank-3
+    Dickson model in every degree up to 23, the degree of Q_3 w_8."""
+    ctx = build_dickson(3)
+    classes = [ctx.d[2], ctx.d[1], ctx.d[0], ctx.e]
+    for degree in range(24):
+        expos = compositions([4, 6, 7, 8], degree)
+        expansions = power_products(classes, [(Polynomial.one(ctx.sig), e) for e in expos])
+        support = sorted(set().union(*(p.terms for p in expansions)))
+        rows = [[int(p.terms.get(m, 0)) for m in support] for p in expansions]
+        assert rank_fp(rows, 2) == len(expos), degree
 
 
 def test_spin7_integral_slices(spin7_builtin):

@@ -28,6 +28,17 @@ def test_series_command(capsys):
     assert "1 0 0 0 1 0 0 0 1" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("series", "--expr", "x^2", "--order", "4"),
+    ("invariants", "--group", "so:3", "--domain", "z", "--max-degree", "8",
+     "--series", "1/((1-s^4))"),
+])
+def test_malformed_series_is_an_input_error(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: cannot read")
+
+
 def test_invariants_match(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -9,6 +9,7 @@ from weylchow.poly import F2, Polynomial, parse, signature
 from weylchow.restriction import (
     ImageLattice,
     RestrictionError,
+    build_spin7_model,
     build_spin7_restriction,
     feshbach_nilpotence,
     omega_detection_audit,
@@ -129,6 +130,14 @@ def test_combined_restriction_injective(spin7_model):
     assert all(r.rank == 0 for r in rows)
 
 
+def test_combined_restriction_injective_when_the_lift_passes_the_window():
+    """At window 14 the cobordism image of xi_3*c_4 has degree 16, past the
+    window; it still separates xi_3*c_4 from the kernel of the mod-2 map."""
+    data = build_spin7_restriction(build_spin7_model(14))
+    assert next(r for r in res_kernel(data) if r.degree == 14).labels == ["c_4*xi_3"]
+    assert all(r.rank == 0 for r in res_kernel(data, include_omega=True))
+
+
 def test_omega_detection(spin7_model, spin7_ahss):
     rep = omega_detection_audit(spin7_model, spin7_ahss)
     assert rep.permanent_2e and rep.permanent_v1e and rep.e_dies
@@ -188,8 +197,8 @@ def test_feshbach_matches_reference(spin7_model):
     got = [outcome(feshbach_nilpotence, spin7_model.ch_presentation, c) for c in cands]
     want = [outcome(reference_nilpotence, typed, c) for c in cands]
     assert got == want
-    # w_8 is no Chow class: w_8^2 = c_8 is, but w_8^3 = w_8 c_8 is not
-    assert got == [2, 2, None, "w_8^3", 2, None]
+    # w_8 is no Chow class (only 2w_8 is), so the search refuses it at n = 1
+    assert got == [2, 2, None, "w_8", 2, None]
 
 
 @pytest.mark.parametrize("name", ["w_7^2", "w_4*w_7", "w_6", "w_4*w_6^3"])

@@ -39,6 +39,25 @@ def test_bad_denominator_rejected():
         parse_series("1/((1-2*t^4))")
 
 
+@pytest.mark.parametrize("text", [
+    "x^2",  # unknown variable
+    "1/((1-s^4))",
+    "1/((1-t^4)(1-t^8)",  # unbalanced parentheses
+    "1/((1-t^4)",
+    "/((1-t^4))",  # empty numerator
+    "1/",  # empty denominator
+    "2t^3",  # a coefficient needs '*'
+])
+def test_malformed_series_rejected(text):
+    with pytest.raises(SeriesError):
+        parse_series(text)
+
+
+def test_leading_minus():
+    assert expand_series("-t^3/((1-t^4))", 11) == [0, 0, 0, -1, 0, 0, 0, -1, 0, 0, 0, -1]
+
+
 def test_round_trip_str():
-    s = parse_series("(1+t^4)/((1-t^8)(1-t^12))")
-    assert parse_series(str(s)).expand(24) == s.expand(24)
+    for text in ("(1+t^4)/((1-t^8)(1-t^12))", "(1-2*t^4)/((1-t^8))", "-t^3"):
+        s = parse_series(text)
+        assert parse_series(str(s)).expand(24) == s.expand(24)

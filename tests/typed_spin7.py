@@ -68,23 +68,22 @@ def reference_nilpotence(
 ) -> List[NilpotenceRow]:
     """Bounded nilpotence search in (presentation) (x) Z/p, in torus coordinates.
 
-    Powers are computed in the ambient ring and re-expressed in the
-    presentation basis; a power is zero mod p exactly when all its
+    Powers, the candidate itself (n = 1) first, are computed in the ambient
+    ring and re-expressed in the presentation basis; a power is zero mod p exactly when all its
     coordinates are divisible by p.  Candidates outside the span raise.
     """
     rows = []
     for label, y in candidates:
         exponent = None
-        power = y
-        for n in range(2, exponent_bound + 1):
+        power = Polynomial.one(y.sig)
+        for n in range(1, exponent_bound + 1):
             power = power * y
             if power.degree() > degree_bound:
                 break
             coords = _present_coords(pres, power)
             if coords is None:
-                raise RestrictionError(
-                    "%s^%d is not expressible in presentation %s" % (label, n, pres.name)
-                )
+                raise RestrictionError("%s is not expressible in presentation %s"
+                                       % (label if n == 1 else "%s^%d" % (label, n), pres.name))
             if all(int(c) % p == 0 for c in coords.values()):
                 exponent = n
                 break
