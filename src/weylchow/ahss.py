@@ -45,12 +45,12 @@ exactly: (Z/p)^t with t = dim Kbar(mu) - dim(Wbar(mu) + sum_j Kbar(mu/v_j)).
 
 Every subspace here -- Kbar, Wbar, their sums and intersections -- is one
 linalg.FpSubspace: a reduced echelon basis with its pivots.  A vector of a
-block's F_p^g is a Python int at p = 2 (bit j = integral coordinate j, free
-coordinates first) and a list at odd p.  Q_i acts through
-integral_q_matrix's columns, so M_i x at p = 2 is an XOR of the columns at
-the set bits of x.  Kbar_i is prev.preimage(M_i images, Wbar_{i-1}), Wbar_i
-an echelon insert of images, and the torsion part of Kbar is the echelon
-rows with a pivot among the torsion coordinates.
+block's F_p^g is a Python int with integral coordinate j (free coordinates
+first) in bit j at p = 2 and in byte j at odd p.  Q_i acts through
+integral_q_matrix's columns: M_i x sums the columns at the nonzero
+coordinates of x, times them.  Kbar_i is prev.preimage(M_i images,
+Wbar_{i-1}), Wbar_i an echelon insert of images, and the torsion part of
+Kbar is the echelon rows with a pivot among the torsion coordinates.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from typing import Dict, List, Optional, Tuple
 from . import linalg
 from .chart import Chart, check_q_squares, integral_q_matrix, q_shift
 from .linalg import FpSubspace
-from .poly import compositions
+from .poly import compositions, mono_str
 
 VMono = Tuple[int, ...]
 
@@ -83,13 +83,7 @@ def v_degree(p: int, mu: VMono) -> int:
 
 
 def v_label(mu: VMono) -> str:
-    parts = []
-    for i, e in enumerate(mu):
-        if e == 1:
-            parts.append("v_%d" % (i + 1))
-        elif e > 1:
-            parts.append("v_%d^%d" % (i + 1, e))
-    return "*".join(parts) if parts else "1"
+    return mono_str(["v_%d" % (i + 1) for i in range(len(mu))], mu) or "1"
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +184,8 @@ class AhssResult:
         t = s + q_shift(p, stage)
         width = self.rank(t)
         cols = integral_q_matrix(self.chart, stage, s)
-        images = [FpSubspace.image(p, cols, v, width) for v in prev]
-        zero = FpSubspace.zero(p, width)
-        if all(img == zero for img in images):
+        images = [FpSubspace.image(p, cols, v) for v in prev]
+        if not any(images):
             result = prev
         else:
             allowed = self.w(stage - 1, t, _v_mult(mu, stage))
@@ -218,7 +211,7 @@ class AhssResult:
                 continue
             cols = integral_q_matrix(self.chart, j, src_s)
             for v in src_k:
-                result.insert(FpSubspace.image(p, cols, v, rank))
+                result.insert(FpSubspace.image(p, cols, v))
         self._w[key] = result
         return result
 
@@ -297,13 +290,16 @@ def _class_label(chart: Chart, s: int, vec: List[int]) -> str:
 
 
 def einfinity_summary(result: AhssResult) -> Dict[int, List[Tuple[str, BlockStructure]]]:
-    """Nonzero blocks per total degree within the reporting range."""
+    """Nonzero blocks per total degree within the reporting range, as ranks
+    only: the BlockStructures carry no reps (block_structure labels them)."""
     out: Dict[int, List[Tuple[str, BlockStructure]]] = {}
     for s, mu in result.keys():
         total = s + v_degree(result.chart.p, mu)
         if total < 0 or total > result.max_total:
             continue
-        st = block_structure(result, s, mu)
+        nfree = len(result.chart.integral_slice(s).free)
+        k_bar, w_bar = result.block(s, mu)
+        st = BlockStructure(nfree, len(k_bar.tail(nfree)) - len(w_bar))
         if st.free_rank or st.torsion_rank:
             out.setdefault(total, []).append((v_label(mu), st))
     return out

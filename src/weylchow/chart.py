@@ -42,6 +42,7 @@ from .poly import (
     Polynomial,
     degree_slice,
     fp,
+    mono_str,
     parse as parse_poly,
     signature,
 )
@@ -126,13 +127,7 @@ class Chart:
         return mono
 
     def mono_label(self, mono: Monomial) -> str:
-        parts = []
-        for e, g in zip(mono, self.sig.generators):
-            if e == 1:
-                parts.append(g.name)
-            elif e > 1:
-                parts.append("%s^%d" % (g.name, e))
-        return "*".join(parts) if parts else "1"
+        return mono_str(self.sig.names, mono) or "1"
 
     def integral_slice(self, degree: int) -> "IntegralSlice":
         if degree not in self.cache.integral:
@@ -156,9 +151,9 @@ class IntegralSlice:
     echelon of the torsion basis, which solves for torsion coordinates.
     q_to_torsion[i] is Q_i from this integral basis to the target slice's
     integral coordinates, one column per basis vector: column j is the
-    FpSubspace vector of the image of basis vector j (a bitmask at p = 2),
-    zero outside the torsion coordinates, so Q_i x is the sum of the
-    columns at the nonzero coordinates of x (an XOR over set bits at p = 2).
+    packed FpSubspace vector (bit j at p = 2, byte j at odd p) of the image
+    of basis vector j, zero outside the torsion coordinates, so Q_i x is the
+    sum of the columns at the nonzero coordinates of x (an XOR at p = 2).
     """
 
     degree: int
@@ -391,16 +386,15 @@ def integral_q_matrix(chart: Chart, i: int, degree: int) -> list:
     qmat = chart.q_matrix(i, degree)
     q_cols = [FpSubspace.pack(p, [row[j] for row in qmat]) for j in range(chart.dim(degree))]
     nfree = len(tgt.free)
-    free_zero = FpSubspace.zero(p, nfree)
     cols = []
     for vec in sl.free + sl.torsion:
-        image = FpSubspace.image(p, q_cols, FpSubspace.pack(p, vec), width)
+        image = FpSubspace.image(p, q_cols, FpSubspace.pack(p, vec))
         coords = tgt.torsion_span.coordinates(image, width)
         if coords is None:
             raise ChartError(
                 "Q_%d image at degree %d is not an integral p-torsion class" % (i, degree)
             )
-        cols.append(FpSubspace.join(p, free_zero, coords, nfree))
+        cols.append(FpSubspace.join(p, 0, coords, nfree))
     sl.q_to_torsion[i] = cols
     return cols
 

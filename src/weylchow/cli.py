@@ -7,7 +7,7 @@ Commands:
                 --domain f2|f3|q|zlocal:P --max-degree N [--series EXPR]
     ahss        --chart spin7|f4|toy-*|PATH [--window W] --vmax M
                 [--max-total N] [--collapse]
-    audit       --chart spin7 [--max-degree N]
+    audit       --chart spin7 [--max-degree N, N >= 4]
     series      --expr EXPR --order N
 
 Global flags: --out PATH (default stdout), --format table|records.  The
@@ -30,7 +30,7 @@ from .chart import ChartError, load_chart
 from .groups import GroupError, build_gl, build_weyl_f4, build_weyl_so, build_weyl_spin, load_action
 from .invariants import InvariantError, poincare_series
 from .linalg import LinalgError
-from .poly import F2, F3, QQ, Domain, PolyError, z_local
+from .poly import F2, F3, F5, QQ, ZZ, Domain, PolyError, z_local
 from .series import SeriesError, expand_series
 from .steenrod import SteenrodError
 
@@ -41,6 +41,7 @@ INPUT_ERRORS = (
     LinalgError, PolyError, restriction_mod.RestrictionError, SeriesError, SteenrodError,
     ValueError, OSError,
 )
+_CHOW_FIRST_FAILURE = 4  # the degree where Spin(7)'s Chow-side criterion first fails
 
 
 class Report:
@@ -71,23 +72,12 @@ class Report:
 
 def _parse_domain(text: str) -> Domain:
     text = text.lower()
-    if text == "f2":
-        return F2
-    if text == "f3":
-        return F3
-    if text == "f5":
-        from .poly import F5
-
-        return F5
-    if text == "q":
-        return QQ
-    if text == "z":
-        from .poly import ZZ
-
-        return ZZ
     if text.startswith("zlocal:"):
         return z_local(int(text.split(":", 1)[1]))
-    raise ValueError("unknown domain %r" % text)
+    domains = {"f2": F2, "f3": F3, "f5": F5, "q": QQ, "z": ZZ}
+    if text not in domains:
+        raise ValueError("unknown domain %r" % text)
+    return domains[text]
 
 
 def _parse_group(text: str):
@@ -215,6 +205,10 @@ def cmd_audit(args) -> Report:
     if args.chart != "spin7":
         raise ValueError("audit currently covers the spin7 chart")
     max_degree = args.max_degree
+    if max_degree < _CHOW_FIRST_FAILURE:
+        raise restriction_mod.RestrictionError(
+            "--max-degree %d is below %d, the degree where the Chow-side injectivity "
+            "criterion first fails" % (max_degree, _CHOW_FIRST_FAILURE))
     model = restriction_mod.build_spin7_model(window=max_degree)
 
     rep.line("Restriction audit for Spin(7), p = 2, degrees <= %d" % max_degree)
@@ -249,7 +243,7 @@ def cmd_audit(args) -> Report:
     crit_h = restriction_mod.surjectivity_criterion(model, model.h_presentation)
     crit_ch = restriction_mod.surjectivity_criterion(model, model.ch_presentation)
     ok_h = crit_h.injective
-    ok_ch = (not crit_ch.injective) and crit_ch.first_failure == 4
+    ok_ch = (not crit_ch.injective) and crit_ch.first_failure == _CHOW_FIRST_FAILURE
     rep.line("injectivity criterion, cohomology side: %s" % ("pass" if ok_h else "FAIL"))
     rep.line("injectivity criterion, Chow side fails first at degree %s: %s"
              % (crit_ch.first_failure, "pass" if ok_ch else "FAIL"))

@@ -179,7 +179,10 @@ def _signed_orbit_sums(monos, group, p: int) -> List[Dict[int, int]]:
 
     Each monomial orbit contributes its signed orbit sum, as {monomial index:
     sign}, when the signs are consistent along the orbit (mod p when p is
-    set), and nothing otherwise; this holds in every characteristic.
+    set), and nothing otherwise; this holds in every characteristic.  The
+    group comes as _signed_subgroup's (inverse permutation, sign masks)
+    pairs: a monomial's image depends on the permutation only, and its sign
+    under mask m is the parity of m on the odd exponents.
     """
     index = {m: i for i, m in enumerate(monos)}
     visited = [False] * len(monos)
@@ -187,22 +190,15 @@ def _signed_orbit_sums(monos, group, p: int) -> List[Dict[int, int]]:
     for start, mono in enumerate(monos):
         if visited[start]:
             continue
+        odd = sum(1 << j for j, e in enumerate(mono) if e % 2)
         coeffs: Dict[int, int] = {}
         consistent = True
-        for perm, signs in group:
-            sign = 1
-            img = [0] * len(mono)
-            for j, e in enumerate(mono):
-                if e:
-                    img[perm[j]] = e
-                    if signs[j] < 0 and e % 2:
-                        sign = -sign
-            key = index[tuple(img)]
-            prev = coeffs.get(key)
-            if prev is None:
-                coeffs[key] = sign
-            elif prev != sign and not (p and (prev - sign) % p == 0):
-                consistent = False
+        for inverse, masks in group:
+            key = index[tuple(map(mono.__getitem__, inverse))]
+            signs = {-1 if (m & odd).bit_count() & 1 else 1 for m in masks}
+            sign = -1 if (masks[0] & odd).bit_count() & 1 else 1
+            if coeffs.setdefault(key, sign) != sign or len(signs) > 1:
+                consistent = consistent and p == 2  # -1 = 1 mod 2
         for key in coeffs:
             visited[key] = True
         if consistent:
@@ -213,11 +209,15 @@ def _signed_orbit_sums(monos, group, p: int) -> List[Dict[int, int]]:
 def _signed_subgroup(action: GroupAction):
     """(signed-permutation elements, other generators), found once per action.
     The signed elements form a subgroup; with the other generators of the
-    action they generate the whole group."""
+    action they generate the whole group.  They are grouped by permutation,
+    in sorted order, as (inverse permutation, masks of the negative signs)."""
     if action._signed is None:
         general = [m for m in action.matrices if signed_permutation(m) is None]
-        signed = set(map(signed_permutation, action.elements())) - {None}
-        action._signed = (sorted(signed), general)
+        by_perm: Dict[Tuple[int, ...], List[int]] = {}  # inverse permutation -> masks
+        for perm, signs in sorted(set(map(signed_permutation, action.elements())) - {None}):
+            inverse = tuple(sorted(range(len(perm)), key=perm.__getitem__))
+            by_perm.setdefault(inverse, []).append(sum(1 << j for j, s in enumerate(signs) if s < 0))
+        action._signed = (list(by_perm.items()), general)
     return action._signed
 
 
@@ -241,8 +241,8 @@ def invariant_basis(
     k = degree // action.gen_degree
     if len(monos) >= _ORBIT_PATH_THRESHOLD or all(
             signed_permutation(m) is not None for m in action.matrices):
-        signed_elements, gens = _signed_subgroup(action)
-        candidates = _signed_orbit_sums(monos, signed_elements, domain.characteristic)
+        signed, gens = _signed_subgroup(action)
+        candidates = _signed_orbit_sums(monos, signed, domain.characteristic)
     else:
         gens, candidates = action.matrices, [{j: 1} for j in range(len(monos))]
     combos = [_combine(cv, candidates)

@@ -1,9 +1,10 @@
 """Exact linear algebra over F_p, Q, and Z.
 
-Everything here works on plain Python lists of ints/Fractions; no floating
-point anywhere.  Integer routines produce saturated kernels and
-Hermite-reduced lattice bases so that torsion questions (membership up to a
-p-power, elementary-divisor valuations) have exact answers.
+Everything here works on plain Python lists of ints/Fractions (FpSubspace
+packs an F_p vector into one int); no floating point anywhere.  Integer
+routines produce saturated kernels and Hermite-reduced lattice bases so that
+torsion questions (membership up to a p-power, elementary-divisor
+valuations) have exact answers.
 
 Conventions: a "matrix" is a list of rows; a "basis" is a list of column
 vectors spanning a subspace or lattice of the ambient coordinate space.
@@ -48,30 +49,50 @@ def identity(n: int) -> List[Vector]:
 # F_p subspaces and elimination
 # ---------------------------------------------------------------------------
 
+# The admitted primes and their field widths: one bit per coordinate at p = 2,
+# one byte at odd p with p (p - 1) <= 255.  At odd p, _FOLD reduces a byte mod
+# p and _ROOM counts the products a vector with bytes in [0, p) takes unfolded.
+_FOLD = {p: bytes(x % p for x in range(256)) for p in (3, 5, 7, 11, 13)}
+_ROOM = {p: (255 - (p - 1)) // (p - 1) ** 2 for p in _FOLD}
+_BITS = {2: 1, **dict.fromkeys(_FOLD, 8)}
+
+
+def _fold(p: int, v: int) -> int:
+    """v with every byte reduced mod p."""
+    n = (v.bit_length() + 7) >> 3
+    return int.from_bytes(v.to_bytes(n, "little").translate(_FOLD[p]), "little")
+
 
 class FpSubspace:
     """A subspace of F_p^n held as its reduced row echelon basis.
 
     rows[k] has its lowest nonzero coordinate, equal to 1, at pivots[k]; the
     pivots increase and every other row is zero at them, so the rows are the
-    unique reduced echelon form of the span.  At p = 2 a vector is a Python
-    int with bit j = coordinate j, and a row operation is one XOR; at odd p
-    it is a list of ints in [0, p).  pack/unpack convert from and to lists.
-    Subspaces grow only through insert(); the other operations return new
-    ones.
+    unique reduced echelon form of the span.  A vector is a Python int with
+    coordinate j in bit j at p = 2, where a row operation is one XOR, and in
+    byte j at odd p, where v - f * row is v + (p - f) * row followed by one
+    reduction of every byte mod p (_fold).  No carry crosses a byte: a
+    coordinate in [0, p) plus ROOM products of at most (p - 1)^2 stays below
+    256, so reduce and image fold once per ROOM products (63 at p = 3, 15 at
+    p = 5), and a prime with p (p - 1) > 255 is refused.  pack/unpack
+    convert from and to lists.  Subspaces grow only through insert(); the
+    other operations return new ones.
     """
 
     __slots__ = ("p", "rows", "pivots")
 
     def __init__(self, p: int, vectors=()):
+        if p not in _BITS:
+            raise LinalgError("F_%d is not supported: packed vectors need p = 2 or an odd "
+                              "prime with p (p - 1) <= 255" % p)
         self.p = p
-        self.rows: list = []
+        self.rows: List[int] = []
         self.pivots: List[int] = []
         for v in vectors:
             self.insert(v)
 
     @classmethod
-    def _echelon(cls, p: int, rows: list, pivots: List[int]) -> "FpSubspace":
+    def _echelon(cls, p: int, rows: List[int], pivots: List[int]) -> "FpSubspace":
         """A subspace from rows and pivots already in reduced echelon form."""
         sub = cls(p)
         sub.rows, sub.pivots = rows, pivots
@@ -79,8 +100,7 @@ class FpSubspace:
 
     @classmethod
     def full(cls, p: int, n: int) -> "FpSubspace":
-        return cls._echelon(p, [1 << j for j in range(n)] if p == 2 else identity(n),
-                            list(range(n)))
+        return cls._echelon(p, [1 << _BITS[p] * j for j in range(n)], list(range(n)))
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -97,49 +117,53 @@ class FpSubspace:
             sub.insert(v)
         return sub
 
-    def reduce(self, v):
+    def reduce(self, v: int) -> int:
         """The remainder of v modulo the span: v minus the span element that
-        agrees with v at every pivot."""
-        p = self.p
-        if p == 2:
-            for row, c in zip(self.rows, self.pivots):
-                if v >> c & 1:
-                    v ^= row
-            return v
-        for row, c in zip(self.rows, self.pivots):
-            f = v[c]
-            if f:
-                v = [(x - f * y) % p for x, y in zip(v, row)]
-        return v
+        agrees with v at every pivot.  From pivots[k] it skips to the first
+        pivot at or after v's lowest nonzero coordinate there (the rows
+        subtracted so far are zero at that pivot)."""
+        p, rows, pivots, bits = self.p, self.rows, self.pivots, _BITS[self.p]
+        k, n, room = 0, len(pivots), _ROOM.get(p, 0)
+        left = room
+        while k < n and (w := v >> bits * pivots[k]):
+            low = ((w & -w).bit_length() - 1) // bits
+            if low:
+                k = bisect_left(pivots, pivots[k] + low, k + 1)
+                continue
+            if p == 2:
+                v ^= rows[k]
+            elif f := (w & 255) % p:
+                if not left:
+                    v, left = _fold(p, v), room
+                v += (p - f) * rows[k]
+                left -= 1
+            k += 1
+        return v if left == room else _fold(p, v)
 
-    def contains(self, v) -> bool:
-        rem = self.reduce(v)
-        return not rem if self.p == 2 else not any(rem)
+    def contains(self, v: int) -> bool:
+        return not self.reduce(v)
 
-    def insert(self, v) -> bool:
+    def insert(self, v: int) -> bool:
         """Add v to the span; True when the span grew."""
-        p = self.p
+        p, rows = self.p, self.rows
         v = self.reduce(v)
-        rows = self.rows
+        if not v:
+            return False
+        c = (v & -v).bit_length() - 1
         if p == 2:
-            if not v:
-                return False
-            c = (v & -v).bit_length() - 1
             k = bisect_left(self.pivots, c)
             for i in range(k):  # only rows with a smaller pivot can be nonzero at c
                 if rows[i] >> c & 1:
                     rows[i] ^= v
         else:
-            c = next((j for j, x in enumerate(v) if x), None)
-            if c is None:
-                return False
-            inv = pow(v[c], p - 2, p)
-            v = [x * inv % p for x in v]
+            c >>= 3
+            inv = pow(v >> 8 * c & 255, p - 2, p)
+            v = v if inv == 1 else _fold(p, v * inv)
             k = bisect_left(self.pivots, c)
             for i in range(k):
-                f = rows[i][c]
+                f = rows[i] >> 8 * c & 255
                 if f:
-                    rows[i] = [(x - f * y) % p for x, y in zip(rows[i], v)]
+                    rows[i] = _fold(p, rows[i] + (p - f) * v)
         rows.insert(k, v)
         self.pivots.insert(k, c)
         return True
@@ -150,7 +174,7 @@ class FpSubspace:
         k = bisect_left(self.pivots, start)
         return self._echelon(self.p, self.rows[k:], self.pivots[k:])
 
-    def preimage(self, images: list, allowed: "FpSubspace", width: int) -> "FpSubspace":
+    def preimage(self, images: List[int], allowed: "FpSubspace", width: int) -> "FpSubspace":
         """{x in self : M x in allowed}, where images[k] = M rows[k] lies in
         F_p^width.
 
@@ -165,67 +189,65 @@ class FpSubspace:
                              [c - width for c in pairs.pivots])
 
     @classmethod
-    def tracking(cls, p: int, basis: list, width: int) -> "FpSubspace":
+    def tracking(cls, p: int, basis: List[int], width: int) -> "FpSubspace":
         """The span of the pairs (basis[j] | e_j) for independent vectors
         basis[j] of F_p^width, to solve in that basis with coordinates()."""
         units = cls.full(p, len(basis)).rows
         return cls(p, [cls.join(p, v, e, width) for v, e in zip(basis, units)])
 
-    def coordinates(self, v, width: int):
+    def coordinates(self, v: int, width: int) -> Optional[int]:
         """For a tracking() span: c with sum_j c_j basis[j] = v, or None
         when v lies outside the span of the basis.  Reducing (v | 0) leaves
         (0 | -c) exactly when v = sum_j c_j basis[j]."""
         p = self.p
-        padded = self.join(p, v, self.zero(p, len(self)), width)
-        low, high = self.split(p, self.reduce(padded), width)
-        if low != self.zero(p, width):
+        low, high = self.split(p, self.reduce(v), width)
+        if low:
             return None
-        return high if p == 2 else [-x % p for x in high]
+        return high if p == 2 else _fold(p, (p - 1) * high)
 
     @staticmethod
-    def zero(p: int, n: int):
-        return 0 if p == 2 else [0] * n
-
-    @staticmethod
-    def pack(p: int, values: Sequence[int]):
+    def pack(p: int, values: Sequence[int]) -> int:
         """A vector from a sequence of integers, reduced mod p."""
         if p == 2:
             return sum(1 << j for j, x in enumerate(values) if x & 1)
-        return [x % p for x in values]
+        return int.from_bytes(bytes([x % p for x in values]), "little")
 
     @staticmethod
-    def unpack(p: int, v, n: int) -> List[int]:
+    def unpack(p: int, v: int, n: int) -> List[int]:
         """The coordinates of a vector of F_p^n as a list."""
-        return [v >> j & 1 for j in range(n)] if p == 2 else list(v)
+        return [v >> j & 1 for j in range(n)] if p == 2 else list(v.to_bytes(n, "little"))
 
     @staticmethod
-    def image(p: int, cols: list, v, width: int):
-        """M v, for the matrix M with columns cols (vectors of F_p^width)."""
+    def image(p: int, cols: List[int], v: int) -> int:
+        """M v, for the matrix M with columns cols."""
+        out = 0
         if p == 2:
-            out = 0
             while v:
                 low = v & -v
                 out ^= cols[low.bit_length() - 1]
                 v ^= low
             return out
-        out = [0] * width
-        for c, col in zip(v, cols):
-            if c:
-                out = [x + c * y for x, y in zip(out, col)]
-        return [x % p for x in out]
+        left = _ROOM[p]
+        while v:
+            j = ((v & -v).bit_length() - 1) >> 3
+            c = v >> 8 * j & 255
+            v ^= c << 8 * j
+            if not left:
+                out, left = _fold(p, out), _ROOM[p]
+            out += c * cols[j]
+            left -= 1
+        return _fold(p, out)
 
     @staticmethod
-    def join(p: int, low, high, width: int):
+    def join(p: int, low: int, high: int, width: int) -> int:
         """The vector of F_p^(width + m) with low in the first width
         coordinates and high in the rest."""
-        return low | high << width if p == 2 else low + high
+        return low | high << _BITS[p] * width
 
     @staticmethod
-    def split(p: int, v, width: int):
+    def split(p: int, v: int, width: int) -> Tuple[int, int]:
         """The inverse of join: (first width coordinates, the rest)."""
-        if p == 2:
-            return v & ((1 << width) - 1), v >> width
-        return v[:width], v[width:]
+        return v & ((1 << _BITS[p] * width) - 1), v >> _BITS[p] * width
 
 
 def rref_fp(rows: List[List[int]], p: int) -> Tuple[List[List[int]], List[int]]:

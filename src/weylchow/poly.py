@@ -227,13 +227,7 @@ class AlgebraSignature:
 
 def signature(gens: Iterable[Tuple], domain: Domain) -> AlgebraSignature:
     """Build a signature from (name, degree) or (name, degree, exterior) tuples."""
-    out = []
-    for spec in gens:
-        if len(spec) == 2:
-            out.append(Generator(spec[0], spec[1]))
-        else:
-            out.append(Generator(spec[0], spec[1], spec[2]))
-    return AlgebraSignature(out, domain)
+    return AlgebraSignature([Generator(*spec) for spec in gens], domain)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +237,11 @@ def signature(gens: Iterable[Tuple], domain: Domain) -> AlgebraSignature:
 
 def grlex_key(sig: AlgebraSignature, mono: Monomial):
     return (sig.mono_degree(mono), mono)
+
+
+def mono_str(names: Sequence[str], mono: Sequence[int]) -> str:
+    """'x^2*y' for the exponents mono on the names; '' for the unit."""
+    return "*".join(n if e == 1 else "%s^%d" % (n, e) for n, e in zip(names, mono) if e)
 
 
 def compositions(
@@ -504,18 +503,12 @@ class Polynomial:
     def __str__(self):
         if not self.terms:
             return "0"
-        sig = self.sig
+        sig, names = self.sig, self.sig.names
         monos = sorted(self.terms, key=lambda m: grlex_key(sig, m), reverse=True)
         parts: List[str] = []
         for mono in monos:
             c = self.terms[mono]
-            factors = []
-            for e, g in zip(mono, sig.generators):
-                if e == 1:
-                    factors.append(g.name)
-                elif e > 1:
-                    factors.append("%s^%d" % (g.name, e))
-            body = "*".join(factors)
+            body = mono_str(names, mono)
             neg = c < 0 if not isinstance(c, bool) else False
             mag = -c if neg else c
             if body and mag == 1:

@@ -43,6 +43,7 @@ from .poly import (
     Polynomial,
     compositions,
     degree_slice,
+    mono_str,
     power_products,
     signature,
     z_local,
@@ -113,7 +114,7 @@ class ImageLattice:
 
 def _product_label(names: Sequence[str], expo: Sequence[int], last: str) -> str:
     """'c_4^2*c_6*<last>' for the subring monomial with exponents expo."""
-    return "*".join([n if e == 1 else "%s^%d" % (n, e) for n, e in zip(names, expo) if e] + [last])
+    return "*".join(filter(None, (mono_str(names, expo), last)))
 
 
 def _coords(poly: Polynomial, monos, domain: Domain) -> List:

@@ -13,6 +13,7 @@ from weylchow.ahss import (
     permanent_cycle_check,
     run_ahss,
     v_degree,
+    v_label,
 )
 from weylchow.builtin import toy_free_chart, toy_killing_chart
 from weylchow.chart import ChartError, build_chart
@@ -46,6 +47,24 @@ def test_toy_killing_einfinity_towers():
     assert len(nine) == 1 and nine[0][0] == "1"
     # the free class persists in every v-column of total degree <= 6
     assert {lbl for lbl, _ in summary[6]} >= {"1"}
+
+
+@pytest.mark.parametrize("fixture", ["spin7_ahss", "f4_ahss"])
+def test_einfinity_summary_counts_the_block_structure_ranks(request, fixture):
+    """The summary counts ranks without labelling; they are the ranks that
+    block_structure finds, block by block."""
+    res = request.getfixturevalue(fixture)
+    want = {}
+    for s, mu in res.keys():
+        total = s + v_degree(res.chart.p, mu)
+        st = block_structure(res, s, mu)
+        if 0 <= total <= res.max_total and (st.free_rank or st.torsion_rank):
+            want.setdefault(total, []).append((v_label(mu), st.free_rank, st.torsion_rank))
+    summary = einfinity_summary(res)
+    assert {total: [(lbl, st.free_rank, st.torsion_rank) for lbl, st in entries]
+            for total, entries in summary.items()} == want
+    assert not any(st.free_reps or st.torsion_reps for entries in summary.values()
+                   for _, st in entries)
 
 
 def test_toy_permanent_cycles():

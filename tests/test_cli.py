@@ -39,6 +39,14 @@ def test_malformed_series_is_an_input_error(capsys, argv):
     assert err.startswith("error: cannot read")
 
 
+@pytest.mark.parametrize("degree", ["0", "2", "3"])
+def test_audit_refuses_a_window_below_the_chow_failure(capsys, degree):
+    code, out, err = run_cli(capsys, "audit", "--chart", "spin7", "--max-degree", degree)
+    assert code == 2 and out == ""
+    assert err == "error: --max-degree %s is below 4, the degree where the Chow-side " \
+        "injectivity criterion first fails\n" % degree
+
+
 def test_invariants_match(capsys):
     code, out, _ = run_cli(
         capsys,

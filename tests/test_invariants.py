@@ -270,6 +270,32 @@ def test_slice_action_matches_substitution_on_sparse_vectors(action, domain, top
             assert sa.defect(k, vec) == want, (k, m, vec)
 
 
+def _reference_orbit_sums(monos, group, p):
+    """The signed orbit sums of the (permutation, signs) elements of group,
+    one element at a time: the image and sign of each monomial under every
+    element, and a sum kept when the signs agree (mod p when p is set)."""
+    index = {m: i for i, m in enumerate(monos)}
+    visited, basis = [False] * len(monos), []
+    for start, mono in enumerate(monos):
+        if visited[start]:
+            continue
+        coeffs, consistent = {}, True
+        for perm, signs in group:
+            img, sign = [0] * len(mono), 1
+            for j, e in enumerate(mono):
+                img[perm[j]] = e
+                if signs[j] < 0 and e % 2:
+                    sign = -sign
+            prev = coeffs.setdefault(index[tuple(img)], sign)
+            if prev != sign and not (p and (prev - sign) % p == 0):
+                consistent = False
+        for key in coeffs:
+            visited[key] = True
+        if consistent:
+            basis.append(coeffs)
+    return basis
+
+
 def _stacked_kernel_reference(action, degree, domain):
     """The invariant basis from one stacked kernel of the (g - 1) rows over
     the candidates, each g - 1 from action_matrix, as the module docstring's
@@ -280,7 +306,7 @@ def _stacked_kernel_reference(action, degree, domain):
     if len(monos) >= inv_mod._ORBIT_PATH_THRESHOLD or all(signed):
         group = sorted(set(map(inv_mod.signed_permutation, action.elements())) - {None})
         cands = [[domain.coerce(c.get(j, 0)) for j in range(len(monos))]
-                 for c in inv_mod._signed_orbit_sums(monos, group, domain.characteristic)]
+                 for c in _reference_orbit_sums(monos, group, domain.characteristic)]
         gens = [g for g, s in zip(action.matrices, signed) if not s]
     else:
         cands = [[one if i == j else zero for i in range(len(monos))] for j in range(len(monos))]

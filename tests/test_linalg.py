@@ -174,6 +174,66 @@ def test_rank_fp_f2_bitset_path():
     assert linalg.rank_fp(rows, 2) == 2
 
 
+def _plain_rref(rows, p):
+    """Gauss-Jordan mod p on lists: (nonzero rref rows, pivot columns)."""
+    m = [[x % p for x in row] for row in rows]
+    pivots = []
+    for c in range(len(m[0])):
+        r = len(pivots)
+        k = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if k is None:
+            continue
+        m[r], m[k] = m[k], m[r]
+        m[r] = [x * pow(m[r][c], p - 2, p) % p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                m[i] = [(x - m[i][c] * y) % p for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[:len(pivots)], pivots
+
+
+@pytest.mark.parametrize("p, n, r", [(3, 150, 100), (5, 40, 30)])
+def test_fp_subspace_wide_vectors_match_plain_lists(p, n, r):
+    """Vectors with more nonzero coordinates than a byte holds products
+    unreduced (63 at p = 3, 15 at p = 5), each product as large as
+    (p - 1)^2: image, reduce, insert and coordinates against plain lists."""
+    Sub = linalg.FpSubspace
+    rnd = random.Random(p)
+    top = [p - 1] * n
+    # image: every coefficient and every column entry p - 1
+    cols = [[p - 1] * n for _ in range(n)]
+    assert Sub.unpack(p, Sub.image(p, [Sub.pack(p, c) for c in cols], Sub.pack(p, top)), n) \
+        == [sum((p - 1) * col[i] for col in cols) % p for i in range(n)]
+    # rows e_i + (p - 1) * (e_r + .. + e_{n-1}), inserted last pivot first: the
+    # reduced echelon form as given; reducing (1, .., 1) adds (p - 1) * row r times
+    rows = [[int(j == i) if j < r else p - 1 for j in range(n)] for i in range(r)]
+    sub = Sub(p, [Sub.pack(p, row) for row in reversed(rows)])
+    assert [Sub.unpack(p, v, n) for v in sub] == rows and sub.pivots == list(range(r))
+    assert Sub.unpack(p, sub.reduce(Sub.pack(p, [1] * n)), n) \
+        == [0] * r + [(1 - r * (p - 1)) % p] * (n - r)
+    # insert: a dense random matrix against Gauss-Jordan on lists
+    dense = [[rnd.randrange(p) for _ in range(n)] for _ in range(r)] + [top]
+    sub = Sub(p, [Sub.pack(p, row) for row in dense])
+    red, pivots = _plain_rref(dense, p)
+    assert [Sub.unpack(p, v, n) for v in sub] == red and sub.pivots == pivots
+    # coordinates in that echelon basis, and None outside its span
+    coeffs = [rnd.randrange(p) for _ in red[:-1]] + [p - 1]
+    target = [sum(c * row[i] for c, row in zip(coeffs, red)) % p for i in range(n)]
+    tracked = Sub.tracking(p, sub.rows, n)
+    assert Sub.unpack(p, tracked.coordinates(Sub.pack(p, target), n), len(red)) == coeffs
+    outside = [int(j == n - 1) for j in range(n)]
+    assert (tracked.coordinates(Sub.pack(p, outside), n) is None) == (len(red) < n)
+
+
+def test_fp_subspace_refuses_a_prime_whose_bytes_could_overflow():
+    for p in (17, 19):  # p (p - 1) > 255
+        with pytest.raises(linalg.LinalgError):
+            linalg.FpSubspace(p)
+    with pytest.raises(linalg.LinalgError):
+        linalg.rank_fp([[1, 2], [3, 4]], 17)
+    assert linalg.rank_fp([[1, 2], [3, 4]], 13) == 2
+
+
 # ---------------------------------------------------------------------------
 # Oracle: Fraction Gauss-Jordan against the integer-preserving rref_q
 # ---------------------------------------------------------------------------
@@ -349,7 +409,7 @@ def test_fp_subspace_matches_enumerated_spans(case):
     assert _as_set(sub_a.tail(start), n) == {w for w in span_a if not any(w[:start])}
     # conditioned kernel {x in A : M x in C}
     cols = [pack(col) for col in m_cols]
-    images = [Sub.image(p, cols, row, m) for row in sub_a]
+    images = [Sub.image(p, cols, row) for row in sub_a]
     span_c = span(c, m)
 
     def apply(x):
