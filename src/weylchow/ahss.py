@@ -263,16 +263,23 @@ def free_classes(result: AhssResult, s: int, mu: VMono) -> List[List[int]]:
                    for i in range(nfree) if i not in k_bar.pivots[:nproj]]
 
 
-def block_structure(result: AhssResult, s: int, mu: VMono) -> BlockStructure:
-    """E_infinity structure of one block: K/B, labelled by free_classes and
-    the new torsion classes."""
-    chart = result.chart
-    sl = chart.integral_slice(s)
+def block_ranks(result: AhssResult, s: int, mu: VMono) -> BlockStructure:
+    """The ranks of one E_infinity block, without reps: the free rank of the
+    integral slice and the new torsion rank dim(Kbar ^ torsion span) - dim Wbar."""
+    nfree = len(result.chart.integral_slice(s).free)
     k_bar, w_bar = result.block(s, mu)
-    k_t = k_bar.tail(len(sl.free))  # Kbar ^ torsion span
-    return BlockStructure(len(sl.free), len(k_t) - len(w_bar),
-                          [_class_label(chart, s, vec) for vec in free_classes(result, s, mu)],
-                          _new_reps(chart, sl, k_t, w_bar))
+    return BlockStructure(nfree, len(k_bar.tail(nfree)) - len(w_bar))
+
+
+def block_structure(result: AhssResult, s: int, mu: VMono) -> BlockStructure:
+    """block_ranks with the reps: K/B labelled by free_classes and the new
+    torsion classes."""
+    chart = result.chart
+    k_bar, w_bar = result.block(s, mu)
+    st = block_ranks(result, s, mu)
+    st.free_reps = [_class_label(chart, s, vec) for vec in free_classes(result, s, mu)]
+    st.torsion_reps = _new_reps(chart, chart.integral_slice(s), k_bar.tail(st.free_rank), w_bar)
+    return st
 
 
 def _lift(chart: Chart, sl, coeffs: List[int]) -> List[int]:
@@ -290,16 +297,14 @@ def _class_label(chart: Chart, s: int, vec: List[int]) -> str:
 
 
 def einfinity_summary(result: AhssResult) -> Dict[int, List[Tuple[str, BlockStructure]]]:
-    """Nonzero blocks per total degree within the reporting range, as ranks
-    only: the BlockStructures carry no reps (block_structure labels them)."""
+    """Nonzero blocks per total degree within the reporting range, as
+    block_ranks: ranks only, no reps (block_structure labels them)."""
     out: Dict[int, List[Tuple[str, BlockStructure]]] = {}
     for s, mu in result.keys():
         total = s + v_degree(result.chart.p, mu)
         if total < 0 or total > result.max_total:
             continue
-        nfree = len(result.chart.integral_slice(s).free)
-        k_bar, w_bar = result.block(s, mu)
-        st = BlockStructure(nfree, len(k_bar.tail(nfree)) - len(w_bar))
+        st = block_ranks(result, s, mu)
         if st.free_rank or st.torsion_rank:
             out.setdefault(total, []).append((v_label(mu), st))
     return out

@@ -30,7 +30,7 @@ from .chart import ChartError, load_chart
 from .groups import GroupError, build_gl, build_weyl_f4, build_weyl_so, build_weyl_spin, load_action
 from .invariants import InvariantError, poincare_series
 from .linalg import LinalgError
-from .poly import F2, F3, F5, QQ, ZZ, Domain, PolyError, z_local
+from .poly import F2, F3, QQ, Domain, PolyError, z_local
 from .series import SeriesError, expand_series
 from .steenrod import SteenrodError
 
@@ -72,12 +72,23 @@ class Report:
 
 def _parse_domain(text: str) -> Domain:
     text = text.lower()
+    if text == "f2":
+        return F2
+    if text == "f3":
+        return F3
+    if text == "f5":
+        from .poly import F5
+
+        return F5
+    if text == "q":
+        return QQ
+    if text == "z":
+        from .poly import ZZ
+
+        return ZZ
     if text.startswith("zlocal:"):
         return z_local(int(text.split(":", 1)[1]))
-    domains = {"f2": F2, "f3": F3, "f5": F5, "q": QQ, "z": ZZ}
-    if text not in domains:
-        raise ValueError("unknown domain %r" % text)
-    return domains[text]
+    raise ValueError("unknown domain %r" % text)
 
 
 def _parse_group(text: str):

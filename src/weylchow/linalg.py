@@ -50,10 +50,8 @@ def identity(n: int) -> List[Vector]:
 # ---------------------------------------------------------------------------
 
 # The admitted primes and their field widths: one bit per coordinate at p = 2,
-# one byte at odd p with p (p - 1) <= 255.  At odd p, _FOLD reduces a byte mod
-# p and _ROOM counts the products a vector with bytes in [0, p) takes unfolded.
+# one byte at odd p with p (p - 1) <= 255.  At odd p, _FOLD reduces a byte mod p.
 _FOLD = {p: bytes(x % p for x in range(256)) for p in (3, 5, 7, 11, 13)}
-_ROOM = {p: (255 - (p - 1)) // (p - 1) ** 2 for p in _FOLD}
 _BITS = {2: 1, **dict.fromkeys(_FOLD, 8)}
 
 
@@ -71,12 +69,15 @@ class FpSubspace:
     unique reduced echelon form of the span.  A vector is a Python int with
     coordinate j in bit j at p = 2, where a row operation is one XOR, and in
     byte j at odd p, where v - f * row is v + (p - f) * row followed by one
-    reduction of every byte mod p (_fold).  No carry crosses a byte: a
-    coordinate in [0, p) plus ROOM products of at most (p - 1)^2 stays below
-    256, so reduce and image fold once per ROOM products (63 at p = 3, 15 at
-    p = 5), and a prime with p (p - 1) > 255 is refused.  pack/unpack
-    convert from and to lists.  Subspaces grow only through insert(); the
-    other operations return new ones.
+    reduction of every byte mod p (_fold).  Every vector keeps its bytes in
+    [0, p), and no carry crosses a byte: each product is folded at once, and
+    a coordinate in [0, p) plus one product of at most (p - 1)^2 is at most
+    p (p - 1) <= 255.  A prime with p (p - 1) > 255, so every p >= 17, raises
+    LinalgError here and in every F_p routine built on this class (rref_fp,
+    rank_fp, kernel_fp, solve_fp, membership over F_p, and so chart and
+    action files with such a mod).  pack/unpack convert from and to lists.
+    Subspaces grow only through insert(); the other operations return new
+    ones.
     """
 
     __slots__ = ("p", "rows", "pivots")
@@ -123,47 +124,33 @@ class FpSubspace:
         pivot at or after v's lowest nonzero coordinate there (the rows
         subtracted so far are zero at that pivot)."""
         p, rows, pivots, bits = self.p, self.rows, self.pivots, _BITS[self.p]
-        k, n, room = 0, len(pivots), _ROOM.get(p, 0)
-        left = room
+        k, n = 0, len(pivots)
         while k < n and (w := v >> bits * pivots[k]):
             low = ((w & -w).bit_length() - 1) // bits
             if low:
                 k = bisect_left(pivots, pivots[k] + low, k + 1)
                 continue
-            if p == 2:
-                v ^= rows[k]
-            elif f := (w & 255) % p:
-                if not left:
-                    v, left = _fold(p, v), room
-                v += (p - f) * rows[k]
-                left -= 1
+            v = v ^ rows[k] if p == 2 else _fold(p, v + (p - (w & 255)) * rows[k])
             k += 1
-        return v if left == room else _fold(p, v)
+        return v
 
     def contains(self, v: int) -> bool:
         return not self.reduce(v)
 
     def insert(self, v: int) -> bool:
         """Add v to the span; True when the span grew."""
-        p, rows = self.p, self.rows
+        p, rows, bits = self.p, self.rows, _BITS[self.p]
         v = self.reduce(v)
         if not v:
             return False
-        c = (v & -v).bit_length() - 1
-        if p == 2:
-            k = bisect_left(self.pivots, c)
-            for i in range(k):  # only rows with a smaller pivot can be nonzero at c
-                if rows[i] >> c & 1:
-                    rows[i] ^= v
-        else:
-            c >>= 3
-            inv = pow(v >> 8 * c & 255, p - 2, p)
-            v = v if inv == 1 else _fold(p, v * inv)
-            k = bisect_left(self.pivots, c)
-            for i in range(k):
-                f = rows[i] >> 8 * c & 255
-                if f:
-                    rows[i] = _fold(p, rows[i] + (p - f) * v)
+        c = ((v & -v).bit_length() - 1) // bits
+        if p != 2 and (inv := pow(v >> 8 * c & 255, p - 2, p)) != 1:
+            v = _fold(p, v * inv)
+        k = bisect_left(self.pivots, c)
+        shift, mask = bits * c, (1 << bits) - 1
+        for i in range(k):  # only rows with a smaller pivot can be nonzero at c
+            if f := rows[i] >> shift & mask:
+                rows[i] = rows[i] ^ v if p == 2 else _fold(p, rows[i] + (p - f) * v)
         rows.insert(k, v)
         self.pivots.insert(k, c)
         return True
@@ -220,23 +207,13 @@ class FpSubspace:
     @staticmethod
     def image(p: int, cols: List[int], v: int) -> int:
         """M v, for the matrix M with columns cols."""
-        out = 0
-        if p == 2:
-            while v:
-                low = v & -v
-                out ^= cols[low.bit_length() - 1]
-                v ^= low
-            return out
-        left = _ROOM[p]
+        bits, out = _BITS[p], 0
         while v:
-            j = ((v & -v).bit_length() - 1) >> 3
-            c = v >> 8 * j & 255
-            v ^= c << 8 * j
-            if not left:
-                out, left = _fold(p, out), _ROOM[p]
-            out += c * cols[j]
-            left -= 1
-        return _fold(p, out)
+            j = ((v & -v).bit_length() - 1) // bits
+            c = v >> 8 * j & 255 if bits == 8 else 1
+            v ^= c << bits * j
+            out = out ^ cols[j] if p == 2 else _fold(p, out + c * cols[j])
+        return out
 
     @staticmethod
     def join(p: int, low: int, high: int, width: int) -> int:
@@ -259,6 +236,7 @@ def rref_fp(rows: List[List[int]], p: int) -> Tuple[List[List[int]], List[int]]:
 
 
 def rank_fp(rows: List[List[int]], p: int) -> int:
+    """Rank mod p; like every F_p routine here, refuses p >= 17 (FpSubspace)."""
     return len(rref_fp(rows, p)[1])
 
 

@@ -227,7 +227,13 @@ class AlgebraSignature:
 
 def signature(gens: Iterable[Tuple], domain: Domain) -> AlgebraSignature:
     """Build a signature from (name, degree) or (name, degree, exterior) tuples."""
-    return AlgebraSignature([Generator(*spec) for spec in gens], domain)
+    out = []
+    for spec in gens:
+        if len(spec) == 2:
+            out.append(Generator(spec[0], spec[1]))
+        else:
+            out.append(Generator(spec[0], spec[1], spec[2]))
+    return AlgebraSignature(out, domain)
 
 
 # ---------------------------------------------------------------------------

@@ -194,9 +194,9 @@ def _plain_rref(rows, p):
 
 @pytest.mark.parametrize("p, n, r", [(3, 150, 100), (5, 40, 30)])
 def test_fp_subspace_wide_vectors_match_plain_lists(p, n, r):
-    """Vectors with more nonzero coordinates than a byte holds products
-    unreduced (63 at p = 3, 15 at p = 5), each product as large as
-    (p - 1)^2: image, reduce, insert and coordinates against plain lists."""
+    """Vectors with more nonzero coordinates than a byte could hold unfolded
+    products of (p - 1)^2 (63 at p = 3, 15 at p = 5): image, reduce, insert
+    and coordinates against plain lists."""
     Sub = linalg.FpSubspace
     rnd = random.Random(p)
     top = [p - 1] * n
