@@ -31,7 +31,6 @@ class BuiltinChart:
 
     chart: Chart
     expected_series: Dict[str, str] = field(default_factory=dict)
-    notes: Dict[str, str] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -78,19 +77,11 @@ def spin7_chart(window: int = 32) -> BuiltinChart:
     return BuiltinChart(
         chart,
         expected_series={
-            "q0_homology": "1/((1-t^4)(1-t^8)(1-t^12))",
             "collapse_free": "1/((1-t^4)(1-t^8)(1-t^12))",
             "collapse_torsion": (
                 "t^6/((1-t^8)(1-t^12)(1-t^16))"
                 " ; t^14/((1-t^8)(1-t^12)(1-t^14)(1-t^16))"
             ),
-            "weyl_invariants": "1/((1-t^4)(1-t^8)(1-t^12))",
-        },
-        notes={
-            "q0_homology": "free part Z_(2)[w_4, c_6, w_8] of the integral cohomology",
-            "collapse_free": "Z_(2)[c_4,c_6,c_8]{1, 2w_4, 2w_8, 2w_4w_8}",
-            "collapse_torsion": "Z/2 parts: v_1 w_8 tower and the c_7 ideal",
-            "weyl_invariants": "CH*(BT)^W = Z_(2)[w_4, w_8, c_6]",
         },
     )
 
@@ -172,17 +163,8 @@ def f4_chart(window: int = 56) -> BuiltinChart:
     return BuiltinChart(
         chart,
         expected_series={
-            "q0_homology": "1/((1-t^4)(1-t^12)(1-t^16)(1-t^24))",
             "collapse_free": "1/((1-t^4)(1-t^12)(1-t^16)(1-t^24))",
             "collapse_torsion": "t^26/((1-t^26)(1-t^36)(1-t^48))",
-            "weyl_invariants_mod_p": "(1+t^20+t^40)/((1-t^4)(1-t^8)(1-t^36)(1-t^48))",
-            "mod_p_dims": "see f4_expected_mod_p_dims",
-        },
-        notes={
-            "q0_homology": "free part of the integral cohomology of BF_4 at p=3",
-            "collapse_free": "D (x) (Z_(3){1, 3x_4} + products part)",
-            "collapse_torsion": "D (x) Z/3[x_26]{x_26}",
-            "weyl_invariants_mod_p": "H*(BT; Z/3)^W, Weyl group of F_4",
         },
     )
 

@@ -46,7 +46,7 @@ from .poly import (
     parse as parse_poly,
     signature,
 )
-from .steenrod import DerivationSpec, SteenrodError, apply_derivation
+from .steenrod import apply_derivation
 
 
 class ChartError(Exception):
@@ -70,7 +70,6 @@ class _ChartCache:
     basis: Dict[int, Dict[Monomial, int]] = field(default_factory=dict)
     q_mats: Dict[Tuple[int, int], List[List[int]]] = field(default_factory=dict)
     integral: Dict[int, "IntegralSlice"] = field(default_factory=dict)
-    specs: Optional[Dict[int, DerivationSpec]] = None
 
 
 @dataclass(frozen=True)
@@ -186,18 +185,22 @@ def build_chart(
     """Assemble and validate a chart.
 
     gens are (name, degree) or (name, degree, exterior); q_images maps each
-    Milnor index to generator-image expressions (strings or Polynomials),
-    of which the zero ones are dropped; relations lists the monomials that
-    generate the ideal of non-basis monomials; torsion_tags are checked
-    against the Q_0 structure; products lists monomial rewrite rules
-    ('x*y' -> 'c*z*w' or '0') used to push Leibniz terms back into the
-    basis when the relations are not merely monomial vanishing.
+    Milnor index to generator-image expressions (strings, or Polynomials
+    in the chart's signature), of which the zero ones are dropped;
+    relations lists the monomials that generate the ideal of non-basis
+    monomials; torsion_tags are checked against the Q_0 structure; products
+    lists monomial rewrite rules ('x*y' -> 'c*z*w' or '0') used to push
+    Leibniz terms back into the basis when the relations are not merely
+    monomial vanishing.
     """
     sig = signature(gens, fp(p))
     parsed: Dict[int, Dict[str, Polynomial]] = {}
     for i, images in sorted(q_images.items()):
         polys = {g: e if isinstance(e, Polynomial) else parse_poly(str(e), sig)
                  for g, e in images.items()}
+        for g, poly in polys.items():
+            if poly.sig != sig:
+                raise ChartError("chart %s: Q_%d(%s) lives in another signature" % (name, i, g))
         parsed[i] = {g: poly for g, poly in polys.items() if not poly.is_zero()}
     chart = Chart(
         name=name,
@@ -261,29 +264,15 @@ def _reduce_term(chart: Chart, index: Dict[Monomial, int], mono: Monomial, coeff
     raise ChartError("product rewriting did not terminate")
 
 
-def _derivation_specs(chart: Chart) -> Dict[int, DerivationSpec]:
-    if chart.cache.specs is None:
-        specs = {}
-        zero = Polynomial.zero(chart.sig)
-        for i, images in chart.q_images.items():
-            full = {g.name: images.get(g.name, zero) for g in chart.sig.generators}
-            try:
-                specs[i] = DerivationSpec(chart.sig, q_shift(chart.p, i), full)
-            except SteenrodError as exc:
-                raise ChartError("chart %s: %s" % (chart.name, exc)) from exc
-        chart.cache.specs = specs
-    return chart.cache.specs
-
-
 def _q_matrix_at(chart: Chart, i: int, degree: int) -> List[List[int]]:
-    spec = _derivation_specs(chart).get(i)
+    images = chart.q_images.get(i)
     src = chart.basis_at(degree)
     tgt_index = chart.mono_index(degree + q_shift(chart.p, i))
     cols = []
     for mono in src:
         col = [0] * len(tgt_index)
-        if spec is not None:
-            image = apply_derivation(spec, Polynomial.from_mono(chart.sig, mono))
+        if images is not None:
+            image = apply_derivation(images, Polynomial.from_mono(chart.sig, mono))
             for m, c in image.terms.items():
                 reduced = _reduce_term(chart, tgt_index, m, int(c))
                 if reduced is not None:
@@ -319,7 +308,7 @@ def check_q_squares(chart: Chart, top: int):
     """Raise ChartError at the lowest degree d with Q_i Q_i != 0 on degree d,
     for each Q_i of the chart, among the d with d + 2|Q_i| <= top."""
     p = chart.p
-    for i in _derivation_specs(chart):
+    for i in chart.q_images:
         shift = q_shift(p, i)
         for d in range(top - 2 * shift + 1):
             cols = list(zip(*chart.q_matrix(i, d)))

@@ -262,7 +262,7 @@ def cmd_audit(args) -> Report:
     rep.fact("audit.criterion.ch", crit_ch.first_failure or -1, "first failure", ok=ok_ch)
 
     data = restriction_mod.build_spin7_restriction(model)
-    kernel_rows = restriction_mod.res_kernel(data, max_degree)
+    kernel_rows = restriction_mod.res_kernel(data)
     want = expand_series("t^6/((1-t^8)(1-t^12)(1-t^16))", max_degree)
     ok_kernel = all(r.rank == want[r.degree] for r in kernel_rows)
     rep.line("restriction kernel matches the degree-6 torsion tower: %s"
@@ -270,7 +270,7 @@ def cmd_audit(args) -> Report:
     for r in kernel_rows:
         rep.fact("audit.kernel", r.degree, str(r.rank), "; ".join(r.labels),
                  ok=(r.rank == want[r.degree]))
-    combined = restriction_mod.res_kernel(data, max_degree, include_omega=True)
+    combined = restriction_mod.res_kernel(data, include_omega=True)
     ok_combined = all(r.rank == 0 for r in combined)
     rep.line("combined restriction (with the cobordism lift) is injective: %s"
              % ("pass" if ok_combined else "FAIL"))

@@ -104,7 +104,7 @@ class GroupAction:
 
     def elements(self) -> Tuple[MatrixRows, ...]:
         if self._elements is None:
-            self._elements = tuple(enumerate_group(self, _ELEMENT_BOUND))
+            self._elements = tuple(enumerate_group(self))
         return self._elements
 
     @property
@@ -125,14 +125,12 @@ class _RowProducts(dict):
         return prod
 
 
-def enumerate_group(action: GroupAction, bound: int) -> List[MatrixRows]:
+def enumerate_group(action: GroupAction) -> List[MatrixRows]:
     """Closure of the generating matrices under multiplication, sorted.
 
-    Raises if the closure exceeds the bound (guards against non-finite or
-    wrongly entered generator sets).
+    Raises if the closure exceeds _ELEMENT_BOUND (guards against non-finite
+    or wrongly entered generator sets).
     """
-    if bound < 1:
-        raise GroupError("bound must be >= 1")
     n = len(action.gen_names)
     gens = []
     for m in action.matrices:
@@ -152,8 +150,8 @@ def enumerate_group(action: GroupAction, bound: int) -> List[MatrixRows]:
                 if prod not in seen:
                     seen.add(prod)
                     new_frontier.append(prod)
-                    if len(seen) > bound:
-                        raise GroupError("group closure exceeds bound %d" % bound)
+                    if len(seen) > _ELEMENT_BOUND:
+                        raise GroupError("group closure exceeds bound %d" % _ELEMENT_BOUND)
         frontier = new_frontier
     # Over their common denominator the integer rows sort as the values do.
     common_den = math.lcm(*(den for den, _ in seen))
@@ -246,10 +244,8 @@ def _invert(m: MatrixRows) -> MatrixRows:
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
-def build_gl(h: int, p: int = 2) -> GroupAction:
+def build_gl(h: int) -> GroupAction:
     """GL_h(F_2) acting on degree-1 generators x_1..x_h."""
-    if p != 2:
-        raise GroupError("only p = 2 is supported")
     if h < 1 or h > 4:
         raise GroupError("h must be in 1..4 (|GL_4(F_2)| = 20160 is the guard)")
     names = tuple("x%d" % (i + 1) for i in range(h))

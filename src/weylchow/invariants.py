@@ -228,10 +228,9 @@ def _signed_subgroup(action: GroupAction):
 _ORBIT_PATH_THRESHOLD = 150
 
 
-def invariant_basis(
-    action: GroupAction, degree: int, domain: Domain, verify: bool = True
-) -> SubmoduleBasis:
-    """Exact basis of the degree-n invariants of the action over the domain."""
+def invariant_basis(action: GroupAction, degree: int, domain: Domain) -> SubmoduleBasis:
+    """Exact basis of the degree-n invariants of the action over the domain,
+    verified against every generator of the action."""
     sig = action.signature(domain)
     monos = degree_slice(sig, degree)
     if not monos:
@@ -253,8 +252,7 @@ def invariant_basis(
     else:
         vectors = [[domain.coerce(x) for x in vec] for vec in vectors]
     basis = SubmoduleBasis(domain, monos, vectors)
-    if verify:
-        _verify_invariance(action, basis, k, domain)
+    _verify_invariance(action, basis, k, domain)
     return basis
 
 
@@ -331,9 +329,7 @@ class InvariantReport:
         return {d: b.rank for d, b in sorted(self.by_degree.items())}
 
 
-def invariant_report(
-    action: GroupAction, max_degree: int, domain: Domain, verify: bool = True
-) -> InvariantReport:
+def invariant_report(action: GroupAction, max_degree: int, domain: Domain) -> InvariantReport:
     """Invariant bases for all degrees up to max_degree.
 
     Degrees that cannot carry monomials (odd degrees over degree-2
@@ -342,7 +338,7 @@ def invariant_report(
     stride = 2 if action.gen_degree == 2 else 1
     out: Dict[int, SubmoduleBasis] = {}
     for d in range(0, max_degree + 1, stride):
-        out[d] = invariant_basis(action, d, domain, verify=verify)
+        out[d] = invariant_basis(action, d, domain)
     return InvariantReport(action.name, domain, out)
 
 

@@ -19,7 +19,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
-from .poly import Domain
+from .poly import FP_PRIMES, Domain
 
 Vector = List[int]
 
@@ -49,9 +49,9 @@ def identity(n: int) -> List[Vector]:
 # F_p subspaces and elimination
 # ---------------------------------------------------------------------------
 
-# The admitted primes and their field widths: one bit per coordinate at p = 2,
-# one byte at odd p with p (p - 1) <= 255.  At odd p, _FOLD reduces a byte mod p.
-_FOLD = {p: bytes(x % p for x in range(256)) for p in (3, 5, 7, 11, 13)}
+# The field widths of poly.FP_PRIMES: one bit per coordinate at p = 2, one
+# byte at odd p with p (p - 1) <= 255.  At odd p, _FOLD reduces a byte mod p.
+_FOLD = {p: bytes(x % p for x in range(256)) for p in FP_PRIMES if p > 2}
 _BITS = {2: 1, **dict.fromkeys(_FOLD, 8)}
 
 
@@ -72,12 +72,12 @@ class FpSubspace:
     reduction of every byte mod p (_fold).  Every vector keeps its bytes in
     [0, p), and no carry crosses a byte: each product is folded at once, and
     a coordinate in [0, p) plus one product of at most (p - 1)^2 is at most
-    p (p - 1) <= 255.  A prime with p (p - 1) > 255, so every p >= 17, raises
-    LinalgError here and in every F_p routine built on this class (rref_fp,
-    rank_fp, kernel_fp, solve_fp, membership over F_p, and so chart and
-    action files with such a mod).  pack/unpack convert from and to lists.
-    Subspaces grow only through insert(); the other operations return new
-    ones.
+    p (p - 1) <= 255.  A prime outside poly.FP_PRIMES, so every p >= 17,
+    raises LinalgError here and in every F_p routine built on this class
+    (rref_fp, rank_fp, kernel_fp, solve_fp, membership over F_p, and so
+    action files with such a mod); poly.Domain refuses it for charts.
+    pack/unpack convert from and to lists.  Subspaces grow only through
+    insert(); the other operations return new ones.
     """
 
     __slots__ = ("p", "rows", "pivots")

@@ -3,9 +3,9 @@
 A polynomial lives in a graded-commutative algebra described by an
 AlgebraSignature: an ordered list of named generators, each with a
 topological degree and a polynomial/exterior parity flag, plus a
-coefficient domain.  Supported domains are F_p (p in {2, 3, 5}), the
-integers, the rationals, and the p-local rationals Z_(p) (fractions whose
-denominator is coprime to p).
+coefficient domain.  Supported domains are F_p (p in FP_PRIMES: 2, 3, 5,
+7, 11, 13), the integers, the rationals, and the p-local rationals Z_(p)
+(fractions whose denominator is coprime to p).
 
 Representation: a monomial is a tuple of non-negative exponents, one per
 generator; a polynomial is a dict mapping monomials to nonzero
@@ -39,7 +39,9 @@ class PolyError(Exception):
 # Coefficient domains
 # ---------------------------------------------------------------------------
 
-_FP_PRIMES = (2, 3, 5)
+# The F_p primes of every layer; linalg packs a coordinate in one bit at
+# p = 2 and in one byte at odd p, which needs p (p - 1) <= 255.
+FP_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
 @dataclass(frozen=True)
@@ -55,8 +57,8 @@ class Domain:
 
     def __post_init__(self):
         if self.kind == "fp":
-            if self.p not in _FP_PRIMES:
-                raise PolyError("F_p supported only for p in %s" % (_FP_PRIMES,))
+            if self.p not in FP_PRIMES:
+                raise PolyError("F_p supported only for p in %s" % (FP_PRIMES,))
         elif self.kind == "plocal":
             p = self.p
             if p is None or p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
@@ -347,9 +349,6 @@ class Polynomial:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def support(self) -> List[Monomial]:
-        return sorted(self.terms, key=lambda m: grlex_key(self.sig, m))
 
     def coefficient(self, mono: Monomial):
         return self.terms.get(tuple(mono), self.sig.domain.coerce(0))

@@ -209,20 +209,18 @@ class ImageAuditReport:
         )
 
 
-def rho_image_audit(
-    model: Spin7Model, pres: ImageLattice, max_degree: Optional[int] = None
-) -> ImageAuditReport:
+def rho_image_audit(model: Spin7Model, pres: ImageLattice) -> ImageAuditReport:
     """Membership of every invariant basis vector in the image lattice.
 
-    For each degree: the image's span is intersected with the invariant
-    lattice coordinatewise; each invariant basis vector gets inside /
-    outside / inside-after-scaling-2^k with the minimal k.
+    For each degree up to the model's window: the image's span is
+    intersected with the invariant lattice coordinatewise; each invariant
+    basis vector gets inside / outside / inside-after-scaling-2^k with the
+    minimal k.
     """
-    max_degree = max_degree if max_degree is not None else model.window
     rows: List[ImageAuditRow] = []
     image_ranks: Dict[int, int] = {}
     inv_ranks: Dict[int, int] = {}
-    for degree in range(0, max_degree + 1, 2):
+    for degree in range(0, model.window + 1, 2):
         inv = model.invariants.by_degree.get(degree)
         if inv is None or inv.rank == 0:
             continue
@@ -262,21 +260,25 @@ class NilpotenceRow:
         return self.exponent is not None
 
 
+_NILPOTENCE_EXPONENT_BOUND = 8
+_NILPOTENCE_DEGREE_BOUND = 64
+
+
 def feshbach_nilpotence(
-    pres: ImageLattice,
-    candidates: Sequence[Tuple[str, Polynomial]],
-    p: int = 2,
-    exponent_bound: int = 8,
-    degree_bound: int = 64,
+    pres: ImageLattice, candidates: Sequence[Tuple[str, Polynomial]]
 ) -> List[NilpotenceRow]:
-    """Bounded nilpotence search in (image) (x) Z/p, in generator coordinates.
+    """Bounded nilpotence search in (image) (x) Z/p, p the chart's prime, in
+    generator coordinates.
 
     Each candidate is written once as a polynomial in the image's
     generators (subring_membership); its powers are taken there and solved
     over the classes of their degree, the candidate itself (n = 1) first.
     A power is zero mod p exactly when all its coordinates are divisible by
-    p.  A candidate or a power outside the image raises.
+    p.  No exponent is found past y^_NILPOTENCE_EXPONENT_BOUND (y^8) or
+    past degree _NILPOTENCE_DEGREE_BOUND (64).  A candidate or a power
+    outside the image raises.
     """
+    p = pres.chart.p
     rows = []
     for label, y in candidates:
         if not y.is_homogeneous() or y.is_zero():
@@ -288,9 +290,9 @@ def feshbach_nilpotence(
         y = Polynomial(pres.gsig, combination)
         exponent = None
         power = Polynomial.one(pres.gsig)
-        for n in range(1, exponent_bound + 1):
+        for n in range(1, _NILPOTENCE_EXPONENT_BOUND + 1):
             power = power * y
-            if power.degree() > degree_bound:
+            if power.degree() > _NILPOTENCE_DEGREE_BOUND:
                 break
             classes = pres.classes(power.degree())
             support = sorted(set(power.terms).union(*(c.terms for c in classes)))
@@ -318,18 +320,16 @@ class CriterionReport:
     checked_degrees: List[int]
 
 
-def surjectivity_criterion(
-    model: Spin7Model, pres: ImageLattice, max_degree: Optional[int] = None
-) -> CriterionReport:
-    """Per-degree injectivity of (image) (x) Z/p -> invariants mod p.
+def surjectivity_criterion(model: Spin7Model, pres: ImageLattice) -> CriterionReport:
+    """Per-degree injectivity of (image) (x) Z/p -> invariants mod p, up to
+    the model's window, p the chart's prime.
 
     An injective composite certifies surjectivity of the corresponding
     restriction map; the first failing degree witnesses the obstruction.
     """
-    max_degree = max_degree if max_degree is not None else model.window
-    p = 2
+    p = pres.chart.p
     checked = []
-    for degree in range(0, max_degree + 1, 2):
+    for degree in range(0, model.window + 1, 2):
         polys = pres.polynomials(degree)
         if not polys:
             continue
@@ -422,10 +422,8 @@ class KernelRow:
     labels: List[str]
 
 
-def res_kernel(
-    data: RestrictionData, max_degree: Optional[int] = None, include_omega: bool = False
-) -> List[KernelRow]:
-    """Kernel of the combined restriction per degree.
+def res_kernel(data: RestrictionData, include_omega: bool = False) -> List[KernelRow]:
+    """Kernel of the combined restriction per degree, up to the model's window.
 
     The torus target separates the free classes (verified: the integral
     matrix has full column rank on them), so the kernel lives in the
@@ -433,9 +431,8 @@ def res_kernel(
     target, optionally extended by the cobordism columns.
     """
     model = data.model
-    max_degree = max_degree if max_degree is not None else model.window
     out = []
-    for degree in range(0, max_degree + 1, 2):
+    for degree in range(0, model.window + 1, 2):
         entries = data.classes_by_degree.get(degree, [])
         if not entries:
             continue

@@ -1,16 +1,18 @@
-"""Milnor primitives as graded derivations, and Steenrod squares.
+"""Milnor primitives as graded derivations, Steenrod squares, Q_0-homology.
 
 The primitives Q_i are odd-degree derivations: on a product they satisfy
-Q(ab) = Q(a)b + (-1)^|a| a Q(b).  On a polynomial algebra over F_2 with
-degree-1 generators the closed form Q_i(x) = x^(2^(i+1)) is used as the
-primary definition (Q_0 x = x^2 is the Bockstein on a one-dimensional
-class); the commutator recursion through Steenrod squares is kept as a
-cross-check oracle for small i.
+Q(ab) = Q(a)b + (-1)^|a| a Q(b).  One derivation, apply_derivation, is
+given by its generator images; charts pass it their Q_i images, and the
+closed-form primitives on a polynomial algebra over F_2 with degree-1
+generators pass it Q_i(x) = x^(2^(i+1)) (milnor_q_closed, the primary
+definition; Q_0 x = x^2 is the Bockstein on a one-dimensional class).  The
+commutator recursion through Steenrod squares is kept as a cross-check
+oracle for small i.  q0_homology reads ker(Q_0)/im(Q_0) off chart-style
+matrices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List
 
 from . import linalg
@@ -21,46 +23,16 @@ class SteenrodError(Exception):
     pass
 
 
-@dataclass
-class DerivationSpec:
-    """An odd-degree derivation given by its values on generators.
+def apply_derivation(images: Dict[str, Polynomial], f: Polynomial) -> Polynomial:
+    """The odd-degree derivation extending the generator images, applied to f.
 
-    Each image must be homogeneous of degree (generator degree + shift);
-    the shift must be odd so the Koszul sign in the Leibniz rule is the
-    degree parity of the left factor.
+    images maps generator names to their images; a generator with no image
+    maps to zero.  On a sorted monomial x_{i1}..x_{ik} the term hitting the
+    j-th factor is (-1)^(degree of the prefix) * prefix * D(x_{ij}) * suffix;
+    the image is multiplied in place so the Koszul reordering is handled by
+    mul.
     """
-
-    sig: AlgebraSignature
-    shift: int
-    images: Dict[str, Polynomial]
-
-    def __post_init__(self):
-        if self.shift % 2 != 1:
-            raise SteenrodError("derivation shift must be odd")
-        for name, img in self.images.items():
-            gen = self.sig.generators[self.sig.index(name)]
-            if img.sig != self.sig:
-                raise SteenrodError("image of %s lives in the wrong signature" % name)
-            if not img.is_zero():
-                if not img.is_homogeneous():
-                    raise SteenrodError("image of %s is not homogeneous" % name)
-                if img.degree() != gen.degree + self.shift:
-                    raise SteenrodError(
-                        "image of %s has degree %d, expected %d"
-                        % (name, img.degree(), gen.degree + self.shift)
-                    )
-
-
-def apply_derivation(spec: DerivationSpec, f: Polynomial) -> Polynomial:
-    """The unique derivation extending the generator images, applied to f.
-
-    On a sorted monomial x_{i1}..x_{ik} the term hitting the j-th factor is
-    (-1)^(degree of the prefix) * prefix * D(x_{ij}) * suffix; the image is
-    multiplied in place so the Koszul reordering is handled by mul.
-    """
-    sig = spec.sig
-    if f.sig != sig:
-        raise SteenrodError("polynomial signature mismatch")
+    sig = f.sig
     char2 = sig.domain.characteristic == 2
     result = Polynomial.zero(sig)
     gens = sig.generators
@@ -69,11 +41,8 @@ def apply_derivation(spec: DerivationSpec, f: Polynomial) -> Polynomial:
         prefix_degree = 0
         for i, e in enumerate(mono):
             if e:
-                name = gens[i].name
-                if name not in spec.images:
-                    raise SteenrodError("no derivation image for generator %r" % name)
-                img = spec.images[name]
-                if not img.is_zero():
+                img = images.get(gens[i].name)
+                if img is not None and not img.is_zero():
                     left = list(mono[: i + 1]) + [0] * (n - i - 1)
                     left[i] = e - 1
                     right = [0] * (i + 1) + list(mono[i + 1 :])
@@ -100,22 +69,18 @@ def _require_f2_degree_one(sig: AlgebraSignature):
             raise SteenrodError("operation requires degree-1 generators")
 
 
-def milnor_spec(sig: AlgebraSignature, i: int) -> DerivationSpec:
-    """Q_i as a derivation: Q_i(x) = x^(2^(i+1)) on each degree-1 generator."""
+def milnor_q_closed(i: int, f: Polynomial) -> Polynomial:
+    """Q_i f, the derivation with Q_i(x) = x^(2^(i+1)) on each degree-1 generator."""
+    sig = f.sig
     _require_f2_degree_one(sig)
     if i < 0:
         raise SteenrodError("negative Milnor index")
     images = {}
-    power = 2 ** (i + 1)
-    for g in sig.generators:
+    for k, g in enumerate(sig.generators):
         mono = [0] * len(sig)
-        mono[sig.index(g.name)] = power
+        mono[k] = 2 ** (i + 1)
         images[g.name] = Polynomial.from_mono(sig, tuple(mono))
-    return DerivationSpec(sig, 2 ** (i + 1) - 1, images)
-
-
-def milnor_q_closed(i: int, f: Polynomial) -> Polynomial:
-    return apply_derivation(milnor_spec(f.sig, i), f)
+    return apply_derivation(images, f)
 
 
 # ---------------------------------------------------------------------------

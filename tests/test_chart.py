@@ -26,7 +26,7 @@ from weylchow.chart import (
 )
 from weylchow.dickson import build_dickson
 from weylchow.linalg import FpSubspace, hnf_basis, identity, rank_fp, solve_fp
-from weylchow.poly import Polynomial, compositions, parse, power_products
+from weylchow.poly import F2, Polynomial, compositions, parse, power_products, signature
 
 
 def test_spin7_q_data_matches_stated_facts(spin7_builtin):
@@ -36,12 +36,9 @@ def test_spin7_q_data_matches_stated_facts(spin7_builtin):
     assert chart.q_images[1]["w_4"] == parse("w_7", sig)
     assert chart.q_images[2]["w_8"] == parse("w_7*w_8", sig)
     # the composite fact: Q_3(w_7 w_8) = w_7^2 w_8^2
-    from weylchow.chart import _derivation_specs
-    from weylchow.poly import Polynomial
     from weylchow.steenrod import apply_derivation
 
-    spec3 = _derivation_specs(chart)[3]
-    lhs = apply_derivation(spec3, parse("w_7*w_8", sig))
+    lhs = apply_derivation(chart.q_images[3], parse("w_7*w_8", sig))
     assert lhs == parse("w_7^2*w_8^2", sig)
 
 
@@ -106,6 +103,13 @@ def test_validation_rejects_wrong_torsion_tag():
             "bad", 2, 12, (("u", 8), ("b", 9)), {0: {"u": "b"}},
             torsion_tags={"u": 0, "b": 0},
         )
+
+
+def test_validation_rejects_image_from_another_signature():
+    # the image has the right degree, but lives in a signature with an extra class
+    other = signature([("u", 8), ("b", 9), ("c", 5)], F2)
+    with pytest.raises(ChartError, match="another signature"):
+        build_chart("bad", 2, 12, (("u", 8), ("b", 9)), {0: {"u": Polynomial.gen(other, "b")}})
 
 
 def test_alias_resolution(spin7_builtin):
@@ -520,3 +524,12 @@ def test_page_engine_matches_z_lattice_recursion_on_builtin_charts():
     _check_against_lattices(toy_killing_chart(window=12).chart, 1, rnd)
     _check_against_lattices(spin7_chart(window=20).chart, 3, rnd)
     _check_against_lattices(f4_chart(window=40).chart, 2, rnd)
+
+
+def test_page_engine_matches_z_lattice_recursion_at_p7():
+    # Q_0 u = b, and Q_1 a = u b, which is Q_0(u^2) / 2, so integral torsion
+    chart = build_chart("toy-p7", 7, 40, (("a", 4), ("u", 8), ("b", 9, True)),
+                        {0: {"u": "b"}, 1: {"a": "u*b"}}, torsion_tags={"a": 0, "u": 0, "b": 1})
+    _check_against_lattices(chart, 1, random.Random(7))
+    # d(a) = v_1 u b, so only 7a survives to the Chow ring
+    assert collapse_to_chow(run_ahss(chart, 1)).details[4] == ["free: 7*a"]

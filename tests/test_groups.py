@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import weylchow.groups as groups_mod
 from weylchow.groups import (
     GroupAction,
     GroupError,
@@ -22,7 +23,7 @@ def test_s1pm_order_two():
 
 
 def test_s2pm_order_eight():
-    assert len(enumerate_group(build_weyl_so(2), 100)) == 8
+    assert len(enumerate_group(build_weyl_so(2))) == 8
 
 
 def test_s3pm_order():
@@ -41,9 +42,10 @@ def test_gl_orders():
     assert build_gl(4).order == 20160
 
 
-def test_closure_bound_enforced():
+def test_closure_bound_enforced(monkeypatch):
+    monkeypatch.setattr(groups_mod, "_ELEMENT_BOUND", 10)
     with pytest.raises(GroupError):
-        enumerate_group(build_weyl_so(3), 10)
+        enumerate_group(build_weyl_so(3))
 
 
 def test_spin_base_change_hand_computed():
@@ -140,11 +142,13 @@ def _conjugated_so7():
     (lambda: GroupAction("gl2(f3)", ("x1", "x2"), 2, (((1, 1), (0, 1)), ((0, 1), (1, 0))), mod=3),
      48),
 ])
-def test_integer_closure_matches_fraction_closure(build, order):
+def test_integer_closure_matches_fraction_closure(build, order, monkeypatch):
     action = build()
-    got = enumerate_group(action, order)
+    monkeypatch.setattr(groups_mod, "_ELEMENT_BOUND", order)
+    got = enumerate_group(action)
     assert got == _reference_closure(action, order)
     assert len(got) == order
     assert all(type(x) is Fraction for m in got for row in m for x in row)
+    monkeypatch.setattr(groups_mod, "_ELEMENT_BOUND", order - 1)
     with pytest.raises(GroupError, match="exceeds bound %d" % (order - 1)):
-        enumerate_group(action, order - 1)
+        enumerate_group(action)

@@ -12,6 +12,7 @@ from weylchow.poly import (
     F3,
     QQ,
     ZZ,
+    Domain,
     Polynomial,
     PolyError,
     compositions,
@@ -302,3 +303,10 @@ def test_z_local_refuses_a_non_prime(p):
 
 def test_z_local_accepts_primes():
     assert [z_local(p).p for p in (2, 3, 5, 7, 13, 97)] == [2, 3, 5, 7, 13, 97]
+
+
+def test_fp_domains_follow_the_one_prime_list():
+    assert [Domain("fp", p).p for p in (2, 3, 5, 7, 11, 13)] == [2, 3, 5, 7, 11, 13]
+    for p in (4, 17):
+        with pytest.raises(PolyError, match="F_p supported only"):
+            Domain("fp", p)

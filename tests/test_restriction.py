@@ -53,7 +53,7 @@ def test_doctored_presentation_flagged(spin7_model):
     two_w8 = [2 * (m == w8) for m in chart.basis_at(8)]
     doctored = ImageLattice("doctored", chart, pres.identification,
                             lambda d: [v for v in pres.vectors(d) if v != two_w8])
-    audit = rho_image_audit(spin7_model, doctored, max_degree=12)
+    audit = rho_image_audit(spin7_model, doctored)
     assert audit.image_rank_by_degree[8] == 1
     assert audit.invariant_rank_by_degree[8] == 2
 
@@ -190,7 +190,7 @@ def test_feshbach_matches_reference(spin7_model):
 
     def outcome(search, pres, cand):
         try:
-            return search(pres, [cand], degree_bound=64)[0].exponent
+            return search(pres, [cand])[0].exponent
         except RestrictionError as exc:  # a power outside the image
             return str(exc).split(" is not")[0]
 
