@@ -28,6 +28,15 @@ chart supplies bases and Milnor matrices in arbitrary degrees, so no
 approximation ever enters; the window only scopes enumeration and the
 reporting range.
 
+The state reads mu only through its v-support: Kbar_i(s, mu) through which
+of v_1..v_{i-1} divide mu, Wbar_i(t, nu) through which of v_1..v_i divide
+nu.  By induction on i: Kbar_i reads Kbar_{i-1}(s, mu) and Wbar_{i-1}(.,
+v_i mu), whose first i - 1 exponents are mu's; Wbar_i reads Kbar_{j-1}(.,
+nu / v_j) for the j <= i with v_j | nu, whose first j - 2 exponents are
+nu's.  Along a dependency chain the stage strictly drops and each v_j is
+divided out at most once, so no later call tests index j again.  Both
+memos are keyed on (stage, degree, support), not on mu.
+
 One object, AhssResult, is a chart's spectral sequence, computed on
 demand: k and w are the memoized recursion, block(s, mu) is the final page
 of one block, checked (every boundary a cycle) the first time it is read,
@@ -91,7 +100,7 @@ def v_label(mu: VMono) -> str:
 # ---------------------------------------------------------------------------
 
 
-_STABLE_EXPONENT = 2  # v-columns stabilize at exponent 2 (see keys)
+_STABLE_EXPONENT = 2  # the v-exponent cap of the collapse candidates (see keys)
 
 
 class AhssResult:
@@ -133,11 +142,10 @@ class AhssResult:
         (s, mu) with s inside the declared window (the towers reported by
         the summary), plus all collapse candidates at totals up to max_total
         with v-exponents at most 2.  The state recursion computes blocks
-        beyond the window exactly, so exponent 2 suffices: along every
-        dependency chain each v-index is divided at most once, hence the
-        page state at a column with an exponent >= 3 coincides with the
-        state one v-step shallower and contributes nothing new to the
-        collapse.
+        beyond the window exactly, and the cap loses nothing: a block's
+        state depends only on the v-support of mu (module docstring), so a
+        column with an exponent >= 2 has the state of the column one v-step
+        shallower and adds nothing new to the collapse.
         """
         if self._keys is None:
             p, v_max, window = self.p, self.v_max, self.chart.window
@@ -177,19 +185,18 @@ class AhssResult:
         rank = self.rank(s)
         if rank == 0 or stage == 0:
             return FpSubspace.full(p, rank)
-        key = (stage, s, mu)
+        key = (stage, s, tuple(map(bool, mu[:stage - 1])))  # the support k reads
         if key in self._k:
             return self._k[key]
         prev = self.k(stage - 1, s, mu)
         t = s + q_shift(p, stage)
-        width = self.rank(t)
         cols = integral_q_matrix(self.chart, stage, s)
         images = [FpSubspace.image(p, cols, v) for v in prev]
         if not any(images):
             result = prev
         else:
             allowed = self.w(stage - 1, t, _v_mult(mu, stage))
-            result = prev.preimage(images, allowed, width)
+            result = prev.preimage(images, allowed, self.rank(t))
         self._k[key] = result
         return result
 
@@ -198,13 +205,11 @@ class AhssResult:
         rank = self.rank(t)
         if rank == 0 or stage == 0:
             return FpSubspace(p)
-        key = (stage, t, nu)
+        key = (stage, t, tuple(map(bool, nu[:stage])))  # the support w reads
         if key in self._w:
             return self._w[key]
         result = FpSubspace(p)
-        for j in range(1, stage + 1):
-            if nu[j - 1] == 0:
-                continue
+        for j in compress(range(1, stage + 1), nu):  # the j with v_j | nu
             src_s = t - q_shift(p, j)
             src_k = self.k(j - 1, src_s, _v_div(nu, j))
             if not src_k:
@@ -316,9 +321,6 @@ class CollapseReport:
 
     per_degree: Dict[int, Tuple[int, int]]
     details: Dict[int, List[str]] = field(default_factory=dict)
-
-    def odd_leftovers(self) -> Dict[int, Tuple[int, int]]:
-        return {n: v for n, v in sorted(self.per_degree.items()) if n % 2 == 1}
 
 
 def collapse_to_chow(result: AhssResult) -> CollapseReport:

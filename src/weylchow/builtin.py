@@ -169,15 +169,6 @@ def f4_chart(window: int = 56) -> BuiltinChart:
     )
 
 
-def f4_expected_mod_p_dims(order: int) -> List[int]:
-    """Mod-3 dimensions implied by the integral structure (b_n + t_n + t_{n+1})."""
-    from .series import expand_series
-
-    b = expand_series("1/((1-t^4)(1-t^12)(1-t^16)(1-t^24))", order + 1)
-    t = expand_series("(t^9+t^21+t^26+t^30)/((1-t^26)(1-t^36)(1-t^48))", order + 1)
-    return [b[n] + t[n] + t[n + 1] for n in range(order + 1)]
-
-
 # ---------------------------------------------------------------------------
 # Toy charts
 # ---------------------------------------------------------------------------

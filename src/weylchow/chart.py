@@ -87,12 +87,19 @@ class Chart:
     cache: _ChartCache = field(default_factory=_ChartCache, init=False, repr=False, compare=False)
 
     def mono_index(self, degree: int) -> Dict[Monomial, int]:
-        """Basis monomials of a degree (any degree) mapped to their positions."""
+        """Basis monomials of a degree (any degree) mapped to their positions,
+        in degree_slice order.  The relations generate a monomial ideal, so m
+        is standard exactly when it is no relation and every m / x_j is; the
+        lower degrees are indexed first, upwards, so calls nest one level."""
         index = self.cache.basis.get(degree)
         if index is None:
             monos = degree_slice(self.sig, degree) if degree >= 0 else []
-            standard = [m for m in monos if not any(_divides(r, m) for r in self.relations)]
-            index = self.cache.basis[degree] = {m: i for i, m in enumerate(standard)}
+            if self.relations:
+                lower = [self.mono_index(d) for d in range(degree)]
+                monos = [m for m in monos if m not in self.relations and all(
+                    m[:j] + (e - 1,) + m[j + 1:] in lower[degree - g.degree]
+                    for j, (e, g) in enumerate(zip(m, self.sig.generators)) if e)]
+            index = self.cache.basis[degree] = {m: i for i, m in enumerate(monos)}
         return index
 
     def basis_at(self, degree: int) -> List[Monomial]:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -15,7 +16,7 @@ from weylchow.ahss import (
     free_classes,
     run_ahss,
 )
-from weylchow.builtin import f4_chart, f4_expected_mod_p_dims, spin7_chart, toy_killing_chart
+from weylchow.builtin import f4_chart, spin7_chart, toy_free_chart, toy_killing_chart
 from weylchow.chart import (
     ChartError,
     build_chart,
@@ -26,7 +27,9 @@ from weylchow.chart import (
 )
 from weylchow.dickson import build_dickson
 from weylchow.linalg import FpSubspace, hnf_basis, identity, rank_fp, solve_fp
-from weylchow.poly import F2, Polynomial, compositions, parse, power_products, signature
+from weylchow.poly import (F2, Polynomial, compositions, degree_slice, parse, power_products,
+                           signature)
+from weylchow.series import expand_series
 
 
 def test_spin7_q_data_matches_stated_facts(spin7_builtin):
@@ -120,10 +123,40 @@ def test_alias_resolution(spin7_builtin):
         chart.resolve_name("nope")
 
 
+def _f4_mod_3_dims(order):
+    """Mod-3 dimensions implied by the integral structure of H*(BF_4; Z_(3)):
+    b_n + t_n + t_(n+1), with b the free ranks and t the 3-torsion ranks."""
+    b = expand_series("1/((1-t^4)(1-t^12)(1-t^16)(1-t^24))", order + 1)
+    t = expand_series("(t^9+t^21+t^26+t^30)/((1-t^26)(1-t^36)(1-t^48))", order + 1)
+    return [b[n] + t[n] + t[n + 1] for n in range(order + 1)]
+
+
 def test_f4_dimensions_match_integral_bookkeeping(f4_builtin):
-    chart = f4_builtin.chart
-    expect = f4_expected_mod_p_dims(60)
-    assert [chart.dim(n) for n in range(61)] == expect[:61]
+    assert [f4_builtin.chart.dim(n) for n in range(111)] == _f4_mod_3_dims(110)
+
+
+def _standard_by_division(chart, degree):
+    """The standard monomials of a degree, in degree_slice order, found by
+    testing every relation for division."""
+    monos = degree_slice(chart.sig, degree) if degree >= 0 else []
+    return [m for m in monos
+            if not any(all(r <= e for r, e in zip(rel, m)) for rel in chart.relations)]
+
+
+def _check_mono_index(chart, top):
+    fresh = dataclasses.replace(chart)  # an empty cache, filled from the top down
+    for n in range(top, -3, -1):
+        assert list(fresh.mono_index(n)) == _standard_by_division(chart, n), n
+
+
+def test_mono_index_matches_division_by_relations(f4_builtin):
+    _check_mono_index(f4_builtin.chart, 110)
+    for bc in (toy_free_chart(), toy_killing_chart(), spin7_chart(window=20)):
+        _check_mono_index(bc.chart, 40)
+    # a unit relation leaves no basis at all
+    unit = build_chart("unit", 2, 6, (("a", 2), ("b", 3)), {}, relations=["1"])
+    assert not any(unit.dim(n) for n in range(13))
+    _check_mono_index(unit, 12)
 
 
 def test_f4_product_rules_round_trip(f4_builtin):
@@ -243,6 +276,12 @@ def test_random_chart_round_trip(chart):
         assert parsed.dim(n) == chart.dim(n)
         assert parsed.q_matrix(0, n) == chart.q_matrix(0, n)
         assert parsed.q_matrix(1, n) == chart.q_matrix(1, n)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_small_charts())
+def test_mono_index_matches_division_on_random_charts(chart):
+    _check_mono_index(chart, 2 * chart.window)
 
 
 # ---------------------------------------------------------------------------
@@ -533,3 +572,63 @@ def test_page_engine_matches_z_lattice_recursion_at_p7():
     _check_against_lattices(chart, 1, random.Random(7))
     # d(a) = v_1 u b, so only 7a survives to the Chow ring
     assert collapse_to_chow(run_ahss(chart, 1)).details[4] == ["free: 7*a"]
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the page recursion memoized on the full v-monomial
+# ---------------------------------------------------------------------------
+
+
+class _Forgetful(dict):
+    """A memo that stores nothing."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+class _FullMuPages(AhssResult):
+    """AhssResult with k and w memoized on the full v-monomial mu instead of
+    its v-support: the inherited memos store nothing, so every call that
+    misses the full-mu memo runs the recursion again."""
+
+    def __init__(self, chart, v_max, max_total=None):
+        super().__init__(chart, v_max, max_total)
+        self._k, self._w, self.memo = _Forgetful(), _Forgetful(), {}
+
+    def k(self, stage, s, mu):
+        if ("k", stage, s, mu) not in self.memo:
+            self.memo["k", stage, s, mu] = super().k(stage, s, mu)
+        return self.memo["k", stage, s, mu]
+
+    def w(self, stage, t, nu):
+        if ("w", stage, t, nu) not in self.memo:
+            self.memo["w", stage, t, nu] = super().w(stage, t, nu)
+        return self.memo["w", stage, t, nu]
+
+
+def _check_support_keying(chart, v_max):
+    """Compare k and w of AhssResult with _FullMuPages at every stage of
+    every block of keys(); returns the number of blocks compared."""
+    max_total = _reporting_total(chart, v_max)
+    support, full = AhssResult(chart, v_max, max_total), _FullMuPages(chart, v_max, max_total)
+    for s, mu in support.keys():
+        for stage in range(v_max + 1):
+            for got, want in ((support.k(stage, s, mu), full.k(stage, s, mu)),
+                              (support.w(stage, s, mu), full.w(stage, s, mu))):
+                assert (got.rows, got.pivots) == (want.rows, want.pivots), (stage, s, mu)
+    return len(support.keys())
+
+
+def test_support_keying_matches_full_mu_on_builtin_charts():
+    assert _check_support_keying(toy_killing_chart(window=12).chart, 1) > 0
+    assert _check_support_keying(spin7_chart(window=32).chart, 3) > 1000
+    assert _check_support_keying(f4_chart(window=56).chart, 2) > 300
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_small_charts(), st.integers(1, 2))
+def test_support_keying_matches_full_mu_on_random_charts(chart, v_max):
+    try:
+        assert _check_support_keying(chart, v_max) > 0
+    except ChartError:  # a slice or a Q_1 image is refused, or Q_1^2 != 0 past the window
+        reject()
