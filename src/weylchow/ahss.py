@@ -28,14 +28,14 @@ chart supplies bases and Milnor matrices in arbitrary degrees, so no
 approximation ever enters; the window only scopes enumeration and the
 reporting range.
 
-The state reads mu only through its v-support: Kbar_i(s, mu) through which
-of v_1..v_{i-1} divide mu, Wbar_i(t, nu) through which of v_1..v_i divide
-nu.  By induction on i: Kbar_i reads Kbar_{i-1}(s, mu) and Wbar_{i-1}(.,
-v_i mu), whose first i - 1 exponents are mu's; Wbar_i reads Kbar_{j-1}(.,
-nu / v_j) for the j <= i with v_j | nu, whose first j - 2 exponents are
-nu's.  Along a dependency chain the stage strictly drops and each v_j is
-divided out at most once, so no later call tests index j again.  Both
-memos are keyed on (stage, degree, support), not on mu.
+The state reads mu only through its v-support sigma (sigma_j true iff v_j
+divides mu): Kbar_i(s, mu) through sigma_1..sigma_{i-1}, Wbar_i(t, nu)
+through sigma_1..sigma_i.  By induction on i: Kbar_i reads Kbar_{i-1}(s, mu)
+and Wbar_{i-1}(., v_i mu), whose first i - 1 exponents are mu's; Wbar_i
+reads Kbar_{j-1}(., nu / v_j) for the j <= i with v_j | nu, whose first
+j - 2 exponents are nu's.  So k(i, s, sigma) and w(i, t, sigma) run the
+recursion above on sigma itself, pass it on unchanged, and are memoized on
+the part they read; they equal the pages of every mu of support sigma.
 
 One object, AhssResult, is a chart's spectral sequence, computed on
 demand: k and w are the memoized recursion, block(s, mu) is the final page
@@ -50,7 +50,8 @@ the number of free generators (free classes lose index, never rank) and
 p-torsion of rank dim(Kbar ^ torsion span) - dim Wbar.  The collapse to
 Z_(p)-coefficients kills all v-multiples; at mu = 1 a block contributes its
 full structure, at mu != 1 only the classes that became cycles at mu
-exactly: (Z/p)^t with t = dim Kbar(mu) - dim(Wbar(mu) + sum_j Kbar(mu/v_j)).
+exactly: (Z/p)^t with t = dim Kbar(mu) - dim(Wbar(mu) + sum_j Kbar(mu/v_j)),
+which is 0 unless mu is squarefree and prime to v_v_max (keys).
 
 Every subspace here -- Kbar, Wbar, their sums and intersections -- is one
 linalg.FpSubspace: a reduced echelon basis with its pivots.  A vector of a
@@ -76,6 +77,7 @@ from .linalg import FpSubspace
 from .poly import compositions, mono_str
 
 VMono = Tuple[int, ...]
+VSupport = Tuple[bool, ...]  # sigma_j true iff v_j divides mu (module docstring)
 
 
 class AhssError(Exception):
@@ -131,8 +133,8 @@ class AhssResult:
         self.max_total = max_total
         self.blocks: Dict[Tuple[int, VMono], Tuple[FpSubspace, FpSubspace]] = {}
         self._keys: Optional[List[Tuple[int, VMono]]] = None
-        self._k: Dict[Tuple[int, int, VMono], FpSubspace] = {}
-        self._w: Dict[Tuple[int, int, VMono], FpSubspace] = {}
+        self._k: Dict[Tuple[int, int, VSupport], FpSubspace] = {}
+        self._w: Dict[Tuple[int, int, VSupport], FpSubspace] = {}
 
     def rank(self, s: int) -> int:
         return self.chart.integral_slice(s).rank if s >= 0 else 0
@@ -145,7 +147,9 @@ class AhssResult:
         beyond the window exactly, and the cap loses nothing: a block's
         state depends only on the v-support of mu (module docstring), so a
         column with an exponent >= 2 has the state of the column one v-step
-        shallower and adds nothing new to the collapse.
+        shallower and adds nothing new to the collapse.  Nor does a column
+        divisible by v_v_max, as the final Kbar reads only v_1..v_{v_max-1}:
+        the other columns that can add torsion have every exponent <= 1.
         """
         if self._keys is None:
             p, v_max, window = self.p, self.v_max, self.chart.window
@@ -169,7 +173,8 @@ class AhssResult:
         """(Kbar, Wbar) of the final page at (s, mu)."""
         blk = self.blocks.get((s, mu))
         if blk is None:
-            k_bar, w_bar = self.k(self.v_max, s, mu), self.w(self.v_max, s, mu)
+            sigma = tuple(map(bool, mu))
+            k_bar, w_bar = self.k(self.v_max, s, sigma), self.w(self.v_max, s, sigma)
             if not all(map(k_bar.contains, w_bar)):
                 # build_chart checks Q_i^2 = 0 inside the window only; a
                 # failure below it shows here first, so name it if it is
@@ -180,53 +185,43 @@ class AhssResult:
             blk = self.blocks[(s, mu)] = (k_bar, w_bar)
         return blk
 
-    def k(self, stage: int, s: int, mu: VMono) -> FpSubspace:
+    def k(self, stage: int, s: int, sigma: VSupport) -> FpSubspace:
         p = self.p
         rank = self.rank(s)
         if rank == 0 or stage == 0:
             return FpSubspace.full(p, rank)
-        key = (stage, s, tuple(map(bool, mu[:stage - 1])))  # the support k reads
+        key = (stage, s, sigma[:stage - 1])  # the support k reads
         if key in self._k:
             return self._k[key]
-        prev = self.k(stage - 1, s, mu)
+        prev = self.k(stage - 1, s, sigma)
         t = s + q_shift(p, stage)
         cols = integral_q_matrix(self.chart, stage, s)
         images = [FpSubspace.image(p, cols, v) for v in prev]
         if not any(images):
             result = prev
         else:
-            allowed = self.w(stage - 1, t, _v_mult(mu, stage))
+            allowed = self.w(stage - 1, t, sigma)  # v_stage mu: the same first stage - 1 entries
             result = prev.preimage(images, allowed, self.rank(t))
         self._k[key] = result
         return result
 
-    def w(self, stage: int, t: int, nu: VMono) -> FpSubspace:
+    def w(self, stage: int, t: int, sigma: VSupport) -> FpSubspace:
         p = self.p
-        rank = self.rank(t)
-        if rank == 0 or stage == 0:
+        if stage == 0 or self.rank(t) == 0:
             return FpSubspace(p)
-        key = (stage, t, tuple(map(bool, nu[:stage])))  # the support w reads
+        key = (stage, t, sigma[:stage])  # the support w reads
         if key in self._w:
             return self._w[key]
         result = FpSubspace(p)
-        for j in compress(range(1, stage + 1), nu):  # the j with v_j | nu
+        for j in compress(range(1, stage + 1), sigma):  # the j with v_j | nu
             src_s = t - q_shift(p, j)
-            src_k = self.k(j - 1, src_s, _v_div(nu, j))
-            if not src_k:
-                continue
-            cols = integral_q_matrix(self.chart, j, src_s)
-            for v in src_k:
-                result.insert(FpSubspace.image(p, cols, v))
+            src_k = self.k(j - 1, src_s, sigma)  # nu / v_j: the same first j - 2 entries
+            if src_k:
+                cols = integral_q_matrix(self.chart, j, src_s)
+                for v in src_k:
+                    result.insert(FpSubspace.image(p, cols, v))
         self._w[key] = result
         return result
-
-
-def _v_mult(mu: VMono, i: int) -> VMono:
-    return tuple(e + (1 if idx == i - 1 else 0) for idx, e in enumerate(mu))
-
-
-def _v_div(mu: VMono, i: int) -> VMono:
-    return tuple(e - (1 if idx == i - 1 else 0) for idx, e in enumerate(mu))
 
 
 @dataclass
@@ -328,7 +323,8 @@ def collapse_to_chow(result: AhssResult) -> CollapseReport:
 
     v_i acts as the coordinate identity into the deeper block, so at mu = 1
     a block contributes its full E_inf structure, and at mu != 1 only the
-    classes that became cycles at mu exactly.
+    classes that became cycles at mu exactly.  Only the columns with every
+    exponent <= 1 and v_v_max not dividing mu can have them (keys).
     """
     chart = result.chart
     p = chart.p
@@ -347,22 +343,21 @@ def collapse_to_chow(result: AhssResult) -> CollapseReport:
             st = block_structure(result, s, mu)
             if st.free_rank or st.torsion_rank:
                 add(total, st.free_rank, st.torsion_rank)
-                labels = details.setdefault(total, [])
-                for rep in st.free_reps:
-                    labels.append("free: %s" % rep)
-                for rep in st.torsion_reps:
-                    labels.append("Z/%d: %s" % (p, rep))
+                details.setdefault(total, []).extend(
+                    ["free: %s" % rep for rep in st.free_reps]
+                    + ["Z/%d: %s" % (p, rep) for rep in st.torsion_reps])
             continue
+        if max(mu) > 1 or mu[-1]:
+            continue  # some Kbar(mu / v_j) is Kbar(mu) itself (keys)
         k_bar, denom = result.block(s, mu)
-        for idx in range(result.v_max):
-            if mu[idx] > 0:
-                denom = denom + result.block(s, _v_div(mu, idx + 1))[0]
+        for j in compress(range(result.v_max), mu):
+            denom = denom + result.block(s, mu[:j] + (0,) + mu[j + 1:])[0]
         t = len(k_bar) - len(denom)
         if t:
             add(total, 0, t)
-            labels = details.setdefault(total, [])
-            for rep in _new_reps(chart, chart.integral_slice(s), k_bar, denom):
-                labels.append("Z/%d: %s (v-part %s)" % (p, rep, v_label(mu)))
+            details.setdefault(total, []).extend(
+                "Z/%d: %s (v-part %s)" % (p, rep, v_label(mu))
+                for rep in _new_reps(chart, chart.integral_slice(s), k_bar, denom))
     return CollapseReport(per_degree, details)
 
 
@@ -439,8 +434,9 @@ def permanent_cycle_check(result: AhssResult, expression: str) -> CycleVerdict:
     vec = [coeff * c for c in coords]
     packed = FpSubspace.pack(p, vec)
     w_bar = result.block(s, mu)[1]
+    sigma = tuple(map(bool, mu))
     for stage in range(1, result.v_max + 1):
-        if not result.k(stage, s, mu).contains(packed):
+        if not result.k(stage, s, sigma).contains(packed):
             reason = "fails to be a cycle under d = v_%d Q_%d" % (stage, stage)
             return CycleVerdict(expression, False, reason, s, mu, stage)
     nfree = len(sl.free)

@@ -2,9 +2,10 @@
 
 Commands:
 
-    dickson     --h H [--verify all|qd|qe]
+    dickson     --h H
     invariants  --group so:K|spin:K|gl:H|f4|file:PATH
-                --domain f2|f3|q|zlocal:P --max-degree N [--series EXPR]
+                --domain fP|q|z|zlocal:P --max-degree N [--series EXPR]
+                (P in poly.FP_PRIMES for fP; N >= 0)
     ahss        --chart spin7|f4|toy-*|PATH [--window W] --vmax M
                 [--max-total N] [--collapse]
     audit       --chart spin7 [--max-degree N, N >= 4]
@@ -30,7 +31,7 @@ from .chart import ChartError, load_chart
 from .groups import GroupError, build_gl, build_weyl_f4, build_weyl_so, build_weyl_spin, load_action
 from .invariants import InvariantError, poincare_series
 from .linalg import LinalgError
-from .poly import F2, F3, QQ, Domain, PolyError, z_local
+from .poly import FP_PRIMES, QQ, ZZ, Domain, PolyError, fp, z_local
 from .series import SeriesError, expand_series
 from .steenrod import SteenrodError
 
@@ -72,22 +73,14 @@ class Report:
 
 def _parse_domain(text: str) -> Domain:
     text = text.lower()
-    if text == "f2":
-        return F2
-    if text == "f3":
-        return F3
-    if text == "f5":
-        from .poly import F5
-
-        return F5
     if text == "q":
         return QQ
     if text == "z":
-        from .poly import ZZ
-
         return ZZ
     if text.startswith("zlocal:"):
         return z_local(int(text.split(":", 1)[1]))
+    if text[:1] == "f" and text[1:].isdigit():
+        return fp(int(text[1:]))  # refuses a p outside FP_PRIMES
     raise ValueError("unknown domain %r" % text)
 
 
@@ -112,13 +105,7 @@ def _parse_group(text: str):
 
 def cmd_dickson(args) -> Report:
     rep = Report()
-    ctx = dickson_mod.build_dickson(args.h)
-    if args.verify == "qd":
-        result = dickson_mod.verify_milnor_on_d_classes(ctx)
-    elif args.verify == "qe":
-        result = dickson_mod.verify_milnor_on_top_class(ctx)
-    else:
-        result = dickson_mod.verify_all(ctx)
+    result = dickson_mod.verify_all(dickson_mod.build_dickson(args.h))
     rep.line("Dickson identities at h = %d" % args.h)
     for check in result.checks:
         verdict = "pass" if check.holds else "FAIL"
@@ -132,6 +119,8 @@ def cmd_dickson(args) -> Report:
 
 def cmd_invariants(args) -> Report:
     rep = Report()
+    if args.max_degree < 0:
+        raise InvariantError("--max-degree %d is negative" % args.max_degree)
     action = _parse_group(args.group)
     domain = _parse_domain(args.domain)
     ranks = poincare_series(action, args.max_degree, domain)
@@ -314,13 +303,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dickson", help="verify the Milnor identities on Dickson classes")
     p.add_argument("--h", type=int, required=True)
-    p.add_argument("--verify", choices=("all", "qd", "qe"), default="all")
     p.set_defaults(func=cmd_dickson)
 
     p = sub.add_parser("invariants", help="per-degree invariant ranks of a Weyl-type action")
     p.add_argument("--group", required=True, help="so:K | spin:K | gl:H | f4 | file:PATH")
-    p.add_argument("--domain", required=True, help="f2 | f3 | f5 | q | z | zlocal:P")
-    p.add_argument("--max-degree", type=int, required=True)
+    p.add_argument("--domain", required=True,
+                   help="fP for P in %s | q | z | zlocal:P" % "/".join(map(str, FP_PRIMES)))
+    p.add_argument("--max-degree", type=int, required=True, help="N >= 0")
     p.add_argument("--series", help="compare against this generating function")
     p.set_defaults(func=cmd_invariants)
 

@@ -120,7 +120,6 @@ class Domain:
 
 F2 = Domain("fp", 2)
 F3 = Domain("fp", 3)
-F5 = Domain("fp", 5)
 ZZ = Domain("int")
 QQ = Domain("rat")
 
@@ -444,17 +443,24 @@ class Polynomial:
                 terms[mono] = c
         return Polynomial(sig, terms, _clean=True)
 
-    def __pow__(self, n: int) -> "Polynomial":
+    def __pow__(self, n: int, max_degree: Optional[int] = None) -> "Polynomial":
+        """self^n; pow(self, n, max_degree) drops the terms above max_degree after each product."""
         if n < 0:
             raise PolyError("negative power")
         result = Polynomial.one(self.sig)
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = (result * base).truncate(max_degree)
+            base = (base * base).truncate(max_degree) if n > 1 else base
             n >>= 1
         return result
+
+    def truncate(self, max_degree: Optional[int]) -> "Polynomial":
+        """The terms of degree <= max_degree; all of them when it is None."""
+        deg = self.sig.mono_degree
+        return self if max_degree is None else Polynomial(
+            self.sig, {m: c for m, c in self.terms.items() if deg(m) <= max_degree}, _clean=True)
 
     def __eq__(self, other):
         return (
@@ -599,38 +605,41 @@ class _Tokens:
         return self.text[start : self.pos]
 
 
-def parse(text: str, sig: AlgebraSignature) -> Polynomial:
+def parse(text: str, sig: AlgebraSignature, max_degree: Optional[int] = None) -> Polynomial:
     """Parse the grammar: expr := ['-'] term (('+'|'-') term)*;
     term := coeff ('*' factor)* | factor ('*' factor)*;
     factor := name ('^' uint)? | '(' expr ')'; coeff := int ('/' uint)?.
+
+    With max_degree, the terms of degree <= max_degree, exactly: every
+    product and power drops the terms above it as it is read.
     """
     toks = _Tokens(text)
-    poly = _parse_expr(toks, sig)
+    poly = _parse_expr(toks, sig, max_degree)
     toks.skip_ws()
     if toks.pos != len(text):
         raise PolyError("trailing input at position %d" % toks.pos)
-    return poly
+    return poly.truncate(max_degree)
 
 
-def _parse_expr(toks: _Tokens, sig: AlgebraSignature) -> Polynomial:
+def _parse_expr(toks: _Tokens, sig: AlgebraSignature, top: Optional[int]) -> Polynomial:
     if toks.peek() == "-":
         toks.take()
-        result = -_parse_term(toks, sig)
+        result = -_parse_term(toks, sig, top)
     else:
-        result = _parse_term(toks, sig)
+        result = _parse_term(toks, sig, top)
     while True:
         ch = toks.peek()
         if ch == "+":
             toks.take()
-            result = result + _parse_term(toks, sig)
+            result = result + _parse_term(toks, sig, top)
         elif ch == "-":
             toks.take()
-            result = result - _parse_term(toks, sig)
+            result = result - _parse_term(toks, sig, top)
         else:
             return result
 
 
-def _parse_term(toks: _Tokens, sig: AlgebraSignature) -> Polynomial:
+def _parse_term(toks: _Tokens, sig: AlgebraSignature, top: Optional[int]) -> Polynomial:
     ch = toks.peek()
     if ch.isdigit():
         num = toks.read_uint()
@@ -642,18 +651,18 @@ def _parse_term(toks: _Tokens, sig: AlgebraSignature) -> Polynomial:
             coeff = Fraction(num)
         result = Polynomial.constant(sig, coeff)
     else:
-        result = _parse_factor(toks, sig)
+        result = _parse_factor(toks, sig, top)
     while toks.peek() == "*":
         toks.take()
-        result = result * _parse_factor(toks, sig)
+        result = (result * _parse_factor(toks, sig, top)).truncate(top)
     return result
 
 
-def _parse_factor(toks: _Tokens, sig: AlgebraSignature) -> Polynomial:
+def _parse_factor(toks: _Tokens, sig: AlgebraSignature, top: Optional[int]) -> Polynomial:
     ch = toks.peek()
     if ch == "(":
         toks.take()
-        inner = _parse_expr(toks, sig)
+        inner = _parse_expr(toks, sig, top)
         toks.expect(")")
         base = inner
     elif ch.isalpha() or ch == "_":
@@ -664,5 +673,5 @@ def _parse_factor(toks: _Tokens, sig: AlgebraSignature) -> Polynomial:
     if toks.peek() == "^":
         toks.take()
         e = toks.read_uint()
-        return base**e
+        return pow(base, e, top)
     return base

@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 from lattices import lattice_eq, preimage_kernel
 from weylchow.ahss import (
     AhssResult,
-    _v_div,
-    _v_mult,
+    CollapseReport,
+    _new_reps,
+    block_structure,
     collapse_to_chow,
     einfinity_summary,
     free_classes,
     run_ahss,
+    v_degree,
+    v_label,
 )
 from weylchow.builtin import f4_chart, spin7_chart, toy_free_chart, toy_killing_chart
 from weylchow.chart import (
@@ -289,6 +292,18 @@ def test_mono_index_matches_division_on_random_charts(chart):
 # ---------------------------------------------------------------------------
 
 
+def _v_mult(mu, i):
+    return tuple(e + (idx == i - 1) for idx, e in enumerate(mu))
+
+
+def _v_div(mu, i):
+    return tuple(e - (idx == i - 1) for idx, e in enumerate(mu))
+
+
+def _support(mu):
+    return tuple(e > 0 for e in mu)
+
+
 class _TooLarge(Exception):
     pass
 
@@ -417,8 +432,9 @@ def _check_against_enumeration(chart, v_max, max_total=None):
         except _TooLarge:
             continue
         for i, (k_set, w_set) in enumerate(states):
-            assert _span_of(result.k(i, s, mu), pages.rank(s)) == k_set, (i, s, mu)
-            assert _span_of(result.w(i, s, mu), pages.rank(s)) == w_set, (i, s, mu)
+            sigma = _support(mu)
+            assert _span_of(result.k(i, s, sigma), pages.rank(s)) == k_set, (i, s, mu)
+            assert _span_of(result.w(i, s, sigma), pages.rank(s)) == w_set, (i, s, mu)
         # The free classes, written over the free lifts, span mod p the
         # projection of the final cycles to the free coordinates.
         sl = chart.integral_slice(s)
@@ -539,8 +555,10 @@ def _check_against_lattices(chart, v_max, rnd):
     rnd.shuffle(reads)
     for i, s, mu in reads:
         g, nfree = lattices.rank(s), lattices.nfree(s)
-        assert lattice_eq(_preimage_lattice(fresh.k(i, s, mu), g, 0), lattices.k(i, s, mu))
-        assert lattice_eq(_preimage_lattice(fresh.w(i, s, mu), g, nfree), lattices.w(i, s, mu))
+        sigma = _support(mu)
+        assert lattice_eq(_preimage_lattice(fresh.k(i, s, sigma), g, 0), lattices.k(i, s, mu))
+        assert lattice_eq(_preimage_lattice(fresh.w(i, s, sigma), g, nfree),
+                          lattices.w(i, s, mu))
     swept = run_ahss(chart, v_max, max_total)
     assert collapse_to_chow(fresh) == collapse_to_chow(swept)
     assert einfinity_summary(AhssResult(chart, v_max, max_total)) == einfinity_summary(swept)
@@ -579,50 +597,122 @@ def test_page_engine_matches_z_lattice_recursion_at_p7():
 # ---------------------------------------------------------------------------
 
 
-class _Forgetful(dict):
-    """A memo that stores nothing."""
-
-    def __setitem__(self, key, value):
-        pass
-
-
 class _FullMuPages(AhssResult):
-    """AhssResult with k and w memoized on the full v-monomial mu instead of
-    its v-support: the inherited memos store nothing, so every call that
-    misses the full-mu memo runs the recursion again."""
+    """AhssResult with the page recursion indexed and memoized on the full
+    v-monomial, as the module docstring of weylchow.ahss states it before
+    the support lemma: Kbar_i reads Wbar_{i-1}(s + |d_i|, v_i mu), Wbar_i
+    reads Kbar_{j-1}(t - |d_j|, nu / v_j)."""
 
-    def __init__(self, chart, v_max, max_total=None):
-        super().__init__(chart, v_max, max_total)
-        self._k, self._w, self.memo = _Forgetful(), _Forgetful(), {}
+    def block(self, s, mu):
+        if (s, mu) not in self.blocks:
+            self.blocks[s, mu] = (self.k(self.v_max, s, mu), self.w(self.v_max, s, mu))
+        return self.blocks[s, mu]
 
     def k(self, stage, s, mu):
-        if ("k", stage, s, mu) not in self.memo:
-            self.memo["k", stage, s, mu] = super().k(stage, s, mu)
-        return self.memo["k", stage, s, mu]
+        p = self.p
+        rank = self.rank(s)
+        if rank == 0 or stage == 0:
+            return FpSubspace.full(p, rank)
+        key = (stage, s, mu)
+        if key not in self._k:
+            prev = self.k(stage - 1, s, mu)
+            t = s + q_shift(p, stage)
+            cols = integral_q_matrix(self.chart, stage, s)
+            images = [FpSubspace.image(p, cols, v) for v in prev]
+            if not any(images):
+                self._k[key] = prev
+            else:
+                allowed = self.w(stage - 1, t, _v_mult(mu, stage))
+                self._k[key] = prev.preimage(images, allowed, self.rank(t))
+        return self._k[key]
 
     def w(self, stage, t, nu):
-        if ("w", stage, t, nu) not in self.memo:
-            self.memo["w", stage, t, nu] = super().w(stage, t, nu)
-        return self.memo["w", stage, t, nu]
+        p = self.p
+        if self.rank(t) == 0 or stage == 0:
+            return FpSubspace(p)
+        key = (stage, t, nu)
+        if key not in self._w:
+            result = FpSubspace(p)
+            for j in itertools.compress(range(1, stage + 1), nu):
+                src_s = t - q_shift(p, j)
+                src_k = self.k(j - 1, src_s, _v_div(nu, j))
+                if src_k:
+                    cols = integral_q_matrix(self.chart, j, src_s)
+                    for v in src_k:
+                        result.insert(FpSubspace.image(p, cols, v))
+            self._w[key] = result
+        return self._w[key]
 
 
-def _check_support_keying(chart, v_max):
-    """Compare k and w of AhssResult with _FullMuPages at every stage of
-    every block of keys(); returns the number of blocks compared."""
-    max_total = _reporting_total(chart, v_max)
+def _every_column_collapse(result):
+    """collapse_to_chow summing the denominator Wbar(mu) + sum_j Kbar(mu / v_j)
+    in every column mu != 1, also where the support lemma makes it Kbar(mu)."""
+    chart = result.chart
+    p = chart.p
+    per_degree, details = {}, {}
+
+    def add(total, free, tors):
+        f0, t0 = per_degree.get(total, (0, 0))
+        per_degree[total] = (f0 + free, t0 + tors)
+
+    for s, mu in result.keys():
+        total = s + v_degree(p, mu)
+        if total < 0 or total > result.max_total:
+            continue
+        if mu == (0,) * result.v_max:
+            st = block_structure(result, s, mu)
+            if st.free_rank or st.torsion_rank:
+                add(total, st.free_rank, st.torsion_rank)
+                labels = details.setdefault(total, [])
+                labels.extend("free: %s" % rep for rep in st.free_reps)
+                labels.extend("Z/%d: %s" % (p, rep) for rep in st.torsion_reps)
+            continue
+        k_bar, denom = result.block(s, mu)
+        for idx in range(result.v_max):
+            if mu[idx] > 0:
+                denom = denom + result.block(s, _v_div(mu, idx + 1))[0]
+        t = len(k_bar) - len(denom)
+        if t:
+            add(total, 0, t)
+            labels = details.setdefault(total, [])
+            for rep in _new_reps(chart, chart.integral_slice(s), k_bar, denom):
+                labels.append("Z/%d: %s (v-part %s)" % (p, rep, v_label(mu)))
+    return CollapseReport(per_degree, details)
+
+
+def _check_support_keying(chart, v_max, max_total=None):
+    """Compare k and w of AhssResult, read on the support, with _FullMuPages
+    at every stage of every block of keys(), and collapse_to_chow with
+    _every_column_collapse on the full-mu pages; returns the number of
+    blocks compared."""
+    if max_total is None:
+        max_total = _reporting_total(chart, v_max)
     support, full = AhssResult(chart, v_max, max_total), _FullMuPages(chart, v_max, max_total)
     for s, mu in support.keys():
+        sigma = _support(mu)
         for stage in range(v_max + 1):
-            for got, want in ((support.k(stage, s, mu), full.k(stage, s, mu)),
-                              (support.w(stage, s, mu), full.w(stage, s, mu))):
+            for got, want in ((support.k(stage, s, sigma), full.k(stage, s, mu)),
+                              (support.w(stage, s, sigma), full.w(stage, s, mu))):
                 assert (got.rows, got.pivots) == (want.rows, want.pivots), (stage, s, mu)
+    _check_collapse(support, full)
     return len(support.keys())
+
+
+def _check_collapse(result, full):
+    got, want = collapse_to_chow(result), _every_column_collapse(full)
+    assert got.per_degree == want.per_degree
+    assert got.details == want.details
 
 
 def test_support_keying_matches_full_mu_on_builtin_charts():
     assert _check_support_keying(toy_killing_chart(window=12).chart, 1) > 0
     assert _check_support_keying(spin7_chart(window=32).chart, 3) > 1000
     assert _check_support_keying(f4_chart(window=56).chart, 2) > 300
+
+
+def test_collapse_matches_every_column_collapse_on_f4():
+    chart = f4_chart(window=90).chart
+    _check_collapse(AhssResult(chart, 2, 72), _FullMuPages(chart, 2, 72))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

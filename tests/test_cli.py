@@ -10,7 +10,7 @@ def run_cli(capsys, *argv):
 
 
 def test_dickson_command(capsys):
-    code, out, _ = run_cli(capsys, "dickson", "--h", "2", "--verify", "all")
+    code, out, _ = run_cli(capsys, "dickson", "--h", "2")
     assert code == 0
     assert "result: pass" in out
 
@@ -164,3 +164,38 @@ def test_ahss_negative_max_total_refused(capsys):
     assert code == 2
     assert "totals <=" not in out
     assert err.startswith("error: requested total degree -3 is negative")
+
+
+def test_every_admitted_prime_is_a_domain(capsys):
+    """7 does not divide |W(F_4)| = 1152, so the F_7 ranks are the rational ones."""
+    ranks = {}
+    for domain in ("q", "f7"):
+        code, out, _ = run_cli(capsys, "--format", "records", "invariants", "--group", "f4",
+                               "--domain", domain, "--max-degree", "12")
+        assert code == 0
+        ranks[domain] = [line.split("\t")[1:3] for line in out.splitlines()]
+    assert ranks["f7"] == ranks["q"] and len(ranks["q"]) == 7
+    for domain in ("f11", "f13"):
+        assert run_cli(capsys, "invariants", "--group", "so:2", "--domain", domain,
+                       "--max-degree", "8", "--series", "1/((1-t^4)(1-t^8))")[0] == 0
+
+
+@pytest.mark.parametrize("domain", ["f17", "f4", "F1"])
+def test_unadmitted_prime_refused(capsys, domain):
+    code, out, err = run_cli(capsys, "invariants", "--group", "so:2", "--domain", domain,
+                             "--max-degree", "4")
+    assert code == 2 and out == ""
+    assert err == "error: F_p supported only for p in (2, 3, 5, 7, 11, 13)\n"
+
+
+def test_negative_max_degree_refused(capsys):
+    code, out, err = run_cli(capsys, "invariants", "--group", "so:2", "--domain", "q",
+                             "--max-degree", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: --max-degree -1 is negative\n"
+
+
+def test_dickson_verify_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["dickson", "--h", "2", "--verify", "all"])
+    assert exc.value.code == 2

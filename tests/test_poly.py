@@ -180,6 +180,16 @@ def test_parse_parenthesized_expansion():
     assert p == expected
 
 
+@pytest.mark.parametrize("top", [0, 3, 4, 7, 12, 40])
+def test_parse_to_a_degree_is_the_exact_parse_truncated(top):
+    sig = signature([("x", 2), ("y", 4)], ZZ)
+    for text in ("(1+x)^7*(x-y)^3 - 2*y^2*(1+x*y)^2", "((1+x+y)^3*(1-x))^2", "x^9 + 1"):
+        exact = parse(text, sig)
+        assert parse(text, sig, top) == exact.truncate(top)
+        assert pow(exact, 3, top) == (exact**3).truncate(top)
+    assert parse("1+x", sig, None) == parse("1+x", sig)
+
+
 def test_parse_p_local_coefficient():
     # denominator must be coprime to p: 3/2 is 3-local but not 2-local
     sig3 = signature([("t1", 2)], z_local(3))
