@@ -4,8 +4,8 @@ A chart presents the mod-p cohomology as the graded-commutative algebra on
 named classes modulo a monomial ideal.  Its additive basis in every degree
 is the set of standard monomials: those that no relation monomial divides.
 The Q_i actions for i = 0..m are given by generator images; Q_i on a basis
-monomial follows by the graded Leibniz rule and is projected to the basis.
-A Leibniz term that some relation divides is rewritten by the chart's
+monomial follows by the graded Leibniz rule, its terms summed per monomial.
+A nonzero sum that some relation divides is rewritten by the chart's
 product rules, or is zero when the chart has none.  The window scopes
 validation and the spectral-sequence enumeration; bases, Q_i matrices and
 integral slices are defined in every degree and are derived on first use.
@@ -25,13 +25,14 @@ Chart files are section-based text ("#" comments):
                        degree, inside the window and beyond it)
     [products]         optional; 'monomial -> c*monomial' or 'monomial -> 0'
                        rewrite rules for Leibniz terms outside the basis
-    [q I]              'source -> polynomial' generator images of Q_I
+    [q I]              'source -> polynomial' images of Q_I, I >= 0, one per source
     [aliases]          'short = monomial' naming shortcuts
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import le
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -46,7 +47,7 @@ from .poly import (
     parse as parse_poly,
     signature,
 )
-from .steenrod import apply_derivation
+from .steenrod import _derivation_terms, _image_terms
 
 
 class ChartError(Exception):
@@ -64,11 +65,14 @@ ProductRule = Tuple[Monomial, int, Optional[Monomial]]
 
 @dataclass
 class _ChartCache:
-    """Data a chart derives from its description, filled in on first use."""
+    """Data a chart derives from its description, filled in on first use:
+    bases by degree, steenrod._image_terms by Milnor index, Q_i columns
+    (Chart.q_columns) by (i, degree) and integral slices by degree."""
 
     # per degree: basis monomial -> position, in basis order
     basis: Dict[int, Dict[Monomial, int]] = field(default_factory=dict)
-    q_mats: Dict[Tuple[int, int], List[List[int]]] = field(default_factory=dict)
+    q_terms: Dict[int, tuple] = field(default_factory=dict)
+    q_mats: Dict[Tuple[int, int], List[int]] = field(default_factory=dict)
     integral: Dict[int, "IntegralSlice"] = field(default_factory=dict)
 
 
@@ -108,12 +112,32 @@ class Chart:
     def dim(self, degree: int) -> int:
         return len(self.mono_index(degree))
 
+    def q_columns(self, i: int, degree: int) -> List[int]:
+        """Q_i from degree to degree + 2p^i - 1 (any degree): column j is the
+        packed FpSubspace vector of the image of basis monomial j.  Its
+        Leibniz terms are summed per monomial first, and only the nonzero
+        sums are reduced into the target basis."""
+        cols = self.cache.q_mats.get((i, degree))
+        if cols is None:
+            terms = self.cache.q_terms.get(i)
+            if terms is None:
+                terms = self.cache.q_terms[i] = _image_terms(self.sig, self.q_images.get(i, {}))
+            tgt_index = self.mono_index(degree + q_shift(self.p, i))
+            cols = []
+            for mono in self.mono_index(degree):
+                col = [0] * len(tgt_index)
+                for m, c in _derivation_terms(self.sig, terms, mono).items():
+                    if (reduced := _reduce_term(self, tgt_index, m, c)) is not None:
+                        col[tgt_index[reduced[1]]] += reduced[0]
+                cols.append(FpSubspace.pack(self.p, col))
+            self.cache.q_mats[i, degree] = cols
+        return cols
+
     def q_matrix(self, i: int, degree: int) -> List[List[int]]:
-        """Matrix of Q_i from degree to degree + 2p^i - 1 (any degree)."""
-        key = (i, degree)
-        if key not in self.cache.q_mats:
-            self.cache.q_mats[key] = _q_matrix_at(self, i, degree)
-        return self.cache.q_mats[key]
+        """q_columns as a list of rows, indexed by the target basis."""
+        n = self.dim(degree + q_shift(self.p, i))
+        cols = [FpSubspace.unpack(self.p, c, n) for c in self.q_columns(i, degree)]
+        return [[col[r] for col in cols] for r in range(n)]
 
     def resolve_name(self, text: str) -> Monomial:
         """A class name, alias, or monomial expression -> basis monomial."""
@@ -141,10 +165,6 @@ class Chart:
         return self.cache.integral[degree]
 
 
-def _divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
 @dataclass
 class IntegralSlice:
     """Integral basis of H^n(X; Z_(p)) in chart coordinates.
@@ -156,10 +176,11 @@ class IntegralSlice:
     carrying the relation p * t = 0.  torsion_span is the tracking()
     echelon of the torsion basis, which solves for torsion coordinates.
     q_to_torsion[i] is Q_i from this integral basis to the target slice's
-    integral coordinates, one column per basis vector: column j is the
-    packed FpSubspace vector (bit j at p = 2, byte j at odd p) of the image
-    of basis vector j, zero outside the torsion coordinates, so Q_i x is the
-    sum of the columns at the nonzero coordinates of x (an XOR at p = 2).
+    integral coordinates, built by integral_q_matrix from the chart's
+    packed Q_i columns (Chart.q_columns): column j is the packed FpSubspace
+    vector (bit j at p = 2, byte j at odd p) of the image of basis vector j,
+    zero outside the torsion coordinates, so Q_i x is the sum of the columns
+    at the nonzero coordinates of x (an XOR at p = 2).
     """
 
     degree: int
@@ -203,6 +224,8 @@ def build_chart(
     sig = signature(gens, fp(p))
     parsed: Dict[int, Dict[str, Polynomial]] = {}
     for i, images in sorted(q_images.items()):
+        if i < 0:
+            raise ChartError("chart %s: Milnor index %d is negative" % (name, i))
         polys = {g: e if isinstance(e, Polynomial) else parse_poly(str(e), sig)
                  for g, e in images.items()}
         for g, poly in polys.items():
@@ -255,7 +278,7 @@ def _reduce_term(chart: Chart, index: Dict[Monomial, int], mono: Monomial, coeff
             return coeff % chart.p, mono
         if not chart.products:
             return None
-        rule = next((r for r in chart.products if _divides(r[0], mono)), None)
+        rule = next((r for r in chart.products if all(map(le, r[0], mono))), None)
         if rule is None:
             raise ChartError(
                 "image monomial %s is neither in the basis nor reducible"
@@ -269,24 +292,6 @@ def _reduce_term(chart: Chart, index: Dict[Monomial, int], mono: Monomial, coeff
             return None
         coeff = (coeff * rcoeff) % chart.p
     raise ChartError("product rewriting did not terminate")
-
-
-def _q_matrix_at(chart: Chart, i: int, degree: int) -> List[List[int]]:
-    images = chart.q_images.get(i)
-    src = chart.basis_at(degree)
-    tgt_index = chart.mono_index(degree + q_shift(chart.p, i))
-    cols = []
-    for mono in src:
-        col = [0] * len(tgt_index)
-        if images is not None:
-            image = apply_derivation(images, Polynomial.from_mono(chart.sig, mono))
-            for m, c in image.terms.items():
-                reduced = _reduce_term(chart, tgt_index, m, int(c))
-                if reduced is not None:
-                    rc, rm = reduced
-                    col[tgt_index[rm]] = (col[tgt_index[rm]] + rc) % chart.p
-        cols.append(col)
-    return [[cols[j][r] for j in range(len(src))] for r in range(len(tgt_index))]
 
 
 def validate_chart(chart: Chart, torsion_tags: Dict[str, int]):
@@ -318,9 +323,8 @@ def check_q_squares(chart: Chart, top: int):
     for i in chart.q_images:
         shift = q_shift(p, i)
         for d in range(top - 2 * shift + 1):
-            cols = list(zip(*chart.q_matrix(i, d)))
-            second = chart.q_matrix(i, d + shift)
-            if any(sum(a * b for a, b in zip(row, col)) % p for row in second for col in cols):
+            second = chart.q_columns(i, d + shift)
+            if any(FpSubspace.image(p, second, c) for c in chart.q_columns(i, d)):
                 raise ChartError(
                     "chart %s: Q_%d does not square to zero at degree %d" % (chart.name, i, d)
                 )
@@ -349,8 +353,7 @@ def _build_integral_slice(chart: Chart, degree: int) -> IntegralSlice:
     dim = chart.dim(degree)
     if dim == 0:
         return IntegralSlice(degree, [], [], FpSubspace(p))
-    q0_in = chart.q_matrix(0, degree - 1) if degree >= 1 else []
-    image = FpSubspace(p, [FpSubspace.pack(p, col) for col in zip(*q0_in)])
+    image = FpSubspace(p, chart.q_columns(0, degree - 1))
     torsion = [FpSubspace.unpack(p, v, dim) for v in image]
     # Extend the image basis to a basis of the kernel; the added vectors
     # lift the free classes.  The image lies in the kernel exactly when the
@@ -369,8 +372,8 @@ def integral_q_matrix(chart: Chart, i: int, degree: int) -> list:
     vector j (zero at the free coordinates: Milnor images of integral
     classes are p-torsion).
 
-    Each image is reduced against the target's torsion echelon, which is
-    built once per slice.
+    Each image is Q_i's packed columns applied to the basis vector, reduced
+    against the target's torsion echelon, which is built once per slice.
     """
     sl = chart.integral_slice(degree)
     if i in sl.q_to_torsion:
@@ -379,17 +382,15 @@ def integral_q_matrix(chart: Chart, i: int, degree: int) -> list:
     tgt_degree = degree + q_shift(p, i)
     tgt = chart.integral_slice(tgt_degree)
     width = chart.dim(tgt_degree)
-    qmat = chart.q_matrix(i, degree)
-    q_cols = [FpSubspace.pack(p, [row[j] for row in qmat]) for j in range(chart.dim(degree))]
+    q_cols = chart.q_columns(i, degree)
     nfree = len(tgt.free)
     cols = []
     for vec in sl.free + sl.torsion:
         image = FpSubspace.image(p, q_cols, FpSubspace.pack(p, vec))
         coords = tgt.torsion_span.coordinates(image, width)
         if coords is None:
-            raise ChartError(
-                "Q_%d image at degree %d is not an integral p-torsion class" % (i, degree)
-            )
+            raise ChartError("Q_%d image at degree %d is not an integral p-torsion class"
+                             % (i, degree))
         cols.append(FpSubspace.join(p, 0, coords, nfree))
     sl.q_to_torsion[i] = cols
     return cols
@@ -474,6 +475,8 @@ def parse_chart(text: str) -> Chart:
             if "->" not in line:
                 raise ChartError("line %d: expected 'source -> polynomial'" % lineno)
             src, img = [s.strip() for s in line.split("->", 1)]
+            if src in q_raw[q_index]:
+                raise ChartError("line %d: a second Q_%d image of %s" % (lineno, q_index, src))
             q_raw[q_index][src] = img
         elif section == "products":
             if "->" not in line:

@@ -1,59 +1,74 @@
 """Milnor primitives as graded derivations, Steenrod squares, Q_0-homology.
 
-The primitives Q_i are odd-degree derivations: on a product they satisfy
-Q(ab) = Q(a)b + (-1)^|a| a Q(b).  One derivation, apply_derivation, is
-given by its generator images; charts pass it their Q_i images, and the
-closed-form primitives on a polynomial algebra over F_2 with degree-1
-generators pass it Q_i(x) = x^(2^(i+1)) (milnor_q_closed, the primary
-definition; Q_0 x = x^2 is the Bockstein on a one-dimensional class).  The
-commutator recursion through Steenrod squares is kept as a cross-check
-oracle for small i.  q0_homology reads ker(Q_0)/im(Q_0) off chart-style
-matrices.
+The primitives Q_i are odd-degree derivations: Q(ab) = Q(a)b + (-1)^|a| a Q(b).
+One kernel, _derivation_terms, applies such a derivation to an exponent
+tuple; apply_derivation runs it over a Polynomial's terms, Chart.q_columns
+over each basis monomial, and milnor_q_closed, the primary definition, with
+Q_i(x) = x^(2^(i+1)) on degree-1 generators over F_2 (Q_0 x = x^2 is the
+Bockstein).  The commutator recursion through Steenrod squares is kept as a
+cross-check oracle for small i.  q0_homology reads ker(Q_0)/im(Q_0) off
+chart-style matrices.
 """
 
 from __future__ import annotations
 
+from operator import add
 from typing import Dict, List
 
 from . import linalg
-from .poly import AlgebraSignature, Polynomial, power_products
+from .poly import AlgebraSignature, Monomial, Polynomial, power_products
 
 
 class SteenrodError(Exception):
     pass
 
 
-def apply_derivation(images: Dict[str, Polynomial], f: Polynomial) -> Polynomial:
-    """The odd-degree derivation extending the generator images, applied to f.
+def _image_terms(sig: AlgebraSignature, images: Dict[str, Polynomial]) -> tuple:
+    """Per generator position, None (no image: zero) or the terms of its
+    image as (monomial, coefficient, *AlgebraSignature._term_masks)."""
+    return tuple(tuple((m, c, *sig._term_masks(m)) for m, c in img.terms.items())
+                 if (img := images.get(g.name)) is not None and not img.is_zero() else None
+                 for g in sig.generators)
 
-    images maps generator names to their images; a generator with no image
-    maps to zero.  On a sorted monomial x_{i1}..x_{ik} the term hitting the
-    j-th factor is (-1)^(degree of the prefix) * prefix * D(x_{ij}) * suffix;
-    the image is multiplied in place so the Koszul reordering is handled by
-    mul.
-    """
-    sig = f.sig
-    char2 = sig.domain.characteristic == 2
-    result = Polynomial.zero(sig)
-    gens = sig.generators
-    n = len(gens)
+
+def _derivation_terms(sig: AlgebraSignature, image_terms: tuple, mono: Monomial) -> dict:
+    """The derivation with these _image_terms on one monomial, as {monomial:
+    nonzero coefficient}: the sum of e (-1)^(prefix degree) left * D(x_k) *
+    right over the x_k^e with an image, left the prefix times x_k^(e-1) and
+    the sign only outside characteristic 2.  The masks give the Koszul sign
+    and the vanishing of both products as in Polynomial.__mul__."""
+    dom, ext, n = sig.domain, sig._exterior, len(mono)
+    out, prefix = {}, 0
+    for k, e in enumerate(mono):
+        if e and (terms := image_terms[k]) is not None and (lead := dom.coerce(e)):
+            lead = -lead if prefix & 1 and dom.characteristic != 2 else lead
+            base = mono[:k] + (e - 1,) + mono[k + 1:]
+            if ext:
+                left = base[:k + 1] + (0,) * (n - k - 1)
+                held_l, left_l, _ = sig._term_masks(left)
+                held_r, _, right_r = sig._term_masks((0,) * (k + 1) + mono[k + 1:])
+            for img, c, held, _, right_img in terms:
+                if ext:
+                    held_lm, left_lm, _ = sig._term_masks(tuple(map(add, left, img)))
+                    if held & held_l or held_lm & held_r:
+                        continue
+                    if ((left_l & right_img).bit_count() + (left_lm & right_r).bit_count()) & 1:
+                        c = -c
+                m = tuple(map(add, base, img))
+                out[m] = out.get(m, 0) + lead * c
+        prefix += e * sig._degrees[k]
+    return {m: c for m, c in ((m, dom.coerce(c)) for m, c in out.items()) if c}
+
+
+def apply_derivation(images: Dict[str, Polynomial], f: Polynomial) -> Polynomial:
+    """The odd-degree derivation extending the generator images (a generator
+    with no image maps to zero), applied to f one monomial at a time."""
+    sig, out = f.sig, {}
+    terms = _image_terms(sig, images)
     for mono, coeff in f.terms.items():
-        prefix_degree = 0
-        for i, e in enumerate(mono):
-            if e:
-                img = images.get(gens[i].name)
-                if img is not None and not img.is_zero():
-                    left = list(mono[: i + 1]) + [0] * (n - i - 1)
-                    left[i] = e - 1
-                    right = [0] * (i + 1) + list(mono[i + 1 :])
-                    term = Polynomial.from_mono(sig, tuple(left), coeff).scale(e)
-                    if not term.is_zero():
-                        if not char2 and prefix_degree % 2:
-                            term = term.scale(-1)
-                        piece = (term * img) * Polynomial.from_mono(sig, tuple(right))
-                        result = result + piece
-            prefix_degree += e * gens[i].degree
-    return result
+        for m, c in _derivation_terms(sig, terms, mono).items():
+            out[m] = out.get(m, 0) + coeff * c
+    return Polynomial(sig, out)
 
 
 # ---------------------------------------------------------------------------
@@ -153,32 +168,14 @@ def q0_homology(
     indexed by the target basis).  Degrees outside the dict are treated as
     zero.  Raises if Q_0 fails to square to zero where both maps are known.
     """
-    degrees = sorted(dims_by_degree)
     out: Dict[int, int] = {}
-    for n in degrees:
-        dim = dims_by_degree[n]
-        if dim == 0:
-            out[n] = 0
-            continue
+    for n, dim in sorted(dims_by_degree.items()):
         m_out = q0_matrices.get(n)
-        m_in = q0_matrices.get(n - 1)
-        if m_out is not None and m_in is not None and dims_by_degree.get(n - 1, 0) > 0:
-            comp = [
-                [
-                    sum(m_out[i][k] * m_in[k][j] for k in range(dim)) % p
-                    for j in range(dims_by_degree[n - 1])
-                ]
-                for i in range(len(m_out))
-            ]
-            if any(any(x for x in row) for row in comp):
-                raise SteenrodError("Q_0 composed with Q_0 is nonzero at degree %d" % (n - 1))
-        if m_out is None or dims_by_degree.get(n + 1, 0) == 0:
-            ker = dim
-        else:
-            ker = dim - linalg.rank_fp(m_out, p)
-        if m_in is None or dims_by_degree.get(n - 1, 0) == 0:
-            im = 0
-        else:
-            im = linalg.rank_fp(m_in, p)
-        out[n] = ker - im
+        m_in = q0_matrices.get(n - 1) if dim and dims_by_degree.get(n - 1, 0) else None
+        if m_out is not None and m_in is not None and any(
+                sum(a * b for a, b in zip(row, col)) % p for row in m_out for col in zip(*m_in)):
+            raise SteenrodError("Q_0 composed with Q_0 is nonzero at degree %d" % (n - 1))
+        if not dims_by_degree.get(n + 1, 0):
+            m_out = None
+        out[n] = dim - sum(linalg.rank_fp(m, p) for m in (m_out, m_in) if m is not None)
     return out

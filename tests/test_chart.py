@@ -22,6 +22,7 @@ from weylchow.ahss import (
 from weylchow.builtin import f4_chart, spin7_chart, toy_free_chart, toy_killing_chart
 from weylchow.chart import (
     ChartError,
+    _reduce_term,
     build_chart,
     integral_q_matrix,
     parse_chart,
@@ -30,9 +31,10 @@ from weylchow.chart import (
 )
 from weylchow.dickson import build_dickson
 from weylchow.linalg import FpSubspace, hnf_basis, identity, rank_fp, solve_fp
-from weylchow.poly import (F2, Polynomial, compositions, degree_slice, parse, power_products,
+from weylchow.poly import (F2, Polynomial, compositions, degree_slice, fp, parse, power_products,
                            signature)
 from weylchow.series import expand_series
+from weylchow.steenrod import _derivation_terms, _image_terms, apply_derivation
 
 
 def test_spin7_q_data_matches_stated_facts(spin7_builtin):
@@ -42,8 +44,6 @@ def test_spin7_q_data_matches_stated_facts(spin7_builtin):
     assert chart.q_images[1]["w_4"] == parse("w_7", sig)
     assert chart.q_images[2]["w_8"] == parse("w_7*w_8", sig)
     # the composite fact: Q_3(w_7 w_8) = w_7^2 w_8^2
-    from weylchow.steenrod import apply_derivation
-
     lhs = apply_derivation(chart.q_images[3], parse("w_7*w_8", sig))
     assert lhs == parse("w_7^2*w_8^2", sig)
 
@@ -116,6 +116,26 @@ def test_validation_rejects_image_from_another_signature():
     other = signature([("u", 8), ("b", 9), ("c", 5)], F2)
     with pytest.raises(ChartError, match="another signature"):
         build_chart("bad", 2, 12, (("u", 8), ("b", 9)), {0: {"u": Polynomial.gen(other, "b")}})
+
+
+_TOY_KILL_HEAD = "[chart]\np = 2\nwindow = 12\n[classes]\na 6 0\nu 8 0\nb 9 1\n[q 0]\nu -> b\n"
+
+
+@pytest.mark.parametrize("section", ["a -> 0", "u -> u"])
+def test_negative_milnor_index_refused(section):
+    with pytest.raises(ChartError, match="Milnor index -1 is negative"):
+        parse_chart(_TOY_KILL_HEAD + "[q -1]\n%s\n" % section)
+    with pytest.raises(ChartError, match="Milnor index -2 is negative"):
+        build_chart("bad", 2, 12, (("a", 6), ("u", 8)), {-2: {}})
+
+
+@pytest.mark.parametrize("tail", ["u -> 0\n", "[q 1]\na -> b\n[q 0]\nu -> 0\n"])
+def test_repeated_q_source_refused_with_line(tail):
+    text = _TOY_KILL_HEAD + tail
+    with pytest.raises(ChartError, match="line %d: a second Q_0 image of u" % text.count("\n")):
+        parse_chart(text)
+    # one source under two Milnor indices is no repetition
+    assert str(parse_chart(_TOY_KILL_HEAD + "[q 1]\nu -> 0\n").q_images[0]["u"]) == "b"
 
 
 def test_alias_resolution(spin7_builtin):
@@ -285,6 +305,119 @@ def test_random_chart_round_trip(chart):
 @given(_small_charts())
 def test_mono_index_matches_division_on_random_charts(chart):
     _check_mono_index(chart, 2 * chart.window)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: Q-matrices through Polynomial products
+# ---------------------------------------------------------------------------
+
+
+def _reference_derivation(images, f):
+    """The derivation built from Polynomial products: on each monomial, the
+    term hitting x_i is e (-1)^(prefix degree) left * D(x_i) * right, with
+    two products doing the Koszul reordering."""
+    sig = f.sig
+    char2 = sig.domain.characteristic == 2
+    result = Polynomial.zero(sig)
+    gens = sig.generators
+    n = len(gens)
+    for mono, coeff in f.terms.items():
+        prefix_degree = 0
+        for i, e in enumerate(mono):
+            if e:
+                img = images.get(gens[i].name)
+                if img is not None and not img.is_zero():
+                    left = list(mono[: i + 1]) + [0] * (n - i - 1)
+                    left[i] = e - 1
+                    right = [0] * (i + 1) + list(mono[i + 1:])
+                    term = Polynomial.from_mono(sig, tuple(left), coeff).scale(e)
+                    if not term.is_zero():
+                        if not char2 and prefix_degree % 2:
+                            term = term.scale(-1)
+                        piece = (term * img) * Polynomial.from_mono(sig, tuple(right))
+                        result = result + piece
+            prefix_degree += e * gens[i].degree
+    return result
+
+
+def _reference_q_matrix(chart, i, degree):
+    """Q_i as rows over the target basis: each basis monomial's image as a
+    Polynomial, its terms reduced into the target basis one by one."""
+    images = chart.q_images.get(i)
+    src = chart.basis_at(degree)
+    tgt_index = chart.mono_index(degree + q_shift(chart.p, i))
+    cols = []
+    for mono in src:
+        col = [0] * len(tgt_index)
+        if images is not None:
+            image = _reference_derivation(images, Polynomial.from_mono(chart.sig, mono))
+            for m, c in image.terms.items():
+                reduced = _reduce_term(chart, tgt_index, m, int(c))
+                if reduced is not None:
+                    rc, rm = reduced
+                    col[tgt_index[rm]] = (col[tgt_index[rm]] + rc) % chart.p
+        cols.append(col)
+    return [[cols[j][r] for j in range(len(src))] for r in range(len(tgt_index))]
+
+
+def _check_q_matrices(chart, top):
+    for i in range(4):
+        for n in range(-1, top + 1):
+            assert chart.q_matrix(i, n) == _reference_q_matrix(chart, i, n), (chart.name, i, n)
+
+
+def test_q_matrices_match_polynomial_reference_on_builtin_charts():
+    _check_q_matrices(spin7_chart(window=60).chart, 60)
+    _check_q_matrices(f4_chart(window=110).chart, 110)
+    for bc in (toy_free_chart(), toy_killing_chart()):
+        _check_q_matrices(bc.chart, 2 * bc.chart.window)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_small_charts())
+def test_q_matrices_match_polynomial_reference_on_random_charts(chart):
+    _check_q_matrices(chart, 2 * chart.window)
+
+
+@st.composite
+def _derivations(draw):
+    """Random images and a random polynomial over F_3, where the odd
+    generators y, z are exterior and signs matter, or over F_2 with two
+    exterior generators."""
+    p = draw(st.sampled_from([2, 3]))
+    gens = ([("x", 2), ("y", 3, True), ("w", 4), ("z", 5, True)] if p == 3
+            else [("x", 1), ("y", 3, True), ("w", 2), ("z", 5, True)])
+    sig = signature(gens, fp(p))
+    monos = st.tuples(*(st.integers(0, 1 if len(g) == 3 else 3) for g in gens))
+
+    def poly(max_terms):
+        return Polynomial(sig, {m: draw(st.integers(1, p - 1))
+                                for m in draw(st.lists(monos, max_size=max_terms))})
+
+    images = {g[0]: poly(3) for g in gens if draw(st.booleans())}
+    return images, poly(6)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_derivations())
+def test_apply_derivation_matches_polynomial_reference(case):
+    images, f = case
+    assert apply_derivation(images, f) == _reference_derivation(images, f)
+
+
+def test_cancelling_leibniz_terms_give_no_term():
+    # Q_1 a = a*c and Q_1 b = b*c, so Q_1(a*b) = 2*a*b*c = 0 at p = 2
+    chart = build_chart("cancel", 2, 6, (("a", 2), ("b", 2), ("c", 3)),
+                        {1: {"a": "a*c", "b": "b*c"}}, relations=["a*b*c", "c^2"],
+                        products=[("c^2", "0")])
+    mono = chart.resolve_name("a*b")
+    assert _derivation_terms(chart.sig, _image_terms(chart.sig, chart.q_images[1]), mono) == {}
+    # a*b*c is no basis class and no product rule reduces it, so reducing
+    # either Leibniz term on its own would raise
+    with pytest.raises(ChartError, match="neither in the basis nor reducible"):
+        _reduce_term(chart, chart.mono_index(7), mono[:2] + (1,), 1)
+    assert chart.q_columns(1, 4) == [0, 0, 0]
+    assert _reference_q_matrix(chart, 1, 4) == chart.q_matrix(1, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -713,6 +846,18 @@ def test_support_keying_matches_full_mu_on_builtin_charts():
 def test_collapse_matches_every_column_collapse_on_f4():
     chart = f4_chart(window=90).chart
     _check_collapse(AhssResult(chart, 2, 72), _FullMuPages(chart, 2, 72))
+
+
+def test_collapse_matches_every_column_collapse_where_column_v1_adds_torsion():
+    """Q_2 x = Q_1 y = z = Q_0 u: d_2 x = v_2 z survives d_1, while
+    d_2(v_1 x) = v_1 v_2 z = d_1(v_2 y), so v_1 x is a permanent cycle and x
+    is not, and column v_1 adds Z/2 in total degree 8 - 2 = 6."""
+    chart = build_chart("v1-torsion", 2, 24, (("x", 8), ("y", 12), ("u", 14, True),
+                                              ("z", 15, True)),
+                        {0: {"u": "z"}, 1: {"y": "z"}, 2: {"x": "z"}},
+                        torsion_tags={"x": 0, "y": 0, "u": 0, "z": 1})
+    assert _check_support_keying(chart, 2) > 0
+    assert collapse_to_chow(run_ahss(chart, 2)).details[6] == ["Z/2: x (v-part v_1)"]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -94,6 +94,22 @@ def test_ahss_chart_file(tmp_path, capsys):
     assert "E_inf" in out
 
 
+@pytest.mark.parametrize("section,message", [
+    ("[q -1]\na -> 0\n", "error: chart toy-kill: Milnor index -1 is negative"),
+    ("[q 0]\nu -> 0\n", "error: line 17: a second Q_0 image of u"),
+])
+def test_ahss_chart_file_refusals(tmp_path, capsys, section, message):
+    from weylchow.builtin import toy_killing_chart
+    from weylchow.chart import serialize_chart
+
+    path = tmp_path / "bad.chart"
+    path.write_text(serialize_chart(toy_killing_chart().chart) + section)
+    code, out, err = run_cli(capsys, "ahss", "--chart", str(path), "--vmax", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(message)
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.txt"
     code, out, _ = run_cli(
