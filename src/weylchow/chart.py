@@ -88,6 +88,7 @@ class Chart:
     relations: Tuple[Monomial, ...] = ()
     products: Tuple[ProductRule, ...] = ()
     aliases: Dict[str, str] = field(default_factory=dict)
+    label: str = field(default="", compare=False)  # the chart in error messages
     cache: _ChartCache = field(default_factory=_ChartCache, init=False, repr=False, compare=False)
 
     def mono_index(self, degree: int) -> Dict[Monomial, int]:
@@ -209,6 +210,7 @@ def build_chart(
     torsion_tags: Optional[Dict[str, int]] = None,
     aliases: Optional[Dict[str, str]] = None,
     products: Sequence[Tuple[str, str]] = (),
+    label: Optional[str] = None,
 ) -> Chart:
     """Assemble and validate a chart.
 
@@ -219,18 +221,20 @@ def build_chart(
     monomials; torsion_tags are checked against the Q_0 structure; products
     lists monomial rewrite rules ('x*y' -> 'c*z*w' or '0') used to push
     Leibniz terms back into the basis when the relations are not merely
-    monomial vanishing.
+    monomial vanishing.  Errors name the chart by label, which defaults to
+    the name.
     """
+    label = label or name
     sig = signature(gens, fp(p))
     parsed: Dict[int, Dict[str, Polynomial]] = {}
     for i, images in sorted(q_images.items()):
         if i < 0:
-            raise ChartError("chart %s: Milnor index %d is negative" % (name, i))
+            raise ChartError("chart %s: Milnor index %d is negative" % (label, i))
         polys = {g: e if isinstance(e, Polynomial) else parse_poly(str(e), sig)
                  for g, e in images.items()}
         for g, poly in polys.items():
             if poly.sig != sig:
-                raise ChartError("chart %s: Q_%d(%s) lives in another signature" % (name, i, g))
+                raise ChartError("chart %s: Q_%d(%s) lives in another signature" % (label, i, g))
         parsed[i] = {g: poly for g, poly in polys.items() if not poly.is_zero()}
     chart = Chart(
         name=name,
@@ -242,6 +246,7 @@ def build_chart(
                                reverse=True)),
         products=tuple(_parse_product_rule(sig, lhs, rhs) for lhs, rhs in products),
         aliases=dict(aliases or {}),
+        label=label,
     )
     validate_chart(chart, torsion_tags or {})
     return chart
@@ -304,7 +309,7 @@ def validate_chart(chart: Chart, torsion_tags: Dict[str, int]):
             if not img.is_homogeneous() or img.degree() != gdeg + shift:
                 raise ChartError(
                     "chart %s: Q_%d(%s) has degree %s, expected %d"
-                    % (chart.name, i, gname, img.homogeneous_degrees(), gdeg + shift)
+                    % (chart.label, i, gname, img.homogeneous_degrees(), gdeg + shift)
                 )
     check_q_squares(chart, chart.window)
     for gname, tag in torsion_tags.items():
@@ -326,7 +331,7 @@ def check_q_squares(chart: Chart, top: int):
             second = chart.q_columns(i, d + shift)
             if any(FpSubspace.image(p, second, c) for c in chart.q_columns(i, d)):
                 raise ChartError(
-                    "chart %s: Q_%d does not square to zero at degree %d" % (chart.name, i, d)
+                    "chart %s: Q_%d does not square to zero at degree %d" % (chart.label, i, d)
                 )
 
 
@@ -426,7 +431,9 @@ def serialize_chart(chart: Chart) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_chart(text: str) -> Chart:
+def parse_chart(text: str, source: Optional[str] = None) -> Chart:
+    """A chart from its file text.  Without a name line the chart is named
+    "chart", and its errors name the source (the file path) when given."""
     section = None
     q_index: Optional[int] = None
     header: Dict[str, str] = {}
@@ -497,10 +504,10 @@ def parse_chart(text: str) -> Chart:
         header.get("name", "chart"), int(header["p"]), int(header["window"]),
         [(nm, deg, ext) for nm, deg, _tag, ext in classes], q_raw, relations=relations,
         torsion_tags={nm: tag for nm, _deg, tag, _ext in classes}, aliases=aliases,
-        products=products,
+        products=products, label=header.get("name", source),
     )
 
 
 def load_chart(path: str) -> Chart:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_chart(fh.read())
+        return parse_chart(fh.read(), path)

@@ -8,8 +8,10 @@ signed-permutation groups, the signed orbit sums of the subgroup of
 signed-permutation elements (orbit path; found once per action, valid in
 any characteristic).  Each remaining generator is imposed on the span the
 previous ones left, through the integer rows (den M - den^k) v: over F_p as
-an `FpSubspace.preimage`, over Q and Z as an exact kernel.  Values become
-domain elements only in the returned basis.
+an `FpSubspace.preimage` of the packed defects (each candidate's defect is
+found once, and a span row's is the combination its coordinates give), over
+Q and Z as an exact kernel.  Values become domain elements only in the
+returned basis.
 
 Each (matrix, domain) pair acts through one slice object cached on the
 GroupAction.  It computes image(m) = L_i * image(m / x_i), with i the first
@@ -17,6 +19,24 @@ variable of m and L_i the image of x_i, in integers (den M) or mod p, only
 when the support of a vector it is applied to needs it: the plain path
 reads every monomial, the orbit path the support of the orbit sums and
 their parents, and a degree without candidates nothing.
+
+Over F_p a matrix that is not a signed permutation (_GridAction) keeps each
+image as one packed vector (the FpSubspace layout: a bit per coordinate at
+p = 2, a byte at odd p) on the exponent grid: x^e of exponent sum k at
+position sum_{r<n-1} e_r B^r (Kronecker substitution).  Multiplying by x_r
+shifts by B^r positions and x_{n-1} moves nothing, so an image is n shifts
+of its parent's and one fold, not a walk over the parent's terms.
+- The base: B > k, or two monomials of level k would share a position.  B
+  is fixed per slice object from the top level its caller will read
+  (`invariant_report` and `algebra_generators` pass their max_degree); a
+  level at or above B makes the object again.
+- The headroom: a byte holds at most 255, so the n products of at most
+  (p - 1)^2 are folded once per `linalg._ROOM[p]` of them: more than once
+  per image at p >= 11 with n = 4 (4 * 10^2 > 255).
+A signed permutation keeps its one-term images in slice coordinates, where
+each would span the grid (13,311 positions against 1,001 monomials for
+SO(11) in degree 20); Q, Z and Z_(p) keep their integer images.
+`action_matrix` reads grid images back in slice coordinates.
 """
 
 from __future__ import annotations
@@ -45,15 +65,21 @@ class InvariantError(Exception):
 
 
 def _level(levels: Dict, n: int, k: int):
-    """(monos, index, up) of exponent sum k, kept in levels (the action's
-    `_monomials`): monos in `degree_slice` order, index its inverse, and
-    up[r][t] the index of x_r times monomial t of exponent sum k - 1."""
+    """(monos, index, up, down) of exponent sum k, kept in levels (the
+    action's `_monomials`): monos in `degree_slice` order, index its inverse,
+    up[r][t] the index of x_r times monomial t of exponent sum k - 1, and
+    down[j] = (i, t) when monomial j is x_i times monomial t of exponent sum
+    k - 1, with i its first variable."""
     if k not in levels:
         monos = compositions((1,) * n, k)
         index = {m: j for j, m in enumerate(monos)}
         below = _level(levels, n, k - 1)[0] if k else []
         up = [[index[m[:r] + (m[r] + 1,) + m[r + 1:]] for m in below] for r in range(n)]
-        levels[k] = (monos, index, up)
+        down = [None] * len(monos)
+        for r in reversed(range(n)):
+            for t, j in enumerate(up[r]):
+                down[j] = (r, t)
+        levels[k] = (monos, index, up, down)
     return levels[k]
 
 
@@ -62,10 +88,15 @@ class _SliceAction:
 
     image(k, j) is the image of monomial j of exponent sum k under the
     integer matrix den * M, as (indices, coefficients); the true image is
-    that over den^k.  Over F_p the matrix is reduced mod p and den is 1.
+    that over den^k.  Over F_p the matrix is reduced mod p, den is 1, and
+    defect returns a packed vector (the FpSubspace layout) of width(k)
+    coordinates, the monomials of the slice.  This layout serves Q, Z, Z_(p)
+    and, over F_p, the signed permutations, whose images have one term each;
+    _GridAction packs the images of the other matrices over F_p.
     """
 
     __slots__ = ("levels", "p", "den", "cols", "memo")
+    base = math.inf  # every level fits: _slice_action never starts it again
 
     def __init__(self, levels: Dict, matrix: MatrixRows, domain: Domain):
         self.levels, self.p = levels, domain.characteristic
@@ -74,7 +105,7 @@ class _SliceAction:
         self.den = 1 if self.p else math.lcm(*(x.denominator for row in entries for x in row))
         self.cols = [[(r, int(row[i] * self.den)) for r, row in enumerate(entries) if row[i]]
                      for i in range(len(matrix))]
-        self.memo: Dict[int, Dict[int, Tuple]] = {}  # exponent sum -> {index: image}
+        self.memo: Dict[int, Dict[int, object]] = {}  # exponent sum -> {index: image}
 
     def keep(self, k: int):
         """Keep the levels a degree-k recursion reads: the orbit path reads
@@ -86,10 +117,8 @@ class _SliceAction:
         images = self.memo.setdefault(k, {})
         if j in images or k == 0:
             return images.get(j, ((0,), (1,)))
-        monos, _, up = _level(self.levels, len(self.cols), k)
-        m = monos[j]
-        i = next(r for r, e in enumerate(m) if e)  # the first variable of m
-        t = _level(self.levels, len(self.cols), k - 1)[1][m[:i] + (m[i] - 1,) + m[i + 1:]]
+        monos, _, up, down = _level(self.levels, len(self.cols), k)
+        i, t = down[j]
         seg = tuple(zip(*self.image(k - 1, t)))
         acc: Dict[int, int] = {}
         for r, a in self.cols[i]:
@@ -104,24 +133,92 @@ class _SliceAction:
         images[j] = (idx, array("b", coef) if self.p else coef)
         return images[j]
 
-    def defect(self, k: int, vec: Dict[int, int]) -> List[int]:
-        """(den M - den^k) vec, mod p over F_p, for an integer vector given as
-        {monomial index: value}: zero exactly when M fixes the vector."""
-        out = [0] * len(_level(self.levels, len(self.cols), k)[0])
+    def column(self, k: int, j: int) -> List[Tuple[int, int]]:
+        """image(k, j) as (monomial index, coefficient) pairs."""
+        return list(zip(*self.image(k, j)))
+
+    def width(self, k: int) -> int:
+        return len(_level(self.levels, len(self.cols), k)[0])
+
+    def defect(self, k: int, vec: Dict[int, int]):
+        """(den M - den^k) vec, for an integer vector given as {monomial index:
+        value}: zero exactly when M fixes the vector.  A list over Q and Z,
+        packed over F_p."""
+        out = [0] * self.width(k)
         scale = self.den ** k
         for j, c in vec.items():
             out[j] -= scale * c
             idx, coef = self.image(k, j)
             for u, a in zip(idx, coef):
                 out[u] += c * a
-        return [x % self.p for x in out] if self.p else out
+        return FpSubspace.pack(self.p, out) if self.p else out
 
 
-def _slice_action(action: GroupAction, matrix: MatrixRows, domain: Domain, k: int):
-    """The action's slice object for (matrix, domain), kept for level k."""
+class _GridAction(_SliceAction):
+    """A matrix over F_p that is not a signed permutation, each image one
+    packed vector on the exponent grid of the module docstring: x^e at
+    position sum_{r<n-1} e_r base^r, for levels below base only (_positions
+    refuses the others).  image(m) is one FpSubspace.combine of the parent
+    image moved up base^r positions for each x_r of column i (x_{n-1} moves
+    nothing), and defect(k, vec) a packed vector of width(k) grid positions.
+    """
+
+    __slots__ = ("base", "pos")
+
+    def __init__(self, levels: Dict, matrix: MatrixRows, domain: Domain, top: int):
+        super().__init__(levels, matrix, domain)
+        n, self.base = len(matrix), top + 1
+        self.cols = [[(a, self.base ** r if r < n - 1 else 0) for r, a in col] for col in self.cols]
+        self.pos: Dict[int, List[int]] = {}  # exponent sum -> position by monomial index
+
+    def _positions(self, k: int) -> List[int]:
+        if k >= self.base:
+            raise InvariantError("level %d does not fit a grid of base %d" % (k, self.base))
+        if k not in self.pos:
+            powers = [self.base ** r for r in range(len(self.cols) - 1)]
+            monos = _level(self.levels, len(self.cols), k)[0]
+            self.pos[k] = [sum(map(mul, m, powers)) for m in monos]
+        return self.pos[k]
+
+    def image(self, k: int, j: int) -> int:
+        images = self.memo.setdefault(k, {})
+        if j in images or k == 0:
+            return images.get(j, 1)
+        i, t = _level(self.levels, len(self.cols), k)[3][j]
+        parent = self.image(k - 1, t)
+        images[j] = FpSubspace.combine(self.p, [(a, parent, s) for a, s in self.cols[i]])
+        return images[j]
+
+    def column(self, k: int, j: int) -> List[Tuple[int, int]]:
+        return [(u, c) for u, c in enumerate(self.unpack(k, self.image(k, j))) if c]
+
+    def width(self, k: int) -> int:
+        return max(self._positions(k)) + 1
+
+    def unpack(self, k: int, v: int) -> List[int]:
+        """The coordinates of a packed level-k vector, by monomial index."""
+        coords = FpSubspace.unpack(self.p, v, self.width(k))
+        return [coords[q] for q in self._positions(k)]
+
+    def defect(self, k: int, vec: Dict[int, int]) -> int:
+        p, pos = self.p, self._positions(k)
+        return FpSubspace.combine(p, [term for j, c in vec.items() for term in (
+            (c % p, self.image(k, j), 0), (-c % p, 1, pos[j]))])
+
+
+def _slice_action(action: GroupAction, matrix: MatrixRows, domain: Domain, k: int,
+                  top: Optional[int] = None):
+    """The action's slice object for (matrix, domain), kept for level k.  A
+    grid whose base is at most k is made again, with base top + 1 (top, the
+    highest level the caller will read, defaults to k)."""
     sa = action._slices.get((matrix, domain))
-    if sa is None:
-        sa = action._slices[matrix, domain] = _SliceAction(action._monomials, matrix, domain)
+    if sa is None or sa.base <= k:
+        top = k if top is None else max(k, top)
+        if domain.characteristic and signed_permutation(matrix) is None:
+            sa = _GridAction(action._monomials, matrix, domain, top)
+        else:
+            sa = _SliceAction(action._monomials, matrix, domain)
+        action._slices[matrix, domain] = sa
     sa.keep(k)
     return sa
 
@@ -148,7 +245,7 @@ def action_matrix(
     scale = sa.den ** k
     rows = [[domain.coerce(0)] * len(monos) for _ in monos]
     for j in range(len(monos)):
-        for u, c in zip(*sa.image(k, j)):
+        for u, c in sa.column(k, j):
             rows[u][j] = domain.coerce(c if scale == 1 else Fraction(c, scale))
     return rows
 
@@ -228,9 +325,12 @@ def _signed_subgroup(action: GroupAction):
 _ORBIT_PATH_THRESHOLD = 150
 
 
-def invariant_basis(action: GroupAction, degree: int, domain: Domain) -> SubmoduleBasis:
+def invariant_basis(action: GroupAction, degree: int, domain: Domain,
+                    top_degree: Optional[int] = None) -> SubmoduleBasis:
     """Exact basis of the degree-n invariants of the action over the domain,
-    verified against every generator of the action."""
+    verified against every generator of the action.  top_degree, the highest
+    degree the caller will ask for, sizes the F_p grids (_GridAction) so that
+    a walk up to it builds each one once."""
     sig = action.signature(domain)
     monos = degree_slice(sig, degree)
     if not monos:
@@ -238,6 +338,7 @@ def invariant_basis(action: GroupAction, degree: int, domain: Domain) -> Submodu
     if degree == 0:
         return SubmoduleBasis(domain, monos, [[domain.coerce(1)]])
     k = degree // action.gen_degree
+    top = (degree if top_degree is None else top_degree) // action.gen_degree
     if len(monos) >= _ORBIT_PATH_THRESHOLD or all(
             signed_permutation(m) is not None for m in action.matrices):
         signed, gens = _signed_subgroup(action)
@@ -245,14 +346,14 @@ def invariant_basis(action: GroupAction, degree: int, domain: Domain) -> Submodu
     else:
         gens, candidates = action.matrices, [{j: 1} for j in range(len(monos))]
     combos = [_combine(cv, candidates)
-              for cv in _restrict_by_generators(action, gens, k, domain, candidates)]
+              for cv in _restrict_by_generators(action, gens, k, top, domain, candidates)]
     vectors = [[vec.get(j, 0) for j in range(len(monos))] for vec in combos]
     if domain.kind in ("int", "plocal"):
         vectors = linalg.hnf_basis(vectors)
     else:
         vectors = [[domain.coerce(x) for x in vec] for vec in vectors]
     basis = SubmoduleBasis(domain, monos, vectors)
-    _verify_invariance(action, basis, k, domain)
+    _verify_invariance(action, basis, k, top, domain)
     return basis
 
 
@@ -266,27 +367,29 @@ def _combine(coeffs: Sequence, candidates: List[Dict[int, int]]) -> Dict[int, ob
     return vec
 
 
-def _restrict_by_generators(action, gens, k, domain, candidates):
+def _restrict_by_generators(action, gens, k, top, domain, candidates):
     """Coefficient vectors over the candidates spanning what every listed
     generator fixes, imposed one generator at a time.  Over F_p and Q they
     are the stacked-kernel basis (1 at one free candidate, 0 at the others:
     the reduced echelon form with the columns reversed); over Z and Z_(p) a
-    basis of the saturated lattice, for the caller's hnf_basis."""
+    basis of the saturated lattice, for the caller's hnf_basis.  Over F_p
+    each candidate's defect is found once per generator, and a span row's
+    image is the combination of them its coordinates give."""
     m, p = len(candidates), domain.characteristic
     span = FpSubspace.full(p, m) if p else linalg.identity(m)
     for g in gens:
         if not span:
             break
-        sa = _slice_action(action, g, domain, k)
-        coeffs = [FpSubspace.unpack(p, row, m) for row in span] if p else span
-        defects = [sa.defect(k, _combine(cv, candidates)) for cv in coeffs]
+        sa = _slice_action(action, g, domain, k, top)
         if p:
-            images = [FpSubspace.pack(p, d) for d in defects]
-            span = span.preimage(images, FpSubspace(p), len(defects[0]))
+            defects = [sa.defect(k, cand) for cand in candidates]
+            span = span.preimage([FpSubspace.image(p, defects, row) for row in span],
+                                 FpSubspace(p), sa.width(k))
             continue
+        defects = [sa.defect(k, _combine(cv, candidates)) for cv in span]
         rows = [row for row in zip(*defects) if any(row)]
-        kernel = (linalg.kernel_q if domain.kind == "rat" else linalg.kernel_z)(rows, len(coeffs))
-        cols = list(zip(*coeffs))  # a saturated kernel's rows stay primitive below
+        kernel = (linalg.kernel_q if domain.kind == "rat" else linalg.kernel_z)(rows, len(span))
+        cols = list(zip(*span))  # a saturated kernel's rows stay primitive below
         span = [[sum(map(mul, kv, col)) for col in cols] for kv in map(linalg._integer_row, kernel)]
     if p:
         red, pivots = linalg.rref_fp([FpSubspace.unpack(p, row, m)[::-1] for row in span], p)
@@ -297,13 +400,14 @@ def _restrict_by_generators(action, gens, k, domain, candidates):
     return [row[::-1] for row in reversed(red[:len(pivots)])]
 
 
-def _verify_invariance(action, basis: SubmoduleBasis, k: int, domain: Domain):
+def _verify_invariance(action, basis: SubmoduleBasis, k: int, top: int, domain: Domain):
     for g in action.matrices:
-        sa = _slice_action(action, g, domain, k)
+        sa = _slice_action(action, g, domain, k, top)
         for vec in basis.vectors:
             den = math.lcm(*(x.denominator for x in vec))
             ints = {j: x.numerator * (den // x.denominator) for j, x in enumerate(vec) if x}
-            if any(sa.defect(k, ints)):
+            defect = sa.defect(k, ints)
+            if defect if domain.characteristic else any(defect):
                 raise InvariantError("computed vector is not invariant in degree %d"
                                      % (k * action.gen_degree))
 
@@ -338,7 +442,7 @@ def invariant_report(action: GroupAction, max_degree: int, domain: Domain) -> In
     stride = 2 if action.gen_degree == 2 else 1
     out: Dict[int, SubmoduleBasis] = {}
     for d in range(0, max_degree + 1, stride):
-        out[d] = invariant_basis(action, d, domain)
+        out[d] = invariant_basis(action, d, domain, max_degree)
     return InvariantReport(action.name, domain, out)
 
 
@@ -408,7 +512,7 @@ def algebra_generators(
     gens: List[Tuple[int, Polynomial]] = []
     stride = 2 if action.gen_degree == 2 else 1
     for d in range(stride, max_degree + 1, stride):
-        inv = invariant_basis(action, d, domain)
+        inv = invariant_basis(action, d, domain, max_degree)
         if inv.rank == 0:
             continue
         monos = inv.ambient

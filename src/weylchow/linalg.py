@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .poly import FP_PRIMES, Domain
 
@@ -53,6 +53,9 @@ def identity(n: int) -> List[Vector]:
 # byte at odd p with p (p - 1) <= 255.  At odd p, _FOLD reduces a byte mod p.
 _FOLD = {p: bytes(x % p for x in range(256)) for p in FP_PRIMES if p > 2}
 _BITS = {2: 1, **dict.fromkeys(_FOLD, 8)}
+# How many products of two bytes in [0, p) a byte in [0, p) takes before a
+# fold: (p - 1) + room * (p - 1)^2 <= 255, so 63 at p = 3 and 1 at p = 13.
+_ROOM = {p: (256 - p) // (p - 1) ** 2 for p in _FOLD}
 
 
 def _fold(p: int, v: int) -> int:
@@ -214,6 +217,25 @@ class FpSubspace:
             v ^= c << bits * j
             out = out ^ cols[j] if p == 2 else _fold(p, out + c * cols[j])
         return out
+
+    @staticmethod
+    def combine(p: int, terms: Iterable[Tuple[int, int, int]]) -> int:
+        """sum c * v, with v moved s coordinates up, over the triples (c, v,
+        s) of a coefficient in [0, p), a vector and a shift.  At odd p the
+        sum is folded once per _ROOM[p] products, and once at the end."""
+        out = 0
+        if p == 2:
+            for c, v, s in terms:
+                if c:
+                    out ^= v << s
+            return out
+        room = _ROOM[p]
+        for c, v, s in terms:
+            if not room:
+                out, room = _fold(p, out), _ROOM[p]
+            out += c * v << 8 * s
+            room -= 1
+        return _fold(p, out)
 
     @staticmethod
     def join(p: int, low: int, high: int, width: int) -> int:

@@ -110,6 +110,23 @@ def test_ahss_chart_file_refusals(tmp_path, capsys, section, message):
     assert err.startswith(message)
 
 
+def test_unnamed_chart_file_is_named_by_its_path_in_errors_only(tmp_path, capsys):
+    from weylchow.builtin import toy_killing_chart
+    from weylchow.chart import serialize_chart
+
+    text = serialize_chart(toy_killing_chart().chart).replace("name = toy-kill\n", "")
+    good, bad = tmp_path / "good.chart", tmp_path / "bad.chart"
+    good.write_text(text)
+    bad.write_text(text + "[q -1]\na -> 0\n")
+    code, out, err = run_cli(capsys, "ahss", "--chart", str(bad), "--vmax", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: chart %s: Milnor index -1 is negative" % bad)
+    argv = ("--format", "records", "ahss", "--chart", str(good), "--vmax", "1", "--collapse")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.startswith("ahss.collapse.chart\t0\t1,0\t")
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.txt"
     code, out, _ = run_cli(

@@ -4,6 +4,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from weylchow import invariants as inv_mod
 from weylchow.groups import (GroupAction, build_gl, build_weyl_f4, build_weyl_so, build_weyl_spin,
@@ -17,8 +19,9 @@ from weylchow.invariants import (
     signed_permutation,
     subring_membership,
 )
-from weylchow.linalg import SubmoduleBasis, hnf_basis, kernel_fp, kernel_q, kernel_z
-from weylchow.poly import F2, F3, QQ, ZZ, PolyError, Polynomial, degree_slice, signature, z_local
+from weylchow.linalg import FpSubspace, SubmoduleBasis, hnf_basis, kernel_fp, kernel_q, kernel_z
+from weylchow.poly import (F2, F3, QQ, ZZ, PolyError, Polynomial, degree_slice, fp, signature,
+                           z_local)
 from weylchow.series import expand_series
 
 
@@ -162,12 +165,16 @@ def _substituted_matrix(action, matrix, degree, domain):
 @pytest.mark.parametrize("action, domain", [
     (build_gl(3), F2),
     (build_weyl_f4(), F3),
+    (build_weyl_f4(), fp(5)),
+    (build_weyl_f4(), fp(13)),  # 4 * 12^2 > 255: more than one fold per image
     (build_weyl_f4(), QQ),
     (build_weyl_f4(), z_local(3)),
     (build_weyl_spin(3), ZZ),
+    (build_weyl_spin(4), F3),
 ])
 def test_action_matrix_matches_substitution(action, domain):
-    # up, down (the slice objects start again), then skipping a degree
+    # up past each grid's base (the grids start again), down inside the last
+    # base, then skipping a degree past it
     for k in (1, 2, 3, 2, 4):
         degree = k * action.gen_degree
         for m in action.matrices:
@@ -241,24 +248,32 @@ def _generator_images(action, matrix, sig):
             for j, name in enumerate(action.gen_names)}
 
 
-@pytest.mark.parametrize("action, domain, top", [
-    (build_gl(3), F2, 9),
-    (build_weyl_f4(), F3, 7),
-    (build_weyl_f4(), QQ, 6),
-    (build_weyl_f4(), z_local(3), 6),
-])
-def test_slice_action_matches_substitution_on_sparse_vectors(action, domain, top):
-    """The on-demand images against Polynomial.substitute, on random vectors
-    with random sparse supports, visiting the levels up, down and skipping."""
-    rnd = random.Random(5)
+def _defect_by_monomial(sa, k, vec):
+    """sa.defect(k, vec) by monomial index; over F_p the packed vector is
+    unpacked, after a check that it is zero at every coordinate that holds
+    no monomial of the slice (on a grid, the positions outside level k)."""
+    defect = sa.defect(k, vec)
+    if not sa.p:
+        return defect
+    if isinstance(sa, inv_mod._GridAction):
+        coords, positions = sa.unpack(k, defect), sa._positions(k)
+    else:
+        coords = FpSubspace.unpack(sa.p, defect, sa.width(k))
+        positions = range(len(coords))
+    assert defect == FpSubspace.combine(sa.p, [(c, 1, q) for c, q in zip(coords, positions)])
+    return coords
+
+
+def _check_defects(action, domain, levels, rnd, top=None):
+    """Packed defects of random sparse vectors against Polynomial.substitute,
+    level by level; top is passed to the first slice object of each matrix."""
     sig = action.signature(domain)
     images = {m: _generator_images(action, m, sig) for m in action.matrices}
-    levels = [rnd.randrange(top + 1) for _ in range(12)]
-    assert any(b < a for a, b in zip(levels, levels[1:]))
-    for k in levels:
+    for n, k in enumerate(levels):
         monos = degree_slice(sig, k * action.gen_degree)
         for m in action.matrices:
-            sa = inv_mod._slice_action(action, m, domain, k)
+            sa = inv_mod._slice_action(action, m, domain, k, top if n == 0 else None)
+            assert sa.base > k
             support = rnd.sample(range(len(monos)), min(len(monos), rnd.randint(1, 4)))
             vec = {j: rnd.randint(-3, 3) or 1 for j in support}
             poly = Polynomial(sig, {monos[j]: c for j, c in vec.items()})
@@ -267,7 +282,53 @@ def test_slice_action_matches_substitution_on_sparse_vectors(action, domain, top
             want = [scale * (moved.get(w, 0) - domain.coerce(vec.get(j, 0)))
                     for j, w in enumerate(monos)]
             want = [int(x) % domain.p if domain.kind == "fp" else int(x) for x in want]
-            assert sa.defect(k, vec) == want, (k, m, vec)
+            assert _defect_by_monomial(sa, k, vec) == want, (k, m, vec)
+
+
+@pytest.mark.parametrize("action, domain, top", [
+    (build_gl(3), F2, 9),
+    (build_weyl_f4(), F3, 7),
+    (build_weyl_f4(), fp(5), 6),
+    (build_weyl_f4(), fp(13), 6),  # 4 * 12^2 > 255: more than one fold per image
+    (build_weyl_f4(), QQ, 6),
+    (build_weyl_f4(), z_local(3), 6),
+    (build_weyl_spin(4), F3, 6),
+])
+def test_slice_action_matches_substitution_on_sparse_vectors(action, domain, top):
+    """The on-demand images against Polynomial.substitute, on random vectors
+    with random sparse supports, visiting the levels up, down and skipping;
+    the first grid of each matrix is sized for level 2, so later levels
+    above it start the grid again."""
+    rnd = random.Random(5)
+    levels = [2] + [rnd.randrange(top + 1) for _ in range(12)]
+    assert any(b < a for a, b in zip(levels, levels[1:])) and max(levels) > 2
+    _check_defects(action, domain, levels, rnd)
+
+
+@st.composite
+def _invertible_actions(draw):
+    """(action, domain): one random n x n matrix, n = 2..4, with entries in
+    -2..2 and invertible mod p, over F_p for p = 2, 3, 13."""
+    p = draw(st.sampled_from((2, 3, 13)))
+    n = draw(st.integers(2, 4))
+    matrix = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)]
+    assume(kernel_fp([[x % p for x in row] for row in matrix], n, p) == [])
+    names = tuple("x%d" % i for i in range(n))
+    return GroupAction("random", names, 2, (tuple(map(tuple, matrix)),)), fp(p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_invertible_actions(), st.integers(0, 2**32 - 1))
+def test_random_matrix_defects_and_matrices_match_substitution(case, seed):
+    action, domain = case
+    rnd = random.Random(seed)
+    top = rnd.randrange(1, 4)
+    levels = [rnd.randrange(5) for _ in range(4)]
+    _check_defects(action, domain, levels, rnd, top)
+    (m,) = action.matrices
+    for k in levels:
+        got = action_matrix(action, m, 2 * k, domain)
+        assert got == _substituted_matrix(action, m, 2 * k, domain), k
 
 
 def _reference_orbit_sums(monos, group, p):
@@ -346,6 +407,7 @@ def _conjugated_gl3(seed):
 @pytest.mark.parametrize("action, domain, degrees", [
     (build_gl(3), F2, range(1, 17)),
     (build_weyl_f4(), F3, range(2, 21, 2)),
+    (build_weyl_f4(), fp(13), range(2, 17, 2)),
     (build_weyl_f4(), QQ, range(2, 19, 2)),
     (build_weyl_spin(3), ZZ, range(2, 25, 2)),
     (_conjugated_gl3(11), F2, range(1, 17)),
