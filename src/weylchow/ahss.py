@@ -71,7 +71,6 @@ from itertools import compress, product, repeat
 from operator import add, mul
 from typing import Dict, List, Optional, Tuple
 
-from . import linalg
 from .chart import Chart, check_q_squares, integral_q_matrix, q_shift
 from .linalg import FpSubspace
 from .poly import compositions, mono_str
@@ -428,10 +427,11 @@ def permanent_cycle_check(result: AhssResult, expression: str) -> CycleVerdict:
     sl = chart.integral_slice(s)
     mono_vec = [0] * chart.dim(s)
     mono_vec[chart.mono_index(s)[mono]] = 1
-    coords = linalg.solve_fp(sl.free + sl.torsion, mono_vec, p)
+    coords = FpSubspace.solve(p, [FpSubspace.pack(p, v) for v in sl.free + sl.torsion],
+                              FpSubspace.pack(p, mono_vec), len(mono_vec))
     if coords is None:
         raise AhssError("class in %r is not an integral class of the chart" % expression)
-    vec = [coeff * c for c in coords]
+    vec = [coeff * c for c in FpSubspace.unpack(p, coords, sl.rank)]
     packed = FpSubspace.pack(p, vec)
     w_bar = result.block(s, mu)[1]
     sigma = tuple(map(bool, mu))

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from operator import le
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import linalg
 from .linalg import FpSubspace
 from .poly import (
     AlgebraSignature,
@@ -135,7 +134,9 @@ class Chart:
         return cols
 
     def q_matrix(self, i: int, degree: int) -> List[List[int]]:
-        """q_columns as a list of rows, indexed by the target basis."""
+        """q_columns as a list of rows, indexed by the target basis.  weylchow
+        itself reads q_columns; the tests' list references and the bench
+        tracer (bench/spans.py) read this."""
         n = self.dim(degree + q_shift(self.p, i))
         cols = [FpSubspace.unpack(self.p, c, n) for c in self.q_columns(i, degree)]
         return [[col[r] for col in cols] for r in range(n)]
@@ -171,11 +172,14 @@ class IntegralSlice:
     """Integral basis of H^n(X; Z_(p)) in chart coordinates.
 
     free holds lifted mod-p vectors spanning a complement of im(Q_0) in
-    ker(Q_0); torsion holds a lifted basis of im(Q_0), the reduced echelon
-    basis of that image.  The ambient lattice of the spectral-sequence
-    blocks is Z^(len(free) + len(torsion)), with torsion coordinates
-    carrying the relation p * t = 0.  torsion_span is the tracking()
-    echelon of the torsion basis, which solves for torsion coordinates.
+    ker(Q_0): the vectors of FpSubspace.kernel's basis of ker(Q_0), read off
+    the packed Q_0 columns (Chart.q_columns), that extend the image basis,
+    in that basis's order.  torsion holds a lifted basis of im(Q_0), the
+    reduced echelon basis of that image.  The ambient lattice of the
+    spectral-sequence blocks is Z^(len(free) + len(torsion)), with torsion
+    coordinates carrying the relation p * t = 0.  torsion_span is the
+    tracking() echelon of the torsion basis, which solves for torsion
+    coordinates.
     q_to_torsion[i] is Q_i from this integral basis to the target slice's
     integral coordinates, built by integral_q_matrix from the chart's
     packed Q_i columns (Chart.q_columns): column j is the packed FpSubspace
@@ -363,10 +367,10 @@ def _build_integral_slice(chart: Chart, degree: int) -> IntegralSlice:
     # Extend the image basis to a basis of the kernel; the added vectors
     # lift the free classes.  The image lies in the kernel exactly when the
     # extended span is no larger than the kernel.
-    kernel_vecs = linalg.kernel_fp(chart.q_matrix(0, degree), dim, p)
+    kernel = FpSubspace.kernel(p, chart.q_columns(0, degree), chart.dim(degree + 1))
     span = image.copy()
-    free = [v for v in kernel_vecs if span.insert(FpSubspace.pack(p, v))]
-    if len(span) != len(kernel_vecs):
+    free = [FpSubspace.unpack(p, v, dim) for v in kernel if span.insert(v)]
+    if len(span) != len(kernel):
         raise ChartError("Q_0 image is not contained in ker Q_0 at degree %d" % degree)
     return IntegralSlice(degree, free, torsion, FpSubspace.tracking(p, image.rows, dim))
 

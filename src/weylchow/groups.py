@@ -27,7 +27,7 @@ from itertools import chain
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import rank_q, solve_q
+from .linalg import FpSubspace, rank_q, solve_q
 from .poly import AlgebraSignature, Domain, Generator
 
 MatrixRows = Tuple[Tuple[Fraction, ...], ...]
@@ -85,9 +85,8 @@ class GroupAction:
             if len(m) != n or any(len(row) != n for row in m):
                 raise GroupError("matrix size does not match generator count")
             if self.mod is not None:
-                from .linalg import rank_fp
-
-                if rank_fp([[int(x) for x in row] for row in m], self.mod) != n:
+                rows = [FpSubspace.pack(self.mod, [int(x) for x in row]) for row in m]
+                if len(FpSubspace(self.mod, rows)) != n:
                     raise GroupError("generating matrix is singular mod %d" % self.mod)
             elif rank_q([list(row) for row in m]) != n:
                 raise GroupError("generating matrix is singular")

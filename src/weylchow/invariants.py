@@ -373,8 +373,10 @@ def _restrict_by_generators(action, gens, k, top, domain, candidates):
     are the stacked-kernel basis (1 at one free candidate, 0 at the others:
     the reduced echelon form with the columns reversed); over Z and Z_(p) a
     basis of the saturated lattice, for the caller's hnf_basis.  Over F_p
-    each candidate's defect is found once per generator, and a span row's
-    image is the combination of them its coordinates give."""
+    the span is kept over the candidates taken last first, so that its
+    echelon rows are that form with their coordinates reversed; each
+    candidate's defect is found once per generator, and a span row's image
+    is the combination of them its coordinates give."""
     m, p = len(candidates), domain.characteristic
     span = FpSubspace.full(p, m) if p else linalg.identity(m)
     for g in gens:
@@ -382,7 +384,7 @@ def _restrict_by_generators(action, gens, k, top, domain, candidates):
             break
         sa = _slice_action(action, g, domain, k, top)
         if p:
-            defects = [sa.defect(k, cand) for cand in candidates]
+            defects = [sa.defect(k, cand) for cand in reversed(candidates)]
             span = span.preimage([FpSubspace.image(p, defects, row) for row in span],
                                  FpSubspace(p), sa.width(k))
             continue
@@ -392,11 +394,10 @@ def _restrict_by_generators(action, gens, k, top, domain, candidates):
         cols = list(zip(*span))  # a saturated kernel's rows stay primitive below
         span = [[sum(map(mul, kv, col)) for col in cols] for kv in map(linalg._integer_row, kernel)]
     if p:
-        red, pivots = linalg.rref_fp([FpSubspace.unpack(p, row, m)[::-1] for row in span], p)
-    elif domain.kind == "rat":
-        red, pivots = linalg.rref_q([cv[::-1] for cv in span])
-    else:
+        return [FpSubspace.unpack(p, row, m)[::-1] for row in reversed(span.rows)]
+    if domain.kind != "rat":
         return span
+    red, pivots = linalg.rref_q([cv[::-1] for cv in span])
     return [row[::-1] for row in reversed(red[:len(pivots)])]
 
 
@@ -484,9 +485,10 @@ def subring_membership(
     cols = [[poly.terms.get(m, zero) for m in support] for poly in products]
     target = [f.terms.get(m, zero) for m in support]
     if domain.kind == "fp":
-        sol = linalg.solve_fp(
-            [[int(x) for x in c] for c in cols], [int(x) for x in target], domain.p
-        )
+        p = domain.p
+        sol = FpSubspace.solve(p, [FpSubspace.pack(p, [int(x) for x in c]) for c in cols],
+                               FpSubspace.pack(p, [int(x) for x in target]), len(support))
+        sol = None if sol is None else FpSubspace.unpack(p, sol, len(cols))
     else:
         sol = linalg.solve_q(cols, target)
         if sol is not None and domain.kind != "rat" and linalg.local_scale_power(sol, domain.p) != 0:

@@ -1,10 +1,11 @@
 """Exact linear algebra over F_p, Q, and Z.
 
-Everything here works on plain Python lists of ints/Fractions (FpSubspace
-packs an F_p vector into one int); no floating point anywhere.  Integer
-routines produce saturated kernels and Hermite-reduced lattice bases so that
-torsion questions (membership up to a p-power, elementary-divisor
-valuations) have exact answers.
+F_p algebra runs on FpSubspace, which packs a vector of F_p^n into one int;
+the rational and integer routines work on plain Python lists of ints and
+Fractions.  No floating point anywhere.  Integer routines produce saturated
+kernels and Hermite-reduced lattice bases so that torsion questions
+(membership up to a p-power, elementary-divisor valuations) have exact
+answers.
 
 Conventions: a "matrix" is a list of rows; a "basis" is a list of column
 vectors spanning a subspace or lattice of the ambient coordinate space.
@@ -31,10 +32,6 @@ class LinalgError(Exception):
 # ---------------------------------------------------------------------------
 # Small helpers
 # ---------------------------------------------------------------------------
-
-
-def zeros(n: int) -> Vector:
-    return [0] * n
 
 
 def is_zero_vec(v: Sequence) -> bool:
@@ -64,6 +61,14 @@ def _fold(p: int, v: int) -> int:
     return int.from_bytes(v.to_bytes(n, "little").translate(_FOLD[p]), "little")
 
 
+def _reverse(p: int, v: int, n: int) -> int:
+    """v in F_p^n with coordinate j moved to n - 1 - j: its n bits (p = 2) or
+    bytes (odd p) in the opposite order."""
+    if p == 2:
+        return int(format(v, "0%db" % n)[::-1], 2)
+    return int.from_bytes(v.to_bytes(n, "little"), "big")
+
+
 class FpSubspace:
     """A subspace of F_p^n held as its reduced row echelon basis.
 
@@ -76,11 +81,13 @@ class FpSubspace:
     [0, p), and no carry crosses a byte: each product is folded at once, and
     a coordinate in [0, p) plus one product of at most (p - 1)^2 is at most
     p (p - 1) <= 255.  A prime outside poly.FP_PRIMES, so every p >= 17,
-    raises LinalgError here and in every F_p routine built on this class
-    (rref_fp, rank_fp, kernel_fp, solve_fp, membership over F_p, and so
-    action files with such a mod); poly.Domain refuses it for charts.
-    pack/unpack convert from and to lists.  Subspaces grow only through
-    insert(); the other operations return new ones.
+    raises LinalgError here, and so in every F_p elimination of weylchow
+    (membership over F_p too, and so action files with such a mod);
+    poly.Domain refuses it for charts.  pack/unpack convert from and to
+    lists.  Subspaces grow only through insert(); the other operations
+    return new ones.  kernel() and solve() answer in the echelon form with
+    pivots at the highest coordinate instead: they eliminate the columns
+    last first and reverse the coordinates of what they read off.
     """
 
     __slots__ = ("p", "rows", "pivots")
@@ -180,20 +187,44 @@ class FpSubspace:
 
     @classmethod
     def tracking(cls, p: int, basis: List[int], width: int) -> "FpSubspace":
-        """The span of the pairs (basis[j] | e_j) for independent vectors
-        basis[j] of F_p^width, to solve in that basis with coordinates()."""
+        """The span of the pairs (basis[j] | e_j) for vectors basis[j] of
+        F_p^width, to solve in that basis with coordinates().  Its tail(width)
+        holds the relations among the basis vectors; each has its pivot at
+        the lowest j it involves, where basis[j] depends on the later ones."""
         units = cls.full(p, len(basis)).rows
-        return cls(p, [cls.join(p, v, e, width) for v, e in zip(basis, units)])
+        # Last pair first: for an echelon basis the pivots then fall, so no
+        # insert subtracts a row or back-substitutes.
+        return cls(p, [cls.join(p, v, e, width) for v, e in zip(basis, units)][::-1])
 
     def coordinates(self, v: int, width: int) -> Optional[int]:
         """For a tracking() span: c with sum_j c_j basis[j] = v, or None
         when v lies outside the span of the basis.  Reducing (v | 0) leaves
-        (0 | -c) exactly when v = sum_j c_j basis[j]."""
+        (0 | -c) exactly when v = sum_j c_j basis[j]; c is zero at the pivots
+        of the relations, so at every j where basis[j] depends on the later
+        ones."""
         p = self.p
         low, high = self.split(p, self.reduce(v), width)
         if low:
             return None
         return high if p == 2 else _fold(p, (p - 1) * high)
+
+    @classmethod
+    def kernel(cls, p: int, cols: List[int], width: int) -> List[int]:
+        """ker M, for the matrix M with columns cols in F_p^width: for each
+        column f that depends on earlier ones, in order of f, e_f minus the
+        coordinates of cols[f] in the independent columns before it.  These
+        are the reduced echelon rows with pivots at the highest coordinate,
+        read off the relations of the columns taken last first."""
+        n = len(cols)
+        relations = cls.tracking(p, cols[::-1], width).tail(width).rows
+        return [_reverse(p, cls.split(p, v, width)[1], n) for v in reversed(relations)]
+
+    @classmethod
+    def solve(cls, p: int, cols: List[int], target: int, width: int) -> Optional[int]:
+        """x with M x = target, for M as in kernel(), zero at every column
+        that depends on earlier ones; None when target is outside the span."""
+        x = cls.tracking(p, cols[::-1], width).coordinates(target, width)
+        return None if x is None else _reverse(p, x, len(cols))
 
     @staticmethod
     def pack(p: int, values: Sequence[int]) -> int:
@@ -247,50 +278,6 @@ class FpSubspace:
     def split(p: int, v: int, width: int) -> Tuple[int, int]:
         """The inverse of join: (first width coordinates, the rest)."""
         return v & ((1 << _BITS[p] * width) - 1), v >> _BITS[p] * width
-
-
-def rref_fp(rows: List[List[int]], p: int) -> Tuple[List[List[int]], List[int]]:
-    """Reduced row echelon form mod p; returns (rref rows, pivot columns)."""
-    ncols = len(rows[0]) if rows else 0
-    sub = FpSubspace(p, [FpSubspace.pack(p, row) for row in rows])
-    red = [FpSubspace.unpack(p, v, ncols) for v in sub.rows]
-    return red + [[0] * ncols for _ in range(len(rows) - len(red))], sub.pivots
-
-
-def rank_fp(rows: List[List[int]], p: int) -> int:
-    """Rank mod p; like every F_p routine here, refuses p >= 17 (FpSubspace)."""
-    return len(rref_fp(rows, p)[1])
-
-
-def kernel_fp(rows: List[List[int]], ncols: int, p: int) -> List[Vector]:
-    """Basis of the right null space mod p (columns as vectors of length ncols)."""
-    red, pivots = rref_fp(rows, p)
-    basis = []
-    for fcol in sorted(set(range(ncols)) - set(pivots)):
-        v = zeros(ncols)
-        v[fcol] = 1
-        for row, pcol in zip(red, pivots):
-            v[pcol] = -row[fcol] % p
-        basis.append(v)
-    return basis
-
-
-def solve_fp(cols: List[Vector], target: Vector, p: int) -> Optional[Vector]:
-    """Solve sum_j x_j cols[j] = target mod p; None if inconsistent."""
-    n = len(target)
-    k = len(cols)
-    rows = [[cols[j][i] for j in range(k)] + [target[i]] for i in range(n)]
-    red, pivots = rref_fp(rows, p)
-    x = zeros(k)
-    for r, c in enumerate(pivots):
-        if c == k:
-            return None
-        x[c] = red[r][k]
-    # Pivots give one solution since non-pivot free vars are set to 0.
-    check = [sum(cols[j][i] * x[j] for j in range(k)) % p for i in range(n)]
-    if check != [t % p for t in target]:
-        return None
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -653,12 +640,14 @@ def membership(v: Vector, s: SubmoduleBasis) -> Membership:
     if is_zero_vec(v):
         return Membership(True, 0)
     if s.domain.kind == "fp":
-        x = solve_fp([[int(c) for c in col] for col in s.vectors], [int(c) for c in v], s.domain.p)
-    else:
-        x = solve_q(s.vectors, v)
+        p = s.domain.p
+        span = FpSubspace(p, [FpSubspace.pack(p, [int(c) for c in col]) for col in s.vectors])
+        inside = span.contains(FpSubspace.pack(p, [int(c) for c in v]))
+        return Membership(inside, 0 if inside else None)
+    x = solve_q(s.vectors, v)
     if x is None:
         return Membership(False, None)
-    if s.domain.kind in ("rat", "fp"):
+    if s.domain.kind == "rat":
         return Membership(True, 0)
     k = local_scale_power(x, s.domain.p)
     return Membership(k == 0, k)

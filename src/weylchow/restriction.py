@@ -34,7 +34,7 @@ from .invariants import (
     InvariantReport,
     subring_membership,
 )
-from .linalg import SubmoduleBasis, membership
+from .linalg import FpSubspace, SubmoduleBasis, membership
 from .poly import (
     AlgebraSignature,
     Domain,
@@ -335,8 +335,9 @@ def surjectivity_criterion(model: Spin7Model, pres: ImageLattice) -> CriterionRe
             continue
         checked.append(degree)
         monos = degree_slice(model.sig, degree)
-        cols = [[int(x) % p for x in _coords(poly, monos, model.domain)] for poly in polys]
-        if linalg.rank_fp(cols, p) != len(polys):
+        cols = [FpSubspace.pack(p, [int(x) for x in _coords(poly, monos, model.domain)])
+                for poly in polys]
+        if len(FpSubspace(p, cols)) != len(polys):
             return CriterionReport(False, degree, checked)
     return CriterionReport(True, None, checked)
 
@@ -453,19 +454,18 @@ def res_kernel(data: RestrictionData, include_omega: bool = False) -> List[Kerne
             out.append(KernelRow(degree, 0, []))
             continue
         a_monos = degree_slice(data.a_sig, degree)
-        rows = []
-        for m in a_monos:
-            rows.append([int(c.a_image.terms.get(m, 0)) % 2 for c in tors_entries])
+        cols = [[int(c.a_image.terms.get(m, 0)) for m in a_monos] for c in tors_entries]
         if include_omega:
             # the v_1 images, of invariant degree d + 2, over their support
             omegas = [c.omega_image.terms if c.omega_image is not None else {}
                       for c in tors_entries]
-            for m in sorted(set().union(*omegas)):
-                rows.append([int(w.get(m, 0)) % 2 for w in omegas])
-        kernel = linalg.kernel_fp(rows, len(tors_entries), 2)
+            support = sorted(set().union(*omegas))
+            cols = [col + [int(w.get(m, 0)) for m in support] for col, w in zip(cols, omegas)]
+        kernel = FpSubspace.kernel(2, [FpSubspace.pack(2, col) for col in cols], len(cols[0]))
         labels = []
         for vec in kernel:
-            names = [c.label for c, x in zip(tors_entries, vec) if x]
+            names = [c.label for c, x in zip(tors_entries, FpSubspace.unpack(2, vec, len(cols)))
+                     if x]
             labels.append(" + ".join(names))
         out.append(KernelRow(degree, len(kernel), labels))
     return out
@@ -512,6 +512,6 @@ def omega_detection_audit(model: Spin7Model, ahss_result) -> DetectionReport:
         inv = model.invariants.by_degree.get(degree)
         vectors = [[int(x) for x in _coords(poly, inv.ambient, model.domain)] for _, poly in tower]
         towers = towers and all(any(vec) for vec in vectors)
-        if linalg.rank_fp([[x % 2 for x in vec] for vec in vectors], 2) != len(vectors):
+        if len(FpSubspace(2, [FpSubspace.pack(2, vec) for vec in vectors])) != len(vectors):
             injective = False
     return DetectionReport(p2e, pv1e, edies, towers, injective, checked)

@@ -1,4 +1,4 @@
-"""Milnor primitives as graded derivations, Steenrod squares, Q_0-homology.
+"""Milnor primitives as graded derivations, and Steenrod squares.
 
 The primitives Q_i are odd-degree derivations: Q(ab) = Q(a)b + (-1)^|a| a Q(b).
 One kernel, _derivation_terms, applies such a derivation to an exponent
@@ -6,16 +6,14 @@ tuple; apply_derivation runs it over a Polynomial's terms, Chart.q_columns
 over each basis monomial, and milnor_q_closed, the primary definition, with
 Q_i(x) = x^(2^(i+1)) on degree-1 generators over F_2 (Q_0 x = x^2 is the
 Bockstein).  The commutator recursion through Steenrod squares is kept as a
-cross-check oracle for small i.  q0_homology reads ker(Q_0)/im(Q_0) off
-chart-style matrices.
+cross-check oracle for small i.
 """
 
 from __future__ import annotations
 
 from operator import add
-from typing import Dict, List
+from typing import Dict
 
-from . import linalg
 from .poly import AlgebraSignature, Monomial, Polynomial, power_products
 
 
@@ -149,33 +147,3 @@ def milnor_q_recursive(i: int, f: Polynomial) -> Polynomial:
     s = 2**i
     prev_of_f = milnor_q_recursive(i - 1, f)
     return sq(s, prev_of_f) + milnor_q_recursive(i - 1, sq(s, f))
-
-
-# ---------------------------------------------------------------------------
-# Q_0 homology on chart-style data
-# ---------------------------------------------------------------------------
-
-
-def q0_homology(
-    dims_by_degree: Dict[int, int],
-    q0_matrices: Dict[int, List[List[int]]],
-    p: int,
-) -> Dict[int, int]:
-    """Rank of ker(Q_0)/im(Q_0) per degree.
-
-    dims_by_degree gives the mod-p basis dimension in each degree;
-    q0_matrices[n] is the matrix of Q_0 from degree n to degree n+1 (rows
-    indexed by the target basis).  Degrees outside the dict are treated as
-    zero.  Raises if Q_0 fails to square to zero where both maps are known.
-    """
-    out: Dict[int, int] = {}
-    for n, dim in sorted(dims_by_degree.items()):
-        m_out = q0_matrices.get(n)
-        m_in = q0_matrices.get(n - 1) if dim and dims_by_degree.get(n - 1, 0) else None
-        if m_out is not None and m_in is not None and any(
-                sum(a * b for a, b in zip(row, col)) % p for row in m_out for col in zip(*m_in)):
-            raise SteenrodError("Q_0 composed with Q_0 is nonzero at degree %d" % (n - 1))
-        if not dims_by_degree.get(n + 1, 0):
-            m_out = None
-        out[n] = dim - sum(linalg.rank_fp(m, p) for m in (m_out, m_in) if m is not None)
-    return out

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from fp_reference import kernel_fp, rank_fp, rref_fp, solve_fp
 from lattices import lattice_eq, preimage_kernel
 from weylchow.ahss import (
     AhssResult,
@@ -30,7 +31,7 @@ from weylchow.chart import (
     serialize_chart,
 )
 from weylchow.dickson import build_dickson
-from weylchow.linalg import FpSubspace, hnf_basis, identity, rank_fp, solve_fp
+from weylchow.linalg import FpSubspace, hnf_basis, identity
 from weylchow.poly import (F2, Polynomial, compositions, degree_slice, fp, parse, power_products,
                            signature)
 from weylchow.series import expand_series
@@ -70,6 +71,38 @@ def test_spin7_integral_slices(spin7_builtin):
     assert len(sl6.free) == 0 and len(sl6.torsion) == 0  # w_6 is a shadow
     sl8 = chart.integral_slice(8)
     assert len(sl8.free) == 2  # w_4^2 and w_8
+
+
+def _reference_slice(chart, degree):
+    """(free, torsion) of an integral slice from the list references: the
+    echelon basis of im Q_0, and the kernel_fp vectors of Q_0 that extend it."""
+    p = chart.p
+    red, pivots = rref_fp([list(col) for col in zip(*chart.q_matrix(0, degree - 1))], p)
+    torsion, free = red[:len(pivots)], []
+    for v in kernel_fp(chart.q_matrix(0, degree), chart.dim(degree), p):
+        if rank_fp(torsion + free + [v], p) > len(torsion) + len(free):
+            free.append(v)
+    return free, torsion
+
+
+@pytest.mark.parametrize("fixture, top", [("spin7_builtin", 44), ("f4_builtin", 66)])
+def test_integral_slices_match_the_list_references(request, fixture, top):
+    chart = request.getfixturevalue(fixture).chart
+    for degree in range(top + 1):
+        sl = chart.integral_slice(degree)
+        assert (sl.free, sl.torsion) == _reference_slice(chart, degree), degree
+
+
+def test_integral_slices_at_p7():
+    """Q_0(x^k) = k x^(k-1) y and Q_0(x^k y) = 0 (y is exterior): x^k y for
+    k = 0..5 spans im Q_0, and x^7 and x^6 y are cycles outside it."""
+    chart = build_chart("p7", 7, 29, [("x", 4), ("y", 5, True)], {0: {"x": "y"}})
+    want = {0: ([[1]], []), 28: ([[1]], []), 29: ([[1]], [])}
+    want.update({4 * k + 5: ([], [[1]]) for k in range(6)})
+    for degree in range(30):
+        sl = chart.integral_slice(degree)
+        assert (sl.free, sl.torsion) == want.get(degree, ([], [])), degree
+        assert (sl.free, sl.torsion) == _reference_slice(chart, degree), degree
 
 
 def test_round_trips():

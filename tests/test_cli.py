@@ -127,6 +127,26 @@ def test_unnamed_chart_file_is_named_by_its_path_in_errors_only(tmp_path, capsys
     assert out.startswith("ahss.collapse.chart\t0\t1,0\t")
 
 
+def test_ahss_collapse_of_a_p7_chart_file(tmp_path, capsys):
+    """By hand, from Q_0(x^k) = k x^(k-1) y: Z/7 on x^k y for k = 0..5, and
+    free 1, x^7 (Q_0 x^7 = 7 x^6 y = 0) and x^6 y (y is exterior)."""
+    path = tmp_path / "p7.chart"
+    path.write_text("[chart]\nname = p7\np = 7\nwindow = 29\n\n"
+                    "[classes]\nx 4 0\ny 5 1 exterior\n\n[q 0]\nx -> y\n")
+    argv = ("ahss", "--chart", str(path), "--vmax", "1", "--max-total", "29", "--collapse")
+    want = {0: (1, 0, "free: 1"), 28: (1, 0, "free: x^7"), 29: (1, 0, "free: x^6*y")}
+    want.update({4 * k + 5: (0, 1, "Z/7: %sy" % ("", "x*", "x^2*", "x^3*", "x^4*", "x^5*")[k])
+                 for k in range(6)})
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("  total")] == [
+        "  total %2d: free %d, torsion %d   [%s]" % (n, *want[n]) for n in sorted(want)]
+    code, out, _ = run_cli(capsys, "--format", "records", *argv)
+    assert code == 0
+    assert out.splitlines() == ["ahss.collapse.p7\t%d\t%d,%d\t" % (n, *want.get(n, (0, 0))[:2])
+                                for n in range(30)]
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.txt"
     code, out, _ = run_cli(

@@ -3,44 +3,45 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fp_reference import kernel_fp, rank_fp, rref_fp, solve_fp
 from lattices import lattice_contains, lattice_eq, preimage_kernel
 from weylchow import linalg
 from weylchow.linalg import SubmoduleBasis, membership
-from weylchow.poly import F2, F3, ZZ, z_local
+from weylchow.poly import F2, F3, FP_PRIMES, ZZ, z_local
 
 
 def test_kernel_identity_empty():
-    assert linalg.kernel_fp([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3, 2) == []
+    assert kernel_fp([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3, 2) == []
 
 
 def test_kernel_zero_map_full():
     zero = [[0, 0, 0], [0, 0, 0]]
     assert len(linalg.kernel_z(zero, 3)) == 3
-    assert len(linalg.kernel_fp(zero, 3, 2)) == 3
+    assert len(kernel_fp(zero, 3, 2)) == 3
 
 
 def test_kernel_diagonal_by_hand():
     # [[2,0],[0,1]] as a map Z^2 -> Z^2: kernel empty, Smith sees index 2
     rows = [[2, 0], [0, 1]]
     assert linalg.kernel_z(rows, 2) == []
-    assert linalg.kernel_fp(rows, 2, 2) == [[1, 0]]
+    assert kernel_fp(rows, 2, 2) == [[1, 0]]
     assert linalg.smith_divisors(rows) == [1, 2]
-    assert linalg.rank_q(rows) == 2 and linalg.rank_fp(rows, 2) == 1
+    assert linalg.rank_q(rows) == 2 and rank_fp(rows, 2) == 1
 
 
 def test_smith_divisors_diag_124():
     rows = [[1, 0, 0], [0, 2, 0], [0, 0, 4]]
     assert linalg.smith_divisors(rows) == [1, 2, 4]
-    assert linalg.rank_q(rows) == 3 and linalg.rank_fp(rows, 2) == 1
+    assert linalg.rank_q(rows) == 3 and rank_fp(rows, 2) == 1
 
 
 def test_smith_divisors_zero():
     rows = [[0, 0], [0, 0]]
     assert linalg.smith_divisors(rows) == []
-    assert linalg.rank_q(rows) == 0 and linalg.rank_fp(rows, 2) == 0
+    assert linalg.rank_q(rows) == 0 and rank_fp(rows, 2) == 0
 
 
 def test_membership_with_scaling():
@@ -163,15 +164,15 @@ def test_snf_with_basis_reconstructs_span():
 
 def test_fp_solve_and_kernel():
     # over F_3: columns (1,1), (2,1); solve for (0,2)
-    sol = linalg.solve_fp([[1, 1], [2, 1]], [0, 2], 3)
+    sol = solve_fp([[1, 1], [2, 1]], [0, 2], 3)
     assert sol is not None
     assert [(sol[0] * 1 + sol[1] * 2) % 3, (sol[0] + sol[1]) % 3] == [0, 2]
-    assert linalg.solve_fp([[1, 0]], [0, 1], 3) is None
+    assert solve_fp([[1, 0]], [0, 1], 3) is None
 
 
 def test_rank_fp_f2_bitset_path():
     rows = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
-    assert linalg.rank_fp(rows, 2) == 2
+    assert rank_fp(rows, 2) == 2
 
 
 def _plain_rref(rows, p):
@@ -225,13 +226,54 @@ def test_fp_subspace_wide_vectors_match_plain_lists(p, n, r):
     assert (tracked.coordinates(Sub.pack(p, outside), n) is None) == (len(red) < n)
 
 
+@st.composite
+def _fp_systems(draw):
+    """Columns of a matrix over F_p, p in poly.FP_PRIMES, with no rows or no
+    columns allowed and some columns that depend on earlier ones, and a
+    target in their span or a random one.  Entries lie in [-p, 2p)."""
+    p = draw(st.sampled_from(FP_PRIMES))
+    nrows = draw(st.integers(0, 5))
+
+    def vec():
+        return draw(st.lists(st.integers(-p, 2 * p - 1), min_size=nrows, max_size=nrows))
+
+    cols = [vec() for _ in range(draw(st.integers(0, 4)))]
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(cols)))
+        weights = [draw(st.integers(0, p - 1)) for _ in cols[:k]]
+        cols.insert(k, [sum(w * col[i] for w, col in zip(weights, cols)) for i in range(nrows)])
+    coeffs = [draw(st.integers(0, p - 1)) for _ in cols]
+    target = [sum(c * col[i] for c, col in zip(coeffs, cols)) for i in range(nrows)]
+    return p, nrows, cols, vec() if draw(st.booleans()) else target
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_fp_systems())
+@example((2, 0, [[], []], []))  # no rows
+@example((13, 3, [], [1, 0, 12]))  # no columns
+def test_packed_kernel_and_solve_match_the_list_references(system):
+    """FpSubspace.kernel gives kernel_fp's vectors in its order, and
+    FpSubspace.solve gives solve_fp's solution, zero at every column that
+    depends on earlier ones, or None with it."""
+    p, nrows, cols, target = system
+    Sub = linalg.FpSubspace
+    packed = [Sub.pack(p, col) for col in cols]
+    rows = [[col[i] for col in cols] for i in range(nrows)]
+    kernel = Sub.kernel(p, packed, nrows)
+    assert [Sub.unpack(p, v, len(cols)) for v in kernel] == kernel_fp(rows, len(cols), p)
+    x, want = Sub.solve(p, packed, Sub.pack(p, target), nrows), solve_fp(cols, target, p)
+    assert (None if x is None else Sub.unpack(p, x, len(cols))) == want
+    if want is None:  # the target is outside the span: appending it raises the rank
+        assert rank_fp(rows, p) < rank_fp([row + [t] for row, t in zip(rows, target)], p)
+
+
 def test_fp_subspace_refuses_a_prime_whose_bytes_could_overflow():
     for p in (17, 19):  # p (p - 1) > 255
         with pytest.raises(linalg.LinalgError):
             linalg.FpSubspace(p)
     with pytest.raises(linalg.LinalgError):
-        linalg.rank_fp([[1, 2], [3, 4]], 17)
-    assert linalg.rank_fp([[1, 2], [3, 4]], 13) == 2
+        rank_fp([[1, 2], [3, 4]], 17)
+    assert rank_fp([[1, 2], [3, 4]], 13) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +429,7 @@ def test_fp_subspace_matches_enumerated_spans(case):
     sub_a, span_a = Sub(p, [pack(x) for x in a]), span(a, n)
     # The rows are the nonzero rows of rref_fp, with its pivots, and they are
     # in reduced echelon form: the unique such basis of the enumerated span.
-    red, pivots = linalg.rref_fp(a, p)
+    red, pivots = rref_fp(a, p)
     rows = [Sub.unpack(p, r, n) for r in sub_a]
     assert rows == red[: len(pivots)] and sub_a.pivots == pivots
     assert pivots == sorted(set(pivots))

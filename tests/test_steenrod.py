@@ -2,13 +2,13 @@ import random
 
 import pytest
 
+from fp_reference import q0_homology
 from weylchow.poly import F2, F3, Polynomial, degree_slice, signature
 from weylchow.steenrod import (
     SteenrodError,
     apply_derivation,
     milnor_q_closed,
     milnor_q_recursive,
-    q0_homology,
     sq,
     total_sq,
 )
