@@ -11,11 +11,13 @@ Matrix entries are exact ints or Fractions.  The F_4 reflections need the
 half-sum vector, so their matrices are half-integral in the e-basis; they
 act integrally on any domain where 2 is a unit (Q, F_3, Z_(3)).
 
-The group closure runs on integers: an element is an integer matrix N over
-a denominator d (the element is N/d), reduced mod the action's prime when
-it has one and otherwise to lowest terms.  Each generator multiplies a
-given integer row once; the elements become Fraction rows once, in the
-order of their values.
+One breadth-first walk (_walk) runs on integers: an element is an integer
+matrix N over a denominator d (the element is N/d), reduced mod the
+action's prime when it has one and otherwise to lowest terms, and each
+generator multiplies a given integer row once.  Keyed by the element it
+closes the group (enumerate_group); keyed by the coset of the subgroup of
+signed permutations it finds that subgroup's generators
+(GroupAction.stabilizer) without closing the group.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .linalg import FpSubspace, rank_q, solve_q
 from .poly import AlgebraSignature, Domain, Generator
 
 MatrixRows = Tuple[Tuple[Fraction, ...], ...]
+SignedPermutation = Tuple[Tuple[int, ...], Tuple[int, ...]]  # x_j -> signs[j] * x_{perm[j]}
 
 _ELEMENT_BOUND = 10**6  # closures larger than this are refused as entry errors
 
@@ -70,11 +73,12 @@ class GroupAction:
     matrices: Tuple[MatrixRows, ...]
     mod: Optional[int] = None
     _elements: Optional[Tuple[MatrixRows, ...]] = field(default=None, repr=False)
-    # Owned by weylchow.invariants: the slice objects by (matrix, domain), the
-    # monomial tables by exponent sum, and the signed-permutation subgroup.
+    _stabilizer: Optional[Tuple[SignedPermutation, ...]] = field(default=None, repr=False,
+                                                                 compare=False)
+    # Owned by weylchow.invariants: the slice objects by (matrix, domain) and
+    # the monomial tables by exponent sum.
     _slices: Dict = field(default_factory=dict, repr=False, compare=False)
     _monomials: Dict = field(default_factory=dict, repr=False, compare=False)
-    _signed: Optional[Tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.gen_names)
@@ -110,6 +114,33 @@ class GroupAction:
     def order(self) -> int:
         return len(self.elements())
 
+    def stabilizer(self) -> Tuple[SignedPermutation, ...]:
+        """Generators of H, the subgroup of signed permutations, sorted and
+        without the identity, by Schreier's lemma from one walk over the
+        right cosets H u.  h u has the rows of u, permuted and each times a
+        sign, so a coset is the set of its rows up to sign (mod p the rows
+        are nonnegative: they key themselves, and H holds only permutations).
+        A product met in a known coset is h times the coset's first element;
+        matching their rows reads off h."""
+        if self._stabilizer is None:
+            n, found = len(self.gen_names), set()
+
+            def again(prod, first):
+                where = {r: (j, 1) for j, r in enumerate(first[1])}
+                where.update({tuple(-x for x in r): (j, -1) for j, r in enumerate(first[1])})
+                perm, signs = [0] * n, [1] * n
+                for i, row in enumerate(prod[1]):
+                    j, sign = where[row]
+                    perm[j], signs[j] = i, sign
+                found.add((tuple(perm), tuple(signs)))
+
+            def coset(element):
+                return element[0], frozenset(max(r, tuple(-x for x in r)) for r in element[1])
+
+            _walk(self, coset, again)
+            self._stabilizer = tuple(sorted(found - {(tuple(range(n)), (1,) * n)}))
+        return self._stabilizer
+
 
 class _RowProducts(dict):
     """Integer row -> the row times one integer matrix, mod p when p is set."""
@@ -124,11 +155,14 @@ class _RowProducts(dict):
         return prod
 
 
-def enumerate_group(action: GroupAction) -> List[MatrixRows]:
-    """Closure of the generating matrices under multiplication, sorted.
-
-    Raises if the closure exceeds _ELEMENT_BOUND (guards against non-finite
-    or wrongly entered generator sets).
+def _walk(action: GroupAction, key=None, again=None) -> Dict:
+    """Breadth-first walk of the group from the identity, multiplying each
+    element met on the right by each generator.  key maps an element (den,
+    rows) to its class (the element itself when None); the first element
+    met in a class stands for it, and again(product, first) is called for
+    each product whose class was met before.  Returns the first elements
+    by class.  Raises past _ELEMENT_BOUND classes (guards against
+    non-finite or wrongly entered generator sets).
     """
     n = len(action.gen_names)
     gens = []
@@ -136,7 +170,7 @@ def enumerate_group(action: GroupAction) -> List[MatrixRows]:
         den = math.lcm(*(x.denominator for row in m for x in row))
         gens.append((den, _RowProducts([[int(x * den) for x in row] for row in m], action.mod)))
     ident = (1, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-    seen = {ident}
+    first = {ident if key is None else key(ident): ident}
     frontier = [ident]
     while frontier:
         new_frontier = []
@@ -146,12 +180,22 @@ def enumerate_group(action: GroupAction) -> List[MatrixRows]:
                 div = math.gcd(prod[0], *chain.from_iterable(prod[1]))
                 if div > 1:
                     prod = (prod[0] // div, tuple(tuple(x // div for x in r) for r in prod[1]))
-                if prod not in seen:
-                    seen.add(prod)
+                cls = prod if key is None else key(prod)
+                if cls not in first:
+                    first[cls] = prod
                     new_frontier.append(prod)
-                    if len(seen) > _ELEMENT_BOUND:
+                    if len(first) > _ELEMENT_BOUND:
                         raise GroupError("group closure exceeds bound %d" % _ELEMENT_BOUND)
+                elif again is not None:
+                    again(prod, first[cls])
         frontier = new_frontier
+    return first
+
+
+def enumerate_group(action: GroupAction) -> List[MatrixRows]:
+    """Closure of the generating matrices under multiplication, sorted.  The
+    elements become Fraction rows once, in the order of their values."""
+    seen = _walk(action)
     # Over their common denominator the integer rows sort as the values do.
     common_den = math.lcm(*(den for den, _ in seen))
 
@@ -296,6 +340,8 @@ def parse_action(text: str) -> GroupAction:
         if not line:
             continue
         if line.startswith("["):
+            if not line.endswith("]"):
+                raise GroupError("line %d: malformed section header" % lineno)
             head = line[1:-1].strip().lower()
             if head == "action":
                 section = "action"

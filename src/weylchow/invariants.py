@@ -2,13 +2,14 @@
 
 The invariants in each degree are the vectors that every generator fixes.
 Over Z they form a saturated lattice, so Z_(p)-invariants are the
-Z-invariants localized.  They are sought in the span of candidates: the
-unit vectors of the degree slice (plain path), or, on large slices and for
-signed-permutation groups, the signed orbit sums of the subgroup of
-signed-permutation elements (orbit path; found once per action, valid in
-any characteristic).  Each remaining generator is imposed on the span the
-previous ones left, through the integer rows (den M - den^k) v: over F_p as
-an `FpSubspace.preimage` of the packed defects (each candidate's defect is
+Z-invariants localized.  They are sought in the span of the signed orbit
+sums of H, the subgroup of signed permutations, whose generators
+`GroupAction.stabilizer` reads off one walk over the cosets of H without
+closing the group; the sums are valid in any characteristic, and with
+H = {1} they are the unit vectors of the degree slice.  Each generator that
+is not a signed permutation is imposed on the span the previous ones left,
+through the integer rows (den M - den^k) v: over F_p as an
+`FpSubspace.preimage` of the packed defects (each candidate's defect is
 found once, and a span row's is the combination its coordinates give), over
 Q and Z as an exact kernel.  Values become domain elements only in the
 returned basis.
@@ -16,9 +17,8 @@ returned basis.
 Each (matrix, domain) pair acts through one slice object cached on the
 GroupAction.  It computes image(m) = L_i * image(m / x_i), with i the first
 variable of m and L_i the image of x_i, in integers (den M) or mod p, only
-when the support of a vector it is applied to needs it: the plain path
-reads every monomial, the orbit path the support of the orbit sums and
-their parents, and a degree without candidates nothing.
+when the support of a vector it is applied to needs it: the support of the
+orbit sums and their parents, and in a degree without candidates nothing.
 
 Over F_p a matrix that is not a signed permutation (_GridAction) keeps each
 image as one packed vector (the FpSubspace layout: a bit per coordinate at
@@ -108,8 +108,8 @@ class _SliceAction:
         self.memo: Dict[int, Dict[int, object]] = {}  # exponent sum -> {index: image}
 
     def keep(self, k: int):
-        """Keep the levels a degree-k recursion reads: the orbit path reads
-        parents at k - 1 and, through them, the orbit-sum support of k - 2."""
+        """Keep the levels a degree-k recursion reads: parents at k - 1 and,
+        through them, the orbit-sum support of k - 2."""
         for level in [lv for lv in self.memo if not k - 2 <= lv <= k]:
             del self.memo[level]
 
@@ -271,59 +271,47 @@ def signed_permutation(matrix: MatrixRows) -> Optional[Tuple[Tuple[int, ...], Tu
     return tuple(perm), tuple(signs)
 
 
-def _signed_orbit_sums(monos, group, p: int) -> List[Dict[int, int]]:
-    """Invariant basis of a signed-permutation group acting on a slice.
+def _signed_orbit_sums(monos, stabilizer, p: int) -> List[Dict[int, int]]:
+    """Invariant basis of the signed-permutation subgroup H on a slice.
 
-    Each monomial orbit contributes its signed orbit sum, as {monomial index:
-    sign}, when the signs are consistent along the orbit (mod p when p is
-    set), and nothing otherwise; this holds in every characteristic.  The
-    group comes as _signed_subgroup's (inverse permutation, sign masks)
-    pairs: a monomial's image depends on the permutation only, and its sign
-    under mask m is the parity of m on the odd exponents.
+    Each monomial orbit, walked from its first monomial by the generators
+    of H (the action's stabilizer()), contributes its signed orbit sum, as
+    {monomial index: sign}: a monomial's sign is the product of the step
+    signs on the walk's path to it, the sign of x_j -> -x_i on x^e being
+    (-1)^(e_j).  A step that gives a monomial two signs drops the orbit
+    (some element of H fixes a monomial up to -1), except mod 2 (-1 = 1).
+    With H = {1} the candidates are the unit vectors.
     """
     index = {m: i for i, m in enumerate(monos)}
+    steps = [(tuple(sorted(range(len(perm)), key=perm.__getitem__)),
+              sum(1 << j for j, s in enumerate(signs) if s < 0)) for perm, signs in stabilizer]
     visited = [False] * len(monos)
     basis = []
-    for start, mono in enumerate(monos):
+    for start in range(len(monos)):
         if visited[start]:
             continue
-        odd = sum(1 << j for j, e in enumerate(mono) if e % 2)
-        coeffs: Dict[int, int] = {}
-        consistent = True
-        for inverse, masks in group:
-            key = index[tuple(map(mono.__getitem__, inverse))]
-            signs = {-1 if (m & odd).bit_count() & 1 else 1 for m in masks}
-            sign = -1 if (masks[0] & odd).bit_count() & 1 else 1
-            if coeffs.setdefault(key, sign) != sign or len(signs) > 1:
-                consistent = consistent and p == 2  # -1 = 1 mod 2
-        for key in coeffs:
+        coeffs, consistent, queue = {start: 1}, True, [start]
+        for j in queue:  # the loop reads what it appends
+            mono, sign = monos[j], coeffs[j]
+            odd = sum(1 << r for r, e in enumerate(mono) if e % 2)
+            for inverse, mask in steps:
+                key = index[tuple(map(mono.__getitem__, inverse))]
+                step = -sign if (mask & odd).bit_count() & 1 else sign
+                if key not in coeffs:
+                    coeffs[key] = step
+                    queue.append(key)
+                elif coeffs[key] != step:
+                    consistent = consistent and p == 2
+        for key in queue:
             visited[key] = True
         if consistent:
             basis.append(coeffs)
     return basis
 
 
-def _signed_subgroup(action: GroupAction):
-    """(signed-permutation elements, other generators), found once per action.
-    The signed elements form a subgroup; with the other generators of the
-    action they generate the whole group.  They are grouped by permutation,
-    in sorted order, as (inverse permutation, masks of the negative signs)."""
-    if action._signed is None:
-        general = [m for m in action.matrices if signed_permutation(m) is None]
-        by_perm: Dict[Tuple[int, ...], List[int]] = {}  # inverse permutation -> masks
-        for perm, signs in sorted(set(map(signed_permutation, action.elements())) - {None}):
-            inverse = tuple(sorted(range(len(perm)), key=perm.__getitem__))
-            by_perm.setdefault(inverse, []).append(sum(1 << j for j, s in enumerate(signs) if s < 0))
-        action._signed = (list(by_perm.items()), general)
-    return action._signed
-
-
 # ---------------------------------------------------------------------------
 # Invariant bases
 # ---------------------------------------------------------------------------
-
-_ORBIT_PATH_THRESHOLD = 150
-
 
 def invariant_basis(action: GroupAction, degree: int, domain: Domain,
                     top_degree: Optional[int] = None) -> SubmoduleBasis:
@@ -339,12 +327,8 @@ def invariant_basis(action: GroupAction, degree: int, domain: Domain,
         return SubmoduleBasis(domain, monos, [[domain.coerce(1)]])
     k = degree // action.gen_degree
     top = (degree if top_degree is None else top_degree) // action.gen_degree
-    if len(monos) >= _ORBIT_PATH_THRESHOLD or all(
-            signed_permutation(m) is not None for m in action.matrices):
-        signed, gens = _signed_subgroup(action)
-        candidates = _signed_orbit_sums(monos, signed, domain.characteristic)
-    else:
-        gens, candidates = action.matrices, [{j: 1} for j in range(len(monos))]
+    gens = [m for m in action.matrices if signed_permutation(m) is None]
+    candidates = _signed_orbit_sums(monos, action.stabilizer(), domain.characteristic)
     combos = [_combine(cv, candidates)
               for cv in _restrict_by_generators(action, gens, k, top, domain, candidates)]
     vectors = [[vec.get(j, 0) for j in range(len(monos))] for vec in combos]

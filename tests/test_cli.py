@@ -67,6 +67,21 @@ def test_invariants_mismatch_fails(capsys):
     assert "failed" in err
 
 
+def test_infinite_group_refused_at_the_bound(capsys, tmp_path, monkeypatch):
+    import weylchow.groups as groups_mod
+    from weylchow.invariants import invariant_basis
+    from weylchow.poly import QQ
+
+    path = tmp_path / "shear.action"
+    path.write_text("[action]\ngenerators = a b\ndegree = 2\n[gen]\n1 1\n0 1\n")
+    monkeypatch.setattr(groups_mod, "_ELEMENT_BOUND", 50)
+    with pytest.raises(groups_mod.GroupError, match="exceeds bound 50"):
+        invariant_basis(groups_mod.load_action(str(path)), 4, QQ)
+    code, out, err = run_cli(capsys, "invariants", "--group", "file:%s" % path, "--domain", "q",
+                             "--max-degree", "4")
+    assert code == 2 and out == "" and "exceeds bound 50" in err
+
+
 def test_unknown_group_errors(capsys):
     code, _, err = run_cli(
         capsys, "invariants", "--group", "nope", "--domain", "z", "--max-degree", "4"

@@ -152,3 +152,19 @@ def test_integer_closure_matches_fraction_closure(build, order, monkeypatch):
     monkeypatch.setattr(groups_mod, "_ELEMENT_BOUND", order - 1)
     with pytest.raises(GroupError, match="exceeds bound %d" % (order - 1)):
         enumerate_group(action)
+
+
+def test_coset_walk_bound_enforced(monkeypatch):
+    # W(F_4) has 3 cosets of its 384 signed permutations
+    monkeypatch.setattr(groups_mod, "_ELEMENT_BOUND", 2)
+    with pytest.raises(GroupError, match="exceeds bound 2"):
+        build_weyl_f4().stabilizer()
+    monkeypatch.setattr(groups_mod, "_ELEMENT_BOUND", 3)
+    assert len(build_weyl_f4().stabilizer()) == 4
+
+
+@pytest.mark.parametrize("header", ["[gen", "[action"])
+def test_unclosed_section_header_refused(header):
+    text = "[action]\ngenerators = a\ndegree = 2\n\n\n%s\n1\n" % header
+    with pytest.raises(GroupError, match="^line 6: malformed section header$"):
+        parse_action(text)

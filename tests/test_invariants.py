@@ -7,10 +7,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import weylchow.groups as groups_mod
 from fp_reference import kernel_fp
+from test_groups import _conjugated_so7
 from weylchow import invariants as inv_mod
-from weylchow.groups import (GroupAction, build_gl, build_weyl_f4, build_weyl_so, build_weyl_spin,
-                             mat_identity, mat_mul)
+from weylchow.groups import (GroupAction, _freeze, _invert, build_gl, build_weyl_f4, build_weyl_so,
+                             build_weyl_spin, mat_identity, mat_mul)
 from weylchow.invariants import (
     action_matrix,
     algebra_generators,
@@ -20,7 +22,7 @@ from weylchow.invariants import (
     signed_permutation,
     subring_membership,
 )
-from weylchow.linalg import FpSubspace, SubmoduleBasis, hnf_basis, kernel_q, kernel_z
+from weylchow.linalg import FpSubspace, SubmoduleBasis, hnf_basis, kernel_q, kernel_z, rref_q
 from weylchow.poly import (F2, F3, QQ, ZZ, PolyError, Polynomial, degree_slice, fp, signature,
                            z_local)
 from weylchow.series import expand_series
@@ -69,18 +71,6 @@ def test_gl_series_in_x_degree():
         want = expand_series("1/(%s)" % denom, 14)
         got = poincare_series(build_gl(h), 14, F2)
         assert all(got[d] == want[d] for d in range(15))
-
-
-def test_orbit_and_plain_paths_agree(monkeypatch):
-    action = build_weyl_so(3)
-    plain = {}
-    monkeypatch.setattr(inv_mod, "_ORBIT_PATH_THRESHOLD", 10**9)
-    for d in (4, 8, 12):
-        plain[d] = invariant_basis(action, d, ZZ).vectors
-    monkeypatch.setattr(inv_mod, "_ORBIT_PATH_THRESHOLD", 0)
-    for d in (4, 8, 12):
-        fast = invariant_basis(action, d, ZZ).vectors
-        assert fast == plain[d]
 
 
 def test_f4_rational_ranks_low_degrees():
@@ -358,21 +348,35 @@ def _reference_orbit_sums(monos, group, p):
     return basis
 
 
-def _stacked_kernel_reference(action, degree, domain):
+def _reference_candidates(action, monos, domain):
+    """The signed orbit sums of the signed elements of the whole closure,
+    each a vector over the domain."""
+    group = sorted(set(map(signed_permutation, action.elements())) - {None})
+    return [[domain.coerce(c.get(j, 0)) for j in range(len(monos))]
+            for c in _reference_orbit_sums(monos, group, domain.characteristic)]
+
+
+def _check_candidates(action, degree, domain):
+    """The walk's signed orbit sums equal the closure's, in order."""
+    monos = degree_slice(action.signature(domain), degree)
+    cands = inv_mod._signed_orbit_sums(monos, action.stabilizer(), domain.characteristic)
+    assert [[domain.coerce(c.get(j, 0)) for j in range(len(monos))] for c in cands] == \
+        _reference_candidates(action, monos, domain), degree
+
+
+def _stacked_kernel_reference(action, degree, domain, plain=False):
     """The invariant basis from one stacked kernel of the (g - 1) rows over
-    the candidates, each g - 1 from action_matrix, as the module docstring's
-    two paths define it."""
+    the candidates, each g - 1 from action_matrix: the closure's signed orbit
+    sums with the generators that are not signed permutations, as the module
+    docstring defines it, or (plain) the unit vectors with every generator."""
     monos = degree_slice(action.signature(domain), degree)
     zero, one = domain.coerce(0), domain.coerce(1)
-    signed = [inv_mod.signed_permutation(g) is not None for g in action.matrices]
-    if len(monos) >= inv_mod._ORBIT_PATH_THRESHOLD or all(signed):
-        group = sorted(set(map(inv_mod.signed_permutation, action.elements())) - {None})
-        cands = [[domain.coerce(c.get(j, 0)) for j in range(len(monos))]
-                 for c in _reference_orbit_sums(monos, group, domain.characteristic)]
-        gens = [g for g, s in zip(action.matrices, signed) if not s]
-    else:
+    if plain:
         cands = [[one if i == j else zero for i in range(len(monos))] for j in range(len(monos))]
         gens = action.matrices
+    else:
+        cands = _reference_candidates(action, monos, domain)
+        gens = [g for g in action.matrices if signed_permutation(g) is None]
     supports = [[(t, x) for t, x in enumerate(c) if x] for c in cands]
     rows = []
     for g in gens:
@@ -405,6 +409,77 @@ def _conjugated_gl3(seed):
     return GroupAction("conj", gl.gen_names, 1, tuple(mats), mod=2)
 
 
+def _gl2_f3():
+    return GroupAction("gl2(f3)", ("x1", "x2"), 2, (((1, 1), (0, 1)), ((0, 1), (1, 0))), mod=3)
+
+
+@pytest.mark.parametrize("action", [
+    *(build_weyl_so(k) for k in (1, 2, 3, 4)),
+    *(build_weyl_spin(k) for k in (2, 3, 4)),
+    *(build_gl(h) for h in (1, 2, 3, 4)),
+    build_weyl_f4(),
+    _conjugated_so7(),
+    _gl2_f3(),
+    _conjugated_gl3(11),
+], ids=lambda action: action.name)
+def test_stabilizer_generates_the_signed_elements(action):
+    _check_stabilizer(action)
+
+
+def _check_stabilizer(action):
+    """The stabilizer's generators, sorted and without the identity, close
+    to exactly the signed elements of the whole closure."""
+    n = len(action.gen_names)
+    gens = action.stabilizer()
+    assert list(gens) == sorted(set(gens)) and (tuple(range(n)), (1,) * n) not in gens
+    closure, queue = {(tuple(range(n)), (1,) * n)}, [(tuple(range(n)), (1,) * n)]
+    for perm, signs in queue:  # the loop reads what it appends
+        for g_perm, g_signs in gens:
+            # x_j -> signs[j] x_perm[j], then the generator
+            prod = (tuple(g_perm[i] for i in perm),
+                    tuple(s * g_signs[i] for s, i in zip(signs, perm)))
+            if prod not in closure:
+                closure.add(prod)
+                queue.append(prod)
+    assert closure == set(map(signed_permutation, action.elements())) - {None}
+
+
+@st.composite
+def _small_groups(draw):
+    """(action, domain): a finite group on n = 2 or 3 generators of degree 2.
+    Either 1 to 3 signed permutations conjugated by a random upper
+    triangular integer matrix (its inverse has denominators), over Q, or 1
+    or 2 random matrices invertible mod p = 2 or 3, as an action mod p."""
+    n = draw(st.integers(2, 3))
+    names = tuple("x%d" % i for i in range(n))
+    if draw(st.booleans()):
+        p = draw(st.sampled_from((2, 3)))
+        mats = []
+        for _ in range(draw(st.integers(1, 2))):
+            m = [[draw(st.integers(0, p - 1)) for _ in range(n)] for _ in range(n)]
+            assume(kernel_fp(m, n, p) == [])
+            mats.append(tuple(map(tuple, m)))
+        return GroupAction("random", names, 2, tuple(mats), mod=p), fp(p)
+    s = _freeze([[draw(st.integers(1, 3)) if i == j else
+                  draw(st.integers(-2, 2)) if i < j else 0 for j in range(n)] for i in range(n)])
+    mats = []
+    for _ in range(draw(st.integers(1, 3))):
+        perm = draw(st.permutations(range(n)))
+        signs = [draw(st.sampled_from((1, -1))) for _ in range(n)]
+        g = _freeze([[signs[j] if perm[j] == i else 0 for j in range(n)] for i in range(n)])
+        mats.append(mat_mul(_invert(s), mat_mul(g, s)))
+    return GroupAction("random", names, 2, tuple(mats)), QQ
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_groups())
+def test_walk_candidates_match_the_closure_on_random_groups(case):
+    action, domain = case
+    _check_stabilizer(action)
+    for d in range(0, 9, 2):
+        _check_candidates(action, d, domain)
+
+
 @pytest.mark.parametrize("action, domain, degrees", [
     (build_gl(3), F2, range(1, 17)),
     (build_weyl_f4(), F3, range(2, 21, 2)),
@@ -412,25 +487,78 @@ def _conjugated_gl3(seed):
     (build_weyl_f4(), QQ, range(2, 19, 2)),
     (build_weyl_spin(3), ZZ, range(2, 25, 2)),
     (_conjugated_gl3(11), F2, range(1, 17)),
+    (build_weyl_so(4), F2, range(2, 13, 2)),  # signs that differ only mod 2
 ])
 def test_invariant_basis_matches_stacked_kernel(action, domain, degrees):
     for d in degrees:
+        _check_candidates(action, d, domain)
         got = invariant_basis(action, d, domain).vectors
         want = _stacked_kernel_reference(action, d, domain)
         assert got == want, d
         assert [list(map(type, v)) for v in got] == [list(map(type, v)) for v in want], d
 
 
+def _row_space(vectors, domain):
+    if domain.kind == "fp":
+        return FpSubspace(domain.p, [FpSubspace.pack(domain.p, [int(x) for x in v])
+                                     for v in vectors]).rows
+    return rref_q(vectors)[0] if vectors else []
+
+
+@pytest.mark.parametrize("action, domain, degrees", [
+    (build_weyl_so(3), ZZ, range(0, 13, 2)),
+    (build_weyl_so(3), QQ, range(0, 13, 2)),
+    (build_weyl_spin(3), ZZ, range(0, 13, 2)),
+    (build_weyl_spin(3), z_local(2), range(0, 13, 2)),
+    (build_weyl_spin(3), F3, range(0, 13, 2)),
+    (build_gl(3), F2, range(0, 10)),
+    (build_weyl_f4(), QQ, range(0, 11, 2)),
+    (build_weyl_f4(), F3, range(0, 11, 2)),
+], ids=["so3-z", "so3-q", "spin3-z", "spin3-zlocal2", "spin3-f3", "gl3-f2", "f4-q", "f4-f3"])
+def test_orbit_sums_give_the_unit_vector_invariants(action, domain, degrees):
+    """The basis from the signed orbit sums against the plain stacked kernel
+    over the unit vectors with every generator: equal over Z and Z_(p), the
+    same row space over Q and F_p."""
+    for d in degrees:
+        got = invariant_basis(action, d, domain).vectors
+        plain = _stacked_kernel_reference(action, d, domain, plain=True)
+        if domain.kind in ("int", "plocal"):
+            assert got == plain, d
+        else:
+            assert _row_space(got, domain) == _row_space(plain, domain), d
+
+
+@pytest.mark.parametrize("action, domain, top, series", [
+    (build_gl(4), F2, 12, "1/((1-t^8)(1-t^12)(1-t^14)(1-t^15))"),  # Dickson
+    (build_weyl_so(8), QQ, 16, "1/((1-t^4)(1-t^8)(1-t^12)(1-t^16))"),  # 2^8 8! > _ELEMENT_BOUND
+])
+def test_invariant_ranks_without_the_group_closure(action, domain, top, series, monkeypatch):
+    def refuse(action):
+        raise AssertionError("the invariants closed the group")
+
+    monkeypatch.setattr(groups_mod, "enumerate_group", refuse)
+    want = expand_series(series, top)
+    stride = 2 if action.gen_degree == 2 else 1
+    assert poincare_series(action, top, domain) == {d: want[d] for d in range(0, top + 1, stride)}
+
+
 def test_signed_subgroup_found_once(monkeypatch):
-    calls = []
+    calls, walks = [], []
 
     def counting(matrix):
         calls.append(matrix)
         return signed_permutation(matrix)
 
+    def counting_walk(action, *args):
+        walks.append(action)
+        return walk(action, *args)
+
+    walk = groups_mod._walk
     monkeypatch.setattr(inv_mod, "signed_permutation", counting)
+    monkeypatch.setattr(groups_mod, "_walk", counting_walk)
     report = inv_mod.invariant_report(build_weyl_f4(), 40, F3)
     assert report.rank(40) == 11
-    # one scan of the 1,152 elements, one check per generator in each of the
-    # 21 degrees, and the 4 generators once more
-    assert len(calls) <= 1152 + 21 * 4 + 4
+    assert len(walks) == 1
+    # the split of the 4 generators in each of the 20 degrees above 0, and one
+    # check per slice object made (one for each generator)
+    assert len(calls) == 20 * 4 + 4
