@@ -258,7 +258,7 @@ def free_classes(result: AhssResult, s: int, mu: VMono) -> List[List[int]]:
     nproj = bisect_left(k_bar.pivots, nfree)
     free = [_lift(chart, sl, FpSubspace.unpack(p, row, sl.rank)[:nfree])
             for row in k_bar.rows[:nproj]]
-    return free + [[p * c for c in sl.free[i]]
+    return free + [[p * c for c in FpSubspace.unpack(p, sl.free[i], chart.dim(s))]
                    for i in range(nfree) if i not in k_bar.pivots[:nproj]]
 
 
@@ -283,9 +283,10 @@ def block_structure(result: AhssResult, s: int, mu: VMono) -> BlockStructure:
 
 def _lift(chart: Chart, sl, coeffs: List[int]) -> List[int]:
     """sum_j coeffs[j] * (integral basis vector j), over chart.basis_at(s)."""
-    out = [0] * chart.dim(sl.degree)
-    for coeff, bvec in zip(filter(None, coeffs), compress(sl.free + sl.torsion, coeffs)):
-        out = list(map(add, out, bvec if coeff == 1 else map(mul, repeat(coeff), bvec)))
+    dim = chart.dim(sl.degree)
+    out = [0] * dim
+    for coeff, packed in zip(filter(None, coeffs), compress(sl.free + sl.torsion, coeffs)):
+        out = list(map(add, out, map(mul, repeat(coeff), FpSubspace.unpack(chart.p, packed, dim))))
     return out
 
 
@@ -425,10 +426,8 @@ def permanent_cycle_check(result: AhssResult, expression: str) -> CycleVerdict:
     coeff, mu, mono = _parse_cycle_expression(chart, result.v_max, expression)
     s = chart.sig.mono_degree(mono)
     sl = chart.integral_slice(s)
-    mono_vec = [0] * chart.dim(s)
-    mono_vec[chart.mono_index(s)[mono]] = 1
-    coords = FpSubspace.solve(p, [FpSubspace.pack(p, v) for v in sl.free + sl.torsion],
-                              FpSubspace.pack(p, mono_vec), len(mono_vec))
+    coords = FpSubspace.solve(p, sl.free + sl.torsion,
+                              FpSubspace.unit(p, chart.mono_index(s)[mono]), chart.dim(s))
     if coords is None:
         raise AhssError("class in %r is not an integral class of the chart" % expression)
     vec = [coeff * c for c in FpSubspace.unpack(p, coords, sl.rank)]

@@ -2,8 +2,9 @@
 
 A chart presents the mod-p cohomology as the graded-commutative algebra on
 named classes modulo a monomial ideal.  Its additive basis in every degree
-is the set of standard monomials: those that no relation monomial divides.
-The Q_i actions for i = 0..m are given by generator images; Q_i on a basis
+is the set of standard monomials: those that no relation monomial divides,
+built from the bases of the degrees below (Chart.mono_index).  The Q_i
+actions for i = 0..m are given by generator images; Q_i on a basis
 monomial follows by the graded Leibniz rule, its terms summed per monomial.
 A nonzero sum that some relation divides is rewritten by the chart's
 product rules, or is zero when the chart has none.  The window scopes
@@ -11,7 +12,8 @@ validation and the spectral-sequence enumeration; bases, Q_i matrices and
 integral slices are defined in every degree and are derived on first use.
 The integral structure is derived from Q_0: since the torsion has exponent
 exactly p, the free part in each degree is a lift of ker(Q_0)/im(Q_0) and
-the p-torsion part bijects with im(Q_0).
+the p-torsion part bijects with im(Q_0).  Q_i columns and the integral
+bases are packed FpSubspace vectors throughout.
 
 Chart files are section-based text ("#" comments):
 
@@ -40,7 +42,6 @@ from .poly import (
     AlgebraSignature,
     Monomial,
     Polynomial,
-    degree_slice,
     fp,
     mono_str,
     parse as parse_poly,
@@ -68,7 +69,7 @@ class _ChartCache:
     bases by degree, steenrod._image_terms by Milnor index, Q_i columns
     (Chart.q_columns) by (i, degree) and integral slices by degree."""
 
-    # per degree: basis monomial -> position, in basis order
+    # degrees 0, 1, ... (filled upwards): basis monomial -> position, in basis order
     basis: Dict[int, Dict[Monomial, int]] = field(default_factory=dict)
     q_terms: Dict[int, tuple] = field(default_factory=dict)
     q_mats: Dict[Tuple[int, int], List[int]] = field(default_factory=dict)
@@ -92,19 +93,25 @@ class Chart:
 
     def mono_index(self, degree: int) -> Dict[Monomial, int]:
         """Basis monomials of a degree (any degree) mapped to their positions,
-        in degree_slice order.  The relations generate a monomial ideal, so m
-        is standard exactly when it is no relation and every m / x_j is; the
-        lower degrees are indexed first, upwards, so calls nest one level."""
-        index = self.cache.basis.get(degree)
-        if index is None:
-            monos = degree_slice(self.sig, degree) if degree >= 0 else []
-            if self.relations:
-                lower = [self.mono_index(d) for d in range(degree)]
-                monos = [m for m in monos if m not in self.relations and all(
-                    m[:j] + (e - 1,) + m[j + 1:] in lower[degree - g.degree]
-                    for j, (e, g) in enumerate(zip(m, self.sig.generators)) if e)]
-            index = self.cache.basis[degree] = {m: i for i, m in enumerate(monos)}
-        return index
+        in degree_slice order (lex order of the exponent tuples).  A degree
+        is built from the ones below, which are indexed first: it keeps the
+        m * x_j (m standard in degree - |x_j|, x_j not exterior in m) that
+        are no relation and whose quotients by generators are all standard.
+        This is exact for a monomial ideal: a divisor of a standard monomial
+        is standard, and a relation dividing a candidate is the candidate or
+        divides one of its quotients.  A unit relation empties every degree.
+        """
+        basis, gens = self.cache.basis, self.sig.generators
+        for d in range(len(basis), degree + 1):
+            candidates = {m[:j] + (m[j] + 1,) + m[j + 1:]
+                          for j, g in enumerate(gens) if g.degree <= d
+                          for m in basis[d - g.degree] if not (g.exterior and m[j])
+                          } if d else {(0,) * len(gens)}
+            monos = sorted(m for m in candidates if m not in self.relations and all(
+                m[:i] + (e - 1,) + m[i + 1:] in basis[d - g.degree]
+                for i, (e, g) in enumerate(zip(m, gens)) if e))
+            basis[d] = {m: i for i, m in enumerate(monos)}
+        return basis.get(degree, {})
 
     def basis_at(self, degree: int) -> List[Monomial]:
         return list(self.mono_index(degree))
@@ -116,7 +123,8 @@ class Chart:
         """Q_i from degree to degree + 2p^i - 1 (any degree): column j is the
         packed FpSubspace vector of the image of basis monomial j.  Its
         Leibniz terms are summed per monomial first, and only the nonzero
-        sums are reduced into the target basis."""
+        sums are reduced into the target basis, where FpSubspace.combine
+        adds them up (product rules may send several terms to one target)."""
         cols = self.cache.q_mats.get((i, degree))
         if cols is None:
             terms = self.cache.q_terms.get(i)
@@ -125,11 +133,10 @@ class Chart:
             tgt_index = self.mono_index(degree + q_shift(self.p, i))
             cols = []
             for mono in self.mono_index(degree):
-                col = [0] * len(tgt_index)
-                for m, c in _derivation_terms(self.sig, terms, mono).items():
-                    if (reduced := _reduce_term(self, tgt_index, m, c)) is not None:
-                        col[tgt_index[reduced[1]]] += reduced[0]
-                cols.append(FpSubspace.pack(self.p, col))
+                reduced = (_reduce_term(self, tgt_index, m, c)
+                           for m, c in _derivation_terms(self.sig, terms, mono).items())
+                cols.append(FpSubspace.combine(
+                    self.p, ((c, 1, tgt_index[m]) for c, m in filter(None, reduced))))
             self.cache.q_mats[i, degree] = cols
         return cols
 
@@ -171,26 +178,26 @@ class Chart:
 class IntegralSlice:
     """Integral basis of H^n(X; Z_(p)) in chart coordinates.
 
-    free holds lifted mod-p vectors spanning a complement of im(Q_0) in
-    ker(Q_0): the vectors of FpSubspace.kernel's basis of ker(Q_0), read off
-    the packed Q_0 columns (Chart.q_columns), that extend the image basis,
-    in that basis's order.  torsion holds a lifted basis of im(Q_0), the
-    reduced echelon basis of that image.  The ambient lattice of the
-    spectral-sequence blocks is Z^(len(free) + len(torsion)), with torsion
-    coordinates carrying the relation p * t = 0.  torsion_span is the
-    tracking() echelon of the torsion basis, which solves for torsion
-    coordinates.
+    free and torsion hold packed FpSubspace vectors over the chart basis of
+    the degree (bit j at p = 2, byte j at odd p); their coordinates, in
+    [0, p), are read as integers to lift them.  free spans a complement of
+    im(Q_0) in ker(Q_0): the vectors of FpSubspace.kernel's basis of
+    ker(Q_0), read off the packed Q_0 columns (Chart.q_columns), that
+    extend the image basis, in that basis's order.  torsion is the reduced
+    echelon basis of im(Q_0).  The ambient lattice of the spectral-sequence
+    blocks is Z^(len(free) + len(torsion)), with torsion coordinates
+    carrying the relation p * t = 0.  torsion_span is the tracking()
+    echelon of the torsion basis, which solves for torsion coordinates.
     q_to_torsion[i] is Q_i from this integral basis to the target slice's
     integral coordinates, built by integral_q_matrix from the chart's
-    packed Q_i columns (Chart.q_columns): column j is the packed FpSubspace
-    vector (bit j at p = 2, byte j at odd p) of the image of basis vector j,
-    zero outside the torsion coordinates, so Q_i x is the sum of the columns
-    at the nonzero coordinates of x (an XOR at p = 2).
+    packed Q_i columns (Chart.q_columns): column j is the packed image of
+    basis vector j, zero outside the torsion coordinates, so Q_i x is the
+    sum of the columns at the nonzero coordinates of x (an XOR at p = 2).
     """
 
     degree: int
-    free: List[List[int]]
-    torsion: List[List[int]]
+    free: List[int]
+    torsion: List[int]
     torsion_span: FpSubspace
     q_to_torsion: Dict[int, list] = field(default_factory=dict)
 
@@ -341,14 +348,13 @@ def check_q_squares(chart: Chart, top: int):
 
 def _torsion_tag(chart: Chart, gname: str) -> int:
     """1 when the generator is a basis class inside im Q_0, else 0."""
-    mono = [0] * len(chart.sig)
-    mono[chart.sig.index(gname)] = 1
-    mono = tuple(mono)
-    degree = chart.sig.mono_degree(mono)
+    j = chart.sig.index(gname)
+    mono = tuple(int(k == j) for k in range(len(chart.sig)))
+    degree = chart.sig.generators[j].degree
     index = chart.mono_index(degree)
     if mono not in index:
         return 0
-    vec = FpSubspace.pack(chart.p, [int(m == mono) for m in index])
+    vec = FpSubspace.unit(chart.p, index[mono])
     return int(chart.integral_slice(degree).torsion_span.coordinates(vec, len(index)) is not None)
 
 
@@ -363,16 +369,15 @@ def _build_integral_slice(chart: Chart, degree: int) -> IntegralSlice:
     if dim == 0:
         return IntegralSlice(degree, [], [], FpSubspace(p))
     image = FpSubspace(p, chart.q_columns(0, degree - 1))
-    torsion = [FpSubspace.unpack(p, v, dim) for v in image]
     # Extend the image basis to a basis of the kernel; the added vectors
     # lift the free classes.  The image lies in the kernel exactly when the
     # extended span is no larger than the kernel.
     kernel = FpSubspace.kernel(p, chart.q_columns(0, degree), chart.dim(degree + 1))
     span = image.copy()
-    free = [FpSubspace.unpack(p, v, dim) for v in kernel if span.insert(v)]
+    free = [v for v in kernel if span.insert(v)]
     if len(span) != len(kernel):
         raise ChartError("Q_0 image is not contained in ker Q_0 at degree %d" % degree)
-    return IntegralSlice(degree, free, torsion, FpSubspace.tracking(p, image.rows, dim))
+    return IntegralSlice(degree, free, image.rows, FpSubspace.tracking(p, image.rows, dim))
 
 
 def integral_q_matrix(chart: Chart, i: int, degree: int) -> list:
@@ -395,8 +400,7 @@ def integral_q_matrix(chart: Chart, i: int, degree: int) -> list:
     nfree = len(tgt.free)
     cols = []
     for vec in sl.free + sl.torsion:
-        image = FpSubspace.image(p, q_cols, FpSubspace.pack(p, vec))
-        coords = tgt.torsion_span.coordinates(image, width)
+        coords = tgt.torsion_span.coordinates(FpSubspace.image(p, q_cols, vec), width)
         if coords is None:
             raise ChartError("Q_%d image at degree %d is not an integral p-torsion class"
                              % (i, degree))

@@ -290,7 +290,8 @@ def _invert(m: MatrixRows) -> MatrixRows:
 def build_gl(h: int) -> GroupAction:
     """GL_h(F_2) acting on degree-1 generators x_1..x_h."""
     if h < 1 or h > 4:
-        raise GroupError("h must be in 1..4 (|GL_4(F_2)| = 20160 is the guard)")
+        raise GroupError("h must be in 1..4: at h = 5 the invariants would walk "
+                         "|GL_5(F_2)| / 5! = 83,328 cosets")
     names = tuple("x%d" % (i + 1) for i in range(h))
     if h == 1:
         return GroupAction("gl(1)", names, 1, (mat_identity(1),), mod=2)

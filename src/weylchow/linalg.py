@@ -111,7 +111,12 @@ class FpSubspace:
 
     @classmethod
     def full(cls, p: int, n: int) -> "FpSubspace":
-        return cls._echelon(p, [1 << _BITS[p] * j for j in range(n)], list(range(n)))
+        return cls._echelon(p, [cls.unit(p, j) for j in range(n)], list(range(n)))
+
+    @staticmethod
+    def unit(p: int, j: int) -> int:
+        """The unit vector e_j: bit j at p = 2, byte j at odd p."""
+        return 1 << _BITS[p] * j
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -174,7 +174,8 @@ def build_spin7_model(window: int = 28) -> Spin7Model:
     ch = ImageLattice("CH(BSpin7)/Tor", chart, identification,
                       lambda d: free_classes(result, d, (0, 0, 0)))
     h = ImageLattice("H(BSpin7)/Tor", chart, identification,
-                     lambda d: chart.integral_slice(d).free)
+                     lambda d: [FpSubspace.unpack(chart.p, v, chart.dim(d))
+                                for v in chart.integral_slice(d).free])
     return Spin7Model(window, action, domain, inv, w4, w8, c6, result, ch, h)
 
 

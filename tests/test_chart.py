@@ -73,6 +73,13 @@ def test_spin7_integral_slices(spin7_builtin):
     assert len(sl8.free) == 2  # w_4^2 and w_8
 
 
+def _slice_lists(chart, degree):
+    """(free, torsion) of an integral slice, unpacked to lists."""
+    sl, n = chart.integral_slice(degree), chart.dim(degree)
+    return ([FpSubspace.unpack(chart.p, v, n) for v in sl.free],
+            [FpSubspace.unpack(chart.p, v, n) for v in sl.torsion])
+
+
 def _reference_slice(chart, degree):
     """(free, torsion) of an integral slice from the list references: the
     echelon basis of im Q_0, and the kernel_fp vectors of Q_0 that extend it."""
@@ -89,8 +96,7 @@ def _reference_slice(chart, degree):
 def test_integral_slices_match_the_list_references(request, fixture, top):
     chart = request.getfixturevalue(fixture).chart
     for degree in range(top + 1):
-        sl = chart.integral_slice(degree)
-        assert (sl.free, sl.torsion) == _reference_slice(chart, degree), degree
+        assert _slice_lists(chart, degree) == _reference_slice(chart, degree), degree
 
 
 def test_integral_slices_at_p7():
@@ -100,9 +106,9 @@ def test_integral_slices_at_p7():
     want = {0: ([[1]], []), 28: ([[1]], []), 29: ([[1]], [])}
     want.update({4 * k + 5: ([], [[1]]) for k in range(6)})
     for degree in range(30):
-        sl = chart.integral_slice(degree)
-        assert (sl.free, sl.torsion) == want.get(degree, ([], [])), degree
-        assert (sl.free, sl.torsion) == _reference_slice(chart, degree), degree
+        got = _slice_lists(chart, degree)
+        assert got == want.get(degree, ([], [])), degree
+        assert got == _reference_slice(chart, degree), degree
 
 
 def test_round_trips():
@@ -299,7 +305,7 @@ def _small_charts(draw):
         monos = plain.basis_at(target)
         if draw(st.booleans()):  # a combination of integral torsion classes
             try:
-                torsion = plain.integral_slice(target).torsion
+                torsion = _slice_lists(plain, target)[1]
             except ChartError:  # Q_0 squares to zero in the window only
                 reject()
             vec = [0] * len(monos)
@@ -337,6 +343,39 @@ def test_random_chart_round_trip(chart):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(_small_charts())
 def test_mono_index_matches_division_on_random_charts(chart):
+    _check_mono_index(chart, 2 * chart.window)
+
+
+@st.composite
+def _monomial_ideals(draw):
+    """Charts with no Q data: one to four generators of degrees 1 to 6,
+    repeats allowed, with random exterior flags (odd degrees are exterior
+    at p = 3), and up to four relations among the unit, pure powers and
+    other monomials."""
+    p = draw(st.sampled_from([2, 3]))
+    gens = []
+    for k in range(draw(st.integers(1, 4))):
+        degree = draw(st.integers(1, 6))
+        gens.append(("x%d" % k, degree, draw(st.booleans()) or (p == 3 and degree % 2 == 1)))
+    relations = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["unit", "power", "monomial"]))
+        if kind == "unit":
+            relations.append("1")
+        elif kind == "power":
+            name, _degree, ext = draw(st.sampled_from(gens))
+            relations.append("%s^%d" % (name, 1 if ext else draw(st.integers(1, 4))))
+        else:
+            exps = [draw(st.integers(0, 1 if ext else 3)) for _name, _degree, ext in gens]
+            relations.append("*".join("%s^%d" % (g[0], e) for g, e in zip(gens, exps) if e) or "1")
+    return build_chart("ideal", p, draw(st.integers(1, 10)), gens, {}, relations=relations)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_monomial_ideals())
+def test_mono_index_matches_division_on_monomial_ideals(chart):
+    """The basis built from the degree below, against degree_slice filtered
+    by division, keys and order, in every degree up to twice the window."""
     _check_mono_index(chart, 2 * chart.window)
 
 
@@ -505,22 +544,22 @@ class _EnumeratedPages:
     def lookup(self, t):
         """Chart vector -> integral coordinates, over the torsion span at t."""
         def compute():
-            sl = self.chart.integral_slice(t)
-            self._guard(self.p ** len(sl.torsion))
+            free, torsion = _slice_lists(self.chart, t)
+            self._guard(self.p ** len(torsion))
             table = {}
-            for y in itertools.product(range(self.p), repeat=len(sl.torsion)):
+            for y in itertools.product(range(self.p), repeat=len(torsion)):
                 vec = [0] * self.chart.dim(t)
-                for c, tv in zip(y, sl.torsion):
+                for c, tv in zip(y, torsion):
                     vec = [(a + c * b) % self.p for a, b in zip(vec, tv)]
-                table[tuple(vec)] = (0,) * len(sl.free) + y
+                table[tuple(vec)] = (0,) * len(free) + y
             return table
         return self._cached(("lookup", t), compute)
 
     def apply(self, i, s, x):
         """M_i x, or None when Q_i of the lift is no integral torsion class."""
         def compute():
-            sl = self.chart.integral_slice(s)
-            lift = [sum(c * v[k] for c, v in zip(x, sl.free + sl.torsion)) % self.p
+            free, torsion = _slice_lists(self.chart, s)
+            lift = [sum(c * v[k] for c, v in zip(x, free + torsion)) % self.p
                     for k in range(self.chart.dim(s))]
             image = tuple(sum(a * b for a, b in zip(row, lift)) % self.p
                           for row in self.chart.q_matrix(i, s))
@@ -603,10 +642,10 @@ def _check_against_enumeration(chart, v_max, max_total=None):
             assert _span_of(result.w(i, s, sigma), pages.rank(s)) == w_set, (i, s, mu)
         # The free classes, written over the free lifts, span mod p the
         # projection of the final cycles to the free coordinates.
-        sl = chart.integral_slice(s)
-        nfree, p = len(sl.free), chart.p
+        free, p = _slice_lists(chart, s)[0], chart.p
+        nfree = len(free)
         classes = free_classes(result, s, mu)
-        coords = [solve_fp(sl.free, [x % p for x in vec], p) for vec in classes]
+        coords = [solve_fp(free, [x % p for x in vec], p) for vec in classes]
         assert len(classes) == nfree and None not in coords, (s, mu)
         assert (_span_of(FpSubspace(p, [FpSubspace.pack(p, a) for a in coords]), nfree)
                 == {v[:nfree] for v in states[-1][0]}), (s, mu)

@@ -82,6 +82,13 @@ def test_infinite_group_refused_at_the_bound(capsys, tmp_path, monkeypatch):
     assert code == 2 and out == "" and "exceeds bound 50" in err
 
 
+def test_gl5_refused_naming_the_coset_walk(capsys):
+    code, out, err = run_cli(capsys, "invariants", "--group", "gl:5", "--domain", "f2",
+                             "--max-degree", "4")
+    assert code == 2 and out == ""
+    assert "|GL_5(F_2)| / 5! = 83,328 cosets" in err
+
+
 def test_unknown_group_errors(capsys):
     code, _, err = run_cli(
         capsys, "invariants", "--group", "nope", "--domain", "z", "--max-degree", "4"
