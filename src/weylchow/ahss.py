@@ -155,14 +155,16 @@ class AhssResult:
             keys = set()
             # Every block with s in the window and total s - |mu| >= -v_max.
             v_sizes = [2 * (p ** (i + 1) - 1) for i in range(v_max)]  # |v_i|, as in v_degree
-            v_monos = [mu for n in range(window + v_max + 1) for mu in compositions(v_sizes, n)]
+            v_monos = [(n, mu) for n in range(window + v_max + 1)
+                       for mu in compositions(v_sizes, n)]
             for s in range(window + 1):
                 if self.rank(s) > 0:
-                    keys.update((s, mu) for mu in v_monos if -v_degree(p, mu) <= s + v_max)
-            capped = list(product(range(_STABLE_EXPONENT + 1), repeat=v_max))
+                    keys.update((s, mu) for n, mu in v_monos if n <= s + v_max)
+            capped = [(-v_degree(p, mu), mu)
+                      for mu in product(range(_STABLE_EXPONENT + 1), repeat=v_max)]
             for total in range(0, self.max_total + 1):
-                for mu in capped:
-                    s = total - v_degree(p, mu)
+                for n, mu in capped:
+                    s = total + n
                     if self.rank(s) > 0:
                         keys.add((s, mu))
             self._keys = sorted(keys)

@@ -17,7 +17,8 @@ action's prime when it has one and otherwise to lowest terms, and each
 generator multiplies a given integer row once.  Keyed by the element it
 closes the group (enumerate_group); keyed by the coset of the subgroup of
 signed permutations it finds that subgroup's generators
-(GroupAction.stabilizer) without closing the group.
+(GroupAction.stabilizer) without closing the group.  It refuses a group past
+10^6 classes or, with no prime and n <= 6, past the largest finite subgroup of GL_n(Q).
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ MatrixRows = Tuple[Tuple[Fraction, ...], ...]
 SignedPermutation = Tuple[Tuple[int, ...], Tuple[int, ...]]  # x_j -> signs[j] * x_{perm[j]}
 
 _ELEMENT_BOUND = 10**6  # closures larger than this are refused as entry errors
+# The largest order of a finite subgroup of GL_n(Q) (Feit; Nebe and Plesken,
+# Finite rational matrix groups, Mem. AMS 556, 1995): a walk past it is infinite.
+_RATIONAL_BOUND = {1: 2, 2: 12, 3: 48, 4: 1152, 5: 3840, 6: 103680}
 
 
 class GroupError(Exception):
@@ -161,10 +165,14 @@ def _walk(action: GroupAction, key=None, again=None) -> Dict:
     rows) to its class (the element itself when None); the first element
     met in a class stands for it, and again(product, first) is called for
     each product whose class was met before.  Returns the first elements
-    by class.  Raises past _ELEMENT_BOUND classes (guards against
-    non-finite or wrongly entered generator sets).
+    by class.  Raises past a bound on the classes, which guards against
+    infinite or wrongly entered generator sets: _RATIONAL_BOUND for an
+    action with no mod on at most 6 generators, else _ELEMENT_BOUND.
     """
     n = len(action.gen_names)
+    rational = None if action.mod else _RATIONAL_BOUND.get(n)
+    bound, why = ((rational, " (no finite subgroup of GL_%d(Q) is larger)" % n)
+                  if rational and rational < _ELEMENT_BOUND else (_ELEMENT_BOUND, ""))
     gens = []
     for m in action.matrices:
         den = math.lcm(*(x.denominator for row in m for x in row))
@@ -184,8 +192,8 @@ def _walk(action: GroupAction, key=None, again=None) -> Dict:
                 if cls not in first:
                     first[cls] = prod
                     new_frontier.append(prod)
-                    if len(first) > _ELEMENT_BOUND:
-                        raise GroupError("group closure exceeds bound %d" % _ELEMENT_BOUND)
+                    if len(first) > bound:
+                        raise GroupError("group closure exceeds bound %d%s" % (bound, why))
                 elif again is not None:
                     again(prod, first[cls])
         frontier = new_frontier

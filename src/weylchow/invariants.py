@@ -19,6 +19,9 @@ GroupAction.  It computes image(m) = L_i * image(m / x_i), with i the first
 variable of m and L_i the image of x_i, in integers (den M) or mod p, only
 when the support of a vector it is applied to needs it: the support of the
 orbit sums and their parents, and in a degree without candidates nothing.
+The slice, its index and the parent tables come from one `_level` table per
+action, which the basis and every slice object share; images are read only
+through defects, never back as a matrix.
 
 Over F_p a matrix that is not a signed permutation (_GridAction) keeps each
 image as one packed vector (the FpSubspace layout: a bit per coordinate at
@@ -36,7 +39,6 @@ of its parent's and one fold, not a walk over the parent's terms.
 A signed permutation keeps its one-term images in slice coordinates, where
 each would span the grid (13,311 positions against 1,001 monomials for
 SO(11) in degree 20); Q, Z and Z_(p) keep their integer images.
-`action_matrix` reads grid images back in slice coordinates.
 """
 
 from __future__ import annotations
@@ -51,8 +53,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .groups import GroupAction, MatrixRows
 from .linalg import FpSubspace, SubmoduleBasis
-from .poly import (AlgebraSignature, Domain, Monomial, Polynomial, compositions, degree_slice,
-                   power_products)
+from .poly import AlgebraSignature, Domain, Polynomial, compositions, power_products
 
 
 class InvariantError(Exception):
@@ -133,10 +134,6 @@ class _SliceAction:
         images[j] = (idx, array("b", coef) if self.p else coef)
         return images[j]
 
-    def column(self, k: int, j: int) -> List[Tuple[int, int]]:
-        """image(k, j) as (monomial index, coefficient) pairs."""
-        return list(zip(*self.image(k, j)))
-
     def width(self, k: int) -> int:
         return len(_level(self.levels, len(self.cols), k)[0])
 
@@ -189,16 +186,8 @@ class _GridAction(_SliceAction):
         images[j] = FpSubspace.combine(self.p, [(a, parent, s) for a, s in self.cols[i]])
         return images[j]
 
-    def column(self, k: int, j: int) -> List[Tuple[int, int]]:
-        return [(u, c) for u, c in enumerate(self.unpack(k, self.image(k, j))) if c]
-
     def width(self, k: int) -> int:
         return max(self._positions(k)) + 1
-
-    def unpack(self, k: int, v: int) -> List[int]:
-        """The coordinates of a packed level-k vector, by monomial index."""
-        coords = FpSubspace.unpack(self.p, v, self.width(k))
-        return [coords[q] for q in self._positions(k)]
 
     def defect(self, k: int, vec: Dict[int, int]) -> int:
         p, pos = self.p, self._positions(k)
@@ -223,33 +212,6 @@ def _slice_action(action: GroupAction, matrix: MatrixRows, domain: Domain, k: in
     return sa
 
 
-def action_matrix(
-    action: GroupAction,
-    matrix: MatrixRows,
-    degree: int,
-    domain: Domain,
-    slice_monos: Optional[List[Monomial]] = None,
-) -> List[List]:
-    """Matrix of one group element on the degree slice (columns = images).
-
-    slice_monos, when given, must be the slice in `degree_slice` order.
-    """
-    sig = action.signature(domain)
-    monos = degree_slice(sig, degree) if slice_monos is None else list(slice_monos)
-    if not monos:
-        return []
-    k = degree // action.gen_degree
-    sa = _slice_action(action, matrix, domain, k)
-    if monos != _level(action._monomials, len(matrix), k)[0]:
-        raise InvariantError("slice monomials are not the degree-%d slice" % degree)
-    scale = sa.den ** k
-    rows = [[domain.coerce(0)] * len(monos) for _ in monos]
-    for j in range(len(monos)):
-        for u, c in sa.column(k, j):
-            rows[u][j] = domain.coerce(c if scale == 1 else Fraction(c, scale))
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # Signed permutation machinery
 # ---------------------------------------------------------------------------
@@ -271,8 +233,9 @@ def signed_permutation(matrix: MatrixRows) -> Optional[Tuple[Tuple[int, ...], Tu
     return tuple(perm), tuple(signs)
 
 
-def _signed_orbit_sums(monos, stabilizer, p: int) -> List[Dict[int, int]]:
-    """Invariant basis of the signed-permutation subgroup H on a slice.
+def _signed_orbit_sums(monos, index, stabilizer, p: int) -> List[Dict[int, int]]:
+    """Invariant basis of the signed-permutation subgroup H on a slice, with
+    index the inverse of monos.
 
     Each monomial orbit, walked from its first monomial by the generators
     of H (the action's stabilizer()), contributes its signed orbit sum, as
@@ -282,7 +245,6 @@ def _signed_orbit_sums(monos, stabilizer, p: int) -> List[Dict[int, int]]:
     (some element of H fixes a monomial up to -1), except mod 2 (-1 = 1).
     With H = {1} the candidates are the unit vectors.
     """
-    index = {m: i for i, m in enumerate(monos)}
     steps = [(tuple(sorted(range(len(perm)), key=perm.__getitem__)),
               sum(1 << j for j, s in enumerate(signs) if s < 0)) for perm, signs in stabilizer]
     visited = [False] * len(monos)
@@ -319,16 +281,16 @@ def invariant_basis(action: GroupAction, degree: int, domain: Domain,
     verified against every generator of the action.  top_degree, the highest
     degree the caller will ask for, sizes the F_p grids (_GridAction) so that
     a walk up to it builds each one once."""
-    sig = action.signature(domain)
-    monos = degree_slice(sig, degree)
-    if not monos:
+    action.signature(domain)  # refuses a mod-p action over another domain
+    k, rest = divmod(degree, action.gen_degree)
+    if rest or k < 0:
         return SubmoduleBasis(domain, [], [])
-    if degree == 0:
+    monos, index = _level(action._monomials, len(action.gen_names), k)[:2]
+    if k == 0:
         return SubmoduleBasis(domain, monos, [[domain.coerce(1)]])
-    k = degree // action.gen_degree
     top = (degree if top_degree is None else top_degree) // action.gen_degree
     gens = [m for m in action.matrices if signed_permutation(m) is None]
-    candidates = _signed_orbit_sums(monos, action.stabilizer(), domain.characteristic)
+    candidates = _signed_orbit_sums(monos, index, action.stabilizer(), domain.characteristic)
     combos = [_combine(cv, candidates)
               for cv in _restrict_by_generators(action, gens, k, top, domain, candidates)]
     vectors = [[vec.get(j, 0) for j in range(len(monos))] for vec in combos]
@@ -409,10 +371,6 @@ class InvariantReport:
     action_name: str
     domain: Domain
     by_degree: Dict[int, SubmoduleBasis]
-
-    def rank(self, degree: int) -> int:
-        basis = self.by_degree.get(degree)
-        return basis.rank if basis else 0
 
     def ranks(self) -> Dict[int, int]:
         return {d: b.rank for d, b in sorted(self.by_degree.items())}

@@ -497,22 +497,6 @@ def hnf_basis(cols: List[Vector]) -> List[Vector]:
 # ---------------------------------------------------------------------------
 
 
-def smith_divisors(rows: List[List[int]]) -> List[int]:
-    """Nonzero elementary divisors of an integer matrix, in divisibility order."""
-    divisors = [abs(d) for d in snf_with_basis(rows)[0]]
-    # Enforce the divisibility chain d1 | d2 | ...
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(divisors) - 1):
-            a, b = divisors[i], divisors[i + 1]
-            if b % a != 0:
-                g = gcd(a, b)
-                divisors[i], divisors[i + 1] = g, a * b // g
-                changed = True
-    return divisors
-
-
 def snf_with_basis(rows: List[List[int]]) -> Tuple[List[int], List[Vector]]:
     """Smith data of the column span: divisors d_i and an ambient basis u_i
     with col(M) = span{d_1 u_1, .., d_r u_r}.

@@ -95,21 +95,6 @@ class Domain:
             )
         return frac
 
-    def add(self, a, b):
-        if self.kind == "fp":
-            return (a + b) % self.p
-        return self.coerce(a + b)
-
-    def mul(self, a, b):
-        if self.kind == "fp":
-            return (a * b) % self.p
-        return self.coerce(a * b)
-
-    def neg(self, a):
-        if self.kind == "fp":
-            return (-a) % self.p
-        return -a
-
     def __str__(self):
         if self.kind == "fp":
             return "F_%d" % self.p
@@ -240,10 +225,6 @@ def signature(gens: Iterable[Tuple], domain: Domain) -> AlgebraSignature:
 # ---------------------------------------------------------------------------
 # Monomial helpers
 # ---------------------------------------------------------------------------
-
-
-def grlex_key(sig: AlgebraSignature, mono: Monomial):
-    return (sig.mono_degree(mono), mono)
 
 
 def mono_str(names: Sequence[str], mono: Sequence[int]) -> str:
@@ -384,7 +365,7 @@ class Polynomial:
         dom = self.sig.domain
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            s = dom.add(out.get(mono, 0), c)
+            s = dom.coerce(out.get(mono, 0) + c)
             if s == 0:
                 out.pop(mono, None)
             else:
@@ -393,7 +374,7 @@ class Polynomial:
 
     def __neg__(self) -> "Polynomial":
         dom = self.sig.domain
-        return Polynomial(self.sig, {m: dom.neg(c) for m, c in self.terms.items()}, _clean=True)
+        return Polynomial(self.sig, {m: dom.coerce(-c) for m, c in self.terms.items()}, _clean=True)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -405,7 +386,7 @@ class Polynomial:
             return Polynomial.zero(self.sig)
         out = {}
         for mono, a in self.terms.items():
-            v = dom.mul(a, c)
+            v = dom.coerce(a * c)
             if v != 0:
                 out[mono] = v
         return Polynomial(self.sig, out, _clean=True)
@@ -515,7 +496,7 @@ class Polynomial:
         if not self.terms:
             return "0"
         sig, names = self.sig, self.sig.names
-        monos = sorted(self.terms, key=lambda m: grlex_key(sig, m), reverse=True)
+        monos = sorted(self.terms, key=lambda m: (sig.mono_degree(m), m), reverse=True)
         parts: List[str] = []
         for mono in monos:
             c = self.terms[mono]

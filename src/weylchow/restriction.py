@@ -202,13 +202,6 @@ class ImageAuditReport:
     def max_scale_power(self) -> int:
         return max((r.scale_power or 0) for r in self.rows) if self.rows else 0
 
-    def outside_count(self, degree: Optional[int] = None) -> int:
-        return sum(
-            1
-            for r in self.rows
-            if r.verdict != "inside" and (degree is None or r.degree == degree)
-        )
-
 
 def rho_image_audit(model: Spin7Model, pres: ImageLattice) -> ImageAuditReport:
     """Membership of every invariant basis vector in the image lattice.

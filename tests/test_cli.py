@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from weylchow.cli import main
@@ -67,19 +69,24 @@ def test_invariants_mismatch_fails(capsys):
     assert "failed" in err
 
 
-def test_infinite_group_refused_at_the_bound(capsys, tmp_path, monkeypatch):
+def test_infinite_group_refused_at_the_bound(capsys, tmp_path):
+    """A shear, and two involutions whose product is that shear: each is
+    refused once the walk passes 12, the largest finite subgroup order of
+    GL_2(Q)."""
     import weylchow.groups as groups_mod
     from weylchow.invariants import invariant_basis
     from weylchow.poly import QQ
 
-    path = tmp_path / "shear.action"
-    path.write_text("[action]\ngenerators = a b\ndegree = 2\n[gen]\n1 1\n0 1\n")
-    monkeypatch.setattr(groups_mod, "_ELEMENT_BOUND", 50)
-    with pytest.raises(groups_mod.GroupError, match="exceeds bound 50"):
-        invariant_basis(groups_mod.load_action(str(path)), 4, QQ)
-    code, out, err = run_cli(capsys, "invariants", "--group", "file:%s" % path, "--domain", "q",
-                             "--max-degree", "4")
-    assert code == 2 and out == "" and "exceeds bound 50" in err
+    message = "exceeds bound 12 (no finite subgroup of GL_2(Q) is larger)"
+    for name, gens in (("shear", "[gen]\n1 1\n0 1\n"),
+                       ("involutions", "[gen]\n-1 0\n0 1\n[gen]\n-1 1\n0 1\n")):
+        path = tmp_path / ("%s.action" % name)
+        path.write_text("[action]\ngenerators = a b\ndegree = 2\n" + gens)
+        with pytest.raises(groups_mod.GroupError, match=re.escape(message)):
+            invariant_basis(groups_mod.load_action(str(path)), 4, QQ)
+        code, out, err = run_cli(capsys, "invariants", "--group", "file:%s" % path,
+                                 "--domain", "q", "--max-degree", "4")
+        assert code == 2 and out == "" and message in err, name
 
 
 def test_gl5_refused_naming_the_coset_walk(capsys):

@@ -30,6 +30,12 @@ def test_s3pm_order():
     assert build_weyl_so(3).order == 48
 
 
+def test_orders_at_the_rational_bounds():
+    # as large as a finite subgroup of GL_5(Q) and GL_4(Q) can be: the walk stops past them
+    assert build_weyl_so(5).order == groups_mod._RATIONAL_BOUND[5] == 3840
+    assert build_weyl_f4().order == groups_mod._RATIONAL_BOUND[4] == 1152
+
+
 def test_identity_only_action():
     action = GroupAction("trivial", ("t1",), 2, (mat_identity(1),))
     assert action.order == 1

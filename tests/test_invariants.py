@@ -14,7 +14,6 @@ from weylchow import invariants as inv_mod
 from weylchow.groups import (GroupAction, _freeze, _invert, build_gl, build_weyl_f4, build_weyl_so,
                              build_weyl_spin, mat_identity, mat_mul)
 from weylchow.invariants import (
-    action_matrix,
     algebra_generators,
     basis_polynomials,
     invariant_basis,
@@ -140,19 +139,6 @@ def test_subring_membership_unit_coefficient_over_z_local():
     assert subring_membership(t, [t.scale(2)]) == (False, None)
 
 
-def _substituted_matrix(action, matrix, degree, domain):
-    """Matrix of one element on the degree slice, column j the image of the
-    j-th monomial under Polynomial.substitute of the generator images."""
-    sig = action.signature(domain)
-    n = len(action.gen_names)
-    images = {name: Polynomial(sig, {tuple(int(r == i) for r in range(n)): matrix[i][j]
-                                     for i in range(n) if matrix[i][j]})
-              for j, name in enumerate(action.gen_names)}
-    monos = degree_slice(sig, degree)
-    cols = [Polynomial.from_mono(sig, m).substitute(images).terms for m in monos]
-    return [[col.get(w, domain.coerce(0)) for col in cols] for w in monos]
-
-
 @pytest.mark.parametrize("action, domain", [
     (build_gl(3), F2),
     (build_weyl_f4(), F3),
@@ -164,15 +150,11 @@ def _substituted_matrix(action, matrix, degree, domain):
     (build_weyl_spin(4), F3),
 ])
 def test_action_matrix_matches_substitution(action, domain):
-    # up past each grid's base (the grids start again), down inside the last
-    # base, then skipping a degree past it
-    for k in (1, 2, 3, 2, 4):
-        degree = k * action.gen_degree
-        for m in action.matrices:
-            got = action_matrix(action, m, degree, domain)
-            want = _substituted_matrix(action, m, degree, domain)
-            assert got == want, (degree, m)
-            assert [list(map(type, row)) for row in got] == [list(map(type, row)) for row in want]
+    """Each generator's matrix on the slice, one unit vector's defect per
+    column, against Polynomial.substitute: up past each grid's base (the
+    grids start again), down inside the last base, then skipping a degree
+    past it."""
+    _check_defects(action, domain, (1, 2, 3, 2, 4), random.Random(5))
 
 
 @pytest.mark.parametrize("domain, message", [
@@ -184,8 +166,6 @@ def test_half_integral_action_refused(domain, message):
     f4 = build_weyl_f4()
     with pytest.raises(PolyError, match=message):
         invariant_basis(f4, 2, domain)
-    with pytest.raises(PolyError, match=message):
-        action_matrix(f4, f4.matrices[3], 4, domain)
 
 
 def _char_coefficients(g):
@@ -246,34 +226,41 @@ def _defect_by_monomial(sa, k, vec):
     defect = sa.defect(k, vec)
     if not sa.p:
         return defect
-    if isinstance(sa, inv_mod._GridAction):
-        coords, positions = sa.unpack(k, defect), sa._positions(k)
-    else:
-        coords = FpSubspace.unpack(sa.p, defect, sa.width(k))
-        positions = range(len(coords))
+    grid = FpSubspace.unpack(sa.p, defect, sa.width(k))
+    positions = sa._positions(k) if isinstance(sa, inv_mod._GridAction) else range(len(grid))
+    coords = [grid[q] for q in positions]
     assert defect == FpSubspace.combine(sa.p, [(c, 1, q) for c, q in zip(coords, positions)])
     return coords
 
 
 def _check_defects(action, domain, levels, rnd, top=None):
-    """Packed defects of random sparse vectors against Polynomial.substitute,
-    level by level; top is passed to the first slice object of each matrix."""
+    """Defects against Polynomial.substitute, level by level and matrix by
+    matrix: of one random sparse vector, then of every unit vector (each
+    monomial's image); top is passed to the first slice object of each
+    matrix."""
     sig = action.signature(domain)
     images = {m: _generator_images(action, m, sig) for m in action.matrices}
+    moved = {}  # (matrix, monomial) -> its Polynomial.substitute image, times den^k
     for n, k in enumerate(levels):
         monos = degree_slice(sig, k * action.gen_degree)
+        index = {w: j for j, w in enumerate(monos)}
         for m in action.matrices:
             sa = inv_mod._slice_action(action, m, domain, k, top if n == 0 else None)
             assert sa.base > k
             support = rnd.sample(range(len(monos)), min(len(monos), rnd.randint(1, 4)))
-            vec = {j: rnd.randint(-3, 3) or 1 for j in support}
-            poly = Polynomial(sig, {monos[j]: c for j, c in vec.items()})
-            moved = poly.substitute(images[m]).terms
+            vecs = [{j: rnd.randint(-3, 3) or 1 for j in support}]
             scale = sa.den ** k
-            want = [scale * (moved.get(w, 0) - domain.coerce(vec.get(j, 0)))
-                    for j, w in enumerate(monos)]
-            want = [int(x) % domain.p if domain.kind == "fp" else int(x) for x in want]
-            assert _defect_by_monomial(sa, k, vec) == want, (k, m, vec)
+            for vec in vecs + [{j: 1} for j in range(len(monos))]:
+                want = [0] * len(monos)
+                for j, c in vec.items():
+                    if (m, monos[j]) not in moved:
+                        image = Polynomial.from_mono(sig, monos[j]).substitute(images[m])
+                        moved[m, monos[j]] = [(index[w], a * scale) for w, a in image.terms.items()]
+                    want[j] -= c * scale
+                    for u, a in moved[m, monos[j]]:
+                        want[u] += c * a
+                want = [x % domain.p if domain.kind == "fp" else int(x) for x in want]
+                assert _defect_by_monomial(sa, k, vec) == want, (k, m, vec)
 
 
 @pytest.mark.parametrize("action, domain, top", [
@@ -316,10 +303,6 @@ def test_random_matrix_defects_and_matrices_match_substitution(case, seed):
     top = rnd.randrange(1, 4)
     levels = [rnd.randrange(5) for _ in range(4)]
     _check_defects(action, domain, levels, rnd, top)
-    (m,) = action.matrices
-    for k in levels:
-        got = action_matrix(action, m, 2 * k, domain)
-        assert got == _substituted_matrix(action, m, 2 * k, domain), k
 
 
 def _reference_orbit_sums(monos, group, p):
@@ -359,14 +342,16 @@ def _reference_candidates(action, monos, domain):
 def _check_candidates(action, degree, domain):
     """The walk's signed orbit sums equal the closure's, in order."""
     monos = degree_slice(action.signature(domain), degree)
-    cands = inv_mod._signed_orbit_sums(monos, action.stabilizer(), domain.characteristic)
+    index = {m: j for j, m in enumerate(monos)}
+    cands = inv_mod._signed_orbit_sums(monos, index, action.stabilizer(), domain.characteristic)
     assert [[domain.coerce(c.get(j, 0)) for j in range(len(monos))] for c in cands] == \
         _reference_candidates(action, monos, domain), degree
 
 
 def _stacked_kernel_reference(action, degree, domain, plain=False):
     """The invariant basis from one stacked kernel of the (g - 1) rows over
-    the candidates, each g - 1 from action_matrix: the closure's signed orbit
+    the candidates, each g - 1 (times den^k) from the defects of the unit
+    vectors, the columns of g on the slice: the closure's signed orbit
     sums with the generators that are not signed permutations, as the module
     docstring defines it, or (plain) the unit vectors with every generator."""
     monos = degree_slice(action.signature(domain), degree)
@@ -378,10 +363,11 @@ def _stacked_kernel_reference(action, degree, domain, plain=False):
         cands = _reference_candidates(action, monos, domain)
         gens = [g for g in action.matrices if signed_permutation(g) is None]
     supports = [[(t, x) for t, x in enumerate(c) if x] for c in cands]
-    rows = []
+    rows, k = [], degree // action.gen_degree
     for g in gens:
-        mat = action_matrix(action, g, degree, domain)
-        rows += [[sum(mat[i][t] * x for t, x in sup) - c[i] for c, sup in zip(cands, supports)]
+        sa = inv_mod._slice_action(action, g, domain, k)
+        cols = [_defect_by_monomial(sa, k, {t: 1}) for t in range(len(monos))]
+        rows += [[sum(cols[t][i] * x for t, x in sup) for sup in supports]
                  for i in range(len(monos))]
     if domain.kind == "fp":
         coeffs = kernel_fp([[int(x) % domain.p for x in row] for row in rows], len(cands), domain.p)
@@ -557,7 +543,7 @@ def test_signed_subgroup_found_once(monkeypatch):
     monkeypatch.setattr(inv_mod, "signed_permutation", counting)
     monkeypatch.setattr(groups_mod, "_walk", counting_walk)
     report = inv_mod.invariant_report(build_weyl_f4(), 40, F3)
-    assert report.rank(40) == 11
+    assert report.ranks()[40] == 11
     assert len(walks) == 1
     # the split of the 4 generators in each of the 20 degrees above 0, and one
     # check per slice object made (one for each generator)

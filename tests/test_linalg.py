@@ -28,19 +28,19 @@ def test_kernel_diagonal_by_hand():
     rows = [[2, 0], [0, 1]]
     assert linalg.kernel_z(rows, 2) == []
     assert kernel_fp(rows, 2, 2) == [[1, 0]]
-    assert linalg.smith_divisors(rows) == [1, 2]
+    assert linalg.snf_with_basis(rows)[0] == [1, 2]
     assert linalg.rank_q(rows) == 2 and rank_fp(rows, 2) == 1
 
 
 def test_smith_divisors_diag_124():
     rows = [[1, 0, 0], [0, 2, 0], [0, 0, 4]]
-    assert linalg.smith_divisors(rows) == [1, 2, 4]
+    assert linalg.snf_with_basis(rows)[0] == [1, 2, 4]
     assert linalg.rank_q(rows) == 3 and rank_fp(rows, 2) == 1
 
 
 def test_smith_divisors_zero():
     rows = [[0, 0], [0, 0]]
-    assert linalg.smith_divisors(rows) == []
+    assert linalg.snf_with_basis(rows)[0] == []
     assert linalg.rank_q(rows) == 0 and rank_fp(rows, 2) == 0
 
 

@@ -258,11 +258,9 @@ def _reference_mul(p, q):
                         later = sum(e for e, h in zip(m1[j + 1:], sig.generators[j + 1:])
                                     if h.degree % 2)
                         swaps += m2[j] * later
-            c = dom.mul(c1, c2)
-            if swaps % 2:
-                c = dom.neg(c)
+            c = dom.coerce(-c1 * c2 if swaps % 2 else c1 * c2)
             mono = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
-            s = dom.add(out.get(mono, 0), c)
+            s = dom.coerce(out.get(mono, 0) + c)
             if s == 0:
                 out.pop(mono, None)
             else:

@@ -26,7 +26,8 @@ def test_invariant_ring_generators(spin7_model):
     assert spin7_model.w8.degree() == 8
     assert spin7_model.c6.degree() == 12
     want = expand_series("1/((1-t^4)(1-t^8)(1-t^12))", 28)
-    assert all(spin7_model.invariants.rank(d) == want[d] for d in range(0, 29, 2))
+    ranks = spin7_model.invariants.ranks()
+    assert all(ranks[d] == want[d] for d in range(0, 29, 2))
 
 
 def test_image_audit_divisibility_pattern(spin7_model):
@@ -85,7 +86,7 @@ def test_feshbach_consistency_property(spin7_model):
     )
     assert rows[0].nilpotent
     audit = rho_image_audit(spin7_model, spin7_model.ch_presentation)
-    assert audit.outside_count() > 0
+    assert any(r.verdict != "inside" for r in audit.rows)
 
 
 def test_surjectivity_criterion_sides(spin7_model):
