@@ -40,8 +40,9 @@ the part they read; they equal the pages of every mu of support sigma.
 One object, AhssResult, is a chart's spectral sequence, computed on
 demand: k and w are the memoized recursion, block(s, mu) is the final page
 of one block, checked (every boundary a cycle) the first time it is read,
-and keys() lists the blocks of the reporting range.  Readers go only
-through these, so they are correct on an object that was never swept.
+and keys() lists the blocks of the reporting range (totals() those of
+total degree 0..max_total).  Readers go only through these, so they are
+correct on an object that was never swept.
 run_ahss reads every key, which validates the whole window; the
 restriction audit reads only the blocks it asks about.
 
@@ -169,6 +170,13 @@ class AhssResult:
                         keys.add((s, mu))
             self._keys = sorted(keys)
         return self._keys
+
+    def totals(self) -> List[Tuple[int, int, VMono]]:
+        """(total, s, mu) for each key of total degree s - |mu| in
+        0..max_total, in key order, each distinct mu's degree found once."""
+        degrees = {mu: v_degree(self.p, mu) for mu in {mu for _, mu in self.keys()}}
+        return [(s + degrees[mu], s, mu) for s, mu in self.keys()
+                if 0 <= s + degrees[mu] <= self.max_total]
 
     def block(self, s: int, mu: VMono) -> Tuple[FpSubspace, FpSubspace]:
         """(Kbar, Wbar) of the final page at (s, mu)."""
@@ -302,10 +310,7 @@ def einfinity_summary(result: AhssResult) -> Dict[int, List[Tuple[str, BlockStru
     """Nonzero blocks per total degree within the reporting range, as
     block_ranks: ranks only, no reps (block_structure labels them)."""
     out: Dict[int, List[Tuple[str, BlockStructure]]] = {}
-    for s, mu in result.keys():
-        total = s + v_degree(result.chart.p, mu)
-        if total < 0 or total > result.max_total:
-            continue
+    for total, s, mu in result.totals():
         st = block_ranks(result, s, mu)
         if st.free_rank or st.torsion_rank:
             out.setdefault(total, []).append((v_label(mu), st))
@@ -337,10 +342,7 @@ def collapse_to_chow(result: AhssResult) -> CollapseReport:
         f0, t0 = per_degree.get(total, (0, 0))
         per_degree[total] = (f0 + free, t0 + tors)
 
-    for s, mu in result.keys():
-        total = s + v_degree(p, mu)
-        if total < 0 or total > result.max_total:
-            continue
+    for total, s, mu in result.totals():
         if mu == (0,) * result.v_max:
             st = block_structure(result, s, mu)
             if st.free_rank or st.torsion_rank:

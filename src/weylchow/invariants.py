@@ -31,8 +31,8 @@ shifts by B^r positions and x_{n-1} moves nothing, so an image is n shifts
 of its parent's and one fold, not a walk over the parent's terms.
 - The base: B > k, or two monomials of level k would share a position.  B
   is fixed per slice object from the top level its caller will read
-  (`invariant_report` and `algebra_generators` pass their max_degree); a
-  level at or above B makes the object again.
+  (`invariant_report` passes its max_degree, and `algebra_generators`
+  reads the report's bases); a level at or above B makes the object again.
 - The headroom: a byte holds at most 255, so the n products of at most
   (p - 1)^2 are folded once per `linalg._ROOM[p]` of them: more than once
   per image at p >= 11 with n = 4 (4 * 10^2 > 255).
@@ -368,8 +368,7 @@ def basis_polynomials(basis: SubmoduleBasis, sig: AlgebraSignature) -> List[Poly
 
 @dataclass
 class InvariantReport:
-    action_name: str
-    domain: Domain
+    sig: AlgebraSignature  # the action's ring over the report's domain
     by_degree: Dict[int, SubmoduleBasis]
 
     def ranks(self) -> Dict[int, int]:
@@ -386,7 +385,7 @@ def invariant_report(action: GroupAction, max_degree: int, domain: Domain) -> In
     out: Dict[int, SubmoduleBasis] = {}
     for d in range(0, max_degree + 1, stride):
         out[d] = invariant_basis(action, d, domain, max_degree)
-    return InvariantReport(action.name, domain, out)
+    return InvariantReport(action.signature(domain), out)
 
 
 def poincare_series(action: GroupAction, max_degree: int, domain: Domain) -> Dict[int, int]:
@@ -440,47 +439,38 @@ def subring_membership(
     return True, {t: c for t, c in zip(tuples, sol) if c != 0}
 
 
-def algebra_generators(
-    action: GroupAction, max_degree: int, domain: Domain
-) -> List[Tuple[int, Polynomial]]:
-    """Minimal generating set of the invariant ring up to max_degree.
+def algebra_generators(report: InvariantReport, max_degree: int) -> List[Tuple[int, Polynomial]]:
+    """Minimal generating set of the invariant ring up to max_degree, read
+    from the report's bases, which must reach max_degree.
 
     Walks degrees upward.  In each degree the decomposables (products of
-    already-found generators) are expressed in the invariant basis; over Z
-    or Z_(p) the quotient lattice is analyzed by Smith reduction, so new
-    generators are primitive complements and p-divisibility cannot poison
-    later degrees.  A torsion quotient means no generator choice makes the
-    ring free over the found ones, and raises.
+    already-found generators) are expressed in the invariant basis, and the
+    quotient lattice is analyzed by Smith reduction, so new generators are
+    primitive complements and p-divisibility cannot poison later degrees.
+    A torsion quotient means no generator choice makes the ring free over
+    the found ones, and raises.  Over F_p and Q, which have no lattice,
+    extraction is refused.
     """
-    sig = action.signature(domain)
+    sig = report.sig
+    domain = sig.domain
+    if domain.kind not in ("int", "plocal"):
+        raise InvariantError("generator extraction works over Z and Z_(p)")
+    if max_degree > max(report.by_degree, default=-1):
+        raise InvariantError("the report stops below degree %d" % max_degree)
     gens: List[Tuple[int, Polynomial]] = []
-    stride = 2 if action.gen_degree == 2 else 1
-    for d in range(stride, max_degree + 1, stride):
-        inv = invariant_basis(action, d, domain, max_degree)
-        if inv.rank == 0:
+    for d, inv in sorted(report.by_degree.items()):
+        if not 0 < d <= max_degree or inv.rank == 0:
             continue
-        monos = inv.ambient
-        index = {m: i for i, m in enumerate(monos)}
-        gen_degrees = [dd for dd, _ in gens]
+        index = {m: i for i, m in enumerate(inv.ambient)}
         span_vectors: List[List] = []
-        decomposables = [(Polynomial.one(sig), t) for t in compositions(gen_degrees, d) if sum(t)]
+        decomposables = [(Polynomial.one(sig), t) for t in compositions([dd for dd, _ in gens], d)]
         for poly in power_products([g for _, g in gens], decomposables):
-            vec = [domain.coerce(0)] * len(monos)
+            vec = [0] * len(index)
             for m, c in poly.terms.items():
                 vec[index[m]] = c
             span_vectors.append(vec)
-        if domain.kind in ("int", "plocal"):
-            new_vecs = _lattice_complement(inv, span_vectors, domain)
-        else:
-            new_vecs = []
-            current = [list(v) for v in span_vectors]
-            for vec in inv.vectors:
-                if not linalg.membership(vec, SubmoduleBasis(domain, monos, current)).inside:
-                    new_vecs.append(list(vec))
-                    current.append(list(vec))
-        for vec in new_vecs:
-            poly = Polynomial(sig, {m: c for m, c in zip(monos, vec) if c != 0})
-            gens.append((d, poly))
+        for vec in _lattice_complement(inv, span_vectors, domain):
+            gens.append((d, Polynomial(sig, {m: c for m, c in zip(inv.ambient, vec) if c != 0})))
     return gens
 
 

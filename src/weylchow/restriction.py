@@ -2,19 +2,22 @@
 
 The ambient objects are computed, never assumed: the Weyl-invariant ring of
 the spin weight lattice is produced degree by degree by the invariants
-engine, and its ring generators (degrees 4, 8, 12) are extracted
-mechanically.  The source side is read from the Spin(7) chart's spectral
+engine in one walk, to the audit window or to degree 16 if that is higher,
+and its ring generators (degrees 4, 8, 12) are extracted mechanically from
+the same bases.  The source side is read from the Spin(7) chart's spectral
 sequence: in degree d the image of CH*(BSpin(7))/Tor is spanned by the
 final-page free classes of block (d, 1), the free part of the collapse to
 Z_(2) (Totaro's factorization CH*(BG) -> MU*(BG) (x)_MU* Z -> H*(BG)), and
 the image of H*(BSpin(7))/Tor by the Q_0-homology classes of the integral
-slice.  The trusted inputs are the identification of chart classes with
-invariant generators (w_4 -> w4, w_6^2 -> c6, w_8 -> w8), the torsion
-source classes with their elementary-abelian images, and the cobordism
-lift of the degree-6 torsion class.  The audits verify that this data is
-mutually consistent: image membership with minimal 2-powers, Feshbach
-nilpotence, injectivity criteria, restriction kernels, and the
-v_1-detection of the Griffiths ideal.
+slice.  Each class enters the invariant ring once, as an integer column over
+the invariant slice (ImageLattice.columns); those are the coordinates of
+every audit but the nilpotence search, which works in generator coordinates.
+The trusted inputs are the identification of chart classes with invariant
+generators (w_4 -> w4, w_6^2 -> c6, w_8 -> w8), the torsion source classes
+with their elementary-abelian images, and the cobordism lift of the degree-6
+torsion class.  The audits verify that this data is mutually consistent:
+image membership with minimal 2-powers, Feshbach nilpotence, injectivity
+criteria, restriction kernels, and the v_1-detection of the Griffiths ideal.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from . import linalg
 from .ahss import AhssResult, free_classes, permanent_cycle_check
 from .builtin import spin7_chart
 from .chart import Chart
-from .groups import GroupAction, build_weyl_spin
+from .groups import build_weyl_spin
 from .invariants import (
     algebra_generators,
     basis_polynomials,
@@ -37,7 +40,6 @@ from .invariants import (
 from .linalg import FpSubspace, SubmoduleBasis, membership
 from .poly import (
     AlgebraSignature,
-    Domain,
     F2,
     Monomial,
     Polynomial,
@@ -67,7 +69,8 @@ class ImageLattice:
     monomials, each a power of one chart generator, by chart name (as
     "c_6" -> w_6^2); a class maps through it first to generator coordinates
     (a polynomial over gsig, one variable per invariant generator), then
-    into the invariant ring by substitution.
+    into the invariant ring by substitution, once: columns(d) keeps the
+    images as integer columns over the invariant slice.
     """
 
     def __init__(self, name: str, chart: Chart,
@@ -82,6 +85,7 @@ class ImageLattice:
         self._places = [next((j, e) for j, e in enumerate(chart.resolve_name(text)) if e)
                         for text, _ in self.identification]
         self._classes: Dict[int, List[Polynomial]] = {}
+        self._columns: Dict[int, List[List[int]]] = {}
 
     def exponents(self, mono: Monomial) -> Tuple[int, ...]:
         """The generator exponents of a chart monomial; a monomial outside
@@ -106,10 +110,13 @@ class ImageLattice:
             ]
         return self._classes[degree]
 
-    def polynomials(self, degree: int) -> List[Polynomial]:
-        """The classes of a degree in the invariant ring."""
-        images = dict(zip(self.gsig.names, self.generators))
-        return [c.substitute(images) for c in self.classes(degree)]
+    def columns(self, degree: int) -> List[List[int]]:
+        """The classes of a degree in the invariant ring, as columns (_column)."""
+        if degree not in self._columns:
+            images = dict(zip(self.gsig.names, self.generators))
+            self._columns[degree] = [_column(c.substitute(images), degree)
+                                     for c in self.classes(degree)]
+        return self._columns[degree]
 
 
 def _product_label(names: Sequence[str], expo: Sequence[int], last: str) -> str:
@@ -117,12 +124,10 @@ def _product_label(names: Sequence[str], expo: Sequence[int], last: str) -> str:
     return "*".join(filter(None, (mono_str(names, expo), last)))
 
 
-def _coords(poly: Polynomial, monos, domain: Domain) -> List:
-    vec = [domain.coerce(0)] * len(monos)
-    index = {m: i for i, m in enumerate(monos)}
-    for m, c in poly.terms.items():
-        vec[index[m]] = c
-    return vec
+def _column(poly: Polynomial, degree: int) -> List[int]:
+    """An integral invariant of a degree as its integer column over the
+    degree slice (`degree_slice`, the ambient of the invariant basis)."""
+    return [int(poly.terms.get(m, 0)) for m in degree_slice(poly.sig, degree)]
 
 
 # ---------------------------------------------------------------------------
@@ -132,12 +137,11 @@ def _coords(poly: Polynomial, monos, domain: Domain) -> List:
 
 @dataclass
 class Spin7Model:
-    """Computed invariants, the chart's spectral sequence (ahss, whose chart
-    has window + 16), and the Chow-side and H/Tor images read from it."""
+    """Computed invariants (to degree max(window, 16), where the generators
+    are read), the chart's spectral sequence (ahss, whose chart has
+    window + 16), and the Chow-side and H/Tor images read from it."""
 
     window: int
-    action: GroupAction
-    domain: Domain
     invariants: InvariantReport
     w4: Polynomial
     w8: Polynomial
@@ -148,16 +152,15 @@ class Spin7Model:
 
     @property
     def sig(self) -> AlgebraSignature:
-        return self.action.signature(self.domain)
+        return self.invariants.sig
 
 
 def build_spin7_model(window: int = 28) -> Spin7Model:
-    """Compute the invariant ring of the spin rank-3 lattice and read the
-    image lattices from the Spin(7) chart through its extracted generators."""
-    action = build_weyl_spin(3)
-    domain = z_local(2)
-    inv = invariant_report(action, window, domain)
-    gens = algebra_generators(action, 16, domain)
+    """Compute the invariant ring of the spin rank-3 lattice in one walk and
+    read the image lattices from the Spin(7) chart through the generators
+    extracted from it."""
+    inv = invariant_report(build_weyl_spin(3), max(window, 16), z_local(2))
+    gens = algebra_generators(inv, 16)
     by_degree = {}
     for d, poly in gens:
         by_degree.setdefault(d, []).append(poly)
@@ -176,7 +179,7 @@ def build_spin7_model(window: int = 28) -> Spin7Model:
     h = ImageLattice("H(BSpin7)/Tor", chart, identification,
                      lambda d: [FpSubspace.unpack(chart.p, v, chart.dim(d))
                                 for v in chart.integral_slice(d).free])
-    return Spin7Model(window, action, domain, inv, w4, w8, c6, result, ch, h)
+    return Spin7Model(window, inv, w4, w8, c6, result, ch, h)
 
 
 # ---------------------------------------------------------------------------
@@ -218,11 +221,7 @@ def rho_image_audit(model: Spin7Model, pres: ImageLattice) -> ImageAuditReport:
         inv = model.invariants.by_degree.get(degree)
         if inv is None or inv.rank == 0:
             continue
-        span_cols = [
-            [int(x) for x in _coords(poly, inv.ambient, model.domain)]
-            for poly in pres.polynomials(degree)
-        ]
-        span = SubmoduleBasis(model.domain, inv.ambient, linalg.hnf_basis(span_cols))
+        span = SubmoduleBasis(model.sig.domain, inv.ambient, linalg.hnf_basis(pres.columns(degree)))
         image_ranks[degree] = span.rank
         inv_ranks[degree] = inv.rank
         for idx, (vec, poly) in enumerate(zip(inv.vectors, basis_polynomials(inv, model.sig))):
@@ -324,14 +323,11 @@ def surjectivity_criterion(model: Spin7Model, pres: ImageLattice) -> CriterionRe
     p = pres.chart.p
     checked = []
     for degree in range(0, model.window + 1, 2):
-        polys = pres.polynomials(degree)
-        if not polys:
+        cols = [FpSubspace.pack(p, col) for col in pres.columns(degree)]
+        if not cols:
             continue
         checked.append(degree)
-        monos = degree_slice(model.sig, degree)
-        cols = [FpSubspace.pack(p, [int(x) for x in _coords(poly, monos, model.domain)])
-                for poly in polys]
-        if len(FpSubspace(p, cols)) != len(polys):
+        if len(FpSubspace(p, cols)) != len(cols):
             return CriterionReport(False, degree, checked)
     return CriterionReport(True, None, checked)
 
@@ -341,12 +337,13 @@ def surjectivity_criterion(model: Spin7Model, pres: ImageLattice) -> CriterionRe
 # ---------------------------------------------------------------------------
 
 
-def _w8_tower(model: Spin7Model, degree: int) -> List[Tuple[Tuple[int, ...], Polynomial]]:
+def _w8_tower(model: Spin7Model, degree: int) -> List[Tuple[Tuple[int, ...], List[int]]]:
     """The invariants w_8 * c_4^a c_6^b c_8^c of a degree (c_4 = w_4^2,
-    c_8 = w_8^2), with their exponents (a, b, c)."""
+    c_8 = w_8^2) as columns (_column), with their exponents (a, b, c)."""
     expos = compositions([8, 12, 16], degree - 8)
     gens = [model.w4 * model.w4, model.c6, model.w8 * model.w8]
-    return list(zip(expos, power_products(gens, [(model.w8, e) for e in expos])))
+    return [(e, _column(poly, degree))
+            for e, poly in zip(expos, power_products(gens, [(model.w8, e) for e in expos]))]
 
 
 @dataclass
@@ -354,11 +351,14 @@ class SourceClass:
     label: str
     degree: int
     torsion: bool
-    t_image: Polynomial  # image in the invariant ring (integral; 0 for torsion)
+    # image in the invariant ring, a column (ImageLattice.columns); None
+    # for torsion, whose image is 0
+    t_image: Optional[List[int]]
     # image in the mod-2 elementary-abelian target; None for the free
     # classes, which the torus target separates (res_kernel checks it)
     a_image: Optional[Polynomial]
-    omega_image: Optional[Polynomial] = None  # the v_1 image in the invariant ring
+    # the v_1 image, a column of the invariant ring in degree + 2 (_w8_tower)
+    omega_image: Optional[List[int]] = None
 
 
 @dataclass
@@ -379,7 +379,6 @@ def build_spin7_restriction(model: Spin7Model) -> RestrictionData:
     restriction mod 2 keeps the c_i (including c_7) and kills xi_3; the
     cobordism lift sends xi_3 to v_1 * w_8.
     """
-    zero = Polynomial.zero(model.sig)
     a_sig = signature(
         [("c_4", 8), ("c_6", 12), ("c_7", 14), ("c_8", 16)], F2
     )
@@ -388,13 +387,13 @@ def build_spin7_restriction(model: Spin7Model) -> RestrictionData:
     classes: Dict[int, List[SourceClass]] = {}
     max_degree = model.window
     for total in range(0, max_degree + 1, 2):
-        for cls, t_poly in zip(pres.classes(total), pres.polynomials(total)):
-            classes.setdefault(total, []).append(SourceClass(str(cls), total, False, t_poly, None))
+        for cls, col in zip(pres.classes(total), pres.columns(total)):
+            classes.setdefault(total, []).append(SourceClass(str(cls), total, False, col, None))
     # the tower xi_3 * c_4^a c_6^b c_8^c, lifted to v_1 * w_8 * c_4^a c_6^b c_8^c
     for total in range(6, max_degree + 1, 2):
         for expo, omega in _w8_tower(model, total + 2):
             classes.setdefault(total, []).append(SourceClass(
-                _product_label(("c_4", "c_6", "c_8"), expo, "xi_3"), total, True, zero, a_zero,
+                _product_label(("c_4", "c_6", "c_8"), expo, "xi_3"), total, True, None, a_zero,
                 omega))
     # torsion ideal Z/2[c_4,c_6,c_7,c_8]{c_7}: classes c_7^j * monomials
     for total in range(14, max_degree + 1, 2):
@@ -403,7 +402,7 @@ def build_spin7_restriction(model: Spin7Model) -> RestrictionData:
                 a_poly = Polynomial.from_mono(a_sig, mono)
                 label = "tor[%s]" % a_poly
                 classes.setdefault(total, []).append(
-                    SourceClass(label, total, True, zero, a_poly, None)
+                    SourceClass(label, total, True, None, a_poly, None)
                 )
     for bucket in classes.values():
         bucket.sort(key=lambda c: c.label)
@@ -433,13 +432,8 @@ def res_kernel(data: RestrictionData, include_omega: bool = False) -> List[Kerne
             continue
         free_entries = [c for c in entries if not c.torsion]
         tors_entries = [c for c in entries if c.torsion]
-        inv = model.invariants.by_degree.get(degree)
         if free_entries:
-            cols = [
-                [int(x) for x in _coords(c.t_image, inv.ambient, model.domain)]
-                for c in free_entries
-            ]
-            if linalg.rank_q(cols) != len(free_entries):
+            if linalg.rank_q([c.t_image for c in free_entries]) != len(free_entries):
                 raise RestrictionError(
                     "torus restriction fails to separate free classes in degree %d"
                     % degree
@@ -450,11 +444,9 @@ def res_kernel(data: RestrictionData, include_omega: bool = False) -> List[Kerne
         a_monos = degree_slice(data.a_sig, degree)
         cols = [[int(c.a_image.terms.get(m, 0)) for m in a_monos] for c in tors_entries]
         if include_omega:
-            # the v_1 images, of invariant degree d + 2, over their support
-            omegas = [c.omega_image.terms if c.omega_image is not None else {}
-                      for c in tors_entries]
-            support = sorted(set().union(*omegas))
-            cols = [col + [int(w.get(m, 0)) for m in support] for col, w in zip(cols, omegas)]
+            # the v_1 images, columns of invariant degree d + 2 (None: zero)
+            zero = [0] * len(degree_slice(model.sig, degree + 2))
+            cols = [col + (c.omega_image or zero) for col, c in zip(cols, tors_entries)]
         kernel = FpSubspace.kernel(2, [FpSubspace.pack(2, col) for col in cols], len(cols[0]))
         labels = []
         for vec in kernel:
@@ -499,12 +491,10 @@ def omega_detection_audit(model: Spin7Model, ahss_result) -> DetectionReport:
     injective = True
     checked = []
     for degree in range(8, model.window + 1, 2):
-        tower = _w8_tower(model, degree)
-        if not tower:
+        vectors = [col for _, col in _w8_tower(model, degree)]
+        if not vectors:
             continue
         checked.append(degree)
-        inv = model.invariants.by_degree.get(degree)
-        vectors = [[int(x) for x in _coords(poly, inv.ambient, model.domain)] for _, poly in tower]
         towers = towers and all(any(vec) for vec in vectors)
         if len(FpSubspace(2, [FpSubspace.pack(2, vec) for vec in vectors])) != len(vectors):
             injective = False

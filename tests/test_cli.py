@@ -49,6 +49,17 @@ def test_audit_refuses_a_window_below_the_chow_failure(capsys, degree):
         "injectivity criterion first fails\n" % degree
 
 
+def test_audit_below_the_generator_degrees(capsys):
+    """At --max-degree 4 the one invariant walk runs past the window, to the
+    generators' degree 16; the audit still reads only degrees 0..4."""
+    code, out, _ = run_cli(capsys, "--format", "records", "audit", "--chart", "spin7",
+                           "--max-degree", "4")
+    lines = out.splitlines()
+    assert code == 0
+    assert "audit.criterion.ch\t4\tfirst failure\t" in lines
+    assert [ln.split("\t")[1] for ln in lines if ln.startswith("audit.kernel\t")] == ["0", "4"]
+
+
 def test_invariants_match(capsys):
     code, out, _ = run_cli(
         capsys,

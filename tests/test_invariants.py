@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from weylchow.invariants import (
     algebra_generators,
     basis_polynomials,
     invariant_basis,
+    invariant_report,
     poincare_series,
     signed_permutation,
     subring_membership,
@@ -109,13 +111,28 @@ def test_subring_membership_outside():
 
 
 def test_algebra_generators_spin3():
-    gens = algebra_generators(build_weyl_spin(3), 16, z_local(2))
-    assert [d for d, _ in gens] == [4, 8, 12]
+    report = invariant_report(build_weyl_spin(3), 16, z_local(2))
+    assert [d for d, _ in algebra_generators(report, 16)] == [4, 8, 12]
+    assert [d for d, _ in algebra_generators(report, 8)] == [4, 8]  # read only to max_degree
 
 
 def test_algebra_generators_so2():
-    gens = algebra_generators(build_weyl_so(2), 12, ZZ)
+    gens = algebra_generators(invariant_report(build_weyl_so(2), 12, ZZ), 12)
     assert [d for d, _ in gens] == [4, 8]  # p_1 and p_2
+
+
+@pytest.mark.parametrize("domain", [QQ, F2, F3])
+def test_algebra_generators_refused_over_a_field(domain):
+    report = invariant_report(build_weyl_so(2), 8, domain)
+    message = "generator extraction works over Z and Z_(p)"
+    with pytest.raises(inv_mod.InvariantError, match=re.escape(message)):
+        algebra_generators(report, 8)
+
+
+def test_algebra_generators_refused_past_the_report():
+    report = invariant_report(build_weyl_so(2), 8, ZZ)
+    with pytest.raises(inv_mod.InvariantError, match="the report stops below degree 12"):
+        algebra_generators(report, 12)
 
 
 @pytest.mark.parametrize("domain, divisor", [(z_local(2), 3), (z_local(3), 2), (ZZ, 1)])

@@ -1,9 +1,11 @@
 import re
+from collections import Counter
 
 import pytest
 
 from fp_reference import rank_fp
 from typed_spin7 import RingPresentation, reference_nilpotence, typed_presentations
+from weylchow import invariants as inv_mod
 from weylchow import linalg
 from weylchow.linalg import SubmoduleBasis, membership
 from weylchow.poly import F2, Polynomial, parse, signature
@@ -140,6 +142,37 @@ def test_combined_restriction_injective_when_the_lift_passes_the_window():
     assert all(r.rank == 0 for r in res_kernel(data, include_omega=True))
 
 
+def test_audit_derives_each_basis_and_image_once(monkeypatch):
+    """One invariant walk feeds the audits and the generator extraction, and
+    each class of an image lattice enters the invariant ring once."""
+    degrees, substituted = [], []
+    basis, substitute = inv_mod.invariant_basis, Polynomial.substitute
+
+    def counting_basis(action, degree, *args):
+        degrees.append(degree)
+        return basis(action, degree, *args)
+
+    def counting_substitute(self, images):
+        substituted.append(self)  # kept alive, so ids stay distinct
+        return substitute(self, images)
+
+    monkeypatch.setattr(inv_mod, "invariant_basis", counting_basis)
+    monkeypatch.setattr(Polynomial, "substitute", counting_substitute)
+    model = build_spin7_model(28)
+    rho_image_audit(model, model.ch_presentation)
+    for pres in (model.h_presentation, model.ch_presentation):
+        surjectivity_criterion(model, pres)
+    data = build_spin7_restriction(model)
+    res_kernel(data)
+    res_kernel(data, include_omega=True)
+    omega_detection_audit(model, model.ahss)
+    assert sorted(degrees) == list(range(0, 29, 2))
+    classes = {id(c) for pres in (model.ch_presentation, model.h_presentation)
+               for d in range(29) for c in pres.classes(d)}
+    counts = Counter(map(id, substituted))
+    assert set(counts) <= classes and max(counts.values()) == 1
+
+
 def test_omega_detection(spin7_model, spin7_ahss):
     rep = omega_detection_audit(spin7_model, spin7_ahss)
     assert rep.permanent_2e and rep.permanent_v1e and rep.e_dies
@@ -157,9 +190,8 @@ def test_image_module_closed_under_subring(spin7_model):
             degree = product.degree()
             if degree > spin7_model.window:
                 continue
-            span = _span(spin7_model, spin7_model.ch_presentation.polynomials(degree), degree)
-            vec = _coords(product, span.ambient)
-            assert membership(vec, span).inside
+            span = _span(spin7_model, spin7_model.ch_presentation.columns(degree), degree)
+            assert membership(_coords(product, span.ambient), span).inside
 
 
 @pytest.mark.parametrize("side", [0, 1])
@@ -169,13 +201,14 @@ def test_derived_images_equal_typed_lattices(spin7_model, side):
     derived = (spin7_model.ch_presentation, spin7_model.h_presentation)[side]
     typed = typed_presentations(spin7_model)[side]
     for degree in range(29):
-        got, want = derived.polynomials(degree), typed.polynomials(degree)
+        got, want = derived.columns(degree), typed.polynomials(degree)
         assert len(got) == len(want), degree
         if not want:
             continue
+        want = [_coords(poly, spin7_model.invariants.by_degree[degree].ambient) for poly in want]
         for a, b in ((got, want), (want, got)):
             span = _span(spin7_model, b, degree)
-            assert all(membership(_coords(poly, span.ambient), span).inside for poly in a), degree
+            assert all(membership(vec, span).inside for vec in a), degree
 
 
 def test_feshbach_matches_reference(spin7_model):
@@ -216,10 +249,9 @@ def test_generator_map_refuses_classes_outside_the_subring(spin7_model, name):
         bad.classes(chart.sig.mono_degree(mono))
 
 
-def _span(model, polys, degree):
+def _span(model, cols, degree):
     monos = model.invariants.by_degree[degree].ambient
-    cols = [_coords(poly, monos) for poly in polys]
-    return SubmoduleBasis(model.domain, monos, linalg.hnf_basis(cols))
+    return SubmoduleBasis(model.sig.domain, monos, linalg.hnf_basis(cols))
 
 
 def _coords(poly, monos):
