@@ -4,16 +4,20 @@ A chart presents the mod-p cohomology as the graded-commutative algebra on
 named classes modulo a monomial ideal.  Its additive basis in every degree
 is the set of standard monomials: those that no relation monomial divides,
 built from the bases of the degrees below (Chart.mono_index).  The Q_i
-actions for i = 0..m are given by generator images; Q_i on a basis
-monomial follows by the graded Leibniz rule, its terms summed per monomial.
-A nonzero sum that some relation divides is rewritten by the chart's
-product rules, or is zero when the chart has none.  The window scopes
-validation and the spectral-sequence enumeration; bases, Q_i matrices and
-integral slices are defined in every degree and are derived on first use.
-The integral structure is derived from Q_0: since the torsion has exponent
-exactly p, the free part in each degree is a lift of ker(Q_0)/im(Q_0) and
-the p-torsion part bijects with im(Q_0).  Q_i columns and the integral
-bases are packed FpSubspace vectors throughout.
+actions for i = 0..m are given by generator images; Q_i on a basis monomial
+follows by the graded Leibniz rule on packed monomials
+(steenrod.Derivation: an int with a 16-bit field per exponent, whose top
+bit is a guard; an exponent of 2^15 or more is refused with ChartError),
+its terms summed per monomial.  A nonzero sum outside the basis is
+rewritten by the first product rule whose lhs divides it (a subtraction of
+codes in which no field borrows), and each rewrite is kept; it is zero when
+the chart has no product rules.  The window scopes validation and the
+spectral-sequence enumeration; bases, Q_i matrices and integral slices are
+defined in every degree and are derived on first use.  The integral
+structure is derived from Q_0: since the torsion has exponent exactly p,
+the free part in each degree is a lift of ker(Q_0)/im(Q_0) and the
+p-torsion part bijects with im(Q_0).  Q_i columns and the integral bases
+are packed FpSubspace vectors throughout.
 
 Chart files are section-based text ("#" comments):
 
@@ -34,7 +38,6 @@ Chart files are section-based text ("#" comments):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import le
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import FpSubspace
@@ -47,7 +50,7 @@ from .poly import (
     parse as parse_poly,
     signature,
 )
-from .steenrod import _derivation_terms, _image_terms
+from .steenrod import Derivation
 
 
 class ChartError(Exception):
@@ -66,12 +69,18 @@ ProductRule = Tuple[Monomial, int, Optional[Monomial]]
 @dataclass
 class _ChartCache:
     """Data a chart derives from its description, filled in on first use:
-    bases by degree, steenrod._image_terms by Milnor index, Q_i columns
-    (Chart.q_columns) by (i, degree) and integral slices by degree."""
+    bases by degree, also packed (steenrod.Derivation.encode), the
+    steenrod.Derivation of each Milnor index, the packed product rules, the
+    reduction of each packed Leibniz term (Chart._reduce), Q_i columns by
+    (i, degree) and integral slices by degree; none of it refers to the chart."""
 
     # degrees 0, 1, ... (filled upwards): basis monomial -> position, in basis order
     basis: Dict[int, Dict[Monomial, int]] = field(default_factory=dict)
-    q_terms: Dict[int, tuple] = field(default_factory=dict)
+    codes: Dict[int, Dict[int, int]] = field(default_factory=dict)
+    q_kernels: Dict[int, Derivation] = field(default_factory=dict)
+    rules: Optional[Tuple[Tuple[int, int, Optional[int]], ...]] = None
+    # packed term -> (unit coefficient, position in its degree's basis), or None: it vanishes
+    reduced: Dict[int, Optional[Tuple[int, int]]] = field(default_factory=dict)
     q_mats: Dict[Tuple[int, int], List[int]] = field(default_factory=dict)
     integral: Dict[int, "IntegralSlice"] = field(default_factory=dict)
 
@@ -122,23 +131,58 @@ class Chart:
     def q_columns(self, i: int, degree: int) -> List[int]:
         """Q_i from degree to degree + 2p^i - 1 (any degree): column j is the
         packed FpSubspace vector of the image of basis monomial j.  Its
-        Leibniz terms are summed per monomial first, and only the nonzero
-        sums are reduced into the target basis, where FpSubspace.combine
-        adds them up (product rules may send several terms to one target)."""
-        cols = self.cache.q_mats.get((i, degree))
+        Leibniz terms (steenrod.Derivation on packed codes) are summed per
+        code first, and only the nonzero sums are reduced into the target
+        basis (_reduce), where FpSubspace.combine adds them up (product
+        rules may send several terms to one target)."""
+        cache = self.cache
+        cols = cache.q_mats.get((i, degree))
         if cols is None:
-            terms = self.cache.q_terms.get(i)
-            if terms is None:
-                terms = self.cache.q_terms[i] = _image_terms(self.sig, self.q_images.get(i, {}))
-            tgt_index = self.mono_index(degree + q_shift(self.p, i))
+            kernel = cache.q_kernels.get(i) or cache.q_kernels.setdefault(
+                i, Derivation(self.sig, self.q_images.get(i, {}), ChartError))
+            p, reduced, target = self.p, cache.reduced, degree + q_shift(self.p, i)
             cols = []
-            for mono in self.mono_index(degree):
-                reduced = (_reduce_term(self, tgt_index, m, c)
-                           for m, c in _derivation_terms(self.sig, terms, mono).items())
-                cols.append(FpSubspace.combine(
-                    self.p, ((c, 1, tgt_index[m]) for c, m in filter(None, reduced))))
-            self.cache.q_mats[i, degree] = cols
+            for code in self._codes(degree, kernel):
+                hits = ((c, reduced[m] if m in reduced else self._reduce(kernel, m, target))
+                        for m, c in kernel.terms(code).items() if c % p)
+                cols.append(FpSubspace.combine(p, ((c * h[0] % p, 1, h[1]) for c, h in hits if h)))
+            cache.q_mats[i, degree] = cols
         return cols
+
+    def _codes(self, degree: int, kernel: Derivation) -> Dict[int, int]:
+        """mono_index with the monomials packed."""
+        codes = self.cache.codes.get(degree)
+        if codes is None:
+            codes = self.cache.codes[degree] = {
+                kernel.encode(m): j for m, j in self.mono_index(degree).items()}
+        return codes
+
+    def _reduce(self, kernel: Derivation, code: int, degree: int) -> Optional[Tuple[int, int]]:
+        """A packed term of the degree in its basis, memoized in cache.reduced:
+        (unit coefficient, position), or None when it vanishes.  Outside the
+        basis the first product rule whose lhs divides the term (no field
+        borrows) rewrites it to term - lhs + rhs, which vanishes when rhs is
+        0 or an exterior field reaches 2; with no rules the term vanishes.
+        A term that no rule reduces, or that leaves its fields, raises."""
+        cache, p = self.cache, self.p
+        if cache.rules is None:
+            cache.rules = tuple((kernel.encode(lhs), c, None if rhs is None
+                                 else kernel.encode(rhs)) for lhs, c, rhs in self.products)
+        guard, high, index = kernel.guard, kernel.ext_high, self._codes(degree, kernel)
+        m, coeff = code, 1
+        for _step in range(101):
+            if m & guard:
+                kernel.decode(m)  # refuses it
+            if m in index:
+                return cache.reduced.setdefault(code, (coeff % p, index[m]))
+            rule = next((r for r in cache.rules if ((m | guard) - r[0]) & guard == guard), None)
+            if rule is None and cache.rules:
+                raise ChartError("image monomial %s is neither in the basis nor reducible"
+                                 % self.mono_label(kernel.decode(m)))
+            if rule is None or rule[2] is None or (m - rule[0] + rule[2]) & high:
+                return cache.reduced.setdefault(code, None)
+            m, coeff = m - rule[0] + rule[2], coeff * rule[1] % p
+        raise ChartError("product rewriting did not terminate")
 
     def q_matrix(self, i: int, degree: int) -> List[List[int]]:
         """q_columns as a list of rows, indexed by the target basis.  weylchow
@@ -280,34 +324,6 @@ def _parse_product_rule(sig: AlgebraSignature, lhs_text: str, rhs_text: str) -> 
         raise ChartError("product rule RHS %r must be a monomial or 0" % rhs_text)
     ((rhs, coeff),) = tuple(rhs_poly.terms.items())
     return lhs, int(coeff), rhs
-
-
-def _reduce_term(chart: Chart, index: Dict[Monomial, int], mono: Monomial, coeff: int):
-    """Rewrite a monomial into the basis (the keys of index).
-
-    Returns (coefficient, basis monomial) or None when the term vanishes; a
-    term outside the basis vanishes when the chart has no product rules,
-    and raises when no rule reduces it.
-    """
-    for _step in range(101):
-        if mono in index:
-            return coeff % chart.p, mono
-        if not chart.products:
-            return None
-        rule = next((r for r in chart.products if all(map(le, r[0], mono))), None)
-        if rule is None:
-            raise ChartError(
-                "image monomial %s is neither in the basis nor reducible"
-                % chart.mono_label(mono)
-            )
-        lhs, rcoeff, rhs = rule
-        if rhs is None:
-            return None
-        mono = tuple(m - l + r for m, l, r in zip(mono, lhs, rhs))
-        if any(g.exterior and e > 1 for g, e in zip(chart.sig.generators, mono)):
-            return None
-        coeff = (coeff * rcoeff) % chart.p
-    raise ChartError("product rewriting did not terminate")
 
 
 def validate_chart(chart: Chart, torsion_tags: Dict[str, int]):

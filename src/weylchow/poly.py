@@ -75,21 +75,24 @@ class Domain:
 
     def coerce(self, value):
         """Normalize a raw int/Fraction into this domain; check p-locality."""
-        if self.kind == "fp":
+        kind = self.kind
+        if kind == "fp":
+            if type(value) is int:
+                return value % self.p
             if isinstance(value, Fraction):
                 if value.denominator % self.p == 0:
                     raise PolyError("denominator divisible by %d in F_%d" % (self.p, self.p))
                 inv = pow(value.denominator % self.p, self.p - 2, self.p)
                 return (value.numerator * inv) % self.p
             return int(value) % self.p
-        if self.kind == "int":
-            if isinstance(value, Fraction):
-                if value.denominator != 1:
-                    raise PolyError("non-integer coefficient %s over Z" % value)
-                return int(value)
+        if kind == "int":
+            if type(value) is int:
+                return value
+            if isinstance(value, Fraction) and value.denominator != 1:
+                raise PolyError("non-integer coefficient %s over Z" % value)
             return int(value)
         frac = Fraction(value)
-        if self.kind == "plocal" and frac.denominator % self.p == 0:
+        if kind == "plocal" and frac.denominator % self.p == 0:
             raise PolyError(
                 "denominator of %s divisible by %d is not %d-local" % (frac, self.p, self.p)
             )
@@ -342,14 +345,6 @@ class Polynomial:
     def is_homogeneous(self) -> bool:
         degs = {self.sig.mono_degree(m) for m in self.terms}
         return len(degs) <= 1
-
-    def homogeneous_part(self, n: int) -> "Polynomial":
-        sig = self.sig
-        return Polynomial(
-            sig,
-            {m: c for m, c in self.terms.items() if sig.mono_degree(m) == n},
-            _clean=True,
-        )
 
     def homogeneous_degrees(self) -> List[int]:
         return sorted({self.sig.mono_degree(m) for m in self.terms})

@@ -22,7 +22,7 @@ criteria, restriction kernels, and the v_1-detection of the Griffiths ideal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -149,6 +149,7 @@ class Spin7Model:
     ahss: AhssResult
     ch_presentation: ImageLattice
     h_presentation: ImageLattice
+    towers: Dict[int, list] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def sig(self) -> AlgebraSignature:
@@ -339,11 +340,14 @@ def surjectivity_criterion(model: Spin7Model, pres: ImageLattice) -> CriterionRe
 
 def _w8_tower(model: Spin7Model, degree: int) -> List[Tuple[Tuple[int, ...], List[int]]]:
     """The invariants w_8 * c_4^a c_6^b c_8^c of a degree (c_4 = w_4^2,
-    c_8 = w_8^2) as columns (_column), with their exponents (a, b, c)."""
-    expos = compositions([8, 12, 16], degree - 8)
-    gens = [model.w4 * model.w4, model.c6, model.w8 * model.w8]
-    return [(e, _column(poly, degree))
-            for e, poly in zip(expos, power_products(gens, [(model.w8, e) for e in expos]))]
+    c_8 = w_8^2) as columns (_column), with their exponents (a, b, c);
+    built once per degree and kept in model.towers."""
+    if degree not in model.towers:
+        expos = compositions([8, 12, 16], degree - 8)
+        powers = power_products([model.w4 * model.w4, model.c6, model.w8 * model.w8],
+                                [(model.w8, e) for e in expos])
+        model.towers[degree] = [(e, _column(poly, degree)) for e, poly in zip(expos, powers)]
+    return model.towers[degree]
 
 
 @dataclass

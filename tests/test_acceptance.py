@@ -7,6 +7,7 @@ tolerances appear anywhere.
 import pytest
 
 from fp_reference import q0_homology
+from milnor_reference import milnor_q_recursive
 from weylchow import linalg
 from weylchow.ahss import collapse_to_chow, permanent_cycle_check
 from weylchow.dickson import build_dickson, verify_all
@@ -26,7 +27,7 @@ from weylchow.restriction import (
     surjectivity_criterion,
 )
 from weylchow.series import expand_series
-from weylchow.steenrod import milnor_q_closed, milnor_q_recursive
+from weylchow.steenrod import milnor_q_closed
 
 
 def report(n, text):

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, reject, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from fp_reference import kernel_fp, rank_fp, rref_fp, solve_fp
 from lattices import lattice_eq, preimage_kernel
+from milnor_reference import reduce_term
 from weylchow.ahss import (
     AhssResult,
     CollapseReport,
@@ -23,7 +26,6 @@ from weylchow.ahss import (
 from weylchow.builtin import f4_chart, spin7_chart, toy_free_chart, toy_killing_chart
 from weylchow.chart import (
     ChartError,
-    _reduce_term,
     build_chart,
     integral_q_matrix,
     parse_chart,
@@ -35,7 +37,7 @@ from weylchow.linalg import FpSubspace, hnf_basis, identity
 from weylchow.poly import (F2, Polynomial, compositions, degree_slice, fp, parse, power_products,
                            signature)
 from weylchow.series import expand_series
-from weylchow.steenrod import _derivation_terms, _image_terms, apply_derivation
+from weylchow.steenrod import Derivation, SteenrodError, apply_derivation
 
 
 def test_spin7_q_data_matches_stated_facts(spin7_builtin):
@@ -424,7 +426,7 @@ def _reference_q_matrix(chart, i, degree):
         if images is not None:
             image = _reference_derivation(images, Polynomial.from_mono(chart.sig, mono))
             for m, c in image.terms.items():
-                reduced = _reduce_term(chart, tgt_index, m, int(c))
+                reduced = reduce_term(chart, tgt_index, m, int(c))
                 if reduced is not None:
                     rc, rm = reduced
                     col[tgt_index[rm]] = (col[tgt_index[rm]] + rc) % chart.p
@@ -483,13 +485,114 @@ def test_cancelling_leibniz_terms_give_no_term():
                         {1: {"a": "a*c", "b": "b*c"}}, relations=["a*b*c", "c^2"],
                         products=[("c^2", "0")])
     mono = chart.resolve_name("a*b")
-    assert _derivation_terms(chart.sig, _image_terms(chart.sig, chart.q_images[1]), mono) == {}
+    kernel = Derivation(chart.sig, chart.q_images[1])
+    assert kernel.terms(kernel.encode(mono)) == {kernel.encode(mono[:2] + (1,)): 2}
     # a*b*c is no basis class and no product rule reduces it, so reducing
     # either Leibniz term on its own would raise
     with pytest.raises(ChartError, match="neither in the basis nor reducible"):
-        _reduce_term(chart, chart.mono_index(7), mono[:2] + (1,), 1)
+        reduce_term(chart, chart.mono_index(7), mono[:2] + (1,), 1)
     assert chart.q_columns(1, 4) == [0, 0, 0]
     assert _reference_q_matrix(chart, 1, 4) == chart.q_matrix(1, 4)
+
+
+@st.composite
+def _charts_with_products(draw):
+    """Charts whose Leibniz terms leave the basis and are rewritten: two to
+    four generators of degrees 1 to 4 (odd ones exterior at p = 3), up to
+    three relation monomials, most of them the lhs of a product rule
+    'lhs -> 0' or 'lhs -> c*m' with m a basis monomial of its degree, and
+    Q_0, Q_1 images of up to two random monomials of the right degree.
+    The charts are not validated: Q_i need not square to zero, and a term
+    that no rule reduces, or whose rewriting does not stop, must raise in
+    the packed kernel exactly when it raises in the reference."""
+    p = draw(st.sampled_from([2, 3]))
+    gens = []
+    for k in range(draw(st.integers(2, 4))):
+        degree = draw(st.integers(1, 4))
+        gens.append(("x%d" % k, degree, (p == 3 and degree % 2 == 1) or draw(st.booleans())))
+    sig = signature(gens, fp(p))
+    relations = set()
+    for _ in range(draw(st.integers(1, 3))):
+        exps = tuple(draw(st.integers(0, 1 if ext else 2)) for _n, _d, ext in gens)
+        if sum(exps) >= 2:
+            relations.add(exps)
+    texts = [str(Polynomial.from_mono(sig, m)) for m in sorted(relations)]
+    plain = build_chart("rules", p, 8, gens, {}, relations=texts)
+    products = []
+    for lhs, text in zip(sorted(relations), texts):
+        if not draw(st.integers(0, 3)):
+            continue  # a relation without a rule
+        monos = plain.basis_at(sig.mono_degree(lhs))
+        rhs = "0"
+        if monos and draw(st.booleans()):
+            rhs = str(Polynomial.from_mono(sig, draw(st.sampled_from(monos)),
+                                           draw(st.integers(1, p - 1))))
+        products.append((text, rhs))
+    q_images = {}
+    for i in (0, 1):
+        images = {}
+        for name, degree, _ext in gens:
+            monos = degree_slice(sig, degree + q_shift(p, i))
+            chosen = draw(st.lists(st.sampled_from(monos), max_size=2, unique=True)
+                          if monos else st.just([]))
+            image = Polynomial(sig, {m: draw(st.integers(1, p - 1)) for m in chosen})
+            if not image.is_zero():
+                images[name] = image
+        q_images[i] = images
+    with_rules = build_chart("rules", p, 8, gens, {}, relations=texts, products=products)
+    return dataclasses.replace(with_rules, q_images=q_images)
+
+
+def _outcome(matrix, *args):
+    try:
+        return matrix(*args)
+    except ChartError:
+        return ChartError
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_charts_with_products())
+def test_q_columns_match_polynomial_reference_with_product_rules(chart):
+    for i in (0, 1):
+        for n in range(13):
+            assert (_outcome(chart.q_matrix, i, n)
+                    == _outcome(_reference_q_matrix, chart, i, n)), (i, n, chart.products)
+
+
+def test_exponent_past_the_field_width_is_refused():
+    sig = signature([("x", 2), ("y", 3)], F2)
+    wide = Polynomial.from_mono(sig, (1 << 15, 0))
+    with pytest.raises(SteenrodError, match="too wide"):
+        apply_derivation({"x": Polynomial.gen(sig, "y")}, wide)
+    # each factor fits, the Leibniz term x^32767 * x does not
+    top = Polynomial.from_mono(sig, ((1 << 15) - 1, 0))
+    with pytest.raises(SteenrodError, match="too wide"):
+        apply_derivation({"y": top}, Polynomial.from_mono(sig, (1, 1)))
+    assert apply_derivation({"y": top}, Polynomial.gen(sig, "y")) == top
+    # Q_0 b = a^32768 in a chart: refused while validating Q_0^2 = 0
+    with pytest.raises(ChartError, match="too wide"):
+        build_chart("wide", 2, 4, (("a", 2), ("b", 65535)), {0: {"b": "a^32768"}})
+    # Q_1 a = a^4 sends the basis class a^32765 to 32765 * a^32768
+    chart = build_chart("wide", 2, 4, (("a", 1),), {1: {"a": "a^4"}})
+    with pytest.raises(ChartError, match="too wide"):
+        chart.q_columns(1, (1 << 15) - 3)
+
+
+def test_chart_is_freed_without_a_collection():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        chart = f4_chart(window=40).chart
+        for i in range(3):
+            for n in range(40):
+                chart.q_columns(i, n)
+        chart.integral_slice(30)
+        ref = weakref.ref(chart)
+        del chart
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------

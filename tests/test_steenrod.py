@@ -3,15 +3,9 @@ import random
 import pytest
 
 from fp_reference import q0_homology
+from milnor_reference import milnor_q_recursive, sq, total_sq
 from weylchow.poly import F2, F3, Polynomial, degree_slice, signature
-from weylchow.steenrod import (
-    SteenrodError,
-    apply_derivation,
-    milnor_q_closed,
-    milnor_q_recursive,
-    sq,
-    total_sq,
-)
+from weylchow.steenrod import SteenrodError, apply_derivation, milnor_q_closed
 
 
 def f2_sig(n=3):
