@@ -286,7 +286,7 @@ def block_structure(result: AhssResult, s: int, mu: VMono) -> BlockStructure:
     chart = result.chart
     k_bar, w_bar = result.block(s, mu)
     st = block_ranks(result, s, mu)
-    st.free_reps = [_class_label(chart, s, vec) for vec in free_classes(result, s, mu)]
+    st.free_reps = [chart.class_label(s, vec) for vec in free_classes(result, s, mu)]
     st.torsion_reps = _new_reps(chart, chart.integral_slice(s), k_bar.tail(st.free_rank), w_bar)
     return st
 
@@ -298,12 +298,6 @@ def _lift(chart: Chart, sl, coeffs: List[int]) -> List[int]:
     for coeff, packed in zip(filter(None, coeffs), compress(sl.free + sl.torsion, coeffs)):
         out = list(map(add, out, map(mul, repeat(coeff), FpSubspace.unpack(chart.p, packed, dim))))
     return out
-
-
-def _class_label(chart: Chart, s: int, vec: List[int]) -> str:
-    parts = [chart.mono_label(m) if c == 1 else "%d*%s" % (c, chart.mono_label(m))
-             for m, c in zip(compress(chart.mono_index(s), vec), filter(None, vec))]
-    return " + ".join(parts) if parts else "0"
 
 
 def einfinity_summary(result: AhssResult) -> Dict[int, List[Tuple[str, BlockStructure]]]:
@@ -368,8 +362,7 @@ def collapse_to_chow(result: AhssResult) -> CollapseReport:
 def _new_reps(chart: Chart, sl, vectors: FpSubspace, span: FpSubspace) -> List[str]:
     """Labels of the rows of vectors that are new modulo span, in order."""
     span = span.copy()
-    return [_class_label(chart, sl.degree,
-                         _lift(chart, sl, FpSubspace.unpack(chart.p, vec, sl.rank)))
+    return [chart.class_label(sl.degree, _lift(chart, sl, FpSubspace.unpack(chart.p, vec, sl.rank)))
             for vec in vectors if span.insert(vec)]
 
 
@@ -431,7 +424,7 @@ def permanent_cycle_check(result: AhssResult, expression: str) -> CycleVerdict:
     s = chart.sig.mono_degree(mono)
     sl = chart.integral_slice(s)
     coords = FpSubspace.solve(p, sl.free + sl.torsion,
-                              FpSubspace.unit(p, chart.mono_index(s)[mono]), chart.dim(s))
+                              FpSubspace.unit(p, chart.position(mono)), chart.dim(s))
     if coords is None:
         raise AhssError("class in %r is not an integral class of the chart" % expression)
     vec = [coeff * c for c in FpSubspace.unpack(p, coords, sl.rank)]

@@ -3,21 +3,20 @@
 A chart presents the mod-p cohomology as the graded-commutative algebra on
 named classes modulo a monomial ideal.  Its additive basis in every degree
 is the set of standard monomials: those that no relation monomial divides,
-built from the bases of the degrees below (Chart.mono_index).  The Q_i
+kept as one index per degree, {packed code: position} (steenrod.Packing,
+which alone knows the layout: field 0 highest, so code order is lex order),
+built from the indexes below (Chart._basis); basis_at decodes it.  The Q_i
 actions for i = 0..m are given by generator images; Q_i on a basis monomial
-follows by the graded Leibniz rule on packed monomials
-(steenrod.Derivation: an int with a 16-bit field per exponent, whose top
-bit is a guard; an exponent of 2^15 or more is refused with ChartError),
-its terms summed per monomial.  A nonzero sum outside the basis is
-rewritten by the first product rule whose lhs divides it (a subtraction of
-codes in which no field borrows), and each rewrite is kept; it is zero when
-the chart has no product rules.  The window scopes validation and the
-spectral-sequence enumeration; bases, Q_i matrices and integral slices are
-defined in every degree and are derived on first use.  The integral
-structure is derived from Q_0: since the torsion has exponent exactly p,
-the free part in each degree is a lift of ker(Q_0)/im(Q_0) and the
-p-torsion part bijects with im(Q_0).  Q_i columns and the integral bases
-are packed FpSubspace vectors throughout.
+follows by the graded Leibniz rule on codes (steenrod.Derivation), its
+terms summed per monomial.  A nonzero sum outside the basis is rewritten by
+the first product rule whose lhs divides it, and each rewrite is kept; it
+is zero when the chart has no product rules.  The window scopes validation
+and the spectral-sequence enumeration; bases, Q_i matrices and integral
+slices are defined in every degree and are derived on first use.  The
+integral structure is derived from Q_0: since the torsion has exponent
+exactly p, the free part in each degree is a lift of ker(Q_0)/im(Q_0) and
+the p-torsion part bijects with im(Q_0).  Q_i columns and the integral
+bases are packed FpSubspace vectors throughout.
 
 Chart files are section-based text ("#" comments):
 
@@ -30,7 +29,8 @@ Chart files are section-based text ("#" comments):
                        of monomials that are not basis classes (in every
                        degree, inside the window and beyond it)
     [products]         optional; 'monomial -> c*monomial' or 'monomial -> 0'
-                       rewrite rules for Leibniz terms outside the basis
+                       rewrite rules for Leibniz terms outside the basis;
+                       lhs in the relation ideal, rhs 0 or of its degree
     [q I]              'source -> polynomial' images of Q_I, I >= 0, one per source
     [aliases]          'short = monomial' naming shortcuts
 """
@@ -38,7 +38,9 @@ Chart files are section-based text ("#" comments):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import compress
+from operator import le
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .linalg import FpSubspace
 from .poly import (
@@ -50,7 +52,7 @@ from .poly import (
     parse as parse_poly,
     signature,
 )
-from .steenrod import Derivation
+from .steenrod import Derivation, Packing
 
 
 class ChartError(Exception):
@@ -68,17 +70,16 @@ ProductRule = Tuple[Monomial, int, Optional[Monomial]]
 
 @dataclass
 class _ChartCache:
-    """Data a chart derives from its description, filled in on first use:
-    bases by degree, also packed (steenrod.Derivation.encode), the
-    steenrod.Derivation of each Milnor index, the packed product rules, the
-    reduction of each packed Leibniz term (Chart._reduce), Q_i columns by
-    (i, degree) and integral slices by degree; none of it refers to the chart."""
+    """Derived from a chart's description, none of it referring to the chart: its
+    packing, packed relations and product rules, and on first use each degree's basis
+    index, each Milnor index's Derivation, each term's reduction, Q_i columns and slices."""
 
-    # degrees 0, 1, ... (filled upwards): basis monomial -> position, in basis order
-    basis: Dict[int, Dict[Monomial, int]] = field(default_factory=dict)
-    codes: Dict[int, Dict[int, int]] = field(default_factory=dict)
+    packing: Packing
+    relations: FrozenSet[int]
+    rules: Tuple[Tuple[int, int, Optional[int]], ...]
+    # degrees 0, 1, ... (filled upwards): basis code -> position, in increasing code order
+    basis: Dict[int, Dict[int, int]] = field(default_factory=dict)
     q_kernels: Dict[int, Derivation] = field(default_factory=dict)
-    rules: Optional[Tuple[Tuple[int, int, Optional[int]], ...]] = None
     # packed term -> (unit coefficient, position in its degree's basis), or None: it vanishes
     reduced: Dict[int, Optional[Tuple[int, int]]] = field(default_factory=dict)
     q_mats: Dict[Tuple[int, int], List[int]] = field(default_factory=dict)
@@ -98,35 +99,40 @@ class Chart:
     products: Tuple[ProductRule, ...] = ()
     aliases: Dict[str, str] = field(default_factory=dict)
     label: str = field(default="", compare=False)  # the chart in error messages
-    cache: _ChartCache = field(default_factory=_ChartCache, init=False, repr=False, compare=False)
+    cache: _ChartCache = field(init=False, repr=False, compare=False)
 
-    def mono_index(self, degree: int) -> Dict[Monomial, int]:
-        """Basis monomials of a degree (any degree) mapped to their positions,
-        in degree_slice order (lex order of the exponent tuples).  A degree
-        is built from the ones below, which are indexed first: it keeps the
-        m * x_j (m standard in degree - |x_j|, x_j not exterior in m) that
-        are no relation and whose quotients by generators are all standard.
-        This is exact for a monomial ideal: a divisor of a standard monomial
-        is standard, and a relation dividing a candidate is the candidate or
-        divides one of its quotients.  A unit relation empties every degree.
-        """
-        basis, gens = self.cache.basis, self.sig.generators
-        for d in range(len(basis), degree + 1):
-            candidates = {m[:j] + (m[j] + 1,) + m[j + 1:]
-                          for j, g in enumerate(gens) if g.degree <= d
-                          for m in basis[d - g.degree] if not (g.exterior and m[j])
-                          } if d else {(0,) * len(gens)}
-            monos = sorted(m for m in candidates if m not in self.relations and all(
-                m[:i] + (e - 1,) + m[i + 1:] in basis[d - g.degree]
-                for i, (e, g) in enumerate(zip(m, gens)) if e))
-            basis[d] = {m: i for i, m in enumerate(monos)}
+    def __post_init__(self):
+        pack = Packing(self.sig, ChartError)
+        rules = tuple((pack.encode(lhs), c, None if rhs is None else pack.encode(rhs))
+                      for lhs, c, rhs in self.products)
+        object.__setattr__(self, "cache", _ChartCache(
+            pack, frozenset(map(pack.encode, self.relations)), rules))
+
+    def _basis(self, degree: int) -> Dict[int, int]:
+        """The basis codes of a degree (any degree) mapped to their positions,
+        in code order (degree_slice order).  Built from the degrees below: the
+        m * x_j (m standard, x_j not exterior in m) that are no relation and
+        whose quotients are all standard.  This is exact for a monomial ideal:
+        a divisor of a standard monomial is standard, and a relation dividing
+        a candidate is the candidate or divides one of its quotients."""
+        basis = self.cache.basis
+        if degree >= len(basis):
+            pack, gens, relations = self.cache.packing, self.sig.generators, self.cache.relations
+            for d in range(len(basis), degree + 1):
+                below = [basis[d - g.degree] if g.degree <= d else {} for g in gens]
+                candidates = pack.multiples(below) if d else {0}
+                basis[d] = {m: i for i, m in enumerate(sorted(candidates - relations))}
         return basis.get(degree, {})
 
     def basis_at(self, degree: int) -> List[Monomial]:
-        return list(self.mono_index(degree))
+        return list(map(self.cache.packing.decode, self._basis(degree)))
+
+    def position(self, mono: Monomial) -> Optional[int]:
+        """The position of a monomial in its degree's basis, None outside it."""
+        return self._basis(self.sig.mono_degree(mono)).get(self.cache.packing.encode(mono))
 
     def dim(self, degree: int) -> int:
-        return len(self.mono_index(degree))
+        return len(self._basis(degree))
 
     def q_columns(self, i: int, degree: int) -> List[int]:
         """Q_i from degree to degree + 2p^i - 1 (any degree): column j is the
@@ -142,52 +148,38 @@ class Chart:
                 i, Derivation(self.sig, self.q_images.get(i, {}), ChartError))
             p, reduced, target = self.p, cache.reduced, degree + q_shift(self.p, i)
             cols = []
-            for code in self._codes(degree, kernel):
-                hits = ((c, reduced[m] if m in reduced else self._reduce(kernel, m, target))
+            for code in self._basis(degree):
+                hits = ((c, reduced[m] if m in reduced else self._reduce(m, target))
                         for m, c in kernel.terms(code).items() if c % p)
                 cols.append(FpSubspace.combine(p, ((c * h[0] % p, 1, h[1]) for c, h in hits if h)))
             cache.q_mats[i, degree] = cols
         return cols
 
-    def _codes(self, degree: int, kernel: Derivation) -> Dict[int, int]:
-        """mono_index with the monomials packed."""
-        codes = self.cache.codes.get(degree)
-        if codes is None:
-            codes = self.cache.codes[degree] = {
-                kernel.encode(m): j for m, j in self.mono_index(degree).items()}
-        return codes
-
-    def _reduce(self, kernel: Derivation, code: int, degree: int) -> Optional[Tuple[int, int]]:
+    def _reduce(self, code: int, degree: int) -> Optional[Tuple[int, int]]:
         """A packed term of the degree in its basis, memoized in cache.reduced:
         (unit coefficient, position), or None when it vanishes.  Outside the
-        basis the first product rule whose lhs divides the term (no field
-        borrows) rewrites it to term - lhs + rhs, which vanishes when rhs is
-        0 or an exterior field reaches 2; with no rules the term vanishes.
-        A term that no rule reduces, or that leaves its fields, raises."""
-        cache, p = self.cache, self.p
-        if cache.rules is None:
-            cache.rules = tuple((kernel.encode(lhs), c, None if rhs is None
-                                 else kernel.encode(rhs)) for lhs, c, rhs in self.products)
-        guard, high, index = kernel.guard, kernel.ext_high, self._codes(degree, kernel)
+        basis the first product rule whose lhs divides the term rewrites it
+        to term - lhs + rhs, which vanishes when rhs is 0 or an exterior
+        field reaches 2; with no rules the term vanishes.  A term that no
+        rule reduces, or that leaves its fields, raises."""
+        cache, p, pack = self.cache, self.p, self.cache.packing
+        index = self._basis(degree)
         m, coeff = code, 1
         for _step in range(101):
-            if m & guard:
-                kernel.decode(m)  # refuses it
-            if m in index:
+            if pack.checked(m) in index:
                 return cache.reduced.setdefault(code, (coeff % p, index[m]))
-            rule = next((r for r in cache.rules if ((m | guard) - r[0]) & guard == guard), None)
+            rule = next((r for r in cache.rules if pack.divides(r[0], m)), None)
             if rule is None and cache.rules:
                 raise ChartError("image monomial %s is neither in the basis nor reducible"
-                                 % self.mono_label(kernel.decode(m)))
-            if rule is None or rule[2] is None or (m - rule[0] + rule[2]) & high:
+                                 % self.mono_label(pack.decode(m)))
+            if rule is None or rule[2] is None or pack.vanishes(m - rule[0] + rule[2]):
                 return cache.reduced.setdefault(code, None)
             m, coeff = m - rule[0] + rule[2], coeff * rule[1] % p
         raise ChartError("product rewriting did not terminate")
 
     def q_matrix(self, i: int, degree: int) -> List[List[int]]:
-        """q_columns as a list of rows, indexed by the target basis.  weylchow
-        itself reads q_columns; the tests' list references and the bench
-        tracer (bench/spans.py) read this."""
+        """q_columns as rows over the target basis, for the tests' list references
+        and the bench tracer (bench/spans.py); weylchow itself reads q_columns."""
         n = self.dim(degree + q_shift(self.p, i))
         cols = [FpSubspace.unpack(self.p, c, n) for c in self.q_columns(i, degree)]
         return [[col[r] for col in cols] for r in range(n)]
@@ -204,13 +196,19 @@ class Chart:
         ((mono, coeff),) = tuple(poly.terms.items())
         if coeff != 1:
             raise ChartError("%r carries a coefficient" % text)
-        deg = self.sig.mono_degree(mono)
-        if mono not in self.mono_index(deg):
+        if self.position(mono) is None:
             raise ChartError("%r is not a basis class of the chart" % text)
         return mono
 
     def mono_label(self, mono: Monomial) -> str:
         return mono_str(self.sig.names, mono) or "1"
+
+    def class_label(self, degree: int, vec: List[int]) -> str:
+        """'c*m + ...' for the integer vector vec over the basis of a degree."""
+        monos = map(self.cache.packing.decode, compress(self._basis(degree), vec))
+        parts = [self.mono_label(m) if c == 1 else "%d*%s" % (c, self.mono_label(m))
+                 for m, c in zip(monos, filter(None, vec))]
+        return " + ".join(parts) if parts else "0"
 
     def integral_slice(self, degree: int) -> "IntegralSlice":
         if degree not in self.cache.integral:
@@ -326,9 +324,23 @@ def _parse_product_rule(sig: AlgebraSignature, lhs_text: str, rhs_text: str) -> 
     return lhs, int(coeff), rhs
 
 
+def _rule_text(chart: Chart, rule: ProductRule) -> str:
+    lhs, coeff, rhs = rule
+    return "%s -> %s" % (chart.mono_label(lhs),
+                         "0" if rhs is None else Polynomial.from_mono(chart.sig, rhs, coeff))
+
+
 def validate_chart(chart: Chart, torsion_tags: Dict[str, int]):
-    """Degree shifts, Q_i^2 = 0 in the window, declared torsion tags."""
-    p = chart.p
+    """Product rules, degree shifts, Q_i^2 = 0 in the window, declared torsion tags."""
+    p, degree = chart.p, chart.sig.mono_degree
+    for rule in chart.products:
+        lhs, _coeff, rhs = rule
+        if not any(all(map(le, rel, lhs)) for rel in chart.relations):
+            raise ChartError("chart %s: product rule %s: its lhs is no multiple of a relation"
+                             % (chart.label, _rule_text(chart, rule)))
+        if rhs is not None and degree(rhs) != degree(lhs):
+            raise ChartError("chart %s: product rule %s: its rhs has degree %d, its lhs %d"
+                             % (chart.label, _rule_text(chart, rule), degree(rhs), degree(lhs)))
     for i, images in chart.q_images.items():
         shift = q_shift(p, i)
         for gname, img in images.items():
@@ -365,13 +377,10 @@ def check_q_squares(chart: Chart, top: int):
 def _torsion_tag(chart: Chart, gname: str) -> int:
     """1 when the generator is a basis class inside im Q_0, else 0."""
     j = chart.sig.index(gname)
-    mono = tuple(int(k == j) for k in range(len(chart.sig)))
     degree = chart.sig.generators[j].degree
-    index = chart.mono_index(degree)
-    if mono not in index:
-        return 0
-    vec = FpSubspace.unit(chart.p, index[mono])
-    return int(chart.integral_slice(degree).torsion_span.coordinates(vec, len(index)) is not None)
+    position = chart.position(tuple(int(k == j) for k in range(len(chart.sig))))
+    return int(position is not None and chart.integral_slice(degree).torsion_span.coordinates(
+        FpSubspace.unit(chart.p, position), chart.dim(degree)) is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -443,11 +452,7 @@ def serialize_chart(chart: Chart) -> str:
     if chart.relations:
         section("relations", [chart.mono_label(m) for m in chart.relations])
     if chart.products:
-        section("products", [
-            "%s -> %s" % (chart.mono_label(lhs), "0" if rhs is None
-                          else Polynomial.from_mono(chart.sig, rhs, coeff))
-            for lhs, coeff, rhs in chart.products
-        ])
+        section("products", [_rule_text(chart, rule) for rule in chart.products])
     for i in sorted(chart.q_images):
         section("q %d" % i, ["%s -> %s" % entry for entry in sorted(chart.q_images[i].items())])
     if chart.aliases:

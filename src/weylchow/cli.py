@@ -6,7 +6,7 @@ Commands:
     invariants  --group so:K|spin:K|gl:H|f4|file:PATH
                 --domain fP|q|z|zlocal:P --max-degree N [--series EXPR]
                 (P in poly.FP_PRIMES for fP; N >= 0)
-    ahss        --chart spin7|f4|toy-*|PATH [--window W] --vmax M
+    ahss        --chart spin7|f4|toy-*|PATH [--window W, builtins only] --vmax M
                 [--max-total N] [--collapse]
     audit       --chart spin7 [--max-degree N, N >= 4]
     series      --expr EXPR --order N
@@ -20,6 +20,7 @@ verification passes; outputs are deterministic.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional, Tuple
 
@@ -145,9 +146,9 @@ def cmd_invariants(args) -> Report:
 
 
 def _load_chart_arg(name: str, window: Optional[int]):
-    import os
-
     if os.path.exists(name):
+        if window is not None:
+            raise ChartError("--window is for builtin charts; %s sets its own window" % name)
         return load_chart(name), None
     bc = builtin_mod.get_builtin(name, window)
     return bc.chart, bc
@@ -315,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ahss", help="run the spectral sequence for a chart")
     p.add_argument("--chart", required=True, help="builtin name or file path")
-    p.add_argument("--window", type=int, help="override the chart window (builtins)")
+    p.add_argument("--window", type=int, help="override a builtin chart's window")
     p.add_argument("--vmax", type=int, required=True)
     p.add_argument("--max-total", type=int, help="report totals up to this degree")
     p.add_argument("--collapse", action="store_true", help="also collapse to Z_(p)")

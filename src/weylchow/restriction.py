@@ -111,11 +111,15 @@ class ImageLattice:
         return self._classes[degree]
 
     def columns(self, degree: int) -> List[List[int]]:
-        """The classes of a degree in the invariant ring, as columns (_column)."""
+        """The classes of a degree as invariant columns (_column), each monomial built once."""
         if degree not in self._columns:
-            images = dict(zip(self.gsig.names, self.generators))
-            self._columns[degree] = [_column(c.substitute(images), degree)
-                                     for c in self.classes(degree)]
+            classes, sig = self.classes(degree), self.generators[0].sig
+            expos = sorted({e for c in classes for e in c.terms})
+            monos = dict(zip(expos, (_column(q, degree) for q in power_products(
+                self.generators, [(Polynomial.one(sig), e) for e in expos]))))
+            zero = [0] * len(degree_slice(sig, degree))
+            self._columns[degree] = [[sum(row) for row in zip(zero, *(
+                [int(c) * x for x in monos[e]] for e, c in cls.terms.items()))] for cls in classes]
         return self._columns[degree]
 
 

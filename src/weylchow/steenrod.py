@@ -7,23 +7,24 @@ over each basis monomial, and milnor_q_closed, the primary definition, with
 Q_i(x) = x^(2^(i+1)) on degree-1 generators over F_2 (Q_0 x = x^2 is the
 Bockstein).
 
-A monomial (e_0, ..., e_{n-1}) is packed into one int, sum e_k << 16k
-(Derivation.encode): field k holds e_k in its low 15 bits, and its top bit
-is a guard that a valid code keeps clear.  A sum of two codes then carries
-into no other field, so m / x_k times an image term is code - unit[k] +
-image code, and m >= lhs fieldwise exactly when ((m | guard) - lhs) & guard
-== guard: no field borrows.  An exponent of 2^15 or more is refused
-(encode, decode), never wrapped into the next field.  An exterior field
-holds 0 or 1; a term whose exterior field reaches 2 vanishes.  Outside
-characteristic 2 the exterior generators of odd degree carry the Koszul
-sign, the parity of the signed fields of m / x_k in one mask per image
-term, fixed when the images are packed.  Coefficients are plain ints
-(Fractions over Q and Z_(p)), summed per code and reduced by the caller.
+This module alone knows the packed layout (Packing), which the derivations
+and the charts' bases share: (e_0, ..., e_{n-1}) is sum e_k << 16(n-1-k),
+field 0 highest, so integer order is lex order of the exponent tuples.  A
+field holds e_k in its low 15 bits; its top bit is a guard that a valid code
+keeps clear.  A sum of two codes then carries into no other field, so m * x_j
+is code + unit[j], m / x_k times an image term is code - unit[k] + image
+code, and lhs divides m when subtracting it borrows from no field.  An
+exponent of 2^15 or more is refused, never wrapped.  An exterior field holds
+0 or 1; a term whose exterior field reaches 2 vanishes.  Outside
+characteristic 2 the odd exterior generators carry the Koszul sign, the
+parity of the signed fields of m / x_k in one mask per image term, fixed
+when the images are packed.  Coefficients are plain ints (Fractions over Q
+and Z_(p)), summed per code and reduced by the caller.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Type
+from typing import Collection, Dict, Sequence, Set, Type
 
 from .poly import AlgebraSignature, Monomial, Polynomial
 
@@ -33,39 +34,22 @@ class SteenrodError(Exception):
 
 
 _WIDTH = 16
-_LIMIT = 1 << (_WIDTH - 1)  # the guard bit of field 0; exponents stay below it
+_LIMIT = 1 << (_WIDTH - 1)  # the guard bit of a field; exponents stay below it
 _FIELD = (1 << _WIDTH) - 1
 
 
-class Derivation:
-    """The odd-degree derivation extending generator images (a generator
-    with no image maps to zero), on the packed monomials of a signature.
-    A code that does not fit raises error (SteenrodError, or ChartError
-    for a chart)."""
+class Packing:
+    """The packed monomials of a signature.  A code that does not fit
+    raises error (SteenrodError, or ChartError for a chart)."""
 
-    __slots__ = ("shifts", "guard", "ext_high", "error", "char", "gens")
+    __slots__ = ("shifts", "units", "guard", "ext_high", "error")
 
-    def __init__(self, sig: AlgebraSignature, images: Dict[str, Polynomial],
-                 error: Type[Exception] = SteenrodError):
-        self.shifts = tuple(range(0, _WIDTH * len(sig), _WIDTH))
+    def __init__(self, sig: AlgebraSignature, error: Type[Exception] = SteenrodError):
+        self.shifts = tuple(range(_WIDTH * (len(sig) - 1), -1, -_WIDTH))
+        self.units = tuple(1 << s for s in self.shifts)
         self.guard = sum(_LIMIT << s for s in self.shifts)
         self.ext_high = sum(2 << s for s, g in zip(self.shifts, sig.generators) if g.exterior)
-        self.error, self.char = error, sig.domain.characteristic
-        signed = [self.shifts[i] for i, _, sign in sig._exterior if sign]
-        above = {s: sum(1 << t for t in signed if t > s) for s in self.shifts}
-
-        def koszul(code: int, s: int) -> int:
-            # below s, and above i and above s per signed field i of the term
-            mask = sum(1 << t for t in signed if t < s)
-            for i in signed:
-                mask ^= above[i] ^ above[s] if code >> i & 1 else 0
-            return mask
-
-        # per generator with an image: (shift, unit, ((code, coefficient, Koszul mask), ...))
-        self.gens = tuple((s, 1 << s, tuple((code, c, koszul(code, s)) for code, c in (
-            (self.encode(m), c) for m, c in img.terms.items())))
-            for s, g in zip(self.shifts, sig.generators)
-            if (img := images.get(g.name)) is not None and img.terms)
+        self.error = error
 
     def encode(self, mono: Monomial) -> int:
         if max(mono, default=0) >= _LIMIT:
@@ -78,6 +62,55 @@ class Derivation:
         if code & self.guard:
             self.encode(mono)  # refuses it
         return mono
+
+    def checked(self, code: int) -> int:
+        if code & self.guard:
+            self.decode(code)
+        return code
+
+    def divides(self, lhs: int, code: int) -> bool:
+        return ((code | self.guard) - lhs) & self.guard == self.guard
+
+    def vanishes(self, code: int) -> bool:
+        return bool(code & self.ext_high)
+
+    def multiples(self, codes: Sequence[Collection[int]]) -> Set[int]:
+        """The products m = c * x_j, c in codes[j], that do not vanish and whose
+        every quotient m / x_k lies in codes[k]; one that does not fit is refused."""
+        out = {code + unit for unit, group in zip(self.units, codes) for code in group}
+        for code in out:
+            self.checked(code)
+        fields = tuple(zip(self.shifts, self.units, codes))
+        return {m for m in out if not m & self.ext_high and all(
+            m - unit in group for s, unit, group in fields if m >> s & _FIELD)}
+
+
+class Derivation(Packing):
+    """The odd-degree derivation extending generator images (a generator
+    with no image maps to zero), on the packed monomials of a signature."""
+
+    __slots__ = ("char", "gens")
+
+    def __init__(self, sig: AlgebraSignature, images: Dict[str, Polynomial],
+                 error: Type[Exception] = SteenrodError):
+        super().__init__(sig, error)
+        self.char, units = sig.domain.characteristic, self.units
+        signed = [i for i, _, sign in sig._exterior if sign]
+        after = [sum(units[i] for i in signed if i > k) for k in range(len(sig))]
+
+        def koszul(code: int, k: int) -> int:
+            # before x_k, and after i and after x_k per signed field i of the term
+            mask = sum(units[i] for i in signed if i < k)
+            for i in signed:
+                mask ^= after[i] ^ after[k] if code & units[i] else 0
+            return mask
+
+        # per generator with an image: (shift, unit, ((code, coefficient, Koszul mask), ...))
+        self.gens = tuple(
+            (self.shifts[k], units[k], tuple((code, c, koszul(code, k)) for code, c in (
+                (self.encode(m), c) for m, c in img.terms.items())))
+            for k, g in enumerate(sig.generators)
+            if (img := images.get(g.name)) is not None and img.terms)
 
     def terms(self, code: int) -> Dict[int, object]:
         """The derivation on one packed monomial, as {code: coefficient},

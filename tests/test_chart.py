@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import itertools
 import random
+import re
 import weakref
 
 import pytest
@@ -207,20 +208,20 @@ def _standard_by_division(chart, degree):
             if not any(all(r <= e for r, e in zip(rel, m)) for rel in chart.relations)]
 
 
-def _check_mono_index(chart, top):
+def _check_basis(chart, top):
     fresh = dataclasses.replace(chart)  # an empty cache, filled from the top down
     for n in range(top, -3, -1):
-        assert list(fresh.mono_index(n)) == _standard_by_division(chart, n), n
+        assert fresh.basis_at(n) == _standard_by_division(chart, n), n
 
 
 def test_mono_index_matches_division_by_relations(f4_builtin):
-    _check_mono_index(f4_builtin.chart, 110)
+    _check_basis(f4_builtin.chart, 110)
     for bc in (toy_free_chart(), toy_killing_chart(), spin7_chart(window=20)):
-        _check_mono_index(bc.chart, 40)
+        _check_basis(bc.chart, 40)
     # a unit relation leaves no basis at all
     unit = build_chart("unit", 2, 6, (("a", 2), ("b", 3)), {}, relations=["1"])
     assert not any(unit.dim(n) for n in range(13))
-    _check_mono_index(unit, 12)
+    _check_basis(unit, 12)
 
 
 def test_f4_product_rules_round_trip(f4_builtin):
@@ -345,7 +346,7 @@ def test_random_chart_round_trip(chart):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(_small_charts())
 def test_mono_index_matches_division_on_random_charts(chart):
-    _check_mono_index(chart, 2 * chart.window)
+    _check_basis(chart, 2 * chart.window)
 
 
 @st.composite
@@ -378,7 +379,7 @@ def _monomial_ideals(draw):
 def test_mono_index_matches_division_on_monomial_ideals(chart):
     """The basis built from the degree below, against degree_slice filtered
     by division, keys and order, in every degree up to twice the window."""
-    _check_mono_index(chart, 2 * chart.window)
+    _check_basis(chart, 2 * chart.window)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +420,7 @@ def _reference_q_matrix(chart, i, degree):
     Polynomial, its terms reduced into the target basis one by one."""
     images = chart.q_images.get(i)
     src = chart.basis_at(degree)
-    tgt_index = chart.mono_index(degree + q_shift(chart.p, i))
+    tgt_index = {m: j for j, m in enumerate(chart.basis_at(degree + q_shift(chart.p, i)))}
     cols = []
     for mono in src:
         col = [0] * len(tgt_index)
@@ -490,7 +491,7 @@ def test_cancelling_leibniz_terms_give_no_term():
     # a*b*c is no basis class and no product rule reduces it, so reducing
     # either Leibniz term on its own would raise
     with pytest.raises(ChartError, match="neither in the basis nor reducible"):
-        reduce_term(chart, chart.mono_index(7), mono[:2] + (1,), 1)
+        reduce_term(chart, {m: j for j, m in enumerate(chart.basis_at(7))}, mono[:2] + (1,), 1)
     assert chart.q_columns(1, 4) == [0, 0, 0]
     assert _reference_q_matrix(chart, 1, 4) == chart.q_matrix(1, 4)
 
@@ -576,6 +577,35 @@ def test_exponent_past_the_field_width_is_refused():
     chart = build_chart("wide", 2, 4, (("a", 1),), {1: {"a": "a^4"}})
     with pytest.raises(ChartError, match="too wide"):
         chart.q_columns(1, (1 << 15) - 3)
+
+
+def test_basis_past_the_field_width_is_refused():
+    chart = build_chart("wide", 2, 4, (("a", 1),), {})
+    assert chart.basis_at((1 << 15) - 1) == [((1 << 15) - 1,)]
+    with pytest.raises(ChartError, match="exponent 32768 is too wide"):
+        chart.dim(1 << 15)
+
+
+@pytest.mark.parametrize("extra,message", [
+    # toy-kill with a rule whose lhs is a basis class, which no term would meet
+    ("[products]\na^2 -> 0\n", "chart toy-kill: product rule a^2 -> 0: its lhs is no "
+     "multiple of a relation"),
+    # a divisor of a relation is no multiple of one
+    ("[relations]\na^2*u\n[products]\na^2*u -> 0\na*u -> 0\n",
+     "chart toy-kill: product rule a*u -> 0: its lhs is no multiple of a relation"),
+])
+def test_product_rule_outside_the_relation_ideal_is_refused(extra, message):
+    with pytest.raises(ChartError, match="^%s$" % re.escape(message)):
+        parse_chart(serialize_chart(toy_killing_chart().chart) + extra)
+
+
+def test_product_rule_changing_the_degree_is_refused():
+    gens = (("x", 2), ("y", 3, True), ("z", 5, True))
+    with pytest.raises(ChartError, match="^chart odd: product rule x\\*z -> x\\*y: its rhs "
+                                         "has degree 5, its lhs 7$"):
+        build_chart("odd", 3, 12, gens, {}, relations=["x*z"], products=[("x*z", "y*x")])
+    # the same rule with an rhs of degree 7 is accepted
+    build_chart("odd", 3, 12, gens, {}, relations=["x*z"], products=[("x*z", "x*z")])
 
 
 def test_chart_is_freed_without_a_collection():

@@ -150,6 +150,18 @@ def test_ahss_chart_file_refusals(tmp_path, capsys, section, message):
     assert err.startswith(message)
 
 
+def test_window_is_refused_for_a_chart_file(tmp_path, capsys):
+    """A chart file sets its own window; --window overrides a builtin's only."""
+    from weylchow.builtin import toy_killing_chart
+    from weylchow.chart import serialize_chart
+
+    path = tmp_path / "toy.chart"
+    path.write_text(serialize_chart(toy_killing_chart().chart))
+    code, out, err = run_cli(capsys, "ahss", "--chart", str(path), "--window", "40", "--vmax", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: --window is for builtin charts; %s sets its own window\n" % path
+
+
 def test_unnamed_chart_file_is_named_by_its_path_in_errors_only(tmp_path, capsys):
     from weylchow.builtin import toy_killing_chart
     from weylchow.chart import serialize_chart

@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from poly_reference import substitute
 from weylchow.dickson import DicksonError, build_dickson, verify_all, verify_milnor_on_d_classes, verify_milnor_on_top_class
 from weylchow.groups import build_gl
 from weylchow.invariants import basis_polynomials, invariant_basis
@@ -84,7 +85,7 @@ def test_d_classes_are_gl_invariant():
                         img = img + Polynomial.gen(ctx.sig, "x%d" % (i + 1))
                 images[name.replace("x", "x")] = img
             for d_i in ctx.d:
-                assert d_i.substitute(images) == d_i
+                assert substitute(d_i, images) == d_i
 
 
 def test_d_classes_match_invariant_engine():
@@ -118,6 +119,6 @@ def test_frobenius_additivity_in_z():
             images = {"z": z_image}
             for i in range(h):
                 images["x%d" % (i + 1)] = Polynomial.gen(big, "x%d" % (i + 1))
-            return poly.substitute(images)
+            return substitute(poly, images)
 
         assert transport(ctx.e, z + zp) == transport(ctx.e, z) + transport(ctx.e, zp)

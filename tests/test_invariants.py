@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import weylchow.groups as groups_mod
 from fp_reference import kernel_fp
+from poly_reference import substitute
 from test_groups import _conjugated_so7
 from weylchow import invariants as inv_mod
 from weylchow.groups import (GroupAction, _freeze, _invert, build_gl, build_weyl_f4, build_weyl_so,
@@ -168,7 +169,7 @@ def test_subring_membership_unit_coefficient_over_z_local():
 ])
 def test_action_matrix_matches_substitution(action, domain):
     """Each generator's matrix on the slice, one unit vector's defect per
-    column, against Polynomial.substitute: up past each grid's base (the
+    column, against poly_reference.substitute: up past each grid's base (the
     grids start again), down inside the last base, then skipping a degree
     past it."""
     _check_defects(action, domain, (1, 2, 3, 2, 4), random.Random(5))
@@ -251,13 +252,13 @@ def _defect_by_monomial(sa, k, vec):
 
 
 def _check_defects(action, domain, levels, rnd, top=None):
-    """Defects against Polynomial.substitute, level by level and matrix by
+    """Defects against poly_reference.substitute, level by level and matrix by
     matrix: of one random sparse vector, then of every unit vector (each
     monomial's image); top is passed to the first slice object of each
     matrix."""
     sig = action.signature(domain)
     images = {m: _generator_images(action, m, sig) for m in action.matrices}
-    moved = {}  # (matrix, monomial) -> its Polynomial.substitute image, times den^k
+    moved = {}  # (matrix, monomial) -> its substitute image, times den^k
     for n, k in enumerate(levels):
         monos = degree_slice(sig, k * action.gen_degree)
         index = {w: j for j, w in enumerate(monos)}
@@ -271,7 +272,7 @@ def _check_defects(action, domain, levels, rnd, top=None):
                 want = [0] * len(monos)
                 for j, c in vec.items():
                     if (m, monos[j]) not in moved:
-                        image = Polynomial.from_mono(sig, monos[j]).substitute(images[m])
+                        image = substitute(Polynomial.from_mono(sig, monos[j]), images[m])
                         moved[m, monos[j]] = [(index[w], a * scale) for w, a in image.terms.items()]
                     want[j] -= c * scale
                     for u, a in moved[m, monos[j]]:
@@ -290,7 +291,7 @@ def _check_defects(action, domain, levels, rnd, top=None):
     (build_weyl_spin(4), F3, 6),
 ])
 def test_slice_action_matches_substitution_on_sparse_vectors(action, domain, top):
-    """The on-demand images against Polynomial.substitute, on random vectors
+    """The on-demand images against poly_reference.substitute, on random vectors
     with random sparse supports, visiting the levels up, down and skipping;
     the first grid of each matrix is sized for level 2, so later levels
     above it start the grid again."""

@@ -7,6 +7,7 @@ from fp_reference import rank_fp
 from typed_spin7 import RingPresentation, reference_nilpotence, typed_presentations
 from weylchow import invariants as inv_mod
 from weylchow import linalg
+from weylchow import restriction as restriction_mod
 from weylchow.linalg import SubmoduleBasis, membership
 from weylchow.poly import F2, Polynomial, parse, signature
 from weylchow.restriction import (
@@ -144,20 +145,23 @@ def test_combined_restriction_injective_when_the_lift_passes_the_window():
 
 def test_audit_derives_each_basis_and_image_once(monkeypatch):
     """One invariant walk feeds the audits and the generator extraction, and
-    each class of an image lattice enters the invariant ring once."""
-    degrees, substituted = [], []
-    basis, substitute = inv_mod.invariant_basis, Polynomial.substitute
+    each generator monomial of an image lattice's degree enters the
+    invariant ring once: one power_products call per lattice and degree,
+    over the distinct monomials of that degree's classes."""
+    degrees, calls = [], []
+    basis, products = inv_mod.invariant_basis, restriction_mod.power_products
 
     def counting_basis(action, degree, *args):
         degrees.append(degree)
         return basis(action, degree, *args)
 
-    def counting_substitute(self, images):
-        substituted.append(self)  # kept alive, so ids stay distinct
-        return substitute(self, images)
+    def counting_products(gens, terms):
+        terms = list(terms)
+        calls.append((gens, [e for _, e in terms]))
+        return products(gens, terms)
 
     monkeypatch.setattr(inv_mod, "invariant_basis", counting_basis)
-    monkeypatch.setattr(Polynomial, "substitute", counting_substitute)
+    monkeypatch.setattr(restriction_mod, "power_products", counting_products)
     model = build_spin7_model(28)
     rho_image_audit(model, model.ch_presentation)
     for pres in (model.h_presentation, model.ch_presentation):
@@ -167,10 +171,15 @@ def test_audit_derives_each_basis_and_image_once(monkeypatch):
     res_kernel(data, include_omega=True)
     omega_detection_audit(model, model.ahss)
     assert sorted(degrees) == list(range(0, 29, 2))
-    classes = {id(c) for pres in (model.ch_presentation, model.h_presentation)
-               for d in range(29) for c in pres.classes(d)}
-    counts = Counter(map(id, substituted))
-    assert set(counts) <= classes and max(counts.values()) == 1
+    built, lattices = Counter(), (model.ch_presentation, model.h_presentation)
+    for pres in lattices:
+        for gens, expos in calls:
+            if gens is pres.generators and expos:
+                (degree,) = {pres.gsig.mono_degree(e) for e in expos}
+                assert expos == sorted({e for c in pres.classes(degree) for e in c.terms})
+                built[pres.name, degree] += 1
+    assert sorted(built) == sorted((pres.name, d) for pres in lattices for d in range(0, 29, 4))
+    assert set(built.values()) == {1}
 
 
 def test_omega_detection(spin7_model, spin7_ahss):
