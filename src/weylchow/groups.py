@@ -79,8 +79,12 @@ class GroupAction:
     _elements: Optional[Tuple[MatrixRows, ...]] = field(default=None, repr=False)
     _stabilizer: Optional[Tuple[SignedPermutation, ...]] = field(default=None, repr=False,
                                                                  compare=False)
-    # Owned by weylchow.invariants: the slice objects by (matrix, domain) and
-    # the monomial tables by exponent sum.
+    # Owned by weylchow.invariants: each generator's signed permutation (None
+    # for a matrix that is not one), the slice objects by (matrix, domain) and
+    # the signed-permutation tables by (perm, signs), and the monomial tables
+    # by exponent sum.
+    _signed: Optional[Tuple[Optional[SignedPermutation], ...]] = field(default=None, repr=False,
+                                                                      compare=False)
     _slices: Dict = field(default_factory=dict, repr=False, compare=False)
     _monomials: Dict = field(default_factory=dict, repr=False, compare=False)
 

@@ -14,21 +14,26 @@ found once, and a span row's is the combination its coordinates give), over
 Q and Z as an exact kernel.  Values become domain elements only in the
 returned basis.
 
-Each (matrix, domain) pair acts through one slice object cached on the
-GroupAction.  It computes image(m) = L_i * image(m / x_i), with i the first
-variable of m and L_i the image of x_i, in integers (den M) or mod p, only
-when the support of a vector it is applied to needs it: the support of the
-orbit sums and their parents, and in a degree without candidates nothing.
-The slice, its index and the parent tables come from one `_level` table per
-action, which the basis and every slice object share; images are read only
-through defects, never back as a matrix.
+A signed permutation sends each monomial to one signed monomial and acts
+through one index table per exponent sum (_signed_table), read off the
+table of the level below: the orbit sums walk the tables of H's generators,
+and `_verify_invariance` reads each signed generator of the action through
+its own.  Every other (matrix, domain) pair acts through one slice object
+cached on the GroupAction.  It computes image(m) = L_i * image(m / x_i),
+with i the first variable of m and L_i the image of x_i, in integers (den M,
+_SliceAction, over Q, Z and Z_(p)) or mod p, only when the support of a
+vector it is applied to needs it: the support of the orbit sums and their
+parents, and in a degree without candidates nothing.  The slice and its
+parent tables come from one `_level` table per action, which the basis, the
+signed tables and every slice object share; images are read only through
+defects, never back as a matrix.
 
-Over F_p a matrix that is not a signed permutation (_GridAction) keeps each
-image as one packed vector (the FpSubspace layout: a bit per coordinate at
-p = 2, a byte at odd p) on the exponent grid: x^e of exponent sum k at
-position sum_{r<n-1} e_r B^r (Kronecker substitution).  Multiplying by x_r
-shifts by B^r positions and x_{n-1} moves nothing, so an image is n shifts
-of its parent's and one fold, not a walk over the parent's terms.
+Over F_p such a matrix (_GridAction) keeps each image as one packed vector
+(the FpSubspace layout: a bit per coordinate at p = 2, a byte at odd p) on
+the exponent grid: x^e of exponent sum k at position sum_{r<n-1} e_r B^r
+(Kronecker substitution).  Multiplying by x_r shifts by B^r positions and
+x_{n-1} moves nothing, so an image is n shifts of its parent's and one fold,
+not a walk over the parent's terms.
 - The base: B > k, or two monomials of level k would share a position.  B
   is fixed per slice object from the top level its caller will read
   (`invariant_report` passes its max_degree, and `algebra_generators`
@@ -36,9 +41,6 @@ of its parent's and one fold, not a walk over the parent's terms.
 - The headroom: a byte holds at most 255, so the n products of at most
   (p - 1)^2 are folded once per `linalg._ROOM[p]` of them: more than once
   per image at p >= 11 with n = 4 (4 * 10^2 > 255).
-A signed permutation keeps its one-term images in slice coordinates, where
-each would span the grid (13,311 positions against 1,001 monomials for
-SO(11) in degree 20); Q, Z and Z_(p) keep their integer images.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .groups import GroupAction, MatrixRows
+from .groups import GroupAction, MatrixRows, SignedPermutation
 from .linalg import FpSubspace, SubmoduleBasis
 from .poly import AlgebraSignature, Domain, Polynomial, compositions, power_products
 
@@ -66,11 +68,11 @@ class InvariantError(Exception):
 
 
 def _level(levels: Dict, n: int, k: int):
-    """(monos, index, up, down) of exponent sum k, kept in levels (the
-    action's `_monomials`): monos in `degree_slice` order, index its inverse,
-    up[r][t] the index of x_r times monomial t of exponent sum k - 1, and
-    down[j] = (i, t) when monomial j is x_i times monomial t of exponent sum
-    k - 1, with i its first variable."""
+    """(monos, up, down) of exponent sum k, kept in levels (the action's
+    `_monomials`): monos in `degree_slice` order, up[r][t] the index of x_r
+    times monomial t of exponent sum k - 1, and down[j] = (i, t) when
+    monomial j is x_i times monomial t of exponent sum k - 1, with i its
+    first variable."""
     if k not in levels:
         monos = compositions((1,) * n, k)
         index = {m: j for j, m in enumerate(monos)}
@@ -80,20 +82,19 @@ def _level(levels: Dict, n: int, k: int):
         for r in reversed(range(n)):
             for t, j in enumerate(up[r]):
                 down[j] = (r, t)
-        levels[k] = (monos, index, up, down)
+        levels[k] = (monos, up, down)
     return levels[k]
 
 
 class _SliceAction:
-    """One matrix acting on monomials, each image computed when first read.
+    """One matrix over Q, Z or Z_(p) acting on monomials, each image computed
+    when first read.
 
     image(k, j) is the image of monomial j of exponent sum k under the
     integer matrix den * M, as (indices, coefficients); the true image is
-    that over den^k.  Over F_p the matrix is reduced mod p, den is 1, and
-    defect returns a packed vector (the FpSubspace layout) of width(k)
-    coordinates, the monomials of the slice.  This layout serves Q, Z, Z_(p)
-    and, over F_p, the signed permutations, whose images have one term each;
-    _GridAction packs the images of the other matrices over F_p.
+    that over den^k, and defect returns a list of width(k) integers, over
+    the monomials of the slice.  _GridAction, its subclass, serves the
+    matrices over F_p; signed permutations act through _signed_table.
     """
 
     __slots__ = ("levels", "p", "den", "cols", "memo")
@@ -118,7 +119,7 @@ class _SliceAction:
         images = self.memo.setdefault(k, {})
         if j in images or k == 0:
             return images.get(j, ((0,), (1,)))
-        monos, _, up, down = _level(self.levels, len(self.cols), k)
+        monos, up, down = _level(self.levels, len(self.cols), k)
         i, t = down[j]
         seg = tuple(zip(*self.image(k - 1, t)))
         acc: Dict[int, int] = {}
@@ -127,20 +128,16 @@ class _SliceAction:
             for u, c in seg:
                 v = up_r[u]
                 acc[v] = acc.get(v, 0) + a * c
-        if self.p:
-            acc = {v: c % self.p for v, c in acc.items()}
         idx = array("H" if len(monos) <= 1 << 16 else "I", [v for v, c in acc.items() if c])
-        coef = [c for c in acc.values() if c]
-        images[j] = (idx, array("b", coef) if self.p else coef)
+        images[j] = (idx, [c for c in acc.values() if c])
         return images[j]
 
     def width(self, k: int) -> int:
         return len(_level(self.levels, len(self.cols), k)[0])
 
-    def defect(self, k: int, vec: Dict[int, int]):
+    def defect(self, k: int, vec: Dict[int, int]) -> List[int]:
         """(den M - den^k) vec, for an integer vector given as {monomial index:
-        value}: zero exactly when M fixes the vector.  A list over Q and Z,
-        packed over F_p."""
+        value}: zero exactly when M fixes the vector."""
         out = [0] * self.width(k)
         scale = self.den ** k
         for j, c in vec.items():
@@ -148,16 +145,16 @@ class _SliceAction:
             idx, coef = self.image(k, j)
             for u, a in zip(idx, coef):
                 out[u] += c * a
-        return FpSubspace.pack(self.p, out) if self.p else out
+        return out
 
 
 class _GridAction(_SliceAction):
-    """A matrix over F_p that is not a signed permutation, each image one
-    packed vector on the exponent grid of the module docstring: x^e at
-    position sum_{r<n-1} e_r base^r, for levels below base only (_positions
-    refuses the others).  image(m) is one FpSubspace.combine of the parent
-    image moved up base^r positions for each x_r of column i (x_{n-1} moves
-    nothing), and defect(k, vec) a packed vector of width(k) grid positions.
+    """A matrix over F_p, each image one packed vector on the exponent grid
+    of the module docstring: x^e at position sum_{r<n-1} e_r base^r, for
+    levels below base only (_positions refuses the others).  image(m) is one
+    FpSubspace.combine of the parent image moved up base^r positions for
+    each x_r of column i (x_{n-1} moves nothing), and defect(k, vec) a
+    packed vector of width(k) grid positions.
     """
 
     __slots__ = ("base", "pos")
@@ -181,7 +178,7 @@ class _GridAction(_SliceAction):
         images = self.memo.setdefault(k, {})
         if j in images or k == 0:
             return images.get(j, 1)
-        i, t = _level(self.levels, len(self.cols), k)[3][j]
+        i, t = _level(self.levels, len(self.cols), k)[2][j]
         parent = self.image(k - 1, t)
         images[j] = FpSubspace.combine(self.p, [(a, parent, s) for a, s in self.cols[i]])
         return images[j]
@@ -203,10 +200,8 @@ def _slice_action(action: GroupAction, matrix: MatrixRows, domain: Domain, k: in
     sa = action._slices.get((matrix, domain))
     if sa is None or sa.base <= k:
         top = k if top is None else max(k, top)
-        if domain.characteristic and signed_permutation(matrix) is None:
-            sa = _GridAction(action._monomials, matrix, domain, top)
-        else:
-            sa = _SliceAction(action._monomials, matrix, domain)
+        sa = (_GridAction(action._monomials, matrix, domain, top) if domain.characteristic
+              else _SliceAction(action._monomials, matrix, domain))
         action._slices[matrix, domain] = sa
     sa.keep(k)
     return sa
@@ -217,7 +212,7 @@ def _slice_action(action: GroupAction, matrix: MatrixRows, domain: Domain, k: in
 # ---------------------------------------------------------------------------
 
 
-def signed_permutation(matrix: MatrixRows) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+def signed_permutation(matrix: MatrixRows) -> Optional[SignedPermutation]:
     """Decompose a matrix as x_j -> sign_j * x_{perm_j}, if possible."""
     n = len(matrix)
     perm = []
@@ -233,32 +228,54 @@ def signed_permutation(matrix: MatrixRows) -> Optional[Tuple[Tuple[int, ...], Tu
     return tuple(perm), tuple(signs)
 
 
-def _signed_orbit_sums(monos, index, stabilizer, p: int) -> List[Dict[int, int]]:
-    """Invariant basis of the signed-permutation subgroup H on a slice, with
-    index the inverse of monos.
+def _signed_table(action: GroupAction, sp: SignedPermutation,
+                  k: int) -> Tuple[List[int], List[bool]]:
+    """(images, flips) of sp = (perm, signs) on exponent sum k: monomial j
+    goes to monomial images[j], times -1 when flips[j].  If down[j] = (i, t)
+    (_level), x_i m_t goes to signs[i] x_perm[i] sp(m_t), so images[j] =
+    up[perm[i]][images'[t]] and flips[j] = flips'[t] ^ (signs[i] < 0) from
+    level k - 1, the highest kept level below k or, cold, level 0 upward.
+    Kept on the action by sp, for levels k - 1 and k."""
+    tables = action._slices.setdefault(sp, {})
+    if k not in tables:
+        perm, negated = sp[0], [s < 0 for s in sp[1]]
+        level = max((lv for lv in tables if lv < k), default=0)
+        images, flips = tables.setdefault(level, ([0], [False]))
+        while level < k:
+            level += 1
+            up, down = _level(action._monomials, len(perm), level)[1:]
+            tables[level] = images, flips = ([up[perm[i]][images[t]] for i, t in down],
+                                             [flips[t] ^ negated[i] for i, t in down])
+    for level in [lv for lv in tables if not k - 1 <= lv <= k]:
+        del tables[level]
+    return tables[k]
+
+
+def _signed_orbit_sums(action: GroupAction, k: int, p: int) -> List[Dict[int, int]]:
+    """Invariant basis of the signed-permutation subgroup H on the monomials
+    of exponent sum k.
 
     Each monomial orbit, walked from its first monomial by the generators
-    of H (the action's stabilizer()), contributes its signed orbit sum, as
-    {monomial index: sign}: a monomial's sign is the product of the step
-    signs on the walk's path to it, the sign of x_j -> -x_i on x^e being
-    (-1)^(e_j).  A step that gives a monomial two signs drops the orbit
-    (some element of H fixes a monomial up to -1), except mod 2 (-1 = 1).
-    With H = {1} the candidates are the unit vectors.
+    of H (the action's stabilizer()) through their tables (_signed_table),
+    contributes its signed orbit sum, as {monomial index: sign}: a
+    monomial's sign is the product of the step signs on the walk's path to
+    it.  A step that gives a monomial two signs drops the orbit (some
+    element of H fixes a monomial up to -1), except mod 2 (-1 = 1).  With
+    H = {1} the candidates are the unit vectors.
     """
-    steps = [(tuple(sorted(range(len(perm)), key=perm.__getitem__)),
-              sum(1 << j for j, s in enumerate(signs) if s < 0)) for perm, signs in stabilizer]
-    visited = [False] * len(monos)
+    steps = [_signed_table(action, sp, k) for sp in action.stabilizer()]
+    size = len(_level(action._monomials, len(action.gen_names), k)[0])
+    visited = [False] * size
     basis = []
-    for start in range(len(monos)):
+    for start in range(size):
         if visited[start]:
             continue
         coeffs, consistent, queue = {start: 1}, True, [start]
         for j in queue:  # the loop reads what it appends
-            mono, sign = monos[j], coeffs[j]
-            odd = sum(1 << r for r, e in enumerate(mono) if e % 2)
-            for inverse, mask in steps:
-                key = index[tuple(map(mono.__getitem__, inverse))]
-                step = -sign if (mask & odd).bit_count() & 1 else sign
+            sign = coeffs[j]
+            for images, flips in steps:
+                key = images[j]
+                step = -sign if flips[j] else sign
                 if key not in coeffs:
                     coeffs[key] = step
                     queue.append(key)
@@ -285,12 +302,14 @@ def invariant_basis(action: GroupAction, degree: int, domain: Domain,
     k, rest = divmod(degree, action.gen_degree)
     if rest or k < 0:
         return SubmoduleBasis(domain, [], [])
-    monos, index = _level(action._monomials, len(action.gen_names), k)[:2]
+    monos = _level(action._monomials, len(action.gen_names), k)[0]
     if k == 0:
         return SubmoduleBasis(domain, monos, [[domain.coerce(1)]])
     top = (degree if top_degree is None else top_degree) // action.gen_degree
-    gens = [m for m in action.matrices if signed_permutation(m) is None]
-    candidates = _signed_orbit_sums(monos, index, action.stabilizer(), domain.characteristic)
+    if action._signed is None:
+        action._signed = tuple(map(signed_permutation, action.matrices))
+    gens = [m for m, sp in zip(action.matrices, action._signed) if sp is None]
+    candidates = _signed_orbit_sums(action, k, domain.characteristic)
     combos = [_combine(cv, candidates)
               for cv in _restrict_by_generators(action, gens, k, top, domain, candidates)]
     vectors = [[vec.get(j, 0) for j in range(len(monos))] for vec in combos]
@@ -348,15 +367,24 @@ def _restrict_by_generators(action, gens, k, top, domain, candidates):
 
 
 def _verify_invariance(action, basis: SubmoduleBasis, k: int, top: int, domain: Domain):
-    for g in action.matrices:
-        sa = _slice_action(action, g, domain, k, top)
-        for vec in basis.vectors:
-            den = math.lcm(*(x.denominator for x in vec))
-            ints = {j: x.numerator * (den // x.denominator) for j, x in enumerate(vec) if x}
-            defect = sa.defect(k, ints)
-            if defect if domain.characteristic else any(defect):
-                raise InvariantError("computed vector is not invariant in degree %d"
-                                     % (k * action.gen_degree))
+    """Every generator against every basis vector, each scaled once to
+    integers: a signed permutation through its table (c at monomial j must
+    be -c or c at images[j], as flips[j]), another matrix through a defect."""
+    p, vectors = domain.characteristic, []
+    for vec in basis.vectors:
+        den = math.lcm(*(x.denominator for x in vec))
+        vectors.append({j: x.numerator * (den // x.denominator) for j, x in enumerate(vec) if x})
+    for g, sp in zip(action.matrices, action._signed):
+        if sp is None:
+            sa = _slice_action(action, g, domain, k, top)
+            bad = any(sa.defect(k, ints) if p else any(sa.defect(k, ints)) for ints in vectors)
+        else:
+            images, flips = _signed_table(action, sp, k)
+            bad = any((d % p if p else d) for ints in vectors for d in (
+                ints.get(images[j], 0) + (c if flips[j] else -c) for j, c in ints.items()))
+        if bad:
+            raise InvariantError("computed vector is not invariant in degree %d"
+                                 % (k * action.gen_degree))
 
 
 def basis_polynomials(basis: SubmoduleBasis, sig: AlgebraSignature) -> List[Polynomial]:

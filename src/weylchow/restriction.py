@@ -70,7 +70,9 @@ class ImageLattice:
     "c_6" -> w_6^2); a class maps through it first to generator coordinates
     (a polynomial over gsig, one variable per invariant generator), then
     into the invariant ring by substitution, once: columns(d) keeps the
-    images as integer columns over the invariant slice.
+    images as integer columns over the invariant slice.  A sibling (another
+    lattice of the same chart and identification) shares the columns of
+    the generator monomials, so each is built once for both.
     """
 
     def __init__(self, name: str, chart: Chart,
@@ -86,6 +88,15 @@ class ImageLattice:
                         for text, _ in self.identification]
         self._classes: Dict[int, List[Polynomial]] = {}
         self._columns: Dict[int, List[List[int]]] = {}
+        # degree -> (its slice, {generator exponents: column}), shared with the siblings
+        self._monomials: Dict[int, Tuple[List[Monomial], Dict[Tuple[int, ...], List[int]]]] = {}
+
+    def sibling(self, name: str, vectors: Callable[[int], List[List[int]]]) -> "ImageLattice":
+        """A lattice of other classes of the same chart and identification,
+        sharing this one's generator monomial columns."""
+        other = ImageLattice(name, self.chart, self.identification, vectors)
+        other.generators, other._monomials = self.generators, self._monomials
+        return other
 
     def exponents(self, mono: Monomial) -> Tuple[int, ...]:
         """The generator exponents of a chart monomial; a monomial outside
@@ -111,13 +122,18 @@ class ImageLattice:
         return self._classes[degree]
 
     def columns(self, degree: int) -> List[List[int]]:
-        """The classes of a degree as invariant columns (_column), each monomial built once."""
+        """The classes of a degree as invariant columns (_column), each
+        generator monomial built once for this lattice and its siblings."""
         if degree not in self._columns:
             classes, sig = self.classes(degree), self.generators[0].sig
-            expos = sorted({e for c in classes for e in c.terms})
-            monos = dict(zip(expos, (_column(q, degree) for q in power_products(
-                self.generators, [(Polynomial.one(sig), e) for e in expos]))))
-            zero = [0] * len(degree_slice(sig, degree))
+            if degree not in self._monomials:
+                self._monomials[degree] = degree_slice(sig, degree), {}
+            ambient, monos = self._monomials[degree]
+            expos = sorted({e for c in classes for e in c.terms} - monos.keys())
+            if expos:
+                monos.update(zip(expos, (_column(q, ambient) for q in power_products(
+                    self.generators, [(Polynomial.one(sig), e) for e in expos]))))
+            zero = [0] * len(ambient)
             self._columns[degree] = [[sum(row) for row in zip(zero, *(
                 [int(c) * x for x in monos[e]] for e, c in cls.terms.items()))] for cls in classes]
         return self._columns[degree]
@@ -128,10 +144,10 @@ def _product_label(names: Sequence[str], expo: Sequence[int], last: str) -> str:
     return "*".join(filter(None, (mono_str(names, expo), last)))
 
 
-def _column(poly: Polynomial, degree: int) -> List[int]:
-    """An integral invariant of a degree as its integer column over the
-    degree slice (`degree_slice`, the ambient of the invariant basis)."""
-    return [int(poly.terms.get(m, 0)) for m in degree_slice(poly.sig, degree)]
+def _column(poly: Polynomial, ambient: Sequence[Monomial]) -> List[int]:
+    """An integral invariant as its integer column over ambient, its degree
+    slice (`degree_slice`, the ambient of the invariant basis)."""
+    return [int(poly.terms.get(m, 0)) for m in ambient]
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +197,8 @@ def build_spin7_model(window: int = 28) -> Spin7Model:
     identification = [("w_4", w4), ("c_6", c6), ("w_8", w8)]
     ch = ImageLattice("CH(BSpin7)/Tor", chart, identification,
                       lambda d: free_classes(result, d, (0, 0, 0)))
-    h = ImageLattice("H(BSpin7)/Tor", chart, identification,
-                     lambda d: [FpSubspace.unpack(chart.p, v, chart.dim(d))
-                                for v in chart.integral_slice(d).free])
+    h = ch.sibling("H(BSpin7)/Tor", lambda d: [FpSubspace.unpack(chart.p, v, chart.dim(d))
+                                               for v in chart.integral_slice(d).free])
     return Spin7Model(window, inv, w4, w8, c6, result, ch, h)
 
 
@@ -350,7 +365,8 @@ def _w8_tower(model: Spin7Model, degree: int) -> List[Tuple[Tuple[int, ...], Lis
         expos = compositions([8, 12, 16], degree - 8)
         powers = power_products([model.w4 * model.w4, model.c6, model.w8 * model.w8],
                                 [(model.w8, e) for e in expos])
-        model.towers[degree] = [(e, _column(poly, degree)) for e, poly in zip(expos, powers)]
+        ambient = degree_slice(model.sig, degree)
+        model.towers[degree] = [(e, _column(poly, ambient)) for e, poly in zip(expos, powers)]
     return model.towers[degree]
 
 

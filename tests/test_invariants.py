@@ -238,14 +238,14 @@ def _generator_images(action, matrix, sig):
 
 
 def _defect_by_monomial(sa, k, vec):
-    """sa.defect(k, vec) by monomial index; over F_p the packed vector is
-    unpacked, after a check that it is zero at every coordinate that holds
-    no monomial of the slice (on a grid, the positions outside level k)."""
+    """sa.defect(k, vec) by monomial index; over F_p the packed grid vector
+    is unpacked, after a check that it is zero at every position outside
+    level k."""
     defect = sa.defect(k, vec)
     if not sa.p:
         return defect
     grid = FpSubspace.unpack(sa.p, defect, sa.width(k))
-    positions = sa._positions(k) if isinstance(sa, inv_mod._GridAction) else range(len(grid))
+    positions = sa._positions(k)
     coords = [grid[q] for q in positions]
     assert defect == FpSubspace.combine(sa.p, [(c, 1, q) for c, q in zip(coords, positions)])
     return coords
@@ -323,6 +323,45 @@ def test_random_matrix_defects_and_matrices_match_substitution(case, seed):
     _check_defects(action, domain, levels, rnd, top)
 
 
+@st.composite
+def _signed_permutations(draw):
+    """(perm, signs) on n <= 4 variables: x_j -> signs[j] * x_{perm[j]}."""
+    n = draw(st.integers(1, 4))
+    return (tuple(draw(st.permutations(range(n)))),
+            tuple(draw(st.sampled_from((1, -1))) for _ in range(n)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_signed_permutations())
+def test_signed_tables_match_the_tuple_permutation(sp):
+    """Each level's (images, flips) against the exponent tuple permuted
+    directly, with sign (-1)^(sum of the exponents at negated variables);
+    the levels 0..10 read upward, then downward, then level 10 cold on a
+    fresh action.  Only levels k - 1 and k stay kept."""
+    perm, signs = sp
+    n = len(perm)
+    names = tuple("x%d" % i for i in range(n))
+    matrix = tuple(tuple(signs[j] if perm[j] == i else 0 for j in range(n)) for i in range(n))
+
+    def check(action, k):
+        monos = degree_slice(action.signature(QQ), 2 * k)
+        index = {m: j for j, m in enumerate(monos)}
+        want_images, want_flips = [], []
+        for mono in monos:
+            img = [0] * n
+            for j, e in enumerate(mono):
+                img[perm[j]] = e
+            want_images.append(index[tuple(img)])
+            want_flips.append(sum(e for e, s in zip(mono, signs) if s < 0) % 2 == 1)
+        assert inv_mod._signed_table(action, sp, k) == (want_images, want_flips), k
+        assert set(action._slices[sp]) <= {k - 1, k}
+
+    action = GroupAction("signed", names, 2, (matrix,))
+    for k in [*range(11), *reversed(range(11))]:
+        check(action, k)
+    check(GroupAction("signed", names, 2, (matrix,)), 10)
+
+
 def _reference_orbit_sums(monos, group, p):
     """The signed orbit sums of the (permutation, signs) elements of group,
     one element at a time: the image and sign of each monomial under every
@@ -360,8 +399,7 @@ def _reference_candidates(action, monos, domain):
 def _check_candidates(action, degree, domain):
     """The walk's signed orbit sums equal the closure's, in order."""
     monos = degree_slice(action.signature(domain), degree)
-    index = {m: j for j, m in enumerate(monos)}
-    cands = inv_mod._signed_orbit_sums(monos, index, action.stabilizer(), domain.characteristic)
+    cands = inv_mod._signed_orbit_sums(action, degree // action.gen_degree, domain.characteristic)
     assert [[domain.coerce(c.get(j, 0)) for j in range(len(monos))] for c in cands] == \
         _reference_candidates(action, monos, domain), degree
 
@@ -415,6 +453,26 @@ def _conjugated_gl3(seed):
 
 def _gl2_f3():
     return GroupAction("gl2(f3)", ("x1", "x2"), 2, (((1, 1), (0, 1)), ((0, 1), (1, 0))), mod=3)
+
+
+@pytest.mark.parametrize("action, domain", [
+    (build_weyl_so(3), ZZ),  # every generator a signed permutation
+    (build_weyl_f4(), F3),
+    (build_weyl_f4(), QQ),
+    (_conjugated_gl3(11), F2),
+], ids=["so3-z", "f4-f3", "f4-q", "conj-gl3-f2"])
+def test_a_vector_that_is_not_invariant_is_refused(action, domain, monkeypatch):
+    """A returned basis vector corrupted before the check (its first
+    coordinate, x_1^k, moved by 1) fails _verify_invariance."""
+    def corrupted(domain, ambient, vectors):
+        if vectors:
+            vectors = [[domain.coerce(vectors[0][0] + 1), *vectors[0][1:]], *vectors[1:]]
+        return SubmoduleBasis(domain, ambient, vectors)
+
+    assert invariant_basis(action, 4, domain).rank == 1
+    monkeypatch.setattr(inv_mod, "SubmoduleBasis", corrupted)
+    with pytest.raises(inv_mod.InvariantError, match="not invariant in degree 4"):
+        invariant_basis(action, 4, domain)
 
 
 @pytest.mark.parametrize("action", [
@@ -563,6 +621,5 @@ def test_signed_subgroup_found_once(monkeypatch):
     report = inv_mod.invariant_report(build_weyl_f4(), 40, F3)
     assert report.ranks()[40] == 11
     assert len(walks) == 1
-    # the split of the 4 generators in each of the 20 degrees above 0, and one
-    # check per slice object made (one for each generator)
-    assert len(calls) == 20 * 4 + 4
+    # the split of each of the 4 generators, once for the whole report
+    assert len(calls) == 4
