@@ -168,7 +168,7 @@ class Chart:
         for _step in range(101):
             if pack.checked(m) in index:
                 return cache.reduced.setdefault(code, (coeff % p, index[m]))
-            rule = next((r for r in cache.rules if pack.divides(r[0], m)), None)
+            rule = pack.first_divisor(cache.rules, m)
             if rule is None and cache.rules:
                 raise ChartError("image monomial %s is neither in the basis nor reducible"
                                  % self.mono_label(pack.decode(m)))

@@ -5,7 +5,8 @@ the rational and integer routines work on plain Python lists of ints and
 Fractions.  No floating point anywhere.  Integer routines produce saturated
 kernels and Hermite-reduced lattice bases so that torsion questions
 (membership up to a p-power, elementary-divisor valuations) have exact
-answers.
+answers.  Both come from one column echelon by Euclid (_echelon): hnf_basis
+runs it on every row, kernel_z on the rows of M in the columns of (M over I).
 
 Conventions: a "matrix" is a list of rows; a "basis" is a list of column
 vectors spanning a subspace or lattice of the ambient coordinate space.
@@ -387,59 +388,42 @@ def solve_q(cols: List[Sequence], target: Sequence) -> Optional[List[Fraction]]:
 # ---------------------------------------------------------------------------
 
 
+def _echelon(cols: List[Vector], stop: int) -> Tuple[List[Vector], List[Vector]]:
+    """Column echelon form of cols on rows 0..stop-1 by Euclid: on each row
+    the columns left are reduced by the one with the least nonzero |entry|
+    until one is nonzero there, the row's pivot, made positive.  Returns the
+    pivots in row order and the columns left, zero on rows 0..stop-1.  The
+    steps are unimodular, so the columns left span the part of the lattice
+    of cols that is zero on those rows.  cols are not changed."""
+    work = [list(c) for c in cols]
+    pivots: List[Vector] = []
+    for row in range(stop):
+        nz = [c for c in work if c[row]]
+        while len(nz) > 1:
+            nz.sort(key=lambda c: abs(c[row]))
+            pivot = nz[0]
+            for c in nz[1:]:
+                q = c[row] // pivot[row]
+                # both are zero on the rows above
+                c[row:] = [x - q * y for x, y in zip(c[row:], pivot[row:])]
+            nz = [c for c in nz if c[row]]
+        if nz:
+            pivot = nz[0]
+            if pivot[row] < 0:
+                pivot[row:] = [-x for x in pivot[row:]]
+            pivots.append(pivot)
+            work = [c for c in work if c is not pivot]
+    return pivots, work
+
+
 def kernel_z(rows: List[List[int]], ncols: int) -> List[Vector]:
-    """Basis of the saturated integer kernel {x in Z^ncols : M x = 0}.
-
-    Column reduction with a tracked unimodular transform: M U = E; kernel
-    basis = columns of U below the zero columns of E.
-    """
-    if ncols == 0:
-        return []
-    work = [list(row) for row in rows]
-    u = identity(ncols)  # columns of U tracked as vectors
-
-    def col(j):
-        return [work[i][j] for i in range(len(work))]
-
-    def addmul_col(dst, src, q):
-        for i in range(len(work)):
-            work[i][dst] += q * work[i][src]
-        for i in range(ncols):
-            u[i][dst] += q * u[i][src]
-
-    def swap_col(a, b):
-        for i in range(len(work)):
-            work[i][a], work[i][b] = work[i][b], work[i][a]
-        for i in range(ncols):
-            u[i][a], u[i][b] = u[i][b], u[i][a]
-
-    r = 0  # next column to place a pivot in
-    for i in range(len(work)):
-        # Find a nonzero entry in row i among columns >= r; reduce by gcd.
-        while True:
-            nz = [j for j in range(r, ncols) if work[i][j] != 0]
-            if not nz:
-                break
-            if len(nz) == 1:
-                if nz[0] != r:
-                    swap_col(r, nz[0])
-                break
-            # Reduce all others by the column with the smallest |entry|.
-            jmin = min(nz, key=lambda j: abs(work[i][j]))
-            for j in nz:
-                if j != jmin:
-                    q = work[i][j] // work[i][jmin]
-                    if q:
-                        addmul_col(j, jmin, -q)
-        if r < ncols and work[i][r] != 0:
-            r += 1
-        if r == ncols:
-            break
-    kernel = []
-    for j in range(r, ncols):
-        if all(work[i][j] == 0 for i in range(len(work))):
-            kernel.append([u[i][j] for i in range(ncols)])
-    return hnf_basis(kernel)
+    """Hermite basis (hnf_basis) of the saturated integer kernel {x in
+    Z^ncols : M x = 0}, M the matrix of rows.  The columns of (M over I) are
+    put in echelon form on the rows of M (_echelon); the columns left are
+    (0 over u), and their u span the kernel."""
+    m = len(rows)
+    cols = [[row[j] for row in rows] + unit for j, unit in enumerate(identity(ncols))]
+    return hnf_basis([c[m:] for c in _echelon(cols, m)[1]])
 
 
 def hnf_basis(cols: List[Vector]) -> List[Vector]:
@@ -448,47 +432,14 @@ def hnf_basis(cols: List[Vector]) -> List[Vector]:
     Output columns are in column echelon form with positive pivots and
     off-pivot entries reduced; linearly dependent inputs are pruned.
     """
-    if not cols:
-        return []
-    n = len(cols[0])
-    work = [list(c) for c in cols]
-    basis: List[Vector] = []
-    row = 0
-    while work and row < n:
-        nz = [c for c in work if c[row] != 0]
-        if not nz:
-            row += 1
-            continue
-        # Euclidean reduction on entries in this row.
-        while True:
-            nz = [c for c in work if c[row] != 0]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda c: abs(c[row]))
-            pivot = nz[0]
-            for c in nz[1:]:
-                q = c[row] // pivot[row]
-                if q:
-                    for i in range(n):
-                        c[i] -= q * pivot[i]
-        nz = [c for c in work if c[row] != 0]
-        if nz:
-            pivot = nz[0]
-            if pivot[row] < 0:
-                for i in range(n):
-                    pivot[i] = -pivot[i]
-            basis.append(pivot)
-            work = [c for c in work if c is not pivot and not is_zero_vec(c)]
-        row += 1
+    basis = _echelon(cols, len(cols[0]) if cols else 0)[0]
     # Reduce earlier basis vectors by later pivots, lowest pivot first: a step changes
     # rows from its pivot on only, so earlier reductions stay and the form is canonical.
-    for idx in range(len(basis)):
-        prow = next(i for i in range(n) if basis[idx][i] != 0)
-        for jdx in range(idx):
-            q = basis[jdx][prow] // basis[idx][prow]
-            if q:
-                for i in range(n):
-                    basis[jdx][i] -= q * basis[idx][i]
+    for idx, pivot in enumerate(basis):
+        prow = next(i for i, x in enumerate(pivot) if x)
+        for earlier in basis[:idx]:
+            if q := earlier[prow] // pivot[prow]:
+                earlier[prow:] = [x - q * y for x, y in zip(earlier[prow:], pivot[prow:])]
     return basis
 
 

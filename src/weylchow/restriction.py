@@ -22,8 +22,8 @@ criteria, restriction kernels, and the v_1-detection of the Griffiths ideal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .ahss import AhssResult, free_classes, permanent_cycle_check
@@ -121,18 +121,25 @@ class ImageLattice:
             ]
         return self._classes[degree]
 
+    def monomial_columns(self, degree: int, expos: Iterable[Tuple[int, ...]]
+                         ) -> Tuple[List[Monomial], Dict[Tuple[int, ...], List[int]]]:
+        """The invariant slice of a degree and its generator monomial columns (_column)
+        by exponents, expos among them, each built once for this lattice and its siblings."""
+        sig = self.generators[0].sig
+        if degree not in self._monomials:
+            self._monomials[degree] = degree_slice(sig, degree), {}
+        ambient, monos = self._monomials[degree]
+        new = sorted(set(expos) - monos.keys())
+        if new:
+            monos.update(zip(new, (_column(q, ambient) for q in power_products(
+                self.generators, [(Polynomial.one(sig), e) for e in new]))))
+        return ambient, monos
+
     def columns(self, degree: int) -> List[List[int]]:
-        """The classes of a degree as invariant columns (_column), each
-        generator monomial built once for this lattice and its siblings."""
+        """The classes of a degree as invariant columns (monomial_columns)."""
         if degree not in self._columns:
-            classes, sig = self.classes(degree), self.generators[0].sig
-            if degree not in self._monomials:
-                self._monomials[degree] = degree_slice(sig, degree), {}
-            ambient, monos = self._monomials[degree]
-            expos = sorted({e for c in classes for e in c.terms} - monos.keys())
-            if expos:
-                monos.update(zip(expos, (_column(q, ambient) for q in power_products(
-                    self.generators, [(Polynomial.one(sig), e) for e in expos]))))
+            classes = self.classes(degree)
+            ambient, monos = self.monomial_columns(degree, (e for c in classes for e in c.terms))
             zero = [0] * len(ambient)
             self._columns[degree] = [[sum(row) for row in zip(zero, *(
                 [int(c) * x for x in monos[e]] for e, c in cls.terms.items()))] for cls in classes]
@@ -169,7 +176,6 @@ class Spin7Model:
     ahss: AhssResult
     ch_presentation: ImageLattice
     h_presentation: ImageLattice
-    towers: Dict[int, list] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def sig(self) -> AlgebraSignature:
@@ -359,15 +365,13 @@ def surjectivity_criterion(model: Spin7Model, pres: ImageLattice) -> CriterionRe
 
 def _w8_tower(model: Spin7Model, degree: int) -> List[Tuple[Tuple[int, ...], List[int]]]:
     """The invariants w_8 * c_4^a c_6^b c_8^c of a degree (c_4 = w_4^2,
-    c_8 = w_8^2) as columns (_column), with their exponents (a, b, c);
-    built once per degree and kept in model.towers."""
-    if degree not in model.towers:
-        expos = compositions([8, 12, 16], degree - 8)
-        powers = power_products([model.w4 * model.w4, model.c6, model.w8 * model.w8],
-                                [(model.w8, e) for e in expos])
-        ambient = degree_slice(model.sig, degree)
-        model.towers[degree] = [(e, _column(poly, ambient)) for e, poly in zip(expos, powers)]
-    return model.towers[degree]
+    c_8 = w_8^2) as columns, with their exponents (a, b, c): the generator
+    monomials (2a, b, 2c + 1) in (w_4, c_6, w_8), read from the monomial
+    columns that the model's image lattices share."""
+    expos = compositions([8, 12, 16], degree - 8)
+    _, monos = model.ch_presentation.monomial_columns(
+        degree, [(2 * a, b, 2 * c + 1) for a, b, c in expos])
+    return [(e, monos[2 * e[0], e[1], 2 * e[2] + 1]) for e in expos]
 
 
 @dataclass

@@ -24,7 +24,9 @@ and Z_(p)), summed per code and reduced by the caller.
 
 from __future__ import annotations
 
-from typing import Collection, Dict, Sequence, Set, Type
+from functools import reduce
+from operator import or_
+from typing import Collection, Dict, Optional, Sequence, Set, Tuple, Type
 
 from .poly import AlgebraSignature, Monomial, Polynomial
 
@@ -68,8 +70,10 @@ class Packing:
             self.decode(code)
         return code
 
-    def divides(self, lhs: int, code: int) -> bool:
-        return ((code | self.guard) - lhs) & self.guard == self.guard
+    def first_divisor(self, rules: Sequence[Tuple], code: int) -> Optional[Tuple]:
+        """The first rule (a tuple led by a packed lhs) whose lhs divides code, or None."""
+        top, guard = code | self.guard, self.guard
+        return next((r for r in rules if (top - r[0]) & guard == guard), None)
 
     def vanishes(self, code: int) -> bool:
         return bool(code & self.ext_high)
@@ -78,8 +82,8 @@ class Packing:
         """The products m = c * x_j, c in codes[j], that do not vanish and whose
         every quotient m / x_k lies in codes[k]; one that does not fit is refused."""
         out = {code + unit for unit, group in zip(self.units, codes) for code in group}
-        for code in out:
-            self.checked(code)
+        if reduce(or_, out, 0) & self.guard:
+            self.decode(next(code for code in out if code & self.guard))  # refuses it
         fields = tuple(zip(self.shifts, self.units, codes))
         return {m for m in out if not m & self.ext_high and all(
             m - unit in group for s, unit, group in fields if m >> s & _FIELD)}

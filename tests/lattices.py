@@ -1,7 +1,9 @@
 """Integer-lattice routines that the tests use as references.
 
 A lattice is given by a list of spanning vectors (columns); these are slow,
-plain constructions on top of weylchow.linalg's integer kernels.
+plain constructions on top of weylchow.linalg's integer kernels, and
+kernel_z_reference, the column reduction with a tracked transform that
+linalg.kernel_z replaced.
 """
 
 from typing import List
@@ -36,3 +38,55 @@ def preimage_kernel(mat_cols: List[Vector], target_lattice: List[Vector]) -> Lis
         rows.append([mat_cols[j][i] for j in range(k)] + [-target_lattice[j][i] for j in range(t)])
     ker = kernel_z(rows, k + t)
     return hnf_basis([v[:k] for v in ker])
+
+
+def kernel_z_reference(rows: List[List[int]], ncols: int) -> List[Vector]:
+    """Basis of the saturated integer kernel {x in Z^ncols : M x = 0}.
+
+    Column reduction with a tracked unimodular transform: M U = E; kernel
+    basis = columns of U below the zero columns of E.
+    """
+    if ncols == 0:
+        return []
+    work = [list(row) for row in rows]
+    u = identity(ncols)  # columns of U tracked as vectors
+
+    def addmul_col(dst, src, q):
+        for i in range(len(work)):
+            work[i][dst] += q * work[i][src]
+        for i in range(ncols):
+            u[i][dst] += q * u[i][src]
+
+    def swap_col(a, b):
+        for i in range(len(work)):
+            work[i][a], work[i][b] = work[i][b], work[i][a]
+        for i in range(ncols):
+            u[i][a], u[i][b] = u[i][b], u[i][a]
+
+    r = 0  # next column to place a pivot in
+    for i in range(len(work)):
+        # Find a nonzero entry in row i among columns >= r; reduce by gcd.
+        while True:
+            nz = [j for j in range(r, ncols) if work[i][j] != 0]
+            if not nz:
+                break
+            if len(nz) == 1:
+                if nz[0] != r:
+                    swap_col(r, nz[0])
+                break
+            # Reduce all others by the column with the smallest |entry|.
+            jmin = min(nz, key=lambda j: abs(work[i][j]))
+            for j in nz:
+                if j != jmin:
+                    q = work[i][j] // work[i][jmin]
+                    if q:
+                        addmul_col(j, jmin, -q)
+        if r < ncols and work[i][r] != 0:
+            r += 1
+        if r == ncols:
+            break
+    kernel = []
+    for j in range(r, ncols):
+        if all(work[i][j] == 0 for i in range(len(work))):
+            kernel.append([u[i][j] for i in range(ncols)])
+    return hnf_basis(kernel)

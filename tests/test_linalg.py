@@ -7,8 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fp_reference import kernel_fp, rank_fp, rref_fp, solve_fp
-from lattices import lattice_contains, lattice_eq, preimage_kernel
+from lattices import kernel_z_reference, lattice_contains, lattice_eq, preimage_kernel
 from weylchow import linalg
+from weylchow.groups import build_weyl_f4, build_weyl_spin
+from weylchow.invariants import invariant_report
 from weylchow.linalg import SubmoduleBasis, membership
 from weylchow.poly import F2, F3, FP_PRIMES, ZZ, z_local
 
@@ -106,6 +108,51 @@ def test_kernel_is_saturated_random():
                 lcm = lcm * c.denominator // __import__("math").gcd(lcm, c.denominator)
             iv = [int(c * lcm) for c in qv]
             assert lattice_contains(ker, iv)
+
+
+_ENTRIES = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-2**40, 2**40))
+
+
+@st.composite
+def _integer_systems(draw):
+    """(rows, ncols) of an integer matrix, some rows zero, entries up to 2^40."""
+    n = draw(st.integers(0, 6))
+    row = st.one_of(st.just([0] * n), st.lists(_ENTRIES, min_size=n, max_size=n))
+    return draw(st.lists(row, max_size=8)), n
+
+
+@given(_integer_systems())
+@example(([], 0))
+@example(([[], []], 0))
+@example(([], 3))
+@example(([[0, 0, 0], [0, 0, 0]], 3))
+@example(([[1, 2], [3, 4], [5, 6]], 2))
+@example(([[2**40, 3, 0], [0, 0, 0], [2**40 + 1, 2**39, -2**40]], 3))
+@settings(max_examples=300, deadline=None)
+def test_kernel_z_matches_the_tracked_transform_reference(system):
+    rows, n = system
+    kernel = linalg.kernel_z(rows, n)
+    assert kernel == kernel_z_reference(rows, n)
+    assert kernel == linalg.hnf_basis(kernel)
+
+
+@pytest.mark.parametrize("action, degree, p", [(build_weyl_spin(3), 36, 2), (build_weyl_f4(), 32, 3)],
+                         ids=["spin3-zlocal2-36", "f4-zlocal3-32"])
+def test_kernel_z_matches_the_reference_on_the_invariant_lattices(monkeypatch, action, degree, p):
+    """Every kernel_z input of a Z_(p) invariant walk, captured by wrapping it."""
+    calls, kernel_z = [], linalg.kernel_z
+
+    def capturing(rows, ncols):
+        calls.append(([list(row) for row in rows], ncols))
+        return kernel_z(rows, ncols)
+
+    monkeypatch.setattr(linalg, "kernel_z", capturing)
+    invariant_report(action, degree, z_local(p))
+    assert calls
+    for rows, n in calls:
+        kernel = kernel_z(rows, n)
+        assert kernel == kernel_z_reference(rows, n)
+        assert kernel == linalg.hnf_basis(kernel)
 
 
 def test_preimage_kernel():

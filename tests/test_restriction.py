@@ -1,5 +1,4 @@
 import re
-from collections import Counter
 
 import pytest
 
@@ -9,7 +8,7 @@ from weylchow import invariants as inv_mod
 from weylchow import linalg
 from weylchow import restriction as restriction_mod
 from weylchow.linalg import SubmoduleBasis, membership
-from weylchow.poly import F2, Polynomial, parse, signature
+from weylchow.poly import F2, Polynomial, compositions, parse, signature
 from weylchow.restriction import (
     ImageLattice,
     RestrictionError,
@@ -145,10 +144,9 @@ def test_combined_restriction_injective_when_the_lift_passes_the_window():
 
 def test_audit_derives_each_basis_and_image_once(monkeypatch):
     """One invariant walk feeds the audits and the generator extraction, and
-    each generator monomial of an image lattice's degree enters the
-    invariant ring once for both lattices, which share one set of
-    generators: one power_products call per degree, over the distinct
-    monomials of that degree's classes in either lattice."""
+    each generator monomial enters the invariant ring once in all: the
+    classes of both image lattices, which share one set of generators, and
+    the w_8 tower w_8 * c_4^a c_6^b c_8^c, the monomials (2a, b, 2c + 1)."""
     degrees, calls = [], []
     basis, products = inv_mod.invariant_basis, restriction_mod.power_products
 
@@ -175,14 +173,13 @@ def test_audit_derives_each_basis_and_image_once(monkeypatch):
     lattices = (model.ch_presentation, model.h_presentation)
     gens = lattices[0].generators
     assert lattices[1].generators is gens
-    built = Counter()
-    for called, expos in calls:
-        if called is gens and expos:
-            (degree,) = {lattices[0].gsig.mono_degree(e) for e in expos}
-            assert expos == sorted({e for pres in lattices for c in pres.classes(degree)
-                                    for e in c.terms})
-            built[degree] += 1
-    assert built == Counter(range(0, 29, 4))
+    assert all(called is gens for called, _ in calls)
+    built = [e for _, expos in calls for e in expos]
+    assert len(built) == len(set(built))
+    tower = {(2 * a, b, 2 * c + 1)  # degrees 8 .. window + 2, the v_1 images of xi_3 * m
+             for d in range(8, 31, 2) for a, b, c in compositions([8, 12, 16], d - 8)}
+    assert set(built) == tower | {e for pres in lattices for d in range(0, 29, 2)
+                                  for c in pres.classes(d) for e in c.terms}
 
 
 def test_omega_detection(spin7_model, spin7_ahss):
