@@ -489,14 +489,9 @@ def algebra_generators(report: InvariantReport, max_degree: int) -> List[Tuple[i
     for d, inv in sorted(report.by_degree.items()):
         if not 0 < d <= max_degree or inv.rank == 0:
             continue
-        index = {m: i for i, m in enumerate(inv.ambient)}
-        span_vectors: List[List] = []
         decomposables = [(Polynomial.one(sig), t) for t in compositions([dd for dd, _ in gens], d)]
-        for poly in power_products([g for _, g in gens], decomposables):
-            vec = [0] * len(index)
-            for m, c in poly.terms.items():
-                vec[index[m]] = c
-            span_vectors.append(vec)
+        span_vectors = [[poly.terms.get(m, 0) for m in inv.ambient]
+                        for poly in power_products([g for _, g in gens], decomposables)]
         for vec in _lattice_complement(inv, span_vectors, domain):
             gens.append((d, Polynomial(sig, {m: c for m, c in zip(inv.ambient, vec) if c != 0})))
     return gens
@@ -520,23 +515,13 @@ def _lattice_complement(inv: SubmoduleBasis, span_vectors, domain: Domain):
         # Clearing unit denominators scales the column by a unit: same span.
         den = math.lcm(*(c.denominator for c in coords))
         coord_cols.append([int(c * den) for c in coords])
-    if not coord_cols:
-        rows = [[0] for _ in range(n)]
-    else:
-        rows = [[col[i] for col in coord_cols] for i in range(n)]
-    divisors, u_cols = linalg.snf_with_basis(rows)
+    divisors, u_cols = linalg.snf_with_basis([[col[i] for col in coord_cols] for i in range(n)])
     for dv in divisors:
         if linalg.local_scale_power([Fraction(1, dv)], domain.p) != 0:  # dv is not a unit
             raise InvariantError(
                 "decomposable span has torsion quotient (divisor %d)" % dv
             )
-    new_vecs = []
-    for j in range(len(divisors), n):
-        combo = [0] * len(inv.vectors[0])
-        for i, c in enumerate(u_cols[j]):
-            if c:
-                for idx in range(len(combo)):
-                    combo[idx] += c * int(inv.vectors[i][idx])
-        new_vecs.append(combo)
-    return new_vecs
+    # The complement's u_j in ambient coordinates: the basis matrix times u_j.
+    ambient_rows = list(zip(*([int(x) for x in vec] for vec in inv.vectors)))
+    return [[sum(map(mul, row, u)) for row in ambient_rows] for u in u_cols[len(divisors):]]
 

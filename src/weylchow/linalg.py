@@ -452,79 +452,42 @@ def snf_with_basis(rows: List[List[int]]) -> Tuple[List[int], List[Vector]]:
     """Smith data of the column span: divisors d_i and an ambient basis u_i
     with col(M) = span{d_1 u_1, .., d_r u_r}.
 
-    Row operations on M are mirrored as inverse column operations on a
-    tracked matrix, whose columns give the u_i.
+    One pass over M: while the unreduced block (rows and columns from top on)
+    is not zero, its least nonzero |entry|, the first in row order on a tie,
+    is swapped to (top, top) and made positive, and the rows below and the
+    columns right of it are reduced by it; once they are zero it is the next
+    divisor.  u holds the columns of R^-1, R the product of the row
+    operations, so M = R^-1 diag(d) C^-1: row_i -= q row_j is u_j += q u_i,
+    and a row swap or negation swaps or negates u's columns.  The d_i need
+    not divide one another; their p-valuations are those of the Smith form.
     """
     m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    u = identity(nrows)  # columns of R^{-1}
-
-    def row_addmul(i, j, q):  # row_i -= q * row_j  =>  u col_j += q * col_i
-        m[i] = [x - q * y for x, y in zip(m[i], m[j])]
-        for k in range(nrows):
-            u[k][j] += q * u[k][i]
-
-    def row_swap(i, j):
-        m[i], m[j] = m[j], m[i]
-        for k in range(nrows):
-            u[k][i], u[k][j] = u[k][j], u[k][i]
-
-    def row_negate(i):
-        m[i] = [-x for x in m[i]]
-        for k in range(nrows):
-            u[k][i] = -u[k][i]
-
+    u = identity(len(m))  # symmetric, so rows are columns
     divisors: List[int] = []
     top = 0
-    while top < nrows and top < ncols:
-        pivot = None
-        for i in range(top, nrows):
-            for j in range(top, ncols):
-                if m[i][j] != 0:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        while True:
-            best = None
-            for i in range(top, nrows):
-                for j in range(top, ncols):
-                    if m[i][j] != 0 and (
-                        best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])
-                    ):
-                        best = (i, j)
-            bi, bj = best
-            if bi != top:
-                row_swap(top, bi)
-            if bj != top:
+    while least := min(((abs(x), i, j) for i in range(top, len(m))
+                        for j, x in enumerate(m[i][top:], top) if x), default=None):
+        _, bi, bj = least
+        m[top], m[bi] = m[bi], m[top]
+        u[top], u[bi] = u[bi], u[top]
+        for row in m:
+            row[top], row[bj] = row[bj], row[top]
+        if m[top][top] < 0:
+            m[top] = [-x for x in m[top]]
+            u[top] = [-x for x in u[top]]
+        piv = m[top][top]
+        for i in range(top + 1, len(m)):
+            if q := m[i][top] // piv:
+                m[i] = [x - q * y for x, y in zip(m[i], m[top])]
+                u[top] = [x + q * y for x, y in zip(u[top], u[i])]
+        for j in range(top + 1, len(m[top])):
+            if q := m[top][j] // piv:
                 for row in m:
-                    row[top], row[bj] = row[bj], row[top]
-            if m[top][top] < 0:
-                row_negate(top)
-            piv = m[top][top]
-            done = True
-            for i in range(top + 1, nrows):
-                q = m[i][top] // piv
-                if q:
-                    row_addmul(i, top, q)
-                if m[i][top] != 0:
-                    done = False
-            for j in range(top + 1, ncols):
-                q = m[top][j] // piv
-                if q:
-                    for i in range(nrows):
-                        m[i][j] -= q * m[i][top]
-                if m[top][j] != 0:
-                    done = False
-            if done:
-                break
-        divisors.append(m[top][top])
-        top += 1
-    u_cols = [[u[i][j] for i in range(nrows)] for j in range(nrows)]
-    return divisors, u_cols
+                    row[j] -= q * row[top]
+        if not any(row[top] for row in m[top + 1:]) and not any(m[top][top + 1:]):
+            divisors.append(piv)
+            top += 1
+    return divisors, u
 
 
 def p_valuation(n: int, p: int) -> int:

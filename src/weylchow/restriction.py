@@ -188,16 +188,11 @@ def build_spin7_model(window: int = 28) -> Spin7Model:
     extracted from it."""
     inv = invariant_report(build_weyl_spin(3), max(window, 16), z_local(2))
     gens = algebra_generators(inv, 16)
-    by_degree = {}
-    for d, poly in gens:
-        by_degree.setdefault(d, []).append(poly)
-    if sorted(by_degree) != [4, 8, 12] or any(len(v) != 1 for v in by_degree.values()):
+    if [d for d, _ in gens] != [4, 8, 12]:
         raise RestrictionError(
-            "unexpected invariant-ring generators in degrees %s" % sorted(by_degree)
+            "unexpected invariant-ring generators in degrees %s" % sorted({d for d, _ in gens})
         )
-    w4 = by_degree[4][0]
-    w8 = by_degree[8][0]
-    c6 = by_degree[12][0]
+    (_, w4), (_, w8), (_, c6) = gens
     chart = spin7_chart(window + 16).chart
     result = AhssResult(chart, 3, window)
     identification = [("w_4", w4), ("c_6", c6), ("w_8", w8)]

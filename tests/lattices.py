@@ -2,11 +2,11 @@
 
 A lattice is given by a list of spanning vectors (columns); these are slow,
 plain constructions on top of weylchow.linalg's integer kernels, and
-kernel_z_reference, the column reduction with a tracked transform that
-linalg.kernel_z replaced.
+kernel_z_reference and snf_with_basis_reference, the reductions with a
+tracked transform that linalg.kernel_z and linalg.snf_with_basis replaced.
 """
 
-from typing import List
+from typing import List, Tuple
 
 from weylchow.linalg import Vector, hnf_basis, identity, is_zero_vec, kernel_z, solve_q
 
@@ -90,3 +90,82 @@ def kernel_z_reference(rows: List[List[int]], ncols: int) -> List[Vector]:
         if all(work[i][j] == 0 for i in range(len(work))):
             kernel.append([u[i][j] for i in range(ncols)])
     return hnf_basis(kernel)
+
+
+def snf_with_basis_reference(rows: List[List[int]]) -> Tuple[List[int], List[Vector]]:
+    """Smith data of the column span, as linalg.snf_with_basis: divisors d_i
+    and an ambient basis u_i with col(M) = span{d_1 u_1, .., d_r u_r}.
+
+    Row operations on M are mirrored as inverse column operations on a
+    tracked row-major matrix, whose columns give the u_i.
+    """
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    u = identity(nrows)  # columns of R^{-1}
+
+    def row_addmul(i, j, q):  # row_i -= q * row_j  =>  u col_j += q * col_i
+        m[i] = [x - q * y for x, y in zip(m[i], m[j])]
+        for k in range(nrows):
+            u[k][j] += q * u[k][i]
+
+    def row_swap(i, j):
+        m[i], m[j] = m[j], m[i]
+        for k in range(nrows):
+            u[k][i], u[k][j] = u[k][j], u[k][i]
+
+    def row_negate(i):
+        m[i] = [-x for x in m[i]]
+        for k in range(nrows):
+            u[k][i] = -u[k][i]
+
+    divisors: List[int] = []
+    top = 0
+    while top < nrows and top < ncols:
+        pivot = None
+        for i in range(top, nrows):
+            for j in range(top, ncols):
+                if m[i][j] != 0:
+                    pivot = (i, j)
+                    break
+            if pivot:
+                break
+        if pivot is None:
+            break
+        while True:
+            best = None
+            for i in range(top, nrows):
+                for j in range(top, ncols):
+                    if m[i][j] != 0 and (
+                        best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])
+                    ):
+                        best = (i, j)
+            bi, bj = best
+            if bi != top:
+                row_swap(top, bi)
+            if bj != top:
+                for row in m:
+                    row[top], row[bj] = row[bj], row[top]
+            if m[top][top] < 0:
+                row_negate(top)
+            piv = m[top][top]
+            done = True
+            for i in range(top + 1, nrows):
+                q = m[i][top] // piv
+                if q:
+                    row_addmul(i, top, q)
+                if m[i][top] != 0:
+                    done = False
+            for j in range(top + 1, ncols):
+                q = m[top][j] // piv
+                if q:
+                    for i in range(nrows):
+                        m[i][j] -= q * m[i][top]
+                if m[top][j] != 0:
+                    done = False
+            if done:
+                break
+        divisors.append(m[top][top])
+        top += 1
+    u_cols = [[u[i][j] for i in range(nrows)] for j in range(nrows)]
+    return divisors, u_cols

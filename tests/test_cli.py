@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+from weylchow import cli
 from weylchow.cli import main
 
 
@@ -35,10 +36,26 @@ def test_series_command(capsys):
     ("invariants", "--group", "so:3", "--domain", "z", "--max-degree", "8",
      "--series", "1/((1-s^4))"),
 ])
-def test_malformed_series_is_an_input_error(capsys, argv):
+def test_malformed_series_is_an_input_error(capsys, monkeypatch, argv):
+    def walk(*args):
+        raise AssertionError("the invariant walk ran before the series was read")
+
+    monkeypatch.setattr(cli, "poincare_series", walk)
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error: cannot read")
+
+
+def test_series_mismatch_in_degrees_the_report_skips(capsys):
+    """so:3 has generators of degree 2 only, so the walk skips odd degrees;
+    the series' odd-degree terms still count, against rank 0."""
+    code, out, _ = run_cli(capsys, "--format", "records", "invariants", "--group", "so:3",
+                           "--domain", "q", "--max-degree", "12",
+                           "--series", "(1+t^3)/((1-t^4)(1-t^8)(1-t^12))")
+    assert code == 1
+    facts = [ln.split("\t")[1:3] for ln in out.splitlines() if ln.startswith("invariants.series\t")]
+    assert facts == [["3", "mismatch: got 0 want 1"], ["7", "mismatch: got 0 want 1"],
+                     ["11", "mismatch: got 0 want 2"], ["all", "mismatch"]]
 
 
 @pytest.mark.parametrize("degree", ["0", "2", "3"])

@@ -117,6 +117,20 @@ def test_algebra_generators_spin3():
     assert [d for d, _ in algebra_generators(report, 8)] == [4, 8]  # read only to max_degree
 
 
+def test_algebra_generators_spin3_pinned():
+    """w4, w8 and c6 of the Spin(7) audit, in the root coordinates of the
+    spin rank-3 lattice, as Smith reduction picks them over Z_(2)."""
+    report = invariant_report(build_weyl_spin(3), 16, z_local(2))
+    gens = [(d, {m: int(c) for m, c in poly.terms.items()})
+            for d, poly in algebra_generators(report, 16)]
+    assert gens == [
+        (4, {(0, 0, 2): 2, (0, 1, 1): -2, (0, 2, 0): 1, (1, 0, 1): -2, (1, 1, 0): 1, (2, 0, 0): 1}),
+        (8, {(0, 0, 4): 1, (0, 1, 3): -2, (0, 2, 2): 1, (1, 0, 3): -2, (1, 1, 2): 3, (1, 2, 1): -1,
+             (2, 0, 2): 1, (2, 1, 1): -1}),
+        (12, {(2, 2, 2): 4, (2, 3, 1): -4, (2, 4, 0): 1, (3, 2, 1): -4, (3, 3, 0): 2, (4, 2, 0): 1}),
+    ]
+
+
 def test_algebra_generators_so2():
     gens = algebra_generators(invariant_report(build_weyl_so(2), 12, ZZ), 12)
     assert [d for d, _ in gens] == [4, 8]  # p_1 and p_2

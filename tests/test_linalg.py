@@ -7,10 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fp_reference import kernel_fp, rank_fp, rref_fp, solve_fp
-from lattices import kernel_z_reference, lattice_contains, lattice_eq, preimage_kernel
+from lattices import (kernel_z_reference, lattice_contains, lattice_eq, preimage_kernel,
+                      snf_with_basis_reference)
 from weylchow import linalg
-from weylchow.groups import build_weyl_f4, build_weyl_spin
-from weylchow.invariants import invariant_report
+from weylchow.groups import build_weyl_f4, build_weyl_so, build_weyl_spin
+from weylchow.invariants import InvariantError, algebra_generators, invariant_report
 from weylchow.linalg import SubmoduleBasis, membership
 from weylchow.poly import F2, F3, FP_PRIMES, ZZ, z_local
 
@@ -153,6 +154,50 @@ def test_kernel_z_matches_the_reference_on_the_invariant_lattices(monkeypatch, a
         kernel = kernel_z(rows, n)
         assert kernel == kernel_z_reference(rows, n)
         assert kernel == linalg.hnf_basis(kernel)
+
+
+@given(_integer_systems())
+@example(([], 0))
+@example(([[], []], 0))
+@example(([[0, 0, 0], [0, 0, 0]], 3))
+@example(([[1, 2], [3, 4], [5, 6]], 2))
+@example(([[2, 4, 4], [-6, 6, 12], [10, -4, -16]], 3))
+@example(([[2**40, 3, 0], [0, 0, 0], [2**40 + 1, 2**39, -2**40]], 3))
+@settings(max_examples=300, deadline=None)
+def test_snf_with_basis_matches_the_tracked_transform_reference(system):
+    rows = system[0]
+    copy = [list(row) for row in rows]
+    assert linalg.snf_with_basis(rows) == snf_with_basis_reference(rows)
+    assert rows == copy
+
+
+@pytest.mark.parametrize("action, domain, degree, refusal", [
+    (build_weyl_spin(3), z_local(2), 28, None), (build_weyl_spin(3), ZZ, 28, None),
+    (build_weyl_so(3), ZZ, 24, None), (build_weyl_so(4), z_local(2), 24, None),
+    (build_weyl_spin(4), z_local(2), 24, None), (build_weyl_so(5), z_local(3), 20, None),
+    (build_weyl_f4(), z_local(3), 36, "divisor 3"),
+], ids=["spin3-zlocal2-28", "spin3-z-28", "so3-z-24", "so4-zlocal2-24", "spin4-zlocal2-24",
+        "so5-zlocal3-20", "f4-zlocal3-36"])
+def test_snf_with_basis_matches_the_reference_on_the_generator_walks(monkeypatch, action, domain,
+                                                                       degree, refusal):
+    """Every snf_with_basis input of a generator extraction, captured by
+    wrapping it; the walk for W(F_4) over Z_(3) is refused at a divisor 3."""
+    calls, snf_with_basis = [], linalg.snf_with_basis
+
+    def capturing(rows):
+        calls.append([list(row) for row in rows])
+        return snf_with_basis(rows)
+
+    monkeypatch.setattr(linalg, "snf_with_basis", capturing)
+    report = invariant_report(action, degree, domain)
+    if refusal:
+        with pytest.raises(InvariantError, match=refusal):
+            algebra_generators(report, degree)
+    else:
+        algebra_generators(report, degree)
+    assert calls
+    for rows in calls:
+        assert snf_with_basis(rows) == snf_with_basis_reference(rows)
 
 
 def test_preimage_kernel():
