@@ -109,10 +109,9 @@ def verify_milnor_on_d_classes(ctx: DicksonContext) -> DicksonReport:
     report = DicksonReport(ctx.h)
     h = ctx.h
     d = ctx.d
-    for i in range(h):
-        lhs = milnor_q_closed(h - 1, d[i])
-        rhs = d[0] * d[i]
-        report.add("Q_%d(d_%d) == d_0*d_%d" % (h - 1, i, i), lhs == rhs)
+    q_top = [milnor_q_closed(h - 1, d_i) for d_i in d]
+    for i, lhs in enumerate(q_top):
+        report.add("Q_%d(d_%d) == d_0*d_%d" % (h - 1, i, i), lhs == d[0] * d[i])
     for j in range(1, h):
         lhs = milnor_q_closed(j - 1, d[j])
         report.add("Q_%d(d_%d) == d_0" % (j - 1, j), lhs == d[0])
@@ -123,18 +122,12 @@ def verify_milnor_on_d_classes(ctx: DicksonContext) -> DicksonReport:
             lhs = milnor_q_closed(i, d[j])
             report.add("Q_%d(d_%d) == 0" % (i, j), lhs.is_zero())
     # Probe the wider reading of the vanishing range (i up to the spin rank).
-    wide_fail = None
-    for j in range(h):
-        if h - 1 == j - 1:
-            continue
-        if not milnor_q_closed(h - 1, d[j]).is_zero():
-            wide_fail = (h - 1, j)
-            break
-    if wide_fail:
+    wide_fail = next((j for j, lhs in enumerate(q_top) if not lhs.is_zero()), None)
+    if wide_fail is not None:
         report.notes.append(
             "vanishing clause holds for i < h-1; extending the range past h-1 fails first "
             "at Q_%d(d_%d), where the clause Q_%d(d_i) = d_0*d_i takes over"
-            % (wide_fail[0], wide_fail[1], h - 1)
+            % (h - 1, wide_fail, h - 1)
         )
     return report
 

@@ -323,23 +323,6 @@ def build_gl(h: int) -> GroupAction:
 # ---------------------------------------------------------------------------
 
 
-def serialize_action(action: GroupAction) -> str:
-    lines = [
-        "[action]",
-        "name = %s" % action.name,
-        "degree = %d" % action.gen_degree,
-        "generators = %s" % " ".join(action.gen_names),
-    ]
-    if action.mod is not None:
-        lines.append("mod = %d" % action.mod)
-    for mat in action.matrices:
-        lines.append("")
-        lines.append("[gen]")
-        for row in mat:
-            lines.append(" ".join(str(x) for x in row))
-    return "\n".join(lines) + "\n"
-
-
 def parse_action(text: str) -> GroupAction:
     """Parse the '[action]' header plus one '[gen]' block per matrix.
 

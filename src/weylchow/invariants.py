@@ -303,8 +303,6 @@ def invariant_basis(action: GroupAction, degree: int, domain: Domain,
     if rest or k < 0:
         return SubmoduleBasis(domain, [], [])
     monos = _level(action._monomials, len(action.gen_names), k)[0]
-    if k == 0:
-        return SubmoduleBasis(domain, monos, [[domain.coerce(1)]])
     top = (degree if top_degree is None else top_degree) // action.gen_degree
     if action._signed is None:
         action._signed = tuple(map(signed_permutation, action.matrices))

@@ -35,10 +35,6 @@ class LinalgError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def is_zero_vec(v: Sequence) -> bool:
-    return all(x == 0 for x in v)
-
-
 def identity(n: int) -> List[Vector]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -336,16 +332,10 @@ def _integer_row(row: Sequence) -> List[int]:
 
 
 def rank_q(rows: List[List]) -> int:
-    if not rows or not rows[0]:
-        return 0
     return len(rref_q(rows)[1])
 
 
 def kernel_q(rows: List[List], ncols: int) -> List[List[Fraction]]:
-    if ncols == 0:
-        return []
-    if not rows:
-        return [[Fraction(int(i == j)) for i in range(ncols)] for j in range(ncols)]
     red, pivots = rref_q(rows)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
@@ -367,8 +357,6 @@ def solve_q(cols: List[Sequence], target: Sequence) -> Optional[List[Fraction]]:
     """
     n = len(target)
     k = len(cols)
-    if k == 0:
-        return [] if all(t == 0 for t in target) else None
     system = [_integer_row([col[i] for col in cols] + [target[i]]) for i in range(n)]
     red, pivots = rref_q(system)
     x = [Fraction(0)] * k
@@ -540,8 +528,6 @@ def membership(v: Vector, s: SubmoduleBasis) -> Membership:
     """Exact membership of v in the span, with the minimal p-power if p-local."""
     if s.vectors and len(v) != len(s.vectors[0]):
         raise LinalgError("dimension mismatch")
-    if is_zero_vec(v):
-        return Membership(True, 0)
     if s.domain.kind == "fp":
         p = s.domain.p
         span = FpSubspace(p, [FpSubspace.pack(p, [int(c) for c in col]) for col in s.vectors])

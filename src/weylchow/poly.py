@@ -18,10 +18,15 @@ runs these two checks only for signatures with exterior generators (outside
 characteristic 2 every odd-degree generator is one).  Coefficients add up
 raw, an integral Fraction as its numerator, and are normalized once per
 monomial.
+
+Text is read by parse: one regular expression splits it into tokens (an
+unsigned integer, a name, or any other single character, each with its
+position), and a recursive-descent grammar reads the token list.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -216,13 +221,7 @@ class AlgebraSignature:
 
 def signature(gens: Iterable[Tuple], domain: Domain) -> AlgebraSignature:
     """Build a signature from (name, degree) or (name, degree, exterior) tuples."""
-    out = []
-    for spec in gens:
-        if len(spec) == 2:
-            out.append(Generator(spec[0], spec[1]))
-        else:
-            out.append(Generator(spec[0], spec[1], spec[2]))
-    return AlgebraSignature(out, domain)
+    return AlgebraSignature([Generator(*spec) for spec in gens], domain)
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +241,6 @@ def compositions(
 
     Weights are positive; caps[i], when given and not None, bounds e_i.
     """
-    if total < 0:
-        return []
     bounds = [total // w if caps is None or caps[i] is None else min(total // w, caps[i])
               for i, w in enumerate(weights)]
     # Bit t of reach[i] is set when the weights from index i on can sum to
@@ -377,8 +374,6 @@ class Polynomial:
     def scale(self, c) -> "Polynomial":
         dom = self.sig.domain
         c = dom.coerce(c)
-        if c == 0:
-            return Polynomial.zero(self.sig)
         out = {}
         for mono, a in self.terms.items():
             v = dom.coerce(a * c)
@@ -499,49 +494,10 @@ def power_products(
 # ---------------------------------------------------------------------------
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self) -> str:
-        self.skip_ws()
-        ch = self.text[self.pos]
-        self.pos += 1
-        return ch
-
-    def expect(self, ch: str):
-        got = self.take() if self.peek() else ""
-        if got != ch:
-            raise PolyError("expected %r at position %d" % (ch, self.pos))
-
-    def read_uint(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise PolyError("expected integer at position %d" % start)
-        return int(self.text[start : self.pos])
-
-    def read_name(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        if self.pos == start:
-            raise PolyError("expected name at position %d" % start)
-        return self.text[start : self.pos]
+# One token per match, after any whitespace: an unsigned integer, a name (a
+# letter or '_', then word characters), or any other single character.
+_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[^\W\d]\w*)|(?P<char>\S))")
+_Token = Tuple[str, str, int]  # kind, text, position
 
 
 def parse(text: str, sig: AlgebraSignature, max_degree: Optional[int] = None) -> Polynomial:
@@ -550,67 +506,74 @@ def parse(text: str, sig: AlgebraSignature, max_degree: Optional[int] = None) ->
     factor := name ('^' uint)? | '(' expr ')'; coeff := int ('/' uint)?.
 
     With max_degree, the terms of degree <= max_degree, exactly: every
-    product and power drops the terms above it as it is read.
+    product and power drops the terms above it as it is read.  Nesting
+    deeper than the interpreter's recursion limit is refused.
     """
-    toks = _Tokens(text)
-    poly = _parse_expr(toks, sig, max_degree)
-    toks.skip_ws()
-    if toks.pos != len(text):
-        raise PolyError("trailing input at position %d" % toks.pos)
+    # The tokens in reverse, so that toks[-1] is the next one; the "end" token
+    # under them stands at the end of the text.
+    toks: List[_Token] = [("end", "", len(text))]
+    toks += reversed([(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
+                      for m in _TOKEN.finditer(text)])
+    try:
+        poly = _parse_expr(toks, sig, max_degree)
+    except RecursionError:
+        raise PolyError("expression nested too deeply") from None
+    if len(toks) > 1:
+        raise PolyError("trailing input at position %d" % toks[-1][2])
     return poly.truncate(max_degree)
 
 
-def _parse_expr(toks: _Tokens, sig: AlgebraSignature, top: Optional[int]) -> Polynomial:
-    if toks.peek() == "-":
-        toks.take()
+def _parse_expr(toks: List[_Token], sig: AlgebraSignature, top: Optional[int]) -> Polynomial:
+    if toks[-1][1] == "-":
+        toks.pop()
         result = -_parse_term(toks, sig, top)
     else:
         result = _parse_term(toks, sig, top)
     while True:
-        ch = toks.peek()
+        ch = toks[-1][1]
         if ch == "+":
-            toks.take()
+            toks.pop()
             result = result + _parse_term(toks, sig, top)
         elif ch == "-":
-            toks.take()
+            toks.pop()
             result = result - _parse_term(toks, sig, top)
         else:
             return result
 
 
-def _parse_term(toks: _Tokens, sig: AlgebraSignature, top: Optional[int]) -> Polynomial:
-    ch = toks.peek()
-    if ch.isdigit():
-        num = toks.read_uint()
-        if toks.peek() == "/":
-            toks.take()
-            den = toks.read_uint()
-            coeff = Fraction(num, den)
-        else:
-            coeff = Fraction(num)
-        result = Polynomial.constant(sig, coeff)
+def _parse_term(toks: List[_Token], sig: AlgebraSignature, top: Optional[int]) -> Polynomial:
+    if toks[-1][0] == "int":
+        num, den = int(toks.pop()[1]), 1
+        if toks[-1][1] == "/":
+            toks.pop()
+            den = _read_uint(toks)
+        result = Polynomial.constant(sig, Fraction(num, den))
     else:
         result = _parse_factor(toks, sig, top)
-    while toks.peek() == "*":
-        toks.take()
+    while toks[-1][1] == "*":
+        toks.pop()
         result = (result * _parse_factor(toks, sig, top)).truncate(top)
     return result
 
 
-def _parse_factor(toks: _Tokens, sig: AlgebraSignature, top: Optional[int]) -> Polynomial:
-    ch = toks.peek()
-    if ch == "(":
-        toks.take()
-        inner = _parse_expr(toks, sig, top)
-        toks.expect(")")
-        base = inner
-    elif ch.isalpha() or ch == "_":
-        name = toks.read_name()
-        base = Polynomial.gen(sig, name)
+def _parse_factor(toks: List[_Token], sig: AlgebraSignature, top: Optional[int]) -> Polynomial:
+    kind, tok, pos = toks.pop()
+    if tok == "(":
+        base = _parse_expr(toks, sig, top)
+        kind, tok, pos = toks.pop()
+        if tok != ")":  # the position just past the first character found
+            raise PolyError("expected ')' at position %d" % (pos + len(tok[:1])))
+    elif kind == "name" and not tok[0].isnumeric():  # \w also admits numerals like '½'
+        base = Polynomial.gen(sig, tok)
     else:
-        raise PolyError("unexpected character %r at position %d" % (ch, toks.pos))
-    if toks.peek() == "^":
-        toks.take()
-        e = toks.read_uint()
-        return pow(base, e, top)
+        raise PolyError("unexpected character %r at position %d" % (tok[:1], pos))
+    if toks[-1][1] == "^":
+        toks.pop()
+        return pow(base, _read_uint(toks), top)
     return base
+
+
+def _read_uint(toks: List[_Token]) -> int:
+    if toks[-1][0] != "int":
+        raise PolyError("expected integer at position %d" % toks[-1][2])
+    return int(toks.pop()[1])

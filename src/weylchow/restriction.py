@@ -331,7 +331,6 @@ def feshbach_nilpotence(
 class CriterionReport:
     injective: bool
     first_failure: Optional[int]
-    checked_degrees: List[int]
 
 
 def surjectivity_criterion(model: Spin7Model, pres: ImageLattice) -> CriterionReport:
@@ -342,15 +341,11 @@ def surjectivity_criterion(model: Spin7Model, pres: ImageLattice) -> CriterionRe
     restriction map; the first failing degree witnesses the obstruction.
     """
     p = pres.chart.p
-    checked = []
     for degree in range(0, model.window + 1, 2):
         cols = [FpSubspace.pack(p, col) for col in pres.columns(degree)]
-        if not cols:
-            continue
-        checked.append(degree)
         if len(FpSubspace(p, cols)) != len(cols):
-            return CriterionReport(False, degree, checked)
-    return CriterionReport(True, None, checked)
+            return CriterionReport(False, degree)
+    return CriterionReport(True, None)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +482,6 @@ class DetectionReport:
     e_dies: bool
     towers_nonzero: bool
     injective_mod_2: bool
-    checked_degrees: List[int]
 
     @property
     def passed(self) -> bool:
@@ -512,13 +506,9 @@ def omega_detection_audit(model: Spin7Model, ahss_result) -> DetectionReport:
     edies = not permanent_cycle_check(ahss_result, "e").permanent
     towers = True
     injective = True
-    checked = []
     for degree in range(8, model.window + 1, 2):
         vectors = [col for _, col in _w8_tower(model, degree)]
-        if not vectors:
-            continue
-        checked.append(degree)
         towers = towers and all(any(vec) for vec in vectors)
         if len(FpSubspace(2, [FpSubspace.pack(2, vec) for vec in vectors])) != len(vectors):
             injective = False
-    return DetectionReport(p2e, pv1e, edies, towers, injective, checked)
+    return DetectionReport(p2e, pv1e, edies, towers, injective)

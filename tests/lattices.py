@@ -8,7 +8,7 @@ tracked transform that linalg.kernel_z and linalg.snf_with_basis replaced.
 
 from typing import List, Tuple
 
-from weylchow.linalg import Vector, hnf_basis, identity, is_zero_vec, kernel_z, solve_q
+from weylchow.linalg import Vector, hnf_basis, identity, kernel_z, solve_q
 
 
 def lattice_contains(cols: List[Vector], target: Vector) -> bool:
@@ -31,7 +31,7 @@ def preimage_kernel(mat_cols: List[Vector], target_lattice: List[Vector]) -> Lis
         return []
     n = len(mat_cols[0])
     t = len(target_lattice)
-    if all(is_zero_vec(c) for c in mat_cols):
+    if not any(any(c) for c in mat_cols):
         return identity(k)
     rows = []
     for i in range(n):

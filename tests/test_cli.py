@@ -1,4 +1,5 @@
 import re
+import time
 
 import pytest
 
@@ -167,6 +168,26 @@ def test_ahss_chart_file_refusals(tmp_path, capsys, section, message):
     assert err.startswith(message)
 
 
+DEEP = "(" * 1000 + "%s" + ")" * 1000
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("series", "--expr", DEEP % "1-t", "--order", "3"), "expression nested too deeply"),
+    (("ahss", "--chart", "{chart}", "--vmax", "1"), "error: expression nested too deeply"),
+])
+def test_deep_nesting_is_refused_quickly(tmp_path, capsys, argv, message):
+    """1,000 nested parentheses, past the recursion limit, are an input error."""
+    path = tmp_path / "deep.chart"
+    path.write_text("[chart]\np = 2\nwindow = 12\n[classes]\na 6 0\nu 8 0\nb 9 1\n"
+                    "[q 0]\nu -> %s\n" % (DEEP % "b"))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *[a.format(chart=path) for a in argv])
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert out == ""
+    assert message in err and err.count("\n") == 1
+
+
 def test_window_is_refused_for_a_chart_file(tmp_path, capsys):
     """A chart file sets its own window; --window overrides a builtin's only."""
     from weylchow.builtin import toy_killing_chart
@@ -227,10 +248,9 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_invariants_action_file(tmp_path, capsys):
-    from weylchow.groups import build_weyl_so, serialize_action
-
     path = tmp_path / "so2.action"
-    path.write_text(serialize_action(build_weyl_so(2)))
+    path.write_text("[action]\nname = so(5)\ndegree = 2\ngenerators = t1 t2\n\n"
+                    "[gen]\n0 1\n1 0\n\n[gen]\n-1 0\n0 1\n")
     code, out, _ = run_cli(
         capsys,
         "invariants", "--group", "file:%s" % path, "--domain", "z", "--max-degree", "8",

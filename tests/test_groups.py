@@ -13,7 +13,6 @@ from weylchow.groups import (
     enumerate_group,
     mat_identity,
     parse_action,
-    serialize_action,
     spin_base_change,
 )
 
@@ -88,9 +87,69 @@ def test_f4_order_and_involutions():
         assert mat_mul(m, m) == mat_identity(4)
 
 
-def test_action_file_round_trip(tmp_path):
-    for action in (build_weyl_so(2), build_gl(2), build_weyl_f4()):
-        text = serialize_action(action)
+SO2_ACTION = """[action]
+name = so(5)
+degree = 2
+generators = t1 t2
+
+[gen]
+0 1
+1 0
+
+[gen]
+-1 0
+0 1
+"""
+
+GL2_ACTION = """[action]
+name = gl(2)
+degree = 1
+generators = x1 x2
+mod = 2
+
+[gen]
+0 1
+1 0
+
+[gen]
+1 0
+1 1
+"""
+
+F4_ACTION = """[action]
+name = weyl(f4)
+degree = 2
+generators = t1 t2 t3 t4
+
+[gen]
+1 0 0 0
+0 0 1 0
+0 1 0 0
+0 0 0 1
+
+[gen]
+1 0 0 0
+0 1 0 0
+0 0 0 1
+0 0 1 0
+
+[gen]
+1 0 0 0
+0 1 0 0
+0 0 1 0
+0 0 0 -1
+
+[gen]
+1/2 1/2 1/2 1/2
+1/2 1/2 -1/2 -1/2
+1/2 -1/2 1/2 -1/2
+1/2 -1/2 -1/2 1/2
+"""
+
+
+def test_action_file_gives_the_builders_action():
+    for action, text in ((build_weyl_so(2), SO2_ACTION), (build_gl(2), GL2_ACTION),
+                         (build_weyl_f4(), F4_ACTION)):
         back = parse_action(text)
         assert back.gen_names == action.gen_names
         assert back.gen_degree == action.gen_degree

@@ -1,13 +1,19 @@
 import itertools
 import random
-
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from poly_reference import substitute
+from poly_reference import parse_reference, substitute
+from weylchow import chart as chart_mod
+from weylchow import series as series_mod
+from weylchow.builtin import builtin_names, f4_chart, get_builtin
+from weylchow.chart import parse_chart, serialize_chart
+from weylchow.cli import main
 from weylchow.poly import (
     F2,
     F3,
@@ -224,6 +230,95 @@ def test_parse_errors_have_positions():
         parse("x1 + ", sig)
     with pytest.raises(PolyError):
         parse("y1", sig)
+
+
+def _outcome(read, *args):
+    """What a parser gives: its Polynomial, or the type and text of its error."""
+    try:
+        return read(*args)
+    except Exception as exc:  # the reference may fail with any exception
+        return type(exc), str(exc)
+
+
+_PARSE_SIGNATURES = [
+    ([("x", 1), ("x1", 2), ("w_4", 4)], F2),
+    ([("a", 2), ("b", 4), ("e", 3, True)], F3),
+    ([("u", 2), ("v", 4)], ZZ),
+    ([("u", 2), ("v", 4)], QQ),
+    ([("w4", 4), ("c6", 6)], z_local(2)),
+]
+
+
+@st.composite
+def _parse_inputs(draw):
+    gens, dom = draw(st.sampled_from(_PARSE_SIGNATURES))
+    sig = signature(gens, dom)
+    pieces = list("0123456789+-*/^() ") + list(sig.names) + ["q"]
+    text = "".join(draw(st.lists(st.sampled_from(pieces), max_size=12)))
+    # A three-digit exponent makes the expansion, not the reading, the cost.
+    assume(not re.search(r"\^\s*\d{3}", text))
+    return text, sig, draw(st.none() | st.integers(0, 12))
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True)
+@given(_parse_inputs())
+def test_parse_matches_the_character_scanner(case):
+    assert _outcome(parse, *case) == _outcome(parse_reference, *case)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("\u00bd", "unexpected character '\u00bd' at position 0"),
+    ("x +\t\u00b2", "unexpected character '\u00b2' at position 4"),
+    ("x^\u00b2", "expected integer at position 2"),
+    ("(x \u00bd", "expected ')' at position 4"),
+    ("x\u00bd", "unknown generator 'x\u00bd'"),
+])
+def test_parse_refuses_numerals_that_are_not_decimal_digits(text, message):
+    """A name starts with a letter or '_', and an integer is decimal digits, so a
+    numeral such as '\u00bd' or '\u00b2' starts neither."""
+    with pytest.raises(PolyError) as err:
+        parse(text, signature([("x", 2)], QQ))
+    assert str(err.value) == message
+
+
+def test_parse_reads_every_decimal_digit():
+    sig = signature([("x", 2)], QQ)
+    assert parse("\u0663*x", sig) == parse("3*x", sig)  # ARABIC-INDIC DIGIT THREE
+
+
+def test_parse_matches_the_character_scanner_on_every_expression_read(monkeypatch, capsys):
+    """Every expression of the built-in charts, of the serialized F_4 chart, of
+    the series in the README and the CI workflow, and of the class names the
+    audit and the bench's spectral sequences read, as poly.parse is called."""
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return parse(*args)
+
+    monkeypatch.setattr(chart_mod, "parse_poly", recording)
+    monkeypatch.setattr(series_mod, "parse", recording)
+    for name in builtin_names():
+        get_builtin(name)
+    parse_chart(serialize_chart(f4_chart(window=60).chart))
+    root = Path(__file__).resolve().parents[1]
+    docs = (root / "README.md").read_text() + (root / ".github/workflows/tests.yml").read_text()
+    series = re.findall(r'--(?:series|expr) "([^"$]*)"', docs)
+    assert len(series) >= 10
+    for text in series:
+        try:
+            series_mod.parse_series(text).expand(28)
+        except series_mod.SeriesError:
+            pass
+    for argv in (["audit", "--chart", "spin7", "--max-degree", "12"],
+                 ["ahss", "--chart", "spin7", "--window", "32", "--vmax", "3", "--collapse"],
+                 ["ahss", "--chart", "f4", "--window", "90", "--vmax", "2", "--max-total", "72",
+                  "--collapse"]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) > 100
+    for args in calls:
+        assert _outcome(parse, *args) == _outcome(parse_reference, *args), args
 
 
 def test_exterior_requires_fp():
