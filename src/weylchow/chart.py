@@ -46,6 +46,7 @@ from .linalg import FpSubspace
 from .poly import (
     AlgebraSignature,
     Monomial,
+    PolyError,
     Polynomial,
     fp,
     mono_str,
@@ -471,6 +472,7 @@ def parse_chart(text: str, source: Optional[str] = None) -> Chart:
     q_raw: Dict[int, Dict[str, str]] = {}
     aliases: Dict[str, str] = {}
     products: List[Tuple[str, str]] = []
+    texts: List[Tuple[int, str]] = []  # every polynomial text, with its line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -507,6 +509,7 @@ def parse_chart(text: str, source: Optional[str] = None) -> Chart:
                 raise ChartError("line %d: malformed class line" % lineno) from None
         elif section == "relations":
             relations.append(line)
+            texts.append((lineno, line))
         elif section == "q":
             if "->" not in line:
                 raise ChartError("line %d: expected 'source -> polynomial'" % lineno)
@@ -514,11 +517,13 @@ def parse_chart(text: str, source: Optional[str] = None) -> Chart:
             if src in q_raw[q_index]:
                 raise ChartError("line %d: a second Q_%d image of %s" % (lineno, q_index, src))
             q_raw[q_index][src] = img
+            texts.append((lineno, img))
         elif section == "products":
             if "->" not in line:
                 raise ChartError("line %d: expected 'monomial -> term'" % lineno)
             lhs, rhs = [s.strip() for s in line.split("->", 1)]
             products.append((lhs, rhs))
+            texts += [(lineno, lhs), (lineno, rhs)]
         elif section == "aliases":
             if "=" not in line:
                 raise ChartError("line %d: expected 'short = monomial'" % lineno)
@@ -529,12 +534,21 @@ def parse_chart(text: str, source: Optional[str] = None) -> Chart:
     for key in ("p", "window"):
         if key not in header:
             raise ChartError("[chart] section missing %r" % key)
-    return build_chart(
-        header.get("name", "chart"), int(header["p"]), int(header["window"]),
-        [(nm, deg, ext) for nm, deg, _tag, ext in classes], q_raw, relations=relations,
-        torsion_tags={nm: tag for nm, _deg, tag, _ext in classes}, aliases=aliases,
-        products=products, label=header.get("name", source),
-    )
+    gens = [(nm, deg, ext) for nm, deg, _tag, ext in classes]
+    try:
+        return build_chart(
+            header.get("name", "chart"), int(header["p"]), int(header["window"]), gens, q_raw,
+            relations=relations, torsion_tags={nm: tag for nm, _deg, tag, _ext in classes},
+            aliases=aliases, products=products, label=header.get("name", source),
+        )
+    except PolyError:  # find the text refused, if a text was, to name its line
+        sig = signature(gens, fp(int(header["p"])))
+        for lineno, text in texts:
+            try:
+                parse_poly(text, sig)
+            except PolyError as exc:
+                raise ChartError("line %d: %s" % (lineno, exc)) from None
+        raise
 
 
 def load_chart(path: str) -> Chart:

@@ -30,8 +30,8 @@ from itertools import chain
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import FpSubspace, rank_q, solve_q
-from .poly import AlgebraSignature, Domain, Generator
+from .linalg import FpSubspace, rank_q, solve
+from .poly import AlgebraSignature, Domain, Generator, QQ
 
 MatrixRows = Tuple[Tuple[Fraction, ...], ...]
 SignedPermutation = Tuple[Tuple[int, ...], Tuple[int, ...]]  # x_j -> signs[j] * x_{perm[j]}
@@ -289,14 +289,10 @@ def build_weyl_spin(k: int) -> GroupAction:
 
 def _invert(m: MatrixRows) -> MatrixRows:
     n = len(m)
-    cols = []
-    for j in range(n):
-        target = [Fraction(int(i == j)) for i in range(n)]
-        x = solve_q([[m[i][jj] for i in range(n)] for jj in range(n)], target)
-        if x is None:
-            raise GroupError("matrix not invertible")
-        cols.append(x)
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    inverse = [solve(QQ, list(zip(*m)), [int(i == j) for i in range(n)]) for j in range(n)]
+    if None in inverse:
+        raise GroupError("matrix not invertible")
+    return tuple(tuple(Fraction(y[i], g) for g, y in inverse) for i in range(n))
 
 
 def build_gl(h: int) -> GroupAction:

@@ -448,21 +448,13 @@ def subring_membership(
         return False, None
     products = power_products(generators, [(Polynomial.one(sig), t) for t in tuples])
     support = sorted(set().union(*[set(p.terms) for p in products], set(f.terms)))
-    zero = domain.coerce(0)
-    cols = [[poly.terms.get(m, zero) for m in support] for poly in products]
-    target = [f.terms.get(m, zero) for m in support]
-    if domain.kind == "fp":
-        p = domain.p
-        sol = FpSubspace.solve(p, [FpSubspace.pack(p, [int(x) for x in c]) for c in cols],
-                               FpSubspace.pack(p, [int(x) for x in target]), len(support))
-        sol = None if sol is None else FpSubspace.unpack(p, sol, len(cols))
-    else:
-        sol = linalg.solve_q(cols, target)
-        if sol is not None and domain.kind != "rat" and linalg.local_scale_power(sol, domain.p) != 0:
-            sol = None
-    if sol is None:
+    cols = [[poly.terms.get(m, 0) for m in support] for poly in products]
+    target = [f.terms.get(m, 0) for m in support]
+    found = linalg.solve(domain, cols, target)
+    if found is None or domain.scale_power(found[0]) != 0:
         return False, None
-    return True, {t: c for t, c in zip(tuples, sol) if c != 0}
+    g, y = found
+    return True, {t: domain.coerce(Fraction(c, g)) for t, c in zip(tuples, y) if c}
 
 
 def algebra_generators(report: InvariantReport, max_degree: int) -> List[Tuple[int, Polynomial]]:
@@ -507,15 +499,13 @@ def _lattice_complement(inv: SubmoduleBasis, span_vectors, domain: Domain):
     n = inv.rank
     coord_cols = []
     for vec in span_vectors:
-        coords = linalg.solve_q(inv.vectors, [int(x) for x in vec])
-        if coords is None or linalg.local_scale_power(coords, domain.p) != 0:
+        found = linalg.solve(domain, inv.vectors, [int(x) for x in vec])
+        if found is None or domain.scale_power(found[0]) != 0:
             raise InvariantError("decomposable outside the invariant lattice")
-        # Clearing unit denominators scales the column by a unit: same span.
-        den = math.lcm(*(c.denominator for c in coords))
-        coord_cols.append([int(c * den) for c in coords])
+        coord_cols.append(found[1])  # g times the coordinates, g a unit: same span
     divisors, u_cols = linalg.snf_with_basis([[col[i] for col in coord_cols] for i in range(n)])
     for dv in divisors:
-        if linalg.local_scale_power([Fraction(1, dv)], domain.p) != 0:  # dv is not a unit
+        if domain.scale_power(dv) != 0:
             raise InvariantError(
                 "decomposable span has torsion quotient (divisor %d)" % dv
             )

@@ -5,8 +5,10 @@ the rational and integer routines work on plain Python lists of ints and
 Fractions.  No floating point anywhere.  Integer routines produce saturated
 kernels and Hermite-reduced lattice bases so that torsion questions
 (membership up to a p-power, elementary-divisor valuations) have exact
-answers.  Both come from one column echelon by Euclid (_echelon): hnf_basis
-runs it on every row, kernel_z on the rows of M in the columns of (M over I).
+answers.  One column echelon by Euclid (_echelon) has three readers:
+hnf_basis runs it on every row, kernel_z on the rows of M in the columns of
+(M over I), and solve, the solver for every domain, reads off kernel_z the
+least g with g * target in the span (poly.Domain.scale_power: is g a unit).
 
 Conventions: a "matrix" is a list of rows; a "basis" is a list of column
 vectors spanning a subspace or lattice of the ambient coordinate space.
@@ -18,7 +20,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .poly import FP_PRIMES, Domain
@@ -349,28 +350,6 @@ def kernel_q(rows: List[List], ncols: int) -> List[List[Fraction]]:
     return basis
 
 
-def solve_q(cols: List[Sequence], target: Sequence) -> Optional[List[Fraction]]:
-    """Solve the rational system sum_j x_j cols[j] = target; None if none.
-
-    The solution is checked in integers: x scaled by the lcm of its
-    denominators against every equation with its denominators cleared.
-    """
-    n = len(target)
-    k = len(cols)
-    system = [_integer_row([col[i] for col in cols] + [target[i]]) for i in range(n)]
-    red, pivots = rref_q(system)
-    x = [Fraction(0)] * k
-    for r, c in enumerate(pivots):
-        if c == k:
-            return None
-        x[c] = red[r][k]
-    scale = lcm(*[v.denominator for v in x])
-    scaled = [v.numerator * (scale // v.denominator) for v in x]
-    if any(sum(map(mul, row, scaled)) != row[k] * scale for row in system):
-        return None
-    return x
-
-
 # ---------------------------------------------------------------------------
 # Integer lattices
 # ---------------------------------------------------------------------------
@@ -478,16 +457,6 @@ def snf_with_basis(rows: List[List[int]]) -> Tuple[List[int], List[Vector]]:
     return divisors, u
 
 
-def p_valuation(n: int, p: int) -> int:
-    if n == 0:
-        raise LinalgError("valuation of zero")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 # ---------------------------------------------------------------------------
 # Submodules and membership
 # ---------------------------------------------------------------------------
@@ -524,37 +493,33 @@ class Membership:
         return "inside-after-scaling p^%d" % self.scale_power
 
 
+def solve(domain: Domain, cols: List[Sequence], target: Sequence) -> Optional[Tuple[int, Vector]]:
+    """(g, y) with g * target = sum_j y_j cols[j], or None when target is
+    outside the span of cols over the fraction field.  Over F_p, g = 1 and y
+    is FpSubspace.solve's.  Over Q, Z and Z_(p) one common denominator of
+    the whole system is cleared, which changes no solution; then (g, -y) is
+    the vector of the Hermite basis of ker(target | cols) (kernel_z) with
+    its pivot on the target's coordinate, so g > 0 is the least multiplier
+    over every solution.  target lies in the span over the domain exactly
+    when g is a unit there: domain.scale_power(g) == 0."""
+    if domain.kind == "fp":
+        p = domain.p
+        x = FpSubspace.solve(p, [FpSubspace.pack(p, [int(c) for c in col]) for col in cols],
+                             FpSubspace.pack(p, [int(c) for c in target]), len(target))
+        return None if x is None else (1, FpSubspace.unpack(p, x, len(cols)))
+    den = lcm(*[x.denominator for x in target], *[x.denominator for col in cols for x in col])
+    rows = [[x.numerator if den == 1 else x.numerator * (den // x.denominator) for x in row]
+            for row in zip(target, *cols)]
+    ker = kernel_z(rows, len(cols) + 1)
+    if not ker or not ker[0][0]:
+        return None
+    return ker[0][0], [-c for c in ker[0][1:]]
+
+
 def membership(v: Vector, s: SubmoduleBasis) -> Membership:
     """Exact membership of v in the span, with the minimal p-power if p-local."""
     if s.vectors and len(v) != len(s.vectors[0]):
         raise LinalgError("dimension mismatch")
-    if s.domain.kind == "fp":
-        p = s.domain.p
-        span = FpSubspace(p, [FpSubspace.pack(p, [int(c) for c in col]) for col in s.vectors])
-        inside = span.contains(FpSubspace.pack(p, [int(c) for c in v]))
-        return Membership(inside, 0 if inside else None)
-    x = solve_q(s.vectors, v)
-    if x is None:
-        return Membership(False, None)
-    if s.domain.kind == "rat":
-        return Membership(True, 0)
-    k = local_scale_power(x, s.domain.p)
+    found = solve(s.domain, s.vectors, v)
+    k = None if found is None else s.domain.scale_power(found[0])
     return Membership(k == 0, k)
-
-
-def local_scale_power(values: Sequence, p: Optional[int]) -> Optional[int]:
-    """The Z_(p) rule: the least k >= 0 with p^k * x in Z_(p) for every value.
-
-    A denominator prime to p is a unit, and p^k in a denominator means
-    "inside after scaling by p^k".  Over Z (p None) a denominator other
-    than 1 means outside: the result is 0 or None.
-    """
-    k = 0
-    for x in values:
-        den = Fraction(x).denominator
-        if den != 1:
-            if p is None:
-                return None
-            k = max(k, p_valuation(den, p))
-    return k
-

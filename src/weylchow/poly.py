@@ -103,6 +103,21 @@ class Domain:
             )
         return frac
 
+    def scale_power(self, g: int) -> Optional[int]:
+        """The Z_(p) rule, for an integer g != 0: the least k >= 0 with p^k / g
+        in this domain, None when no k works.  Over Z_(p) that is v_p(g): a
+        factor prime to p is a unit.  Over Q it is 0; over Z and F_p it is 0
+        when g is a unit there (1 or -1; prime to p) and None otherwise."""
+        if not g:
+            raise PolyError("zero is not a unit multiple of a p-power")
+        if self.kind != "plocal":
+            unit = self.kind == "rat" or g in (1, -1) or self.kind == "fp" and g % self.p
+            return 0 if unit else None
+        k = 0
+        while g % self.p == 0:
+            g, k = g // self.p, k + 1
+        return k
+
     def __str__(self):
         if self.kind == "fp":
             return "F_%d" % self.p

@@ -292,7 +292,7 @@ def feshbach_nilpotence(
     past degree _NILPOTENCE_DEGREE_BOUND (64).  A candidate or a power
     outside the image raises.
     """
-    p = pres.chart.p
+    local = z_local(pres.chart.p)
     rows = []
     for label, y in candidates:
         if not y.is_homogeneous() or y.is_zero():
@@ -310,12 +310,12 @@ def feshbach_nilpotence(
                 break
             classes = pres.classes(power.degree())
             support = sorted(set(power.terms).union(*(c.terms for c in classes)))
-            coords = linalg.solve_q([[c.coefficient(m) for m in support] for c in classes],
-                                    [power.coefficient(m) for m in support])
-            if coords is None or linalg.local_scale_power(coords, p) != 0:
+            found = linalg.solve(local, [[c.coefficient(m) for m in support] for c in classes],
+                                 [power.coefficient(m) for m in support])
+            if found is None or local.scale_power(found[0]) != 0:
                 raise RestrictionError("%s is not expressible in %s"
                                        % (label if n == 1 else "%s^%d" % (label, n), pres.name))
-            if all(c.numerator % p == 0 for c in coords):
+            if all(c % local.p == 0 for c in found[1]):  # g is prime to p
                 exponent = n
                 break
         rows.append(NilpotenceRow(label, exponent))

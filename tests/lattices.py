@@ -4,16 +4,22 @@ A lattice is given by a list of spanning vectors (columns); these are slow,
 plain constructions on top of weylchow.linalg's integer kernels, and
 kernel_z_reference and snf_with_basis_reference, the reductions with a
 tracked transform that linalg.kernel_z and linalg.snf_with_basis replaced.
+solve_q_reference and local_scale_power_reference are the rational solve
+and the Z_(p) rule that linalg.solve and poly.Domain.scale_power replaced.
 """
 
-from typing import List, Tuple
+from fractions import Fraction
+from math import lcm
+from operator import mul
+from typing import List, Optional, Sequence, Tuple
 
-from weylchow.linalg import Vector, hnf_basis, identity, kernel_z, solve_q
+from weylchow.linalg import Vector, hnf_basis, identity, kernel_z, rref_q, solve
+from weylchow.poly import ZZ
 
 
 def lattice_contains(cols: List[Vector], target: Vector) -> bool:
-    x = solve_q(cols, target)
-    return x is not None and all(c.denominator == 1 for c in x)
+    found = solve(ZZ, cols, target)
+    return found is not None and found[0] == 1
 
 
 def lattice_eq(a: List[Vector], b: List[Vector]) -> bool:
@@ -169,3 +175,57 @@ def snf_with_basis_reference(rows: List[List[int]]) -> Tuple[List[int], List[Vec
         top += 1
     u_cols = [[u[i][j] for i in range(nrows)] for j in range(nrows)]
     return divisors, u_cols
+
+
+def solve_q_reference(cols: List[Sequence], target: Sequence) -> Optional[List[Fraction]]:
+    """Solve the rational system sum_j x_j cols[j] = target; None if none.
+    The solution is zero at every column that depends on earlier ones.
+
+    The solution is checked in integers: x scaled by the lcm of its
+    denominators against every equation with its denominators cleared.
+    """
+    k = len(cols)
+    system = [_integer_row([col[i] for col in cols] + [target[i]]) for i in range(len(target))]
+    red, pivots = rref_q(system)
+    x = [Fraction(0)] * k
+    for r, c in enumerate(pivots):
+        if c == k:
+            return None
+        x[c] = red[r][k]
+    scale = lcm(*[v.denominator for v in x])
+    scaled = [v.numerator * (scale // v.denominator) for v in x]
+    if any(sum(map(mul, row, scaled)) != row[k] * scale for row in system):
+        return None
+    return x
+
+
+def _integer_row(row: Sequence) -> List[int]:
+    den = lcm(*[Fraction(x).denominator for x in row])
+    return [int(x * den) for x in row]
+
+
+def p_valuation_reference(n: int, p: int) -> int:
+    if n == 0:
+        raise ValueError("valuation of zero")
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def local_scale_power_reference(values: Sequence, p: Optional[int]) -> Optional[int]:
+    """The Z_(p) rule: the least k >= 0 with p^k * x in Z_(p) for every value.
+
+    A denominator prime to p is a unit, and p^k in a denominator means
+    "inside after scaling by p^k".  Over Z (p None) a denominator other
+    than 1 means outside: the result is 0 or None.
+    """
+    k = 0
+    for x in values:
+        den = Fraction(x).denominator
+        if den != 1:
+            if p is None:
+                return None
+            k = max(k, p_valuation_reference(den, p))
+    return k

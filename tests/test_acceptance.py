@@ -111,7 +111,7 @@ def test_criterion_05_spin7_invariants():
         mat = [[row_basis[j][i] for j in range(len(row_basis))] for i in range(len(monos))]
         # any diagonal form has the 2-valuations of the Smith form
         divisors = linalg.snf_with_basis(mat)[0]
-        assert all(linalg.p_valuation(dv, 2) <= 1 for dv in divisors), (d, divisors)
+        assert all(z_local(2).scale_power(dv) <= 1 for dv in divisors), (d, divisors)
     report(5, "spin lattice invariants match the Weyl series; all 2-valuations <= 1")
 
 

@@ -180,6 +180,17 @@ def test_repeated_q_source_refused_with_line(tail):
     assert str(parse_chart(_TOY_KILL_HEAD + "[q 1]\nu -> 0\n").q_images[0]["u"]) == "b"
 
 
+@pytest.mark.parametrize("tail, message", [
+    ("[q 1]\na -> b + q\n", "unknown generator 'q'"),
+    ("[relations]\na^2\nb*c\n", "unknown generator 'c'"),
+    ("[relations]\na^2\n[products]\na^2 -> 2*(b\n", "expected ')' at position 4"),
+])
+def test_refused_polynomial_text_is_named_by_its_line(tail, message):
+    text = _TOY_KILL_HEAD + tail
+    with pytest.raises(ChartError, match="^line %d: %s$" % (text.count("\n"), re.escape(message))):
+        parse_chart(text)
+
+
 def test_alias_resolution(spin7_builtin):
     chart = spin7_builtin.chart
     mono = chart.resolve_name("e")

@@ -155,6 +155,7 @@ def test_ahss_chart_file(tmp_path, capsys):
 @pytest.mark.parametrize("section,message", [
     ("[q -1]\na -> 0\n", "error: chart toy-kill: Milnor index -1 is negative"),
     ("[q 0]\nu -> 0\n", "error: line 17: a second Q_0 image of u"),
+    ("[q 3]\na -> b + q\n", "error: line 17: unknown generator 'q'"),
 ])
 def test_ahss_chart_file_refusals(tmp_path, capsys, section, message):
     from weylchow.builtin import toy_killing_chart
@@ -173,7 +174,7 @@ DEEP = "(" * 1000 + "%s" + ")" * 1000
 
 @pytest.mark.parametrize("argv, message", [
     (("series", "--expr", DEEP % "1-t", "--order", "3"), "expression nested too deeply"),
-    (("ahss", "--chart", "{chart}", "--vmax", "1"), "error: expression nested too deeply"),
+    (("ahss", "--chart", "{chart}", "--vmax", "1"), "error: line 9: expression nested too deeply"),
 ])
 def test_deep_nesting_is_refused_quickly(tmp_path, capsys, argv, message):
     """1,000 nested parentheses, past the recursion limit, are an input error."""

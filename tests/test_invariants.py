@@ -171,6 +171,31 @@ def test_subring_membership_unit_coefficient_over_z_local():
     assert subring_membership(t, [t.scale(2)]) == (False, None)
 
 
+@pytest.mark.parametrize("domain, factors, inside", [
+    (z_local(2), (1, 2), True),  # t is the first generator
+    (ZZ, (1, 2), True),
+    (QQ, (1, 2), True),
+    (ZZ, (2, 3), True),  # t = 3t - 2t
+    (z_local(3), (2, 6), True),  # 2 is a unit of Z_(3)
+    (z_local(2), (2, 6), False),
+    (ZZ, (2, 6), False),
+])
+def test_subring_membership_over_dependent_generators(domain, factors, inside):
+    # The generator monomials t^a * (2t)^b span one line: a solution that is
+    # zero at the dependent one can have a denominator that another avoids.
+    t = Polynomial.gen(signature([("t", 2)], domain), "t")
+    gens = [t.scale(c) for c in factors]
+    found, combination = subring_membership(t, gens)
+    assert found == inside
+    if inside:
+        total = Polynomial.zero(t.sig)
+        for (a, b), c in combination.items():
+            total = total + (gens[0] ** a * gens[1] ** b).scale(c)
+        assert total == t
+    else:
+        assert combination is None
+
+
 @pytest.mark.parametrize("action, domain", [
     (build_gl(3), F2),
     (build_weyl_f4(), F3),

@@ -1,19 +1,20 @@
 import random
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fp_reference import kernel_fp, rank_fp, rref_fp, solve_fp
-from lattices import (kernel_z_reference, lattice_contains, lattice_eq, preimage_kernel,
-                      snf_with_basis_reference)
+from lattices import (kernel_z_reference, lattice_contains, lattice_eq, local_scale_power_reference,
+                      preimage_kernel, snf_with_basis_reference, solve_q_reference)
 from weylchow import linalg
 from weylchow.groups import build_weyl_f4, build_weyl_so, build_weyl_spin
 from weylchow.invariants import InvariantError, algebra_generators, invariant_report
 from weylchow.linalg import SubmoduleBasis, membership
-from weylchow.poly import F2, F3, FP_PRIMES, ZZ, z_local
+from weylchow.poly import F2, F3, FP_PRIMES, QQ, ZZ, PolyError, fp, z_local
 
 
 def test_kernel_identity_empty():
@@ -461,11 +462,64 @@ def test_rational_elimination_matches_fraction_gauss_jordan(system):
     assert all(type(x) is Fraction for row in linalg.rref_q(rows)[0] for x in row)
     assert linalg.rank_q(rows) == len(expected[1])
     assert linalg.kernel_q(rows, ncols) == _reference_kernel(rows, ncols)
-    solution = linalg.solve_q(cols, target)
+    solution = solve_q_reference(cols, target)
     assert solution == _reference_solve(cols, target)
     if solution is not None:
         assert all(sum(x * col[i] for x, col in zip(solution, cols)) == target[i]
                    for i in range(len(target)))
+
+
+def _prime_factors(n):
+    q = 2
+    while n > 1:
+        if n % q == 0:
+            yield q
+            while n % q == 0:
+                n //= q
+        q += 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_rational_systems(), st.sampled_from([QQ, ZZ, z_local(2), z_local(3)]))
+def test_solve_gives_the_least_multiplier(system, domain):
+    rows, cols, target = system
+    expected = _reference_solve(cols, target)
+    found = linalg.solve(domain, cols, target)
+    assert (found is None) == (expected is None)
+    if found is None:
+        return
+    g, y = found
+    assert g > 0 and all(type(c) is int for c in y)
+    assert all(g * target[i] == sum(c * col[i] for c, col in zip(y, cols))
+               for i in range(len(target)))
+    if linalg.rank_q(rows) == len(cols):  # independent columns: x is unique
+        assert g == lcm(*(x.denominator for x in expected))
+        assert y == [g * x for x in expected]
+        p = None if domain is ZZ else domain.p
+        if domain is not QQ:
+            assert domain.scale_power(g) == local_scale_power_reference(expected, p)
+    # g is least: the multipliers of target into the Z-span form an ideal,
+    # so it is enough that g / q misses the span for every prime q | g.
+    den = lcm(*(x.denominator for x in target), *(x.denominator for row in rows for x in row))
+    lattice = [[int(x * den) for x in col] for col in cols]
+    for h in [g] + [g // q for q in _prime_factors(g)]:
+        with_target = lattice + [[int(h * x * den) for x in target]]
+        assert lattice_eq(lattice, with_target) == (h == g)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.integers(-10 ** 6, 10 ** 6).filter(bool), st.sampled_from(FP_PRIMES))
+def test_scale_power_matches_the_reference_rule(g, p):
+    unit = [Fraction(1, g)]
+    assert z_local(p).scale_power(g) == local_scale_power_reference(unit, p)
+    assert ZZ.scale_power(g) == local_scale_power_reference(unit, None)
+    assert QQ.scale_power(g) == 0
+    assert fp(p).scale_power(g) == (None if g % p == 0 else 0)
+
+
+def test_scale_power_of_zero_is_refused():
+    with pytest.raises(PolyError):
+        z_local(2).scale_power(0)
 
 
 # ---------------------------------------------------------------------------

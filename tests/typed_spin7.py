@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from weylchow import linalg
-from weylchow.poly import Polynomial, compositions, power_products
+from weylchow.poly import ZZ, Polynomial, compositions, power_products
 from weylchow.restriction import NilpotenceRow, RestrictionError
 
 
@@ -103,13 +103,7 @@ def _present_coords(pres: RingPresentation, poly: Polynomial):
     )
     cols = [[p2.terms.get(m, 0) for m in support] for _, p2 in basis_elements]
     target = [poly.terms.get(m, 0) for m in support]
-    sol = linalg.solve_q(cols, target)
-    if sol is None:
+    found = linalg.solve(ZZ, cols, target)
+    if found is None or found[0] != 1:
         return None
-    out = {}
-    for (label, _), c in zip(basis_elements, sol):
-        if c != 0:
-            if c.denominator != 1:
-                return None
-            out[label] = int(c)
-    return out
+    return {label: c for (label, _), c in zip(basis_elements, found[1]) if c}
