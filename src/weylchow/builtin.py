@@ -78,10 +78,7 @@ def spin7_chart(window: int = 32) -> BuiltinChart:
         chart,
         expected_series={
             "collapse_free": "1/((1-t^4)(1-t^8)(1-t^12))",
-            "collapse_torsion": (
-                "t^6/((1-t^8)(1-t^12)(1-t^16))"
-                " ; t^14/((1-t^8)(1-t^12)(1-t^14)(1-t^16))"
-            ),
+            "collapse_torsion": "(t^6+t^14-t^20)/((1-t^8)(1-t^12)(1-t^14)(1-t^16))",
         },
     )
 

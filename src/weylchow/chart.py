@@ -38,9 +38,10 @@ Chart files are section-based text ("#" comments):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import compress
 from operator import le
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .linalg import FpSubspace
 from .poly import (
@@ -472,7 +473,7 @@ def parse_chart(text: str, source: Optional[str] = None) -> Chart:
     q_raw: Dict[int, Dict[str, str]] = {}
     aliases: Dict[str, str] = {}
     products: List[Tuple[str, str]] = []
-    texts: List[Tuple[int, str]] = []  # every polynomial text, with its line
+    checks: List[Tuple[int, Callable]] = []  # each polynomial text's reading, with its line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -509,7 +510,7 @@ def parse_chart(text: str, source: Optional[str] = None) -> Chart:
                 raise ChartError("line %d: malformed class line" % lineno) from None
         elif section == "relations":
             relations.append(line)
-            texts.append((lineno, line))
+            checks.append((lineno, partial(_plain_monomial, text=line, what="relation")))
         elif section == "q":
             if "->" not in line:
                 raise ChartError("line %d: expected 'source -> polynomial'" % lineno)
@@ -517,13 +518,13 @@ def parse_chart(text: str, source: Optional[str] = None) -> Chart:
             if src in q_raw[q_index]:
                 raise ChartError("line %d: a second Q_%d image of %s" % (lineno, q_index, src))
             q_raw[q_index][src] = img
-            texts.append((lineno, img))
+            checks.append((lineno, partial(parse_poly, img)))
         elif section == "products":
             if "->" not in line:
                 raise ChartError("line %d: expected 'monomial -> term'" % lineno)
             lhs, rhs = [s.strip() for s in line.split("->", 1)]
             products.append((lhs, rhs))
-            texts += [(lineno, lhs), (lineno, rhs)]
+            checks.append((lineno, partial(_parse_product_rule, lhs_text=lhs, rhs_text=rhs)))
         elif section == "aliases":
             if "=" not in line:
                 raise ChartError("line %d: expected 'short = monomial'" % lineno)
@@ -541,12 +542,12 @@ def parse_chart(text: str, source: Optional[str] = None) -> Chart:
             relations=relations, torsion_tags={nm: tag for nm, _deg, tag, _ext in classes},
             aliases=aliases, products=products, label=header.get("name", source),
         )
-    except PolyError:  # find the text refused, if a text was, to name its line
+    except (ChartError, PolyError):  # find the text refused, if a text was, to name its line
         sig = signature(gens, fp(int(header["p"])))
-        for lineno, text in texts:
+        for lineno, read in checks:
             try:
-                parse_poly(text, sig)
-            except PolyError as exc:
+                read(sig)
+            except (ChartError, PolyError) as exc:
                 raise ChartError("line %d: %s" % (lineno, exc)) from None
         raise
 

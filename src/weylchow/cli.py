@@ -184,13 +184,9 @@ def cmd_ahss(args) -> Report:
                     n, free, tors, "; ".join(col.details.get(n, []))))
             rep.fact("ahss.collapse.%s" % chart.name, n, "%d,%d" % (free, tors))
         if bc is not None and "collapse_free" in bc.expected_series:
-            free_want = expand_series(bc.expected_series["collapse_free"], result.max_total)
-            tors_want = [0] * (result.max_total + 1)
-            for part in bc.expected_series.get("collapse_torsion", "").split(";"):
-                part = part.strip()
-                if part:
-                    tw = expand_series(part, result.max_total)
-                    tors_want = [a + b for a, b in zip(tors_want, tw)]
+            series = bc.expected_series
+            free_want = expand_series(series["collapse_free"], result.max_total)
+            tors_want = expand_series(series.get("collapse_torsion", "0"), result.max_total)
             bad = [
                 n
                 for n in range(result.max_total + 1)

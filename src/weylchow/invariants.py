@@ -1,8 +1,10 @@
 """Per-degree invariant rings of finite group actions.
 
 The invariants in each degree are the vectors that every generator fixes.
-Over Z they form a saturated lattice, so Z_(p)-invariants are the
-Z-invariants localized.  They are sought in the span of the signed orbit
+Over Q, Z and Z_(p) the answer is one lattice, Z^n cap ker_Q of the
+defects, saturated, and its Hermite basis is the basis returned over all
+three: the Z_(p)-invariants are the Z-invariants localized, and the
+Q-invariants their span.  They are sought in the span of the signed orbit
 sums of H, the subgroup of signed permutations, whose generators
 `GroupAction.stabilizer` reads off one walk over the cosets of H without
 closing the group; the sums are valid in any characteristic, and with
@@ -10,9 +12,9 @@ H = {1} they are the unit vectors of the degree slice.  Each generator that
 is not a signed permutation is imposed on the span the previous ones left,
 through the integer rows (den M - den^k) v: over F_p as an
 `FpSubspace.preimage` of the packed defects (each candidate's defect is
-found once, and a span row's is the combination its coordinates give), over
-Q and Z as an exact kernel.  Values become domain elements only in the
-returned basis.
+found once, and a span row's is the combination its coordinates give), in
+characteristic 0 as a saturated integer kernel (`linalg.kernel_z`).  Values
+become domain elements only in the returned basis.
 
 A signed permutation sends each monomial to one signed monomial and acts
 through one index table per exponent sum (_signed_table), read off the
@@ -311,11 +313,11 @@ def invariant_basis(action: GroupAction, degree: int, domain: Domain,
     combos = [_combine(cv, candidates)
               for cv in _restrict_by_generators(action, gens, k, top, domain, candidates)]
     vectors = [[vec.get(j, 0) for j in range(len(monos))] for vec in combos]
-    if domain.kind in ("int", "plocal"):
+    if not domain.characteristic:
         vectors = linalg.hnf_basis(vectors)
-    else:
-        vectors = [[domain.coerce(x) for x in vec] for vec in vectors]
-    basis = SubmoduleBasis(domain, monos, vectors)
+    zero = domain.coerce(0)  # most entries: one shared value
+    basis = SubmoduleBasis(domain, monos, [[domain.coerce(x) if x else zero for x in vec]
+                                           for vec in vectors])
     _verify_invariance(action, basis, k, top, domain)
     return basis
 
@@ -332,14 +334,16 @@ def _combine(coeffs: Sequence, candidates: List[Dict[int, int]]) -> Dict[int, ob
 
 def _restrict_by_generators(action, gens, k, top, domain, candidates):
     """Coefficient vectors over the candidates spanning what every listed
-    generator fixes, imposed one generator at a time.  Over F_p and Q they
-    are the stacked-kernel basis (1 at one free candidate, 0 at the others:
-    the reduced echelon form with the columns reversed); over Z and Z_(p) a
-    basis of the saturated lattice, for the caller's hnf_basis.  Over F_p
-    the span is kept over the candidates taken last first, so that its
-    echelon rows are that form with their coordinates reversed; each
-    candidate's defect is found once per generator, and a span row's image
-    is the combination of them its coordinates give."""
+    generator fixes, imposed one generator at a time.  Over F_p they are the
+    stacked-kernel basis (1 at one free candidate, 0 at the others: the
+    reduced echelon form with the columns reversed); the span is kept over
+    the candidates taken last first, so that its echelon rows are that form
+    with their coordinates reversed, each candidate's defect is found once
+    per generator, and a span row's image is the combination of them its
+    coordinates give.  Over Q, Z and Z_(p) alike they are a basis of the
+    saturated lattice of integer coefficient vectors that every generator
+    fixes, each generator's kernel_z of the span's integer defects, for the
+    caller's hnf_basis."""
     m, p = len(candidates), domain.characteristic
     span = FpSubspace.full(p, m) if p else linalg.identity(m)
     for g in gens:
@@ -353,15 +357,11 @@ def _restrict_by_generators(action, gens, k, top, domain, candidates):
             continue
         defects = [sa.defect(k, _combine(cv, candidates)) for cv in span]
         rows = [row for row in zip(*defects) if any(row)]
-        kernel = (linalg.kernel_q if domain.kind == "rat" else linalg.kernel_z)(rows, len(span))
-        cols = list(zip(*span))  # a saturated kernel's rows stay primitive below
-        span = [[sum(map(mul, kv, col)) for col in cols] for kv in map(linalg._integer_row, kernel)]
+        cols = list(zip(*span))
+        span = [[sum(map(mul, kv, col)) for col in cols] for kv in linalg.kernel_z(rows, len(span))]
     if p:
         return [FpSubspace.unpack(p, row, m)[::-1] for row in reversed(span.rows)]
-    if domain.kind != "rat":
-        return span
-    red, pivots = linalg.rref_q([cv[::-1] for cv in span])
-    return [row[::-1] for row in reversed(red[:len(pivots)])]
+    return span
 
 
 def _verify_invariance(action, basis: SubmoduleBasis, k: int, top: int, domain: Domain):
@@ -466,8 +466,8 @@ def algebra_generators(report: InvariantReport, max_degree: int) -> List[Tuple[i
     quotient lattice is analyzed by Smith reduction, so new generators are
     primitive complements and p-divisibility cannot poison later degrees.
     A torsion quotient means no generator choice makes the ring free over
-    the found ones, and raises.  Over F_p and Q, which have no lattice,
-    extraction is refused.
+    the found ones, and raises.  Over the fields F_p and Q extraction is
+    refused.
     """
     sig = report.sig
     domain = sig.domain

@@ -1,14 +1,16 @@
 """Exact linear algebra over F_p, Q, and Z.
 
 F_p algebra runs on FpSubspace, which packs a vector of F_p^n into one int;
-the rational and integer routines work on plain Python lists of ints and
-Fractions.  No floating point anywhere.  Integer routines produce saturated
-kernels and Hermite-reduced lattice bases so that torsion questions
-(membership up to a p-power, elementary-divisor valuations) have exact
-answers.  One column echelon by Euclid (_echelon) has three readers:
-hnf_basis runs it on every row, kernel_z on the rows of M in the columns of
-(M over I), and solve, the solver for every domain, reads off kernel_z the
-least g with g * target in the span (poly.Domain.scale_power: is g a unit).
+the routines of characteristic 0 work on plain Python lists of ints, and
+take Fractions only after clearing one common denominator.  No floating
+point anywhere.  Q, Z and Z_(p) share one elimination, a column echelon by
+Euclid (_echelon), with four readers: hnf_basis runs it on every row,
+kernel_z on the rows of M (sparsest first) in the columns of (M over I),
+rank_q counts its pivots, and solve, the solver for every domain, reads off
+kernel_z the least g with g * target in the span (poly.Domain.scale_power:
+is g a unit).  Kernels come out saturated and lattice bases Hermite-reduced,
+so that torsion questions (membership up to a p-power, elementary-divisor
+valuations) have exact answers.
 
 Conventions: a "matrix" is a list of rows; a "basis" is a list of column
 vectors spanning a subspace or lattice of the ambient coordinate space.
@@ -18,8 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .poly import FP_PRIMES, Domain
@@ -284,73 +285,6 @@ class FpSubspace:
 
 
 # ---------------------------------------------------------------------------
-# Rational elimination
-# ---------------------------------------------------------------------------
-
-
-def rref_q(rows: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
-    """Reduced row echelon form over Q; returns (rref rows, pivot columns).
-
-    Integer-preserving elimination (after Bareiss, Math. Comp. 1968): each row's
-    denominators are cleared once, rows are combined as a*row_i - b*row_r and
-    divided by their content, and pivots are divided out only in the returned
-    rows.  The reduced row echelon form is unique, so it equals Gauss-Jordan's.
-    """
-    m = [_integer_row(row) for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        row_r = m[r]
-        b = row_r[c]
-        for i in range(nrows):
-            a = m[i][c]
-            if a and i != r:
-                g = gcd(a, b)
-                s, t = b // g, a // g
-                new = [s * x - t * y for x, y in zip(m[i], row_r)]
-                g = gcd(*new)
-                m[i] = [x // g for x in new] if g > 1 else new
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    out = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
-    return out + [[Fraction(0)] * ncols for _ in range(nrows - r)], pivots
-
-
-def _integer_row(row: Sequence) -> List[int]:
-    """The primitive integer multiple of a row of ints/Fractions (zero stays zero)."""
-    den = lcm(*[x.denominator for x in row])
-    ints = [x.numerator * (den // x.denominator) for x in row]
-    g = gcd(*ints)
-    return [x // g for x in ints] if g > 1 else ints
-
-
-def rank_q(rows: List[List]) -> int:
-    return len(rref_q(rows)[1])
-
-
-def kernel_q(rows: List[List], ncols: int) -> List[List[Fraction]]:
-    red, pivots = rref_q(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fcol in free:
-        v = [Fraction(0)] * ncols
-        v[fcol] = Fraction(1)
-        for r, pcol in enumerate(pivots):
-            v[pcol] = -red[r][fcol]
-        basis.append(v)
-    return basis
-
-
-# ---------------------------------------------------------------------------
 # Integer lattices
 # ---------------------------------------------------------------------------
 
@@ -383,11 +317,15 @@ def _echelon(cols: List[Vector], stop: int) -> Tuple[List[Vector], List[Vector]]
     return pivots, work
 
 
-def kernel_z(rows: List[List[int]], ncols: int) -> List[Vector]:
+def kernel_z(rows: List[Sequence[int]], ncols: int) -> List[Vector]:
     """Hermite basis (hnf_basis) of the saturated integer kernel {x in
     Z^ncols : M x = 0}, M the matrix of rows.  The columns of (M over I) are
     put in echelon form on the rows of M (_echelon); the columns left are
-    (0 over u), and their u span the kernel."""
+    (0 over u), and their u span the kernel.  The rows go in sparsest
+    first, a stable sort by nonzero count, which changes no output (the
+    Hermite basis is canonical): a sparse row reduces only the few columns
+    it is nonzero on, and a dense row, met last, only the columns left."""
+    rows = sorted(rows, key=lambda row: sum(map(bool, row)))
     m = len(rows)
     cols = [[row[j] for row in rows] + unit for j, unit in enumerate(identity(ncols))]
     return hnf_basis([c[m:] for c in _echelon(cols, m)[1]])
@@ -408,6 +346,21 @@ def hnf_basis(cols: List[Vector]) -> List[Vector]:
             if q := earlier[prow] // pivot[prow]:
                 earlier[prow:] = [x - q * y for x, y in zip(earlier[prow:], pivot[prow:])]
     return basis
+
+
+def _cleared(rows: List[Sequence]) -> List[Vector]:
+    """The rows of ints and Fractions times one common denominator of all
+    their entries, as ints; unchanged but for the type when it is 1."""
+    den = lcm(*[x.denominator for row in rows for x in row])
+    return [[x.numerator if den == 1 else x.numerator * (den // x.denominator) for x in row]
+            for row in rows]
+
+
+def rank_q(rows: List[Sequence]) -> int:
+    """The rank over Q of rows of ints and Fractions: the pivot count of the
+    echelon (_echelon) of the rows cleared of one common denominator."""
+    ints = _cleared(rows)
+    return len(_echelon(ints, len(ints[0]) if ints else 0)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +419,10 @@ def snf_with_basis(rows: List[List[int]]) -> Tuple[List[int], List[Vector]]:
 class SubmoduleBasis:
     """Spanning vectors for a submodule of a based ambient slice.
 
-    Over F_p and Q the vectors are linearly independent; over Z they form a
-    Hermite-reduced lattice basis (saturated when produced by kernel_z()).
+    Over F_p the vectors are linearly independent; over Q, Z and Z_(p) they
+    form a Hermite-reduced lattice basis (hnf_basis).  An invariant basis
+    there is that of the saturated lattice Z^n cap ker_Q: the same vectors
+    over all three domains, each entry coerced into the domain.
     """
 
     domain: Domain
@@ -507,10 +462,7 @@ def solve(domain: Domain, cols: List[Sequence], target: Sequence) -> Optional[Tu
         x = FpSubspace.solve(p, [FpSubspace.pack(p, [int(c) for c in col]) for col in cols],
                              FpSubspace.pack(p, [int(c) for c in target]), len(target))
         return None if x is None else (1, FpSubspace.unpack(p, x, len(cols)))
-    den = lcm(*[x.denominator for x in target], *[x.denominator for col in cols for x in col])
-    rows = [[x.numerator if den == 1 else x.numerator * (den // x.denominator) for x in row]
-            for row in zip(target, *cols)]
-    ker = kernel_z(rows, len(cols) + 1)
+    ker = kernel_z(_cleared(list(zip(target, *cols))), len(cols) + 1)
     if not ker or not ker[0][0]:
         return None
     return ker[0][0], [-c for c in ker[0][1:]]

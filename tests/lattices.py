@@ -6,14 +6,17 @@ kernel_z_reference and snf_with_basis_reference, the reductions with a
 tracked transform that linalg.kernel_z and linalg.snf_with_basis replaced.
 solve_q_reference and local_scale_power_reference are the rational solve
 and the Z_(p) rule that linalg.solve and poly.Domain.scale_power replaced.
+rref_q_reference and kernel_q_reference are the rational row reduction
+that the invariants over Q ran before they moved to kernel_z, and that
+linalg.rank_q counted the pivots of.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
-from weylchow.linalg import Vector, hnf_basis, identity, kernel_z, rref_q, solve
+from weylchow.linalg import Vector, hnf_basis, identity, kernel_z, solve
 from weylchow.poly import ZZ
 
 
@@ -186,7 +189,7 @@ def solve_q_reference(cols: List[Sequence], target: Sequence) -> Optional[List[F
     """
     k = len(cols)
     system = [_integer_row([col[i] for col in cols] + [target[i]]) for i in range(len(target))]
-    red, pivots = rref_q(system)
+    red, pivots = rref_q_reference(system)
     x = [Fraction(0)] * k
     for r, c in enumerate(pivots):
         if c == k:
@@ -199,9 +202,64 @@ def solve_q_reference(cols: List[Sequence], target: Sequence) -> Optional[List[F
     return x
 
 
+def rref_q_reference(rows: List[Sequence]) -> Tuple[List[List[Fraction]], List[int]]:
+    """Reduced row echelon form over Q; returns (rref rows, pivot columns).
+
+    Integer-preserving elimination (after Bareiss, Math. Comp. 1968): each row's
+    denominators are cleared once, rows are combined as a*row_i - b*row_r and
+    divided by their content, and pivots are divided out only in the returned
+    rows.  The reduced row echelon form is unique, so it equals Gauss-Jordan's.
+    """
+    m = [_integer_row(row) for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots: List[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        row_r = m[r]
+        b = row_r[c]
+        for i in range(nrows):
+            a = m[i][c]
+            if a and i != r:
+                g = gcd(a, b)
+                s, t = b // g, a // g
+                new = [s * x - t * y for x, y in zip(m[i], row_r)]
+                g = gcd(*new)
+                m[i] = [x // g for x in new] if g > 1 else new
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    out = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
+    return out + [[Fraction(0)] * ncols for _ in range(nrows - r)], pivots
+
+
 def _integer_row(row: Sequence) -> List[int]:
-    den = lcm(*[Fraction(x).denominator for x in row])
-    return [int(x * den) for x in row]
+    """The primitive integer multiple of a row of ints/Fractions (zero stays zero)."""
+    den = lcm(*[x.denominator for x in row])
+    ints = [x.numerator * (den // x.denominator) for x in row]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
+def kernel_q_reference(rows: List[Sequence], ncols: int) -> List[List[Fraction]]:
+    """The rational kernel in reduced form: for each free column, 1 there,
+    0 at the other free columns, read off rref_q_reference."""
+    red, pivots = rref_q_reference(rows)
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    basis = []
+    for fcol in free:
+        v = [Fraction(0)] * ncols
+        v[fcol] = Fraction(1)
+        for r, pcol in enumerate(pivots):
+            v[pcol] = -red[r][fcol]
+        basis.append(v)
+    return basis
 
 
 def p_valuation_reference(n: int, p: int) -> int:

@@ -184,6 +184,11 @@ def test_repeated_q_source_refused_with_line(tail):
     ("[q 1]\na -> b + q\n", "unknown generator 'q'"),
     ("[relations]\na^2\nb*c\n", "unknown generator 'c'"),
     ("[relations]\na^2\n[products]\na^2 -> 2*(b\n", "expected ')' at position 4"),
+    ("[relations]\na + b\n", "relation 'a + b' must be a plain monomial"),
+    ("[relations]\na^2\nu*b\n[products]\na^2 -> u + b\n",
+     "product rule RHS 'u + b' must be a monomial or 0"),
+    ("[relations]\na^2\n[products]\na^2 + u -> 0\n",
+     "product rule LHS 'a^2 + u' must be a plain monomial"),
 ])
 def test_refused_polynomial_text_is_named_by_its_line(tail, message):
     text = _TOY_KILL_HEAD + tail

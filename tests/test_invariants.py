@@ -24,7 +24,7 @@ from weylchow.invariants import (
     signed_permutation,
     subring_membership,
 )
-from weylchow.linalg import FpSubspace, SubmoduleBasis, hnf_basis, kernel_q, kernel_z, rref_q
+from weylchow.linalg import FpSubspace, SubmoduleBasis, hnf_basis, kernel_z
 from weylchow.poly import (F2, F3, QQ, ZZ, PolyError, Polynomial, degree_slice, fp, signature,
                            z_local)
 from weylchow.series import expand_series
@@ -466,15 +466,13 @@ def _stacked_kernel_reference(action, degree, domain, plain=False):
                  for i in range(len(monos))]
     if domain.kind == "fp":
         coeffs = kernel_fp([[int(x) % domain.p for x in row] for row in rows], len(cands), domain.p)
-    elif domain.kind == "rat":
-        coeffs = kernel_q(rows, len(cands))
     else:
         coeffs = kernel_z([[int(x) for x in row] for row in rows], len(cands))
     vectors = [[domain.coerce(sum(c * cand[i] for c, cand in zip(cv, cands)))
                 for i in range(len(monos))] for cv in coeffs]
-    if domain.kind in ("int", "plocal"):
+    if domain.kind != "fp":  # Q, Z and Z_(p): the Hermite basis of one saturated lattice
         vectors = hnf_basis([[int(x) for x in v] for v in vectors])
-    return vectors
+    return [[domain.coerce(x) for x in v] for v in vectors]
 
 
 def _conjugated_gl3(seed):
@@ -599,11 +597,8 @@ def test_invariant_basis_matches_stacked_kernel(action, domain, degrees):
         assert [list(map(type, v)) for v in got] == [list(map(type, v)) for v in want], d
 
 
-def _row_space(vectors, domain):
-    if domain.kind == "fp":
-        return FpSubspace(domain.p, [FpSubspace.pack(domain.p, [int(x) for x in v])
-                                     for v in vectors]).rows
-    return rref_q(vectors)[0] if vectors else []
+def _row_space(vectors, p):
+    return FpSubspace(p, [FpSubspace.pack(p, [int(x) for x in v]) for v in vectors]).rows
 
 
 @pytest.mark.parametrize("action, domain, degrees", [
@@ -618,15 +613,15 @@ def _row_space(vectors, domain):
 ], ids=["so3-z", "so3-q", "spin3-z", "spin3-zlocal2", "spin3-f3", "gl3-f2", "f4-q", "f4-f3"])
 def test_orbit_sums_give_the_unit_vector_invariants(action, domain, degrees):
     """The basis from the signed orbit sums against the plain stacked kernel
-    over the unit vectors with every generator: equal over Z and Z_(p), the
-    same row space over Q and F_p."""
+    over the unit vectors with every generator: equal over Q, Z and Z_(p),
+    the same row space over F_p."""
     for d in degrees:
         got = invariant_basis(action, d, domain).vectors
         plain = _stacked_kernel_reference(action, d, domain, plain=True)
-        if domain.kind in ("int", "plocal"):
-            assert got == plain, d
+        if domain.kind == "fp":
+            assert _row_space(got, domain.p) == _row_space(plain, domain.p), d
         else:
-            assert _row_space(got, domain) == _row_space(plain, domain), d
+            assert got == plain, d
 
 
 @pytest.mark.parametrize("action, domain, top, series", [
@@ -641,6 +636,21 @@ def test_invariant_ranks_without_the_group_closure(action, domain, top, series, 
     want = expand_series(series, top)
     stride = 2 if action.gen_degree == 2 else 1
     assert poincare_series(action, top, domain) == {d: want[d] for d in range(0, top + 1, stride)}
+
+
+@pytest.mark.parametrize("action, domain, top", [
+    (build_weyl_spin(3), ZZ, 36),
+    (build_weyl_f4(), z_local(3), 24),  # half-integral: not over Z
+], ids=["spin3-z-36", "f4-zlocal3-24"])
+def test_rational_basis_is_the_integral_hermite_basis(action, domain, top):
+    """Over Q the invariants are the Hermite basis of the saturated lattice
+    Z^n cap ker_Q, the vectors of the Z or Z_(p) basis, as Fractions."""
+    rational = invariant_report(action, top, QQ).by_degree
+    integral = invariant_report(action, top, domain).by_degree
+    assert rational.keys() == integral.keys()
+    for d, basis in rational.items():
+        assert basis.vectors == integral[d].vectors, d
+        assert all(type(x) is Fraction for v in basis.vectors for x in v), d
 
 
 def test_signed_subgroup_found_once(monkeypatch):
