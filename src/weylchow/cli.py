@@ -72,14 +72,22 @@ class Report:
         return "\n".join(self.table) + "\n"
 
 
+def _suffix_int(text: str, prefix: str) -> Optional[int]:
+    """The integer after prefix in text, or None (another prefix, or no integer)."""
+    try:
+        return int(text[len(prefix):]) if text.startswith(prefix) else None
+    except ValueError:
+        return None
+
+
 def _parse_domain(text: str) -> Domain:
     text = text.lower()
     if text == "q":
         return QQ
     if text == "z":
         return ZZ
-    if text.startswith("zlocal:"):
-        return z_local(int(text.split(":", 1)[1]))
+    if (p := _suffix_int(text, "zlocal:")) is not None:
+        return z_local(p)
     if text[:1] == "f" and text[1:].isdigit():
         return fp(int(text[1:]))  # refuses a p outside FP_PRIMES
     raise ValueError("unknown domain %r" % text)
@@ -88,12 +96,9 @@ def _parse_domain(text: str) -> Domain:
 def _parse_group(text: str):
     if text == "f4":
         return build_weyl_f4()
-    if text.startswith("so:"):
-        return build_weyl_so(int(text.split(":", 1)[1]))
-    if text.startswith("spin:"):
-        return build_weyl_spin(int(text.split(":", 1)[1]))
-    if text.startswith("gl:"):
-        return build_gl(int(text.split(":", 1)[1]))
+    for prefix, build in (("so:", build_weyl_so), ("spin:", build_weyl_spin), ("gl:", build_gl)):
+        if (k := _suffix_int(text, prefix)) is not None:
+            return build(k)
     if text.startswith("file:"):
         return load_action(text.split(":", 1)[1])
     raise GroupError("unknown group %r" % text)
@@ -147,12 +152,14 @@ def cmd_invariants(args) -> Report:
 
 
 def _load_chart_arg(name: str, window: Optional[int]):
-    if os.path.exists(name):
-        if window is not None:
-            raise ChartError("--window is for builtin charts; %s sets its own window" % name)
-        return load_chart(name), None
-    bc = builtin_mod.get_builtin(name, window)
-    return bc.chart, bc
+    """A builtin name always means the builtin; any other name is a chart
+    file when it exists (./NAME reads a file named like a builtin)."""
+    if name in builtin_mod.builtin_names() or not os.path.exists(name):
+        bc = builtin_mod.get_builtin(name, window)
+        return bc.chart, bc
+    if window is not None:
+        raise ChartError("--window is for builtin charts; %s sets its own window" % name)
+    return load_chart(name), None
 
 
 def cmd_ahss(args) -> Report:

@@ -8,12 +8,11 @@ Q-invariants their span.  They are sought in the span of the signed orbit
 sums of H, the subgroup of signed permutations, whose generators
 `GroupAction.stabilizer` reads off one walk over the cosets of H without
 closing the group; the sums are valid in any characteristic, and with
-H = {1} they are the unit vectors of the degree slice.  Each generator that
-is not a signed permutation is imposed on the span the previous ones left,
-through the integer rows (den M - den^k) v: over F_p as an
-`FpSubspace.preimage` of the packed defects (each candidate's defect is
-found once, and a span row's is the combination its coordinates give), in
-characteristic 0 as a saturated integer kernel (`linalg.kernel_z`).  Values
+H = {1} they are the unit vectors of the degree slice.  The generators that
+are not signed permutations act through the integer defects (den M - den^k)
+v of the candidates, each found once per generator: in characteristic 0
+stacked into one saturated kernel (`linalg.kernel_z`), over F_p imposed one
+generator at a time, as `FpSubspace.preimage`s of the packed defects.  Values
 become domain elements only in the returned basis.
 
 A signed permutation sends each monomial to one signed monomial and acts
@@ -312,9 +311,11 @@ def invariant_basis(action: GroupAction, degree: int, domain: Domain,
     candidates = _signed_orbit_sums(action, k, domain.characteristic)
     combos = [_combine(cv, candidates)
               for cv in _restrict_by_generators(action, gens, k, top, domain, candidates)]
+    # Over Q, Z and Z_(p) this is the Hermite basis over the monomials too:
+    # the candidates come in order of their first monomial, +1 there, with
+    # disjoint supports, so a vector's first nonzero entry and its entries at
+    # those first monomials are its candidate coordinates.
     vectors = [[vec.get(j, 0) for j in range(len(monos))] for vec in combos]
-    if not domain.characteristic:
-        vectors = linalg.hnf_basis(vectors)
     zero = domain.coerce(0)  # most entries: one shared value
     basis = SubmoduleBasis(domain, monos, [[domain.coerce(x) if x else zero for x in vec]
                                            for vec in vectors])
@@ -334,34 +335,30 @@ def _combine(coeffs: Sequence, candidates: List[Dict[int, int]]) -> Dict[int, ob
 
 def _restrict_by_generators(action, gens, k, top, domain, candidates):
     """Coefficient vectors over the candidates spanning what every listed
-    generator fixes, imposed one generator at a time.  Over F_p they are the
-    stacked-kernel basis (1 at one free candidate, 0 at the others: the
-    reduced echelon form with the columns reversed); the span is kept over
-    the candidates taken last first, so that its echelon rows are that form
-    with their coordinates reversed, each candidate's defect is found once
-    per generator, and a span row's image is the combination of them its
-    coordinates give.  Over Q, Z and Z_(p) alike they are a basis of the
-    saturated lattice of integer coefficient vectors that every generator
-    fixes, each generator's kernel_z of the span's integer defects, for the
-    caller's hnf_basis."""
+    generator fixes.  Over Q, Z and Z_(p): the Hermite basis of the saturated
+    lattice they fix, one kernel_z of every generator's defects of the
+    candidates, stacked.  Over F_p (stacking was measured slower): the
+    generators one at a time, each an FpSubspace.preimage of the span the
+    previous ones left, kept over the candidates taken last first so that its
+    echelon rows, reversed, are the stacked-kernel basis (1 at one free
+    candidate, 0 at the others); a span row's defect is the combination of
+    the candidates' defects its coordinates give."""
     m, p = len(candidates), domain.characteristic
-    span = FpSubspace.full(p, m) if p else linalg.identity(m)
+    if not p:
+        rows = []
+        for g in gens:
+            sa = _slice_action(action, g, domain, k, top)
+            rows += [row for row in zip(*[sa.defect(k, cand) for cand in candidates]) if any(row)]
+        return linalg.kernel_z(rows, m)
+    span = FpSubspace.full(p, m)
     for g in gens:
         if not span:
             break
         sa = _slice_action(action, g, domain, k, top)
-        if p:
-            defects = [sa.defect(k, cand) for cand in reversed(candidates)]
-            span = span.preimage([FpSubspace.image(p, defects, row) for row in span],
-                                 FpSubspace(p), sa.width(k))
-            continue
-        defects = [sa.defect(k, _combine(cv, candidates)) for cv in span]
-        rows = [row for row in zip(*defects) if any(row)]
-        cols = list(zip(*span))
-        span = [[sum(map(mul, kv, col)) for col in cols] for kv in linalg.kernel_z(rows, len(span))]
-    if p:
-        return [FpSubspace.unpack(p, row, m)[::-1] for row in reversed(span.rows)]
-    return span
+        defects = [sa.defect(k, cand) for cand in reversed(candidates)]
+        span = span.preimage([FpSubspace.image(p, defects, row) for row in span],
+                             FpSubspace(p), sa.width(k))
+    return [FpSubspace.unpack(p, row, m)[::-1] for row in reversed(span.rows)]
 
 
 def _verify_invariance(action, basis: SubmoduleBasis, k: int, top: int, domain: Domain):

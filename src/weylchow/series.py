@@ -42,13 +42,6 @@ class SeriesExpr:
                 coeffs[n] += coeffs[n - a]
         return coeffs
 
-    def coefficient(self, n: int) -> int:
-        return self.expand(n)[n]
-
-    def __str__(self):
-        den = "".join("(1-t^%d)" % a for a in self.denominator)
-        return "(%s)/(%s)" % (self.numerator, den) if den else self.numerator
-
 
 def _parse(text: str, order: Optional[int]) -> Polynomial:
     """text read by poly.parse; with an order, its terms up to t^order, with

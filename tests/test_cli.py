@@ -133,6 +133,18 @@ def test_unknown_group_errors(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("group, domain, message", [
+    ("so:x", "z", "unknown group 'so:x'"),
+    ("spin:x", "z", "unknown group 'spin:x'"),
+    ("gl:x", "f2", "unknown group 'gl:x'"),
+    ("so:3", "zlocal:x", "unknown domain 'zlocal:x'"),
+])
+def test_malformed_group_and_domain_specs_are_named(capsys, group, domain, message):
+    code, out, err = run_cli(capsys, "invariants", "--group", group, "--domain", domain,
+                             "--max-degree", "4")
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
 def test_ahss_toy_collapse(capsys):
     code, out, _ = run_cli(
         capsys, "ahss", "--chart", "toy-kill", "--vmax", "1", "--collapse"
@@ -264,6 +276,21 @@ def test_unknown_builtin_chart_errors(capsys):
     code, _, err = run_cli(capsys, "ahss", "--chart", "nope", "--vmax", "1")
     assert code == 2
     assert err.startswith("error: unknown builtin chart 'nope'")
+
+
+def test_builtin_chart_names_are_not_shadowed_by_files(tmp_path, monkeypatch, capsys):
+    from weylchow.builtin import toy_killing_chart
+    from weylchow.chart import serialize_chart
+
+    (tmp_path / "spin7").write_text(serialize_chart(toy_killing_chart().chart))
+    (tmp_path / "f4").mkdir()
+    monkeypatch.chdir(tmp_path)
+    want = run_cli(capsys, "ahss", "--chart", "toy-kill", "--vmax", "1")
+    assert run_cli(capsys, "ahss", "--chart", "./spin7", "--vmax", "1") == want
+    code, out, _ = run_cli(capsys, "ahss", "--chart", "spin7", "--vmax", "1")
+    assert code == 0 and out.startswith("AHss for chart spin7 (p=2")
+    code, out, _ = run_cli(capsys, "ahss", "--chart", "f4", "--vmax", "1", "--max-total", "8")
+    assert code == 0 and out.startswith("AHss for chart f4 (p=3")
 
 
 def test_internal_error_propagates(monkeypatch):

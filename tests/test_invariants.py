@@ -577,6 +577,8 @@ def test_walk_candidates_match_the_closure_on_random_groups(case):
     _check_stabilizer(action)
     for d in range(0, 9, 2):
         _check_candidates(action, d, domain)
+        assert invariant_basis(action, d, domain).vectors == \
+            _stacked_kernel_reference(action, d, domain), d
 
 
 @pytest.mark.parametrize("action, domain, degrees", [
@@ -587,6 +589,9 @@ def test_walk_candidates_match_the_closure_on_random_groups(case):
     (build_weyl_spin(3), ZZ, range(2, 25, 2)),
     (_conjugated_gl3(11), F2, range(1, 17)),
     (build_weyl_so(4), F2, range(2, 13, 2)),  # signs that differ only mod 2
+    (build_weyl_spin(4), z_local(2), range(2, 17, 2)),  # two generators that are not signed
+    (build_weyl_spin(3), F3, range(2, 25, 2)),
+    (build_weyl_spin(4), F3, range(2, 17, 2)),
 ])
 def test_invariant_basis_matches_stacked_kernel(action, domain, degrees):
     for d in degrees:

@@ -49,7 +49,7 @@ def test_plain_polynomial():
 
 
 def test_coefficient_accessor():
-    assert parse_series("t^6/((1-t^8))").coefficient(14) == 1
+    assert parse_series("t^6/((1-t^8))").expand(14)[14] == 1
 
 
 def test_bad_denominator_rejected():
@@ -75,12 +75,6 @@ def test_malformed_series_rejected(text):
 
 def test_leading_minus():
     assert expand_series("-t^3/((1-t^4))", 11) == [0, 0, 0, -1, 0, 0, 0, -1, 0, 0, 0, -1]
-
-
-def test_round_trip_str():
-    for text in ("(1+t^4)/((1-t^8)(1-t^12))", "(1-2*t^4)/((1-t^8))", "-t^3"):
-        s = parse_series(text)
-        assert parse_series(str(s)).expand(24) == s.expand(24)
 
 
 def test_products_and_powers_are_cut_at_the_order():
