@@ -39,7 +39,8 @@ the part they read; they equal the pages of every mu of support sigma.
 
 One object, AhssResult, is a chart's spectral sequence, computed on
 demand: k and w are the memoized recursion, block(s, mu) is the final page
-of one block, checked (every boundary a cycle) the first time it is read,
+of one block, checked (every boundary a cycle) the first time a block of
+its (s, sigma) is read,
 and keys() lists the blocks of the reporting range (totals() those of
 total degree 0..max_total).  Readers go only through these, so they are
 correct on an object that was never swept.
@@ -135,6 +136,7 @@ class AhssResult:
         self._keys: Optional[List[Tuple[int, VMono]]] = None
         self._k: Dict[Tuple[int, int, VSupport], FpSubspace] = {}
         self._w: Dict[Tuple[int, int, VSupport], FpSubspace] = {}
+        self._pages: Dict[Tuple[int, VSupport], Tuple[FpSubspace, FpSubspace]] = {}
 
     def rank(self, s: int) -> int:
         return self.chart.integral_slice(s).rank if s >= 0 else 0
@@ -179,19 +181,22 @@ class AhssResult:
                 if 0 <= s + degrees[mu] <= self.max_total]
 
     def block(self, s: int, mu: VMono) -> Tuple[FpSubspace, FpSubspace]:
-        """(Kbar, Wbar) of the final page at (s, mu)."""
+        """(Kbar, Wbar) of the final page at (s, mu), the page of (s, sigma)
+        for mu's support sigma, checked once per (s, sigma)."""
         blk = self.blocks.get((s, mu))
         if blk is None:
             sigma = tuple(map(bool, mu))
-            k_bar, w_bar = self.k(self.v_max, s, sigma), self.w(self.v_max, s, sigma)
-            if not all(map(k_bar.contains, w_bar)):
-                # build_chart checks Q_i^2 = 0 inside the window only; a
-                # failure below it shows here first, so name it if it is
-                # the cause.
-                check_q_squares(self.chart, s + 2 * q_shift(self.p, self.v_max))
-                raise AhssError("page inconsistency at (s=%d, %s): boundary outside cycles"
-                                % (s, v_label(mu)))
-            blk = self.blocks[(s, mu)] = (k_bar, w_bar)
+            if (s, sigma) not in self._pages:
+                k_bar, w_bar = self.k(self.v_max, s, sigma), self.w(self.v_max, s, sigma)
+                if not all(map(k_bar.contains, w_bar)):
+                    # build_chart checks Q_i^2 = 0 inside the window only; a
+                    # failure below it shows here first, so name it if it is
+                    # the cause.
+                    check_q_squares(self.chart, s + 2 * q_shift(self.p, self.v_max))
+                    raise AhssError("page inconsistency at (s=%d, %s): boundary outside cycles"
+                                    % (s, v_label(mu)))
+                self._pages[s, sigma] = (k_bar, w_bar)
+            blk = self.blocks[(s, mu)] = self._pages[s, sigma]
         return blk
 
     def k(self, stage: int, s: int, sigma: VSupport) -> FpSubspace:

@@ -12,10 +12,13 @@ primitives act on the d_i and on e.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from itertools import product
-from typing import List, Optional
+from itertools import compress, product
+from typing import Dict, List, Tuple
 
+from .invariants import grid_monomials, grid_positions
+from .linalg import FpSubspace
 from .poly import F2, AlgebraSignature, Generator, Polynomial
 from .steenrod import milnor_q_closed
 
@@ -38,38 +41,30 @@ class DicksonContext:
 def build_dickson(h: int) -> DicksonContext:
     """Expand the product of linear forms and extract the Dickson classes.
 
-    A z-power outside {2^i} in the expansion would falsify the classical
+    The product runs on the exponent grid of base 2^h + 1
+    (invariants.grid_positions): each linear form is one FpSubspace.combine
+    of shifted copies, and the expansion is decoded into monomials once.  A
+    z-power outside {2^i}, or one missing, would falsify the classical
     identity and is treated as an internal error.
     """
     if not 1 <= h <= MAX_RANK:
         raise DicksonError("h must be between 1 and %d" % MAX_RANK)
-    gens = [Generator("z", 1)] + [Generator("x%d" % (i + 1), 1) for i in range(h)]
-    sig = AlgebraSignature(gens, F2)
-    z = Polynomial.gen(sig, "z")
-    e = Polynomial.one(sig)
+    n, top = h + 1, 2**h
+    sig = AlgebraSignature([Generator("z", 1)] + [Generator("x%d" % i, 1) for i in range(1, n)], F2)
+    shifts = grid_positions([(0,) * r + (1,) + (0,) * (h - r) for r in range(n)], top + 1)
+    e = 1
     for coeffs in product((0, 1), repeat=h):
-        form = z
-        for i, c in enumerate(coeffs):
-            if c:
-                form = form + Polynomial.gen(sig, "x%d" % (i + 1))
-        e = e * form
+        e = FpSubspace.combine(2, [(1, e, s) for s in compress(shifts, (1,) + coeffs)])
+    bits = format(e, "b")[::-1]
+    monos = grid_monomials((m.start() for m in re.finditer("1", bits)), top + 1, n, top)
     # Slice by z-exponent.
-    allowed = {2**i: i for i in range(h)}
-    d: List[Optional[Polynomial]] = [None] * h
-    for mono, coeff in e.terms.items():
-        z_exp = mono[0]
-        if z_exp == 2**h:
-            continue
-        if z_exp not in allowed:
-            raise DicksonError("unexpected z-exponent %d in the expansion" % z_exp)
-        i = allowed[z_exp]
-        rest = (0,) + mono[1:]
-        current = d[i] if d[i] is not None else Polynomial.zero(sig)
-        d[i] = current + Polynomial.from_mono(sig, rest, coeff)
-    for i in range(h):
-        if d[i] is None:
-            raise DicksonError("missing Dickson class d_%d" % i)
-    return DicksonContext(h, sig, e, [di for di in d])  # type: ignore[misc]
+    slices: Dict[int, Dict[Tuple[int, ...], int]] = {}
+    for mono in monos:
+        slices.setdefault(mono[0], {})[(0,) + mono[1:]] = 1
+    if sorted(slices) != [2**i for i in range(h + 1)]:
+        raise DicksonError("unexpected z-exponents %s in the expansion" % sorted(slices))
+    return DicksonContext(h, sig, Polynomial(sig, dict.fromkeys(monos, 1)),
+                          [Polynomial(sig, slices[2**i]) for i in range(h)])
 
 
 # ---------------------------------------------------------------------------

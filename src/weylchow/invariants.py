@@ -29,17 +29,21 @@ parent tables come from one `_level` table per action, which the basis, the
 signed tables and every slice object share; images are read only through
 defects, never back as a matrix.
 
-Over F_p such a matrix (_GridAction) keeps each image as one packed vector
-(the FpSubspace layout: a bit per coordinate at p = 2, a byte at odd p) on
-the exponent grid: x^e of exponent sum k at position sum_{r<n-1} e_r B^r
-(Kronecker substitution).  Multiplying by x_r shifts by B^r positions and
-x_{n-1} moves nothing, so an image is n shifts of its parent's and one fold,
-not a walk over the parent's terms.
-- The base: B > k, or two monomials of level k would share a position.  B
-  is fixed per slice object from the top level its caller will read
+Over F_p a homogeneous polynomial is one packed vector (the FpSubspace
+layout: a bit per coordinate at p = 2, a byte at odd p) on the exponent
+grid: x^e at position sum_{r<n-1} e_r B^r (grid_positions; Kronecker
+substitution), the last exponent fixed by the degree.  A product of
+monomials sits at the sum of their positions, so a product by a polynomial
+is one FpSubspace.combine of shifted copies.  The grid serves the images of
+a matrix (_GridAction: x_r shifts by B^r, x_{n-1} by 0, so an image is n
+shifts of its parent's and one fold), the generator monomials of
+subring_membership and the product of linear forms of dickson.build_dickson.
+- The base: B above every exponent, or two monomials would share a
+  position: D + 1 in degree D, 2^h + 1 for the Dickson product.  A slice
+  object fixes B > k from the top level its caller will read
   (`invariant_report` passes its max_degree, and `algebra_generators`
   reads the report's bases); a level at or above B makes the object again.
-- The headroom: a byte holds at most 255, so the n products of at most
+- The headroom: a byte holds at most 255, so the products of at most
   (p - 1)^2 are folded once per `linalg._ROOM[p]` of them: more than once
   per image at p >= 11 with n = 4 (4 * 10^2 > 255).
 """
@@ -51,12 +55,12 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .groups import GroupAction, MatrixRows, SignedPermutation
 from .linalg import FpSubspace, SubmoduleBasis
-from .poly import AlgebraSignature, Domain, Polynomial, compositions, power_products
+from .poly import AlgebraSignature, Domain, Monomial, Polynomial, compositions, power_products
 
 
 class InvariantError(Exception):
@@ -66,6 +70,22 @@ class InvariantError(Exception):
 # ---------------------------------------------------------------------------
 # Slice action of one matrix
 # ---------------------------------------------------------------------------
+
+
+def grid_positions(monos: Sequence[Sequence[int]], base: int) -> List[int]:
+    """The position of each x^m of monos on the exponent grid of the base
+    (module docstring): sum_{r<n-1} m_r base^r."""
+    powers = [base ** r for r in range(len(monos[0]) - 1)] if monos else []
+    return [sum(map(mul, m, powers)) for m in monos]
+
+
+def grid_monomials(positions: Iterable[int], base: int, n: int, total: int) -> List[Monomial]:
+    """grid_positions' inverse on the monomials in n variables of exponent sum total."""
+    out = []
+    for pos in positions:
+        mono = [pos // base ** r % base for r in range(n - 1)]
+        out.append((*mono, total - sum(mono)))
+    return out
 
 
 def _level(levels: Dict, n: int, k: int):
@@ -163,16 +183,15 @@ class _GridAction(_SliceAction):
     def __init__(self, levels: Dict, matrix: MatrixRows, domain: Domain, top: int):
         super().__init__(levels, matrix, domain)
         n, self.base = len(matrix), top + 1
-        self.cols = [[(a, self.base ** r if r < n - 1 else 0) for r, a in col] for col in self.cols]
+        shifts = grid_positions([(0,) * r + (1,) + (0,) * (n - 1 - r) for r in range(n)], self.base)
+        self.cols = [[(a, shifts[r]) for r, a in col] for col in self.cols]
         self.pos: Dict[int, List[int]] = {}  # exponent sum -> position by monomial index
 
     def _positions(self, k: int) -> List[int]:
         if k >= self.base:
             raise InvariantError("level %d does not fit a grid of base %d" % (k, self.base))
         if k not in self.pos:
-            powers = [self.base ** r for r in range(len(self.cols) - 1)]
-            monos = _level(self.levels, len(self.cols), k)[0]
-            self.pos[k] = [sum(map(mul, m, powers)) for m in monos]
+            self.pos[k] = grid_positions(_level(self.levels, len(self.cols), k)[0], self.base)
         return self.pos[k]
 
     def image(self, k: int, j: int) -> int:
@@ -423,31 +442,50 @@ def poincare_series(action: GroupAction, max_degree: int, domain: Domain) -> Dic
 def subring_membership(
     f: Polynomial, generators: Sequence[Polynomial]
 ) -> Tuple[bool, Optional[Dict[Tuple[int, ...], object]]]:
-    """Decide whether f is a polynomial in the given homogeneous generators.
+    """Decide whether f is a polynomial in the given homogeneous generators
+    of positive degree.
 
     Returns (inside, combination); combination maps generator-exponent
     tuples to coefficients.  Decided by a linear solve over all generator
-    monomials of matching degree.
+    monomials of f's degree D: over F_p without exterior generators packed
+    on the exponent grid of base D + 1 (module docstring), each one
+    generator times the monomial with one factor fewer, and otherwise as
+    Polynomials (power_products).
     """
-    if not f.is_homogeneous():
+    degrees = [g.homogeneous_degrees() for g in [f, *generators]]
+    if len(degrees[0]) > 1:
         raise InvariantError("f must be homogeneous")
-    for g in generators:
-        if not g.is_homogeneous() or g.is_zero():
-            raise InvariantError("generators must be homogeneous and nonzero")
-    sig = f.sig
-    domain = sig.domain
+    if any(len(degs) != 1 or not degs[0] for degs in degrees[1:]):
+        raise InvariantError("generators must be homogeneous, nonzero and of positive degree")
+    sig, domain = f.sig, f.sig.domain
     if f.is_zero():
         return True, {}
-    deg = f.degree()
-    gen_degrees = [g.degree() for g in generators]
-    tuples = compositions(gen_degrees, deg)
+    deg = degrees[0][0]
+    tuples = compositions([degs[0] for degs in degrees[1:]], deg)
     if not tuples:
         return False, None
-    products = power_products(generators, [(Polynomial.one(sig), t) for t in tuples])
-    support = sorted(set().union(*[set(p.terms) for p in products], set(f.terms)))
-    cols = [[poly.terms.get(m, 0) for m in support] for poly in products]
-    target = [f.terms.get(m, 0) for m in support]
-    found = linalg.solve(domain, cols, target)
+    if domain.kind == "fp" and not sig._exterior:
+        p, base = domain.p, deg + 1
+        shifts = [list(zip(g.terms.values(), grid_positions(list(g.terms), base)))
+                  for g in generators]
+        packed = {(0,) * len(generators): 1}
+
+        def product(t):  # g^t, packed
+            if t not in packed:
+                i = next(i for i, e in enumerate(t) if e)
+                low = product(t[:i] + (t[i] - 1,) + t[i + 1:])
+                packed[t] = FpSubspace.combine(p, [(c, low, s) for c, s in shifts[i]])
+            return packed[t]
+
+        target = FpSubspace.combine(p, [(c, 1, s) for c, s in zip(
+            f.terms.values(), grid_positions(list(f.terms), base))])
+        x = FpSubspace.solve(p, [product(t) for t in tuples], target, base ** max(len(sig) - 1, 0))
+        found = None if x is None else (1, FpSubspace.unpack(p, x, len(tuples)))
+    else:
+        products = power_products(generators, [(Polynomial.one(sig), t) for t in tuples])
+        support = sorted(set().union(*[set(p.terms) for p in products], set(f.terms)))
+        cols = [[poly.terms.get(m, 0) for m in support] for poly in products]
+        found = linalg.solve(domain, cols, [f.terms.get(m, 0) for m in support])
     if found is None or domain.scale_power(found[0]) != 0:
         return False, None
     g, y = found

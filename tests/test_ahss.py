@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -15,8 +16,9 @@ from weylchow.ahss import (
     v_degree,
     v_label,
 )
-from weylchow.builtin import toy_free_chart, toy_killing_chart
-from weylchow.chart import ChartError, build_chart
+from weylchow.builtin import spin7_chart, toy_free_chart, toy_killing_chart
+from weylchow.chart import ChartError, build_chart, q_shift
+from weylchow.linalg import FpSubspace
 from weylchow.series import expand_series
 
 
@@ -206,6 +208,38 @@ def test_boundaries_inside_cycles(spin7_ahss):
             count += 1
         if count > 500:
             break
+
+
+def test_each_page_state_is_checked_once(spin7_ahss):
+    """The blocks of one (s, v-support) share one checked state, so the
+    1,258 keys of window 32 need 245 checks; keys() at max_total 28 has
+    more keys than states too."""
+    keys = spin7_ahss.keys()
+    states = {(s, tuple(map(bool, mu))) for s, mu in keys}
+    assert set(spin7_ahss._pages) == states and len(states) < len(keys)
+    for s, mu in keys:
+        assert spin7_ahss.blocks[s, mu] is spin7_ahss._pages[s, tuple(map(bool, mu))]
+    result = AhssResult(spin7_chart(window=32).chart, v_max=3)
+    assert (len(result.keys()), len({(s, tuple(map(bool, mu))) for s, mu in result.keys()})
+            ) == (1258, 245)
+
+
+def test_inconsistent_page_fails_at_each_key_read(monkeypatch):
+    """A boundary outside the cycles raises at the key read, after the
+    Q_i^2 diagnosis, and again at the next key of the same state: a failed
+    state is not kept."""
+    import weylchow.ahss as ahss_mod
+
+    result = AhssResult(spin7_chart(window=32).chart, v_max=3)
+    sigma = (True, False, False)
+    result._k[3, 4, sigma[:2]] = FpSubspace(2)
+    result._w[3, 4, sigma] = FpSubspace(2, [1])
+    diagnosed = []
+    monkeypatch.setattr(ahss_mod, "check_q_squares", lambda chart, top: diagnosed.append(top))
+    for mu in [(1, 0, 0), (2, 0, 0)]:
+        with pytest.raises(AhssError, match=re.escape("(s=4, %s): boundary outside" % v_label(mu))):
+            result.block(4, mu)
+    assert diagnosed == [4 + 2 * q_shift(2, 3)] * 2 and not result.blocks and not result._pages
 
 
 def test_page_monotonicity(spin7_ahss):

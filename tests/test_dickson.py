@@ -37,6 +37,28 @@ def test_h3_d0_is_product_of_linear_forms():
     assert ctx.d[0] == prod
 
 
+@pytest.mark.parametrize("h", [1, 2, 3, 4])
+def test_grid_product_matches_polynomial_multiplication(h):
+    """e against the 2^h linear forms multiplied with Polynomial.__mul__, and
+    e = z^(2^h) + sum_i d_i z^(2^i) with no z in any d_i."""
+    ctx = build_dickson(h)
+    z = Polynomial.gen(ctx.sig, "z")
+    xs = [Polynomial.gen(ctx.sig, "x%d" % (i + 1)) for i in range(h)]
+    e = Polynomial.one(ctx.sig)
+    for coeffs in product((0, 1), repeat=h):
+        form = z
+        for c, x in zip(coeffs, xs):
+            if c:
+                form = form + x
+        e = e * form
+    assert ctx.e == e
+    total = z ** (2**h)
+    for i, d in enumerate(ctx.d):
+        assert all(m[0] == 0 for m in d.terms)
+        total = total + d * z ** (2**i)
+    assert total == e
+
+
 def test_rank_guard():
     with pytest.raises(DicksonError):
         build_dickson(0)

@@ -3,6 +3,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,6 +14,7 @@ from fp_reference import kernel_fp
 from poly_reference import substitute
 from test_groups import _conjugated_so7
 from weylchow import invariants as inv_mod
+from weylchow import linalg
 from weylchow.groups import (GroupAction, _freeze, _invert, build_gl, build_weyl_f4, build_weyl_so,
                              build_weyl_spin, mat_identity, mat_mul)
 from weylchow.invariants import (
@@ -25,8 +27,8 @@ from weylchow.invariants import (
     subring_membership,
 )
 from weylchow.linalg import FpSubspace, SubmoduleBasis, hnf_basis, kernel_z
-from weylchow.poly import (F2, F3, QQ, ZZ, PolyError, Polynomial, degree_slice, fp, signature,
-                           z_local)
+from weylchow.poly import (F2, F3, QQ, ZZ, PolyError, Polynomial, compositions, degree_slice, fp,
+                           power_products, signature, z_local)
 from weylchow.series import expand_series
 
 
@@ -194,6 +196,107 @@ def test_subring_membership_over_dependent_generators(domain, factors, inside):
         assert total == t
     else:
         assert combination is None
+
+
+@pytest.mark.parametrize("domain", [F2, ZZ])
+def test_subring_membership_refuses_a_constant_generator(domain):
+    x = Polynomial.gen(signature([("x", 2)], domain), "x")
+    with pytest.raises(inv_mod.InvariantError, match="positive degree"):
+        subring_membership(x, [Polynomial.one(x.sig), x])
+
+
+def _reference_membership(f, gens):
+    """subring_membership over F_p the way it runs over Z, Q and Z_(p): every
+    generator monomial of f's degree as a Polynomial (power_products), the
+    columns over their support solved by linalg.solve."""
+    if f.is_zero():
+        return True, {}
+    tuples = compositions([g.degree() for g in gens], f.degree())
+    products = power_products(gens, [(Polynomial.one(f.sig), t) for t in tuples])
+    support = sorted(set(f.terms).union(*(q.terms for q in products)))
+    found = linalg.solve(f.sig.domain, [[q.terms.get(m, 0) for m in support] for q in products],
+                         [f.terms.get(m, 0) for m in support]) if tuples else None
+    if found is None:
+        return False, None
+    return True, {t: c for t, c in zip(tuples, found[1]) if c}
+
+
+@st.composite
+def _membership_cases(draw):
+    """(f, generators) over F_2 or F_3 in 1 to 3 variables of weights 1 to 3
+    (doubled over F_3, where odd degrees would be exterior): random
+    homogeneous generators, sometimes with a dependent one (a multiple, a
+    product or a sum of others), and a target: a random combination of the
+    generator monomials of its degree, that plus a random polynomial of the
+    degree (most often outside the span), or a nonzero constant."""
+    p = draw(st.sampled_from((2, 3)))
+    weights = [draw(st.integers(1, 3)) * (1 if p == 2 else 2)
+               for _ in range(draw(st.integers(1, 3)))]
+    sig = signature([("y%d" % i, w) for i, w in enumerate(weights)], fp(p))
+
+    def homogeneous(deg):
+        monos = degree_slice(sig, deg)
+        chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
+        return Polynomial(sig, {m: draw(st.integers(1, p - 1)) for m in chosen})
+
+    gens = [homogeneous(sum(w * draw(st.integers(0, 2)) for w in weights) or weights[0])
+            for _ in range(draw(st.integers(1, 3)))]
+    extra = draw(st.sampled_from(("none", "multiple", "product", "sum")))
+    if extra == "multiple":
+        gens.append(gens[0].scale(p - 1))
+    elif extra == "product":
+        gens.append(gens[0] * gens[-1])
+    elif extra == "sum" and gens[0].degree() == gens[-1].degree() and len(gens) > 1:
+        gens.append(gens[0] + gens[-1])
+    assume(all(not g.is_zero() for g in gens))
+    kind = draw(st.sampled_from(("combination", "plus a monomial", "constant")))
+    if kind == "constant":
+        return Polynomial.constant(sig, draw(st.integers(1, p - 1))), gens
+    t = draw(st.lists(st.integers(0, 2), min_size=len(gens), max_size=len(gens)).filter(any))
+    deg = sum(e * g.degree() for e, g in zip(t, gens))
+    f = Polynomial.zero(sig)
+    for u in compositions([g.degree() for g in gens], deg):
+        f = f + power_products(gens, [(Polynomial.one(sig), u)])[0].scale(
+            draw(st.integers(1 if u == tuple(t) else 0, p - 1)))
+    return (f + homogeneous(deg) if kind == "plus a monomial" else f), gens
+
+
+@settings(max_examples=200, deadline=None)
+@given(_membership_cases())
+def test_grid_subring_solve_matches_the_reference_path(case):
+    f, gens = case
+    with mock.patch.object(inv_mod.linalg, "solve", side_effect=AssertionError("not the grid")):
+        got = subring_membership(f, gens)
+    assert got == _reference_membership(f, gens)
+    if got[0]:
+        total = Polynomial.zero(f.sig)
+        for t, c in got[1].items():
+            total = total + power_products(gens, [(Polynomial.one(f.sig), t)])[0].scale(c)
+        assert total == f
+
+
+def test_grid_subring_solve_on_a_constant_target_and_one_variable():
+    t = Polynomial.gen(signature([("t", 2)], F3), "t")
+    assert subring_membership(Polynomial.constant(t.sig, 2), [t]) == (True, {(0,): 2})
+    assert subring_membership(t ** 3, [t ** 2, t]) == _reference_membership(t ** 3, [t ** 2, t])
+    assert subring_membership(t ** 3, [t ** 2]) == (False, None)
+
+
+def test_spin7_q_images_match_the_reference_path():
+    from weylchow.builtin import _SPIN7_GENS, _spin7_q_images
+    from weylchow.dickson import build_dickson
+    from weylchow.steenrod import milnor_q_closed
+
+    ctx = build_dickson(3)
+    model = [ctx.d[2], ctx.d[1], ctx.d[0], ctx.e]
+    images = _spin7_q_images()
+    w_sig = images[0]["w_4"].sig
+    assert sorted(images) == [0, 1, 2, 3]
+    for i, row in images.items():
+        assert list(row) == [name for name, _ in _SPIN7_GENS]
+        for (name, _), poly in zip(_SPIN7_GENS, model):
+            inside, combination = _reference_membership(milnor_q_closed(i, poly), model)
+            assert inside and row[name] == Polynomial(w_sig, combination), (i, name)
 
 
 @pytest.mark.parametrize("action, domain", [
